@@ -25,6 +25,7 @@ from fractions import Fraction
 from math import factorial
 
 from .series import TruncatedSeries
+from .sparse import SparseTerms
 
 __all__ = [
     "NormalOrderError",
@@ -69,10 +70,6 @@ def _add_term(acc, word, series):
     acc[word] = series if cur is None else cur + series
 
 
-def _prune(terms):
-    return {w: s for w, s in terms.items() if not s.is_zero()}
-
-
 # mutable-list accumulators for the rewriting hot path; immutable series
 # allocation dominates the profile otherwise
 
@@ -108,35 +105,14 @@ def _finalize_acc(acc, order):
     return out
 
 
-class NCElement:
+class NCElement(SparseTerms):
     """Sum of PBW-ordered words with TruncatedSeries coefficients."""
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra",)
 
     def __init__(self, algebra, terms):
         self.algebra = algebra
-        self.terms = _prune(terms)
-
-    def _require_same(self, other):
-        if self.algebra is not other.algebra:
-            raise ValueError(
-                f"algebra mismatch: {self.algebra.name} vs {other.algebra.name}")
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        self._require_same(other)
-        acc = dict(self.terms)
-        for w, s in other.terms.items():
-            _add_term(acc, w, s)
-        return NCElement(self.algebra, acc)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return NCElement(self.algebra, {w: -s for w, s in self.terms.items()})
+        super().__init__((algebra,), terms)
 
     def __mul__(self, other):
         if not isinstance(other, NCElement):
@@ -156,23 +132,6 @@ class NCElement:
                         _acc_product(acc, w, s, c, order)
         return NCElement(alg, _finalize_acc(acc, order))
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, c):
-        return NCElement(self.algebra, {w: s * c for w, s in self.terms.items()})
-
-    def commutator(self, other):
-        return self * other - other * self
-
-    def __eq__(self, other):
-        if not isinstance(other, NCElement):
-            return NotImplemented
-        return self.algebra is other.algebra and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((id(self.algebra), frozenset(self.terms.items())))
-
     def coefficient(self, word):
         return self.terms.get(tuple(word), self.algebra.zero_series())
 
@@ -183,46 +142,38 @@ class NCElement:
         return f"<NCElement {self} in {self.algebra.name}>"
 
 
-class TensorElement:
-    """Rank 2 or 3 tensor with legs in PBW normal form.
+def _acc_legwise(acc, legs, words, s, low, order):
+    """Accumulate s times the tensor product of the leg normal forms onto acc.
+
+    ``low`` is the z order of s. A partial product whose z order already
+    exceeds the truncation is dropped before the next leg is expanded.
+    """
+    last = len(legs) == 1
+    for w, c in legs[0].items():
+        lw = low + c.low_order()
+        if lw > order:
+            continue
+        if last:
+            _acc_product(acc, words + (w,), s, c, order)
+        else:
+            _acc_legwise(acc, legs[1:], words + (w,), s * c, lw, order)
+
+
+class TensorElement(SparseTerms):
+    """Tensor of any rank >= 1 with legs in PBW normal form.
 
     The tensor product is over the scalar series ring: multiplication acts
     legwise and there are no cross-leg relations.
     """
 
-    __slots__ = ("algebra", "rank", "terms")
+    __slots__ = ("algebra", "rank")
 
     def __init__(self, algebra, rank, terms):
-        if rank not in (2, 3):
-            raise ValueError("tensor rank must be 2 or 3")
+        if rank < 1:
+            raise ValueError("tensor rank must be at least 1")
         self.algebra = algebra
         self.rank = rank
-        self.terms = _prune(terms)
-
-    def _require_same(self, other):
-        if self.algebra is not other.algebra or self.rank != other.rank:
-            raise ValueError("tensor mismatch (algebra or rank)")
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        self._require_same(other)
-        acc = dict(self.terms)
-        for w, s in other.terms.items():
-            _add_term(acc, w, s)
-        return TensorElement(self.algebra, self.rank, acc)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TensorElement(self.algebra, self.rank,
-                             {w: -s for w, s in self.terms.items()})
-
-    def scale(self, c):
-        return TensorElement(self.algebra, self.rank,
-                             {w: s * c for w, s in self.terms.items()})
+        super().__init__((algebra, rank), terms)
 
     def __mul__(self, other):
         if not isinstance(other, TensorElement):
@@ -237,52 +188,9 @@ class TensorElement:
                 if la + sb.low_order() > order:
                     continue
                 s = sa * sb
-                low = s.low_order()
-                legs = [alg.normal_word(wa[i] + wb[i]) for i in range(self.rank)]
-                if self.rank == 2:
-                    l0, l1 = legs
-                    for w0, c0 in l0.items():
-                        low0 = low + c0.low_order()
-                        if low0 > order:
-                            continue
-                        s0 = s * c0
-                        for w1, c1 in l1.items():
-                            if low0 + c1.low_order() <= order:
-                                _acc_product(acc, (w0, w1), s0, c1, order)
-                else:
-                    l0, l1, l2 = legs
-                    for w0, c0 in l0.items():
-                        low0 = low + c0.low_order()
-                        if low0 > order:
-                            continue
-                        s0 = s * c0
-                        for w1, c1 in l1.items():
-                            low1 = low0 + c1.low_order()
-                            if low1 > order:
-                                continue
-                            s1 = s0 * c1
-                            for w2, c2 in l2.items():
-                                if low1 + c2.low_order() <= order:
-                                    _acc_product(acc, (w0, w1, w2), s1, c2, order)
+                legs = [alg.normal_word(a + b) for a, b in zip(wa, wb)]
+                _acc_legwise(acc, legs, (), s, s.low_order(), order)
         return TensorElement(alg, self.rank, _finalize_acc(acc, order))
-
-    @staticmethod
-    def _distribute(acc, legs, series):
-        # cartesian product over the per-leg normal forms
-        stack = [((), series)]
-        for leg in legs:
-            nxt = []
-            for words, s in stack:
-                for w, c in leg.items():
-                    sc = s * c
-                    if not sc.is_zero():
-                        nxt.append((words + (w,), sc))
-            stack = nxt
-        for words, s in stack:
-            _add_term(acc, words, s)
-
-    def commutator(self, other):
-        return self * other - other * self
 
     def swap(self):
         """Flip the two legs of a rank-2 tensor."""
@@ -302,15 +210,6 @@ class TensorElement:
             legs[i], legs[j] = w1, w2
             _add_term(acc, tuple(legs), s)
         return TensorElement(self.algebra, 3, acc)
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return (self.algebra is other.algebra and self.rank == other.rank
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((id(self.algebra), self.rank, frozenset(self.terms.items())))
 
     def __str__(self):
         if not self.terms:
@@ -370,8 +269,7 @@ class QuantumAlgebra:
     Coproduct, antipode and counit tables hold the values on generators and
     are extended multiplicatively / anti-multiplicatively / as an algebra
     map. Tables are fixed after construction and every operation is pure up
-    to idempotent memo caches, so results never depend on evaluation order;
-    concurrent runners keep their own instances regardless.
+    to idempotent memo caches, so results never depend on evaluation order.
     """
 
     def __init__(self, name, generators, order, relations, coproduct,
@@ -392,7 +290,7 @@ class QuantumAlgebra:
         n = len(self.generators)
         for hi in range(n):
             for lo in range(hi):
-                value = _prune(relations.get((hi, lo), {}))
+                value = {w: s for w, s in relations.get((hi, lo), {}).items() if s}
                 self._check_relation((hi, lo), value)
                 self._relations[(hi, lo)] = value
 
@@ -407,6 +305,9 @@ class QuantumAlgebra:
 
     def _as_series(self, c):
         return c if isinstance(c, TruncatedSeries) else self._one * c
+
+    def __repr__(self):
+        return f"<QuantumAlgebra {self.name} k={self.order}>"
 
     # -- table sanity ---------------------------------------------------------
 
@@ -455,12 +356,14 @@ class QuantumAlgebra:
         return TensorElement(self, rank, {((),) * rank: self._one})
 
     def tensor(self, raw_terms, rank=2):
+        """Build a tensor from a raw {legs: coefficient} map, normal ordering each leg."""
         acc = {}
         for legs, c in raw_terms.items():
-            series = c if isinstance(c, TruncatedSeries) else self._one * c
-            nfs = [self.normal_word(tuple(w)) for w in legs]
-            TensorElement._distribute(acc, nfs, series)
-        return TensorElement(self, rank, acc)
+            series = self._as_series(c)
+            if series:
+                nfs = [self.normal_word(tuple(w)) for w in legs]
+                _acc_legwise(acc, nfs, (), series, series.low_order(), self.order)
+        return TensorElement(self, rank, _finalize_acc(acc, self.order))
 
     # -- normal ordering ------------------------------------------------------
 
@@ -480,7 +383,7 @@ class QuantumAlgebra:
                 sc = series * s
                 if not sc.is_zero():
                     _add_term(acc, w, sc)
-        return _prune(acc)
+        return acc
 
     def _nf(self, word):
         cached = self._nf_cache.get(word)
@@ -518,7 +421,7 @@ class QuantumAlgebra:
         return -NCElement(self, dict(self._relations[(j, i)]))
 
     def commutator(self, x, y):
-        return x * y - y * x
+        return x.commutator(y)
 
     def coproduct_word(self, word):
         cached = self._cop_cache.get(word)

@@ -17,7 +17,8 @@ from math import comb, factorial
 from .algebra import two_photon_algebra
 from .report import CheckResult
 from .scalars import ComplexRational
-from .series import TruncatedSeries
+from .series import TruncatedSeries, exp_nilpotent, sqrt_unit
+from .sparse import SparseTerms
 
 __all__ = [
     "DiffOperator", "EigenProblem", "SingularRecurrenceError",
@@ -37,22 +38,19 @@ def _falling(n, l):
     return out
 
 
-class DiffOperator:
+class DiffOperator(SparseTerms):
     """Canonical operator sum_{j,l} c_{jl}(z) alpha^j d^l."""
 
-    __slots__ = ("order", "terms")
+    __slots__ = ("order",)
 
     def __init__(self, order, terms):
         self.order = order
-        clean = {}
         for (j, l), s in terms.items():
             if j < 0 or l < 0:
                 raise ValueError(f"negative power in term ({j}, {l})")
             if s.order != order:
                 raise ValueError(f"order mismatch: {s.order} vs {order}")
-            if not s.is_zero():
-                clean[(j, l)] = s
-        self.terms = clean
+        super().__init__((order,), terms)
 
     @classmethod
     def zero(cls, order):
@@ -68,26 +66,6 @@ class DiffOperator:
             key: (c if isinstance(c, TruncatedSeries)
                   else TruncatedSeries.one(order) * c)
             for key, c in terms.items()})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        self._require_same(other)
-        acc = dict(self.terms)
-        for key, s in other.terms.items():
-            cur = acc.get(key)
-            acc[key] = s if cur is None else cur + s
-        return DiffOperator(self.order, acc)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return DiffOperator(self.order, {k: -s for k, s in self.terms.items()})
-
-    def scale(self, c):
-        return DiffOperator(self.order, {k: s * c for k, s in self.terms.items()})
 
     def __mul__(self, other):
         """Composition; d^l alpha^m reorders through [d, alpha] = 1."""
@@ -107,16 +85,6 @@ class DiffOperator:
                     cur = acc.get(key)
                     acc[key] = add if cur is None else cur + add
         return DiffOperator(self.order, acc)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def commutator(self, other):
-        return self * other - other * self
-
-    def _require_same(self, other):
-        if self.order != other.order:
-            raise ValueError(f"order mismatch: {self.order} vs {other.order}")
 
     def truncate(self, order):
         return DiffOperator(order, {k: s.truncate(order) for k, s in self.terms.items()})
@@ -145,14 +113,6 @@ class DiffOperator:
                 out[m] = add if cur is None else cur + add
         return {m: s for m, s in out.items() if not s.is_zero()}
 
-    def __eq__(self, other):
-        if not isinstance(other, DiffOperator):
-            return NotImplemented
-        return self.order == other.order and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.order, frozenset(self.terms.items())))
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -172,93 +132,51 @@ class DiffOperator:
         return f"<DiffOperator {self}>"
 
 
-# -- commutative alpha-polynomial scratch ring ----------------------------------
-#
-# during construction the closed forms pass through Laurent terms in alpha;
-# a CPoly is a {alpha_power: series} map with possibly negative powers.
+class _CPoly(SparseTerms):
+    """Commutative {alpha_power: series} scratch ring for the construction.
 
+    The closed forms pass through Laurent terms in alpha, so powers may be
+    negative here; _finish rejects any that survive.
+    """
 
-def _cp_scale(p, c):
-    return {j: s * c for j, s in p.items()}
+    __slots__ = ("order",)
 
+    def __init__(self, order, terms):
+        self.order = order
+        super().__init__((order,), terms)
 
-def _cp_add(p, q):
-    acc = dict(p)
-    for j, s in q.items():
-        cur = acc.get(j)
-        acc[j] = s if cur is None else cur + s
-    return {j: s for j, s in acc.items() if not s.is_zero()}
+    def __mul__(self, other):
+        if not isinstance(other, _CPoly):
+            return self.scale(other)
+        self._require_same(other)
+        acc = {}
+        for j1, s1 in self.terms.items():
+            for j2, s2 in other.terms.items():
+                s = s1 * s2
+                if s:
+                    cur = acc.get(j1 + j2)
+                    acc[j1 + j2] = s if cur is None else cur + s
+        return _CPoly(self.order, acc)
 
+    def low_order(self):
+        return min((s.low_order() for s in self.terms.values()), default=None)
 
-def _cp_mul(p, q):
-    acc = {}
-    for j1, s1 in p.items():
-        for j2, s2 in q.items():
-            s = s1 * s2
-            if s.is_zero():
-                continue
-            cur = acc.get(j1 + j2)
-            acc[j1 + j2] = s if cur is None else cur + s
-    return {j: s for j, s in acc.items() if not s.is_zero()}
+    def divided_by_z(self):
+        return _CPoly(self.order - 1, {j: s.divided_by_z() for j, s in self.terms.items()})
 
+    def shift(self, m):
+        """Multiply by alpha^m."""
+        return _CPoly(self.order, {j + m: s for j, s in self.terms.items()})
 
-def _cp_exp(p, order):
-    """exp of a z-positive polynomial; nilpotent mod z^(order+1)."""
-    for s in p.values():
-        low = s.low_order()
-        if low is not None and low == 0:
-            raise ValueError("cpoly exp needs strictly positive z order")
-    acc = {0: TruncatedSeries.one(order)}
-    power = {0: TruncatedSeries.one(order)}
-    for n in range(1, order + 1):
-        power = _cp_mul(power, p)
-        if not power:
-            break
-        acc = _cp_add(acc, _cp_scale(power, Fraction(1, factorial(n))))
-    return acc
-
-
-def _cp_sqrt_unit(p, order):
-    """sqrt of 1 + Q with Q strictly z-positive, via the binomial series."""
-    q = _cp_add(p, {0: -TruncatedSeries.one(order)})
-    for s in q.values():
-        low = s.low_order()
-        if low is not None and low == 0:
-            raise ValueError("cpoly sqrt needs constant part exactly 1")
-    acc = {0: TruncatedSeries.one(order)}
-    power = {0: TruncatedSeries.one(order)}
-    binom = Fraction(1)
-    for n in range(1, order + 1):
-        power = _cp_mul(power, q)
-        if not power:
-            break
-        binom = binom * (Fraction(1, 2) - (n - 1)) / n
-        acc = _cp_add(acc, _cp_scale(power, binom))
-    return acc
-
-
-def _cp_divz(p):
-    return {j: s.divided_by_z() for j, s in p.items()}
-
-
-def _cp_shift(p, m):
-    return {j + m: s for j, s in p.items()}
-
-
-def _cp_truncate(p, order):
-    out = {}
-    for j, s in p.items():
-        t = s.truncate(order)
-        if not t.is_zero():
-            out[j] = t
-    return out
+    def truncate(self, order):
+        return _CPoly(order, {j: s.truncate(order) for j, s in self.terms.items()})
 
 
 def _finish(mult_parts, order, name):
     """Assemble {d_power: cpoly} into a DiffOperator, rejecting Laurent leftovers."""
     terms = {}
     for l, p in mult_parts.items():
-        for j, s in _cp_truncate(p, order).items():
+        for j, s in p.truncate(order).terms.items():
             if j < 0:
                 raise RuntimeError(
                     f"negative alpha power alpha^{j} survived in the deformed {name}")
@@ -316,38 +234,37 @@ def deformed_rep(gen, order):
         raise KeyError(f"unknown generator {gen!r}")
     k = order
     kk = k + 1  # internal margin for the single /z in each closed form
-    one = TruncatedSeries.one(kk)
+    one = _CPoly(kk, {0: TruncatedSeries.one(kk)})
     # u = 2 z alpha^2 as a cpoly
-    u2 = {2: TruncatedSeries.z_power(1, kk, 2)}
+    u2 = _CPoly(kk, {2: TruncatedSeries.z_power(1, kk, 2)})
 
     if gen == "B+":
         return DiffOperator(k, {(2, 0): TruncatedSeries.one(k)})
     if gen == "M":
         return DiffOperator(k, {(0, 0): TruncatedSeries.one(k)})
 
-    minus_one = {0: -one}
-    exp_u = _cp_truncate(_cp_exp(u2, kk), k)      # e^{2 z alpha^2}, back at order k
+    exp_u = exp_nilpotent(u2, one).truncate(k)       # e^{2 z alpha^2}, back at order k
     # (e^{2 z a^2} - 1)/(2z), exactly order k after the division
-    growth = _cp_scale(_cp_divz(_cp_add(_cp_exp(u2, kk), minus_one)), Fraction(1, 2))
+    growth = (exp_nilpotent(u2, one) - one).divided_by_z().scale(Fraction(1, 2))
 
     if gen == "N":
         # (e^{2 z a^2} - 1)/(2z) * a^{-1} d
-        return _finish({1: _cp_shift(growth, -1)}, k, "N")
+        return _finish({1: growth.shift(-1)}, k, "N")
 
     if gen in ("A+", "A-"):
         # shared radical ((1 - e^{-2 z a^2})/(2z))^{1/2} = a * sqrt(unit)
-        exp_mu = _cp_exp(_cp_scale(u2, -1), kk)
-        radicand = _cp_scale(
-            _cp_divz(_cp_add({0: one}, _cp_scale(exp_mu, -1))), Fraction(1, 2))
-        root = _cp_sqrt_unit(_cp_shift(radicand, -2), k)
+        exp_mu = exp_nilpotent(u2.scale(-1), one)
+        radicand = (one + exp_mu.scale(-1)).divided_by_z().scale(Fraction(1, 2))
+        one_k = one.truncate(k)
+        root = sqrt_unit(radicand.shift(-2) - one_k, one_k)
         if gen == "A+":
-            return _finish({0: _cp_shift(root, 1)}, k, "A+")
+            return _finish({0: root.shift(1)}, k, "A+")
         # e^{2 z a^2} a^{-1} * (a * root) d = e^{2 z a^2} root d
-        return _finish({1: _cp_mul(exp_u, root)}, k, "A-")
+        return _finish({1: exp_u * root}, k, "A-")
 
     # B-: ((e^{2 z a^2}-1)/(2 z a^2)) d^2 + (e^{2 z a^2}/a + (1-e^{2 z a^2})/(2 z a^3)) d
-    dd = _cp_shift(growth, -2)
-    d1 = _cp_add(_cp_shift(exp_u, -1), _cp_shift(_cp_scale(growth, -1), -3))
+    dd = growth.shift(-2)
+    d1 = exp_u.shift(-1) + growth.scale(-1).shift(-3)
     return _finish({2: dd, 1: d1}, k, "B-")
 
 

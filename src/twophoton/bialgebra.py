@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .report import CheckResult
+from .sparse import SparseTerms, solve_linear
 
 __all__ = [
     "LieAlgebra", "WedgeElement",
@@ -22,14 +23,14 @@ __all__ = [
 ]
 
 
-class WedgeElement:
+class WedgeElement(SparseTerms):
     """Antisymmetric rank-2 tensor, stored on index pairs i < j."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs=()):
+    def __init__(self, terms=()):
         acc = {}
-        for (i, j), c in dict(coeffs).items():
+        for (i, j), c in dict(terms).items():
             c = Fraction(c)
             if c == 0:
                 continue
@@ -39,49 +40,20 @@ class WedgeElement:
                 acc[(i, j)] = acc.get((i, j), Fraction(0)) + c
             else:
                 acc[(j, i)] = acc.get((j, i), Fraction(0)) - c
-        self.coeffs = {k: v for k, v in acc.items() if v != 0}
+        super().__init__((), acc)
 
     def add_pair(self, i, j, c):
         """Accumulate c * Xi ^ Xj (antisymmetrized into canonical slots)."""
-        new = dict(self.coeffs)
-        if i == j or c == 0:
-            return WedgeElement(new)
-        key, val = ((i, j), Fraction(c)) if i < j else ((j, i), -Fraction(c))
-        new[key] = new.get(key, Fraction(0)) + val
-        return WedgeElement(new)
-
-    def __add__(self, other):
-        acc = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            acc[k] = acc.get(k, Fraction(0)) + v
-        return WedgeElement(acc)
-
-    def __neg__(self):
-        return WedgeElement({k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        return WedgeElement({k: v * Fraction(c) for k, v in self.coeffs.items()})
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, WedgeElement):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        if i == j:
+            return self
+        return self + WedgeElement({(i, j): c})
 
     def render(self, basis):
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         parts = []
-        for (i, j) in sorted(self.coeffs):
-            c = self.coeffs[(i, j)]
+        for (i, j) in sorted(self.terms):
+            c = self.terms[(i, j)]
             coeff = "" if c == 1 else ("-" if c == -1 else f"{c}*")
             parts.append(f"{coeff}{basis[i]}^{basis[j]}")
         return " + ".join(parts)
@@ -95,7 +67,7 @@ class LieAlgebra:
     Jacobi identity, so an instance is a certificate of consistency.
     """
 
-    def __init__(self, name, basis, brackets, check_jacobi=True):
+    def __init__(self, name, basis, brackets):
         self.name = name
         self.basis = tuple(basis)
         n = len(self.basis)
@@ -106,10 +78,9 @@ class LieAlgebra:
                        if Fraction(v) != 0}
                 table[(i, j)] = vec
         self.table = table
-        if check_jacobi:
-            bad = self.jacobi_violations()
-            if bad:
-                raise ValueError(f"{name}: Jacobi identity fails at {bad[0]}")
+        bad = self.jacobi_violations()
+        if bad:
+            raise ValueError(f"{name}: Jacobi identity fails at {bad[0]}")
 
     @property
     def dim(self):
@@ -250,7 +221,7 @@ def cocommutator_from_r(lie, r, name):
     """delta(X) = [X (x) 1 + 1 (x) X, r], evaluated through structure constants."""
     x = lie.index(name) if isinstance(name, str) else name
     out = WedgeElement()
-    for (a, b), c in r.coeffs.items():
+    for (a, b), c in r.terms.items():
         # acting on Xa ^ Xb = Xa (x) Xb - Xb (x) Xa keeps the result a wedge
         for m, v in lie.bracket_basis(x, a).items():
             out = out.add_pair(m, b, c * v)
@@ -267,7 +238,7 @@ def _schouten_bracket(lie, r):
     """[[r, r]] = [r12, r13] + [r12, r23] + [r13, r23] as a dense rank-3 tensor."""
     n = lie.dim
     full = {}
-    for (i, j), c in r.coeffs.items():
+    for (i, j), c in r.terms.items():
         full[(i, j)] = full.get((i, j), Fraction(0)) + c
         full[(j, i)] = full.get((j, i), Fraction(0)) - c
     acc = {}
@@ -306,7 +277,7 @@ def verify_cocycle(lie, delta_table):
 
     def ad_on_wedge(x, w):
         out = WedgeElement()
-        for (a, b), c in w.coeffs.items():
+        for (a, b), c in w.terms.items():
             for m, v in lie.bracket_basis(x, a).items():
                 out = out.add_pair(m, b, c * v)
             for m, v in lie.bracket_basis(x, b).items():
@@ -329,9 +300,9 @@ def verify_cocycle(lie, delta_table):
     bad = []
     for i in range(n):
         acc = {}
-        for (a, b), c in deltas[i].coeffs.items():
+        for (a, b), c in deltas[i].terms.items():
             for (p, q), d in ((a, b), Fraction(1)), ((b, a), Fraction(-1)):
-                for (u, v), e in deltas[p].coeffs.items():
+                for (u, v), e in deltas[p].terms.items():
                     for (s, t), f in ((u, v), Fraction(1)), ((v, u), Fraction(-1)):
                         w = c * d * e * f
                         # cyclic sum over the three tensor slots
@@ -345,49 +316,6 @@ def verify_cocycle(lie, delta_table):
     return entries
 
 
-def _solve_in_span(rows, target, dim):
-    """Write target as a combination of row vectors; None if impossible."""
-    # gaussian elimination over the fractions, tracking combination coefficients
-    mat = [[row.get(i, Fraction(0)) for i in range(dim)] + [Fraction(0)] * len(rows)
-           for row in rows]
-    for r, vals in enumerate(mat):
-        vals[dim + r] = Fraction(1)
-    tgt = [target.get(i, Fraction(0)) for i in range(dim)]
-
-    pivots = []
-    col = 0
-    r = 0
-    while r < len(mat) and col < dim:
-        piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        scale = mat[r][col]
-        mat[r] = [v / scale for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append((r, col))
-        r += 1
-        col += 1
-
-    coeffs = [Fraction(0)] * len(rows)
-    residual = list(tgt)
-    for r, col in pivots:
-        f = residual[col]
-        if f == 0:
-            continue
-        for i in range(dim):
-            residual[i] -= f * mat[r][i]
-        for i in range(len(rows)):
-            coeffs[i] += f * mat[r][dim + i]
-    if any(v != 0 for v in residual):
-        return None
-    return coeffs
-
-
 def basis_change(lie, rows):
     """New Lie algebra on the span of ``rows`` (name, coefficient-vector pairs).
 
@@ -397,15 +325,16 @@ def basis_change(lie, rows):
     names = [name for name, _ in rows]
     vecs = [{k: Fraction(v) for k, v in vec.items()} for _, vec in rows]
     for idx in range(len(vecs)):
-        if _solve_in_span(vecs[:idx] + vecs[idx + 1:], vecs[idx], lie.dim) is not None:
+        _, dependent = solve_linear(vecs[:idx] + vecs[idx + 1:], vecs[idx])
+        if dependent:
             raise ValueError(f"singular basis map: {names[idx]} is dependent")
 
     brackets = {}
     for i in range(len(vecs)):
         for j in range(i):
             value = lie.bracket(vecs[i], vecs[j])
-            coeffs = _solve_in_span(vecs, value, lie.dim)
-            if coeffs is None:
+            coeffs, in_span = solve_linear(vecs, value)
+            if not in_span:
                 raise ValueError(
                     f"[{names[i]},{names[j]}] leaves the span: {lie.render_vector(value)}")
             brackets[(i, j)] = {k: c for k, c in enumerate(coeffs) if c != 0}

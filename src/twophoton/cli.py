@@ -12,7 +12,6 @@ import csv
 import os
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .algebra import two_photon_algebra, schrodinger_algebra
@@ -60,7 +59,6 @@ def build_parser():
                    help="five complex rationals for the eigenproblem")
     p.add_argument("--eigenvalue", default=_env_default("eigenvalue", "1"))
     p.add_argument("--degree", type=int, default=_env_default("degree", "30"))
-    p.add_argument("--workers", type=int, default=_env_default("workers", "1"))
     p.add_argument("--out", default=_env_default("out", ""),
                    help="write the JSON report here")
     p.add_argument("--dump-spec", choices=("h6", "sch"), default="",
@@ -89,8 +87,6 @@ def parse_config(args, parser):
         parser.error("--beta needs exactly five entries")
     if args.degree < 2:
         parser.error("--degree must be at least 2")
-    if args.workers < 1:
-        parser.error("--workers must be at least 1")
     checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
     bad = [c for c in checks if c not in ALL_CHECKS]
     if bad:
@@ -105,7 +101,6 @@ def parse_config(args, parser):
         "betas": betas,
         "eigenvalue": eigenvalue,
         "degree": args.degree,
-        "workers": args.workers,
     }
 
 
@@ -157,7 +152,7 @@ def run_bialgebra(cfg):
         alg = quantum(max(1, cfg["order"]))
         bad = []
         for g in lie.basis:
-            if first_order_delta(alg, g) != deltas[g].coeffs:
+            if first_order_delta(alg, g) != deltas[g].terms:
                 bad.append(g)
         entries.append(CheckResult(
             name=f"bialgebra/{lie.name}/first-order-match", passed=not bad,
@@ -280,15 +275,8 @@ GROUP_RUNNERS = {
 def run_checks(cfg):
     selected = [name for name in ALL_CHECKS if name in cfg["checks"]]
     entries = []
-    if cfg["workers"] > 1:
-        with ThreadPoolExecutor(max_workers=cfg["workers"]) as pool:
-            futures = [(name, pool.submit(GROUP_RUNNERS[name], cfg))
-                       for name in selected]
-            for _, fut in futures:
-                entries.extend(fut.result())
-    else:
-        for name in selected:
-            entries.extend(GROUP_RUNNERS[name](cfg))
+    for name in selected:
+        entries.extend(GROUP_RUNNERS[name](cfg))
     return sorted(entries, key=lambda e: e.name)
 
 

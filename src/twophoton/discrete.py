@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from .report import CheckResult
+from .sparse import SparseTerms, solve_linear
 
 __all__ = [
     "SchrodingerOperator", "ExpPolyFunction",
@@ -28,23 +29,18 @@ __all__ = [
 SCH_GENERATOR_NAMES = ("H", "D", "M", "P", "K", "C")
 
 
-class SchrodingerOperator:
+class SchrodingerOperator(SparseTerms):
     """Operator in x, t, dx, dt and the time shift T at fixed rational z.
 
     Canonical words are tuples (x_pow, t_pow, T_pow, dx_pow, dt_pow) with the
     T power a possibly negative integer; coefficients are exact rationals.
     """
 
-    __slots__ = ("z", "terms")
+    __slots__ = ("z",)
 
     def __init__(self, z, terms):
         self.z = Fraction(z)
-        clean = {}
-        for key, c in terms.items():
-            c = Fraction(c)
-            if c != 0:
-                clean[key] = c
-        self.terms = clean
+        super().__init__((self.z,), {key: Fraction(c) for key, c in terms.items()})
 
     @classmethod
     def zero(cls, z):
@@ -53,30 +49,6 @@ class SchrodingerOperator:
     @classmethod
     def identity(cls, z):
         return cls(z, {(0, 0, 0, 0, 0): Fraction(1)})
-
-    def _require_same(self, other):
-        if self.z != other.z:
-            raise ValueError(f"lattice step mismatch: z={self.z} vs {other.z}")
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        self._require_same(other)
-        acc = dict(self.terms)
-        for k, c in other.terms.items():
-            acc[k] = acc.get(k, Fraction(0)) + c
-        return SchrodingerOperator(self.z, acc)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return SchrodingerOperator(self.z, {k: -c for k, c in self.terms.items()})
-
-    def scale(self, c):
-        c = Fraction(c)
-        return SchrodingerOperator(self.z, {k: v * c for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, SchrodingerOperator):
@@ -90,9 +62,9 @@ class SchrodingerOperator:
                 # dx^p1 past x^a2 and dt^q1 past t^b2 via the Weyl rule,
                 # then T^t1 past the surviving t powers (t -> t + 4z t1)
                 for s in range(min(p1, a2) + 1):
-                    cs_f = Fraction(comb(p1, s) * comb(a2, s) * _factorial(s))
+                    cs_f = Fraction(comb(p1, s) * comb(a2, s) * factorial(s))
                     for r in range(min(q1, b2) + 1):
-                        cr_f = Fraction(comb(q1, r) * comb(b2, r) * _factorial(r))
+                        cr_f = Fraction(comb(q1, r) * comb(b2, r) * factorial(r))
                         bt = b2 - r
                         shift = z4 * t1
                         for i in range(bt + 1):
@@ -104,17 +76,11 @@ class SchrodingerOperator:
                             acc[key] = acc.get(key, Fraction(0)) + base * cs_f * cr_f * ci
         return SchrodingerOperator(self.z, acc)
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
     def __pow__(self, n):
         out = SchrodingerOperator.identity(self.z)
         for _ in range(n):
             out = out * self
         return out
-
-    def commutator(self, other):
-        return self * other - other * self
 
     def apply(self, func):
         """Act on an ExpPolyFunction."""
@@ -132,14 +98,6 @@ class SchrodingerOperator:
             img = img.mul_powers(a, b)
             out = out + img.scale(c)
         return out
-
-    def __eq__(self, other):
-        if not isinstance(other, SchrodingerOperator):
-            return NotImplemented
-        return self.z == other.z and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.z, frozenset(self.terms.items())))
 
     def __str__(self):
         if not self.terms:
@@ -165,13 +123,6 @@ class SchrodingerOperator:
 
     def __repr__(self):
         return f"<SchrodingerOperator z={self.z}: {self}>"
-
-
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 # -- realization -----------------------------------------------------------------
@@ -308,39 +259,6 @@ def verify_realization(mass, rep_param, z, classical=False):
 # -- symmetry analysis --------------------------------------------------------------
 
 
-def _solve_columns(columns, target):
-    """Exact least-structure solve of sum_i lambda_i columns[i] = target.
-
-    Returns (coefficients, consistent); the coefficients are the pivot
-    solution either way, so an inconsistent system still yields a canonical
-    remainder target - sum lambda_i columns[i].
-    """
-    keys = sorted(set().union(target, *columns))
-    rows = [[col.get(k, Fraction(0)) for col in columns] + [target.get(k, Fraction(0))]
-            for k in keys]
-    ncols = len(columns)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        scale = rows[r][c]
-        rows[r] = [v / scale for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [u - f * v for u, v in zip(rows[i], rows[r])]
-        pivots.append((r, c))
-        r += 1
-    sol = [Fraction(0)] * ncols
-    for r, c in pivots:
-        sol[c] = rows[r][ncols]
-    consistent = all(rows[i][ncols] == 0 for i in range(len(pivots), len(rows)))
-    return sol, consistent
-
-
 def symmetry_check(gen, mass, rep_param, z, classical=False):
     """[E, S] must equal Lambda * E with Lambda in the span of {1, t, x dx}.
 
@@ -358,7 +276,7 @@ def symmetry_check(gen, mass, rep_param, z, classical=False):
     xdx_op = SchrodingerOperator(z, {(1, 0, 0, 1, 0): 1})
     basis_ops = (one, t_op, xdx_op)
     columns = [(b * ez).terms for b in basis_ops]
-    sol, consistent = _solve_columns(columns, com.terms)
+    sol, consistent = solve_linear(columns, com.terms)
 
     label = "classical" if classical else "deformed"
     params = {"z": "0" if classical else str(z), "m": str(Fraction(mass)),
@@ -419,7 +337,7 @@ def symmetry_checks(mass, rep_param, z, classical=False):
 # -- function layer -----------------------------------------------------------------
 
 
-class ExpPolyFunction:
+class ExpPolyFunction(SparseTerms):
     """Finite sum of c * x^a t^b e^{kx} Theta(w, r) terms at fixed z.
 
     The temporal factor Theta carries two independent exact attributes: dt
@@ -428,16 +346,11 @@ class ExpPolyFunction:
     w = 0; classical solutions carry r = 1.
     """
 
-    __slots__ = ("z", "terms")
+    __slots__ = ("z",)
 
     def __init__(self, z, terms):
         self.z = Fraction(z)
-        clean = {}
-        for key, c in terms.items():
-            c = Fraction(c)
-            if c != 0:
-                clean[key] = c
-        self.terms = clean
+        super().__init__((self.z,), {key: Fraction(c) for key, c in terms.items()})
 
     @classmethod
     def from_monomials(cls, z, monomials):
@@ -449,24 +362,6 @@ class ExpPolyFunction:
     @classmethod
     def exponential(cls, z, kappa, omega, rho, coeff=1):
         return cls(z, {(0, 0, Fraction(kappa), Fraction(omega), Fraction(rho)): coeff})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        if self.z != other.z:
-            raise ValueError("lattice step mismatch")
-        acc = dict(self.terms)
-        for k, c in other.terms.items():
-            acc[k] = acc.get(k, Fraction(0)) + c
-        return ExpPolyFunction(self.z, acc)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return ExpPolyFunction(self.z, {k: v * c for k, v in self.terms.items()})
 
     def ddx(self):
         acc = {}
@@ -510,14 +405,6 @@ class ExpPolyFunction:
         return ExpPolyFunction(self.z, {
             (a + x_pow, b + t_pow, kap, w, r): c
             for (a, b, kap, w, r), c in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, ExpPolyFunction):
-            return NotImplemented
-        return self.z == other.z and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.z, frozenset(self.terms.items())))
 
     def __str__(self):
         if not self.terms:
@@ -692,10 +579,17 @@ def solution_checks(mass, rep_param, z, n_poly=5, kappas=(0, 1, 2), classical=Fa
 
 
 def sample_grid(phi, xs, t0, steps):
-    """Float samples on the lattice t0 + 4zn for external plotting only."""
+    """Float samples on the lattice t0 + 4zn for external plotting only.
+
+    The step factor r applies once per lattice step from t = 0, so t0 must
+    lie on the lattice; a classical solution (z = 0) has r = 1 everywhere.
+    """
     import math
 
     z = phi.z
+    start = Fraction(t0) / (4 * z) if z else Fraction(0)
+    if start.denominator != 1:
+        raise ValueError(f"t0={t0} is not on the time lattice 4z*n with z={z}")
     rows = []
     for n in range(steps):
         t = t0 + 4 * z * n
@@ -708,7 +602,7 @@ def sample_grid(phi, xs, t0, steps):
                 if w:
                     term *= math.exp(float(w) * float(t))
                 if r != 1:
-                    term *= float(r) ** n
+                    term *= float(r) ** (start.numerator + n)
                 val += term
             rows.append((float(x), float(t), val))
     return rows

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-__all__ = ["TruncatedSeries"]
+__all__ = ["TruncatedSeries", "exp_nilpotent", "sqrt_unit"]
 
 
 def _coerce(c):
@@ -75,6 +75,9 @@ class TruncatedSeries:
 
     def is_zero(self):
         return self.low_order() is None
+
+    def __bool__(self):
+        return self.low_order() is not None
 
     def low_order(self):
         """Index of the first nonzero coefficient, or None for the zero series."""
@@ -148,27 +151,12 @@ class TruncatedSeries:
 
     def exp(self):
         """Sum a^n/n!; requires zero constant term so the sum is finite."""
-        if self.coeffs[0] != 0:
-            raise ValueError("series exp needs zero constant term")
-        acc = TruncatedSeries.one(self.order)
-        power = TruncatedSeries.one(self.order)
-        for n in range(1, self.order + 1):
-            power = power * self
-            acc = acc + power * Fraction(1, factorial(n))
-        return acc
+        return exp_nilpotent(self, TruncatedSeries.one(self.order))
 
     def sqrt(self):
         """Unique square root with unit constant term; requires c0 == 1."""
-        if self.coeffs[0] != 1:
-            raise ValueError("series sqrt needs constant term 1")
-        k = self.order
-        s = [Fraction(1)] + [Fraction(0)] * k
-        for n in range(1, k + 1):
-            acc = self.coeffs[n]
-            for i in range(1, n):
-                acc = acc - s[i] * s[n - i]
-            s[n] = acc / 2
-        return TruncatedSeries(s, k)
+        one = TruncatedSeries.one(self.order)
+        return sqrt_unit(self - one, one)
 
     def inverse(self):
         """Multiplicative inverse; requires nonzero constant term."""
@@ -215,3 +203,40 @@ class TruncatedSeries:
 
     def __repr__(self):
         return f"TruncatedSeries({list(self.coeffs)!r})"
+
+
+# -- exp and sqrt over any ring truncated in z ------------------------------------
+#
+# x is a TruncatedSeries or a sparse sum with series coefficients: anything
+# with .order, .low_order(), +, * (by itself and by a Fraction) and a truth
+# value that is False exactly for zero. A strictly positive z order makes
+# x^n vanish for n > order, so both sums are finite; they stop at the first
+# vanishing power.
+
+
+def exp_nilpotent(x, one):
+    """exp(x) = sum_n x^n / n!; ``one`` is the unit of x's ring."""
+    if x.low_order() == 0:
+        raise ValueError("exp needs a strictly positive z order")
+    acc = power = one
+    for n in range(1, x.order + 1):
+        power = power * x
+        if not power:
+            break
+        acc = acc + power * Fraction(1, factorial(n))
+    return acc
+
+
+def sqrt_unit(q, one):
+    """sqrt(1 + q) by the binomial series; ``one`` is the unit of q's ring."""
+    if q.low_order() == 0:
+        raise ValueError("sqrt needs 1 + q with q of strictly positive z order")
+    acc = power = one
+    binom = Fraction(1)
+    for n in range(1, q.order + 1):
+        power = power * q
+        if not power:
+            break
+        binom = binom * (Fraction(1, 2) - (n - 1)) / n
+        acc = acc + power * binom
+    return acc

@@ -16,7 +16,7 @@ def test_builtin_tables_satisfy_jacobi():
 
 def test_wedge_antisymmetry_storage():
     w = WedgeElement({(1, 0): Fraction(3)})
-    assert w.coeffs == {(0, 1): Fraction(-3)}
+    assert w.terms == {(0, 1): Fraction(-3)}
     assert w.add_pair(0, 1, Fraction(3)).is_zero()
     with pytest.raises(ValueError):
         WedgeElement({(1, 1): 1})

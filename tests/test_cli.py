@@ -62,7 +62,7 @@ def test_internal_error_exits_three(monkeypatch):
 def test_json_report_deterministic(tmp_path):
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     assert run_cli("--order", "1", "--out", str(out1)).returncode == 0
-    assert run_cli("--order", "1", "--out", str(out2), "--workers", "3").returncode == 0
+    assert run_cli("--order", "1", "--out", str(out2)).returncode == 0
     a = json.loads(out1.read_text())
     b = json.loads(out2.read_text())
     a.pop("timings")

@@ -220,6 +220,15 @@ def test_sample_grid():
     assert rows[2][2] == 1.25
 
 
+def test_sample_grid_window_off_origin():
+    phi = exponential_solutions(1, Fraction(1, 10), [1])[0]
+    # the window starts one lattice step after t = 0, so rho^1 then rho^2
+    rows = sample_grid(phi, [Fraction(0)], 4 * phi.z, 2)
+    assert [v for _, _, v in rows] == [1.25, 1.5625]
+    with pytest.raises(ValueError):
+        sample_grid(phi, [Fraction(0)], phi.z, 2)
+
+
 def test_solution_serialization():
     phi = heat_polynomials(M, Z, 3)[2]
     data = phi.to_json_dict()
