@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from itertools import chain, groupby
 from math import factorial
 
 from .series import TruncatedSeries
-from .sparse import SparseTerms
+from .sparse import SparseTerms, collect, linear_combination, monomial, render_sum
 
 __all__ = [
     "NormalOrderError",
@@ -63,11 +64,6 @@ def _first_inversion(word):
         if word[i] > word[i + 1]:
             return i
     return None
-
-
-def _add_term(acc, word, series):
-    cur = acc.get(word)
-    acc[word] = series if cur is None else cur + series
 
 
 # mutable-list accumulators for the rewriting hot path; immutable series
@@ -204,23 +200,18 @@ class TensorElement(SparseTerms):
         if self.rank != 2:
             raise ValueError("embed3 needs rank 2")
         i, j = positions
-        acc = {}
-        for (w1, w2), s in self.terms.items():
+
+        def embedded(w1, w2):
             legs = [(), (), ()]
             legs[i], legs[j] = w1, w2
-            _add_term(acc, tuple(legs), s)
-        return TensorElement(self.algebra, 3, acc)
+            return tuple(legs)
+
+        return TensorElement(self.algebra, 3,
+                             {embedded(*words): s for words, s in self.terms.items()})
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        alg = self.algebra
-        parts = []
-        for words in sorted(self.terms, key=_tensor_sort_key):
-            s = self.terms[words]
-            legs = " @ ".join(word_name(alg, w) or "1" for w in words)
-            parts.append(f"({s})*{legs}")
-        return " + ".join(parts)
+        return render_sum(self.terms, lambda words: " @ ".join(
+            word_name(self.algebra, w) or "1" for w in words), _tensor_sort_key)
 
     def __repr__(self):
         return f"<TensorElement rank {self.rank}: {self}>"
@@ -236,29 +227,11 @@ def _tensor_sort_key(words):
 
 def word_name(algebra, word):
     """Render a PBW word like B+^2*N with generator names."""
-    if not word:
-        return ""
-    parts = []
-    i = 0
-    while i < len(word):
-        j = i
-        while j < len(word) and word[j] == word[i]:
-            j += 1
-        name = algebra.generators[word[i]]
-        parts.append(name if j - i == 1 else f"{name}^{j - i}")
-        i = j
-    return "*".join(parts)
+    return monomial(*((algebra.generators[g], len(list(run))) for g, run in groupby(word)))
 
 
 def render_terms(algebra, terms):
-    if not terms:
-        return "0"
-    parts = []
-    for word in sorted(terms, key=_word_sort_key):
-        s = terms[word]
-        name = word_name(algebra, word)
-        parts.append(f"({s})" if not name else f"({s})*{name}")
-    return " + ".join(parts)
+    return render_sum(terms, lambda word: word_name(algebra, word), _word_sort_key)
 
 
 class QuantumAlgebra:
@@ -374,16 +347,17 @@ class QuantumAlgebra:
 
     def normal_terms(self, raw_terms):
         self._fuel = self._fuel_budget
-        acc = {}
-        for word, c in raw_terms.items():
-            series = c if isinstance(c, TruncatedSeries) else self._one * c
-            if series.is_zero():
-                continue
-            for w, s in self._nf(tuple(word)).items():
-                sc = series * s
-                if not sc.is_zero():
-                    _add_term(acc, w, sc)
-        return acc
+
+        def pairs():
+            for word, c in raw_terms.items():
+                series = self._as_series(c)
+                if series:
+                    for w, s in self._nf(tuple(word)).items():
+                        sc = series * s
+                        if sc:
+                            yield w, sc
+
+        return collect(pairs())
 
     def _nf(self, word):
         cached = self._nf_cache.get(word)
@@ -433,10 +407,8 @@ class QuantumAlgebra:
         return cached
 
     def coproduct(self, elem):
-        acc = TensorElement(self, 2, {})
-        for w, s in elem.terms.items():
-            acc = acc + self.coproduct_word(w).scale(s)
-        return acc
+        return TensorElement(self, 2, linear_combination(
+            (self.coproduct_word(w), s) for w, s in elem.terms.items()))
 
     def antipode_word(self, word):
         cached = self._anti_cache.get(word)
@@ -448,10 +420,8 @@ class QuantumAlgebra:
         return cached
 
     def antipode(self, elem):
-        acc = self.zero()
-        for w, s in elem.terms.items():
-            acc = acc + self.antipode_word(w).scale(s)
-        return acc
+        return NCElement(self, linear_combination(
+            (self.antipode_word(w), s) for w, s in elem.terms.items()))
 
     def counit_word(self, word):
         out = self._one
@@ -462,10 +432,7 @@ class QuantumAlgebra:
         return out
 
     def counit(self, elem):
-        acc = self._zero
-        for w, s in elem.terms.items():
-            acc = acc + self.counit_word(w) * s
-        return acc
+        return sum((self.counit_word(w) * s for w, s in elem.terms.items()), self._zero)
 
     # -- export ---------------------------------------------------------------
 
@@ -527,11 +494,7 @@ def _exp_words(gen, base, order, lo=0, zshift=0, scale=Fraction(1), suffix=()):
 
 
 def _merge(*term_maps):
-    acc = {}
-    for terms in term_maps:
-        for w, s in terms.items():
-            _add_term(acc, w, s)
-    return acc
+    return collect(chain.from_iterable(terms.items() for terms in term_maps))
 
 
 def _prefix(head, term_map):

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
 
 from .algebra import two_photon_algebra
 from .report import CheckResult
 from .scalars import ComplexRational
 from .series import TruncatedSeries, exp_nilpotent, sqrt_unit
-from .sparse import SparseTerms
+from .sparse import (SparseTerms, collect, linear_combination, monomial, render_sum,
+                     weyl_terms)
 
 __all__ = [
     "DiffOperator", "EigenProblem", "SingularRecurrenceError",
@@ -72,19 +72,16 @@ class DiffOperator(SparseTerms):
         if not isinstance(other, DiffOperator):
             return self.scale(other)
         self._require_same(other)
-        acc = {}
-        for (j1, l1), s1 in self.terms.items():
-            for (j2, l2), s2 in other.terms.items():
-                s = s1 * s2
-                if s.is_zero():
-                    continue
-                for t in range(min(l1, j2) + 1):
-                    c = comb(l1, t) * comb(j2, t) * factorial(t)
-                    key = (j1 + j2 - t, l1 + l2 - t)
-                    add = s * Fraction(c)
-                    cur = acc.get(key)
-                    acc[key] = add if cur is None else cur + add
-        return DiffOperator(self.order, acc)
+
+        def pairs():
+            for (j1, l1), s1 in self.terms.items():
+                for (j2, l2), s2 in other.terms.items():
+                    s = s1 * s2
+                    if s:
+                        for t, c in weyl_terms(l1, j2):
+                            yield (j1 + j2 - t, l1 + l2 - t), s * c
+
+        return DiffOperator(self.order, collect(pairs()))
 
     def truncate(self, order):
         return DiffOperator(order, {k: s.truncate(order) for k, s in self.terms.items()})
@@ -101,32 +98,18 @@ class DiffOperator(SparseTerms):
 
     def apply_to_polynomial(self, coeffs):
         """Apply to sum_n c_n alpha^n; returns the image degree -> coefficient map."""
-        out = {}
-        for (j, l), s in self.terms.items():
-            for n, c in coeffs.items():
-                f = _falling(n, l)
-                if f == 0 or c == 0:
-                    continue
-                m = n + j - l
-                add = s * (c * f)
-                cur = out.get(m)
-                out[m] = add if cur is None else cur + add
-        return {m: s for m, s in out.items() if not s.is_zero()}
+        def pairs():
+            for (j, l), s in self.terms.items():
+                for n, c in coeffs.items():
+                    f = _falling(n, l)
+                    if f != 0 and c != 0:
+                        yield n + j - l, s * (c * f)
+
+        return collect(pairs())
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (j, l) in sorted(self.terms, key=lambda k: (k[1], k[0])):
-            s = self.terms[(j, l)]
-            names = []
-            if j:
-                names.append("a" if j == 1 else f"a^{j}")
-            if l:
-                names.append("d" if l == 1 else f"d^{l}")
-            body = "*".join(names)
-            parts.append(f"({s})" + (f"*{body}" if body else ""))
-        return " + ".join(parts)
+        return render_sum(self.terms, lambda key: monomial(("a", key[0]), ("d", key[1])),
+                          lambda key: (key[1], key[0]))
 
     def __repr__(self):
         return f"<DiffOperator {self}>"
@@ -149,14 +132,15 @@ class _CPoly(SparseTerms):
         if not isinstance(other, _CPoly):
             return self.scale(other)
         self._require_same(other)
-        acc = {}
-        for j1, s1 in self.terms.items():
-            for j2, s2 in other.terms.items():
-                s = s1 * s2
-                if s:
-                    cur = acc.get(j1 + j2)
-                    acc[j1 + j2] = s if cur is None else cur + s
-        return _CPoly(self.order, acc)
+
+        def pairs():
+            for j1, s1 in self.terms.items():
+                for j2, s2 in other.terms.items():
+                    s = s1 * s2
+                    if s:
+                        yield j1 + j2, s
+
+        return _CPoly(self.order, collect(pairs()))
 
     def low_order(self):
         return min((s.low_order() for s in self.terms.values()), default=None)
@@ -243,9 +227,10 @@ def deformed_rep(gen, order):
     if gen == "M":
         return DiffOperator(k, {(0, 0): TruncatedSeries.one(k)})
 
-    exp_u = exp_nilpotent(u2, one).truncate(k)       # e^{2 z alpha^2}, back at order k
+    exp_kk = exp_nilpotent(u2, one)
+    exp_u = exp_kk.truncate(k)       # e^{2 z alpha^2}, back at order k
     # (e^{2 z a^2} - 1)/(2z), exactly order k after the division
-    growth = (exp_nilpotent(u2, one) - one).divided_by_z().scale(Fraction(1, 2))
+    growth = (exp_kk - one).divided_by_z().scale(Fraction(1, 2))
 
     if gen == "N":
         # (e^{2 z a^2} - 1)/(2z) * a^{-1} d
@@ -253,8 +238,8 @@ def deformed_rep(gen, order):
 
     if gen in ("A+", "A-"):
         # shared radical ((1 - e^{-2 z a^2})/(2z))^{1/2} = a * sqrt(unit)
-        exp_mu = exp_nilpotent(u2.scale(-1), one)
-        radicand = (one + exp_mu.scale(-1)).divided_by_z().scale(Fraction(1, 2))
+        exp_mu = exp_nilpotent(-u2, one)
+        radicand = (one - exp_mu).divided_by_z().scale(Fraction(1, 2))
         one_k = one.truncate(k)
         root = sqrt_unit(radicand.shift(-2) - one_k, one_k)
         if gen == "A+":
@@ -264,7 +249,7 @@ def deformed_rep(gen, order):
 
     # B-: ((e^{2 z a^2}-1)/(2 z a^2)) d^2 + (e^{2 z a^2}/a + (1-e^{2 z a^2})/(2 z a^3)) d
     dd = growth.shift(-2)
-    d1 = exp_u.shift(-1) + growth.scale(-1).shift(-3)
+    d1 = exp_u.shift(-1) - growth.shift(-3)
     return _finish({2: dd, 1: d1}, k, "B-")
 
 
@@ -273,14 +258,15 @@ def verify_rep(order):
     alg = two_photon_algebra(order)
     images = {g: deformed_rep(g, order) for g in alg.generators}
 
+    def image_of_word(word):
+        op = DiffOperator.identity(order)
+        for g in word:
+            op = op * images[alg.generators[g]]
+        return op
+
     def image_of(elem):
-        out = DiffOperator.zero(order)
-        for word, s in elem.terms.items():
-            op = DiffOperator.identity(order)
-            for g in word:
-                op = op * images[alg.generators[g]]
-            out = out + op.scale(s)
-        return out
+        return DiffOperator(order, linear_combination(
+            (image_of_word(word), s) for word, s in elem.terms.items()))
 
     entries = []
     for i, x in enumerate(alg.generators):
@@ -340,13 +326,10 @@ def eigen_operator(problem, order, mode="full"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "first-order" and order < 1:
         raise ValueError("first-order mode needs order >= 1")
-    op = DiffOperator.zero(order)
-    for beta, gen in zip(problem.betas, GENERATOR_ORDER):
-        if not beta:
-            continue
-        op = op + reps[mode](gen).scale(beta)
-    ident = DiffOperator.identity(order)
-    return op - ident.scale(problem.eigenvalue)
+    parts = [(reps[mode](gen), beta)
+             for beta, gen in zip(problem.betas, GENERATOR_ORDER) if beta]
+    parts.append((DiffOperator.identity(order), -problem.eigenvalue))
+    return DiffOperator(order, linear_combination(parts))
 
 
 class SingularRecurrenceError(ValueError):

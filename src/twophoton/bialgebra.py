@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .report import CheckResult
-from .sparse import SparseTerms, solve_linear
+from .sparse import SparseTerms, collect, linear_combination, solve_linear
 
 __all__ = [
     "LieAlgebra", "WedgeElement",
@@ -24,23 +24,25 @@ __all__ = [
 
 
 class WedgeElement(SparseTerms):
-    """Antisymmetric rank-2 tensor, stored on index pairs i < j."""
+    """Antisymmetric rank-2 tensor, stored on index pairs i < j.
+
+    ``terms`` is a mapping or an iterable of ((i, j), c) pairs whose pairs
+    may repeat; c * Xi ^ Xj with i > j is stored as -c * Xj ^ Xi.
+    """
 
     __slots__ = ()
 
     def __init__(self, terms=()):
-        acc = {}
-        for (i, j), c in dict(terms).items():
-            c = Fraction(c)
-            if c == 0:
-                continue
-            if i == j:
-                raise ValueError("diagonal wedge entry")
-            if i < j:
-                acc[(i, j)] = acc.get((i, j), Fraction(0)) + c
-            else:
-                acc[(j, i)] = acc.get((j, i), Fraction(0)) - c
-        super().__init__((), acc)
+        def canonical():
+            for (i, j), c in (terms.items() if isinstance(terms, dict) else terms):
+                c = Fraction(c)
+                if c == 0:
+                    continue
+                if i == j:
+                    raise ValueError("diagonal wedge entry")
+                yield ((i, j), c) if i < j else ((j, i), -c)
+
+        super().__init__((), collect(canonical()))
 
     def add_pair(self, i, j, c):
         """Accumulate c * Xi ^ Xj (antisymmetrized into canonical slots)."""
@@ -99,17 +101,17 @@ class LieAlgebra:
 
     def bracket(self, va, vb):
         """Bracket of two coefficient vectors."""
-        acc = {}
-        for i, a in va.items():
-            if a == 0:
-                continue
-            for j, b in vb.items():
-                ab = a * b
-                if ab == 0:
+        def pairs():
+            for i, a in va.items():
+                if a == 0:
                     continue
-                for k, c in self.bracket_basis(i, j).items():
-                    acc[k] = acc.get(k, Fraction(0)) + ab * c
-        return {k: v for k, v in acc.items() if v != 0}
+                for j, b in vb.items():
+                    ab = a * b
+                    if ab != 0:
+                        for k, c in self.bracket_basis(i, j).items():
+                            yield k, ab * c
+
+        return collect(pairs())
 
     def jacobi_violations(self):
         out = []
@@ -117,12 +119,11 @@ class LieAlgebra:
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    acc = {}
-                    for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                        inner = self.bracket_basis(b, c)
-                        for m, v in self.bracket({a: Fraction(1)}, inner).items():
-                            acc[m] = acc.get(m, Fraction(0)) + v
-                    if any(v != 0 for v in acc.values()):
+                    cyclic = ((i, j, k), (j, k, i), (k, i, j))
+                    total = collect(
+                        pair for a, b, c in cyclic
+                        for pair in self.bracket({a: Fraction(1)}, self.bracket_basis(b, c)).items())
+                    if total:
                         out.append((self.basis[i], self.basis[j], self.basis[k]))
         return out
 
@@ -217,17 +218,25 @@ SCH_DELTA_TABLE = {
 # -- bialgebra operations ---------------------------------------------------------
 
 
+def _ad_on_wedge(lie, x, w):
+    """[X (x) 1 + 1 (x) X, w] for the basis index x and a wedge w."""
+
+    def pairs():
+        for (a, b), c in w.terms.items():
+            # acting on Xa ^ Xb = Xa (x) Xb - Xb (x) Xa keeps the result a wedge
+            for m, v in lie.bracket_basis(x, a).items():
+                if m != b:
+                    yield (m, b), c * v
+            for m, v in lie.bracket_basis(x, b).items():
+                if a != m:
+                    yield (a, m), c * v
+
+    return WedgeElement(pairs())
+
+
 def cocommutator_from_r(lie, r, name):
     """delta(X) = [X (x) 1 + 1 (x) X, r], evaluated through structure constants."""
-    x = lie.index(name) if isinstance(name, str) else name
-    out = WedgeElement()
-    for (a, b), c in r.terms.items():
-        # acting on Xa ^ Xb = Xa (x) Xb - Xb (x) Xa keeps the result a wedge
-        for m, v in lie.bracket_basis(x, a).items():
-            out = out.add_pair(m, b, c * v)
-        for m, v in lie.bracket_basis(x, b).items():
-            out = out.add_pair(a, m, c * v)
-    return out
+    return _ad_on_wedge(lie, lie.index(name) if isinstance(name, str) else name, r)
 
 
 def delta_table_from_r(lie, r):
@@ -236,27 +245,20 @@ def delta_table_from_r(lie, r):
 
 def _schouten_bracket(lie, r):
     """[[r, r]] = [r12, r13] + [r12, r23] + [r13, r23] as a dense rank-3 tensor."""
-    n = lie.dim
-    full = {}
-    for (i, j), c in r.terms.items():
-        full[(i, j)] = full.get((i, j), Fraction(0)) + c
-        full[(j, i)] = full.get((j, i), Fraction(0)) - c
-    acc = {}
+    full = {**r.terms, **{(j, i): -c for (i, j), c in r.terms.items()}}
 
-    def add(key, v):
-        if v != 0:
-            acc[key] = acc.get(key, Fraction(0)) + v
+    def pairs():
+        for (i, j), cij in full.items():
+            for (k, l), ckl in full.items():
+                w = cij * ckl
+                for m, v in lie.bracket_basis(i, k).items():
+                    yield (m, j, l), w * v     # [r12, r13]
+                for m, v in lie.bracket_basis(j, k).items():
+                    yield (i, m, l), w * v     # [r12, r23]
+                for m, v in lie.bracket_basis(j, l).items():
+                    yield (i, k, m), w * v     # [r13, r23]
 
-    for (i, j), cij in full.items():
-        for (k, l), ckl in full.items():
-            w = cij * ckl
-            for m, v in lie.bracket_basis(i, k).items():
-                add((m, j, l), w * v)     # [r12, r13]
-            for m, v in lie.bracket_basis(j, k).items():
-                add((i, m, l), w * v)     # [r12, r23]
-            for m, v in lie.bracket_basis(j, l).items():
-                add((i, k, m), w * v)     # [r13, r23]
-    return {k: v for k, v in acc.items() if v != 0}
+    return collect(pairs())
 
 
 def verify_cybe(lie, r, label="r"):
@@ -275,40 +277,31 @@ def verify_cocycle(lie, delta_table):
     n = lie.dim
     deltas = [delta_table[lie.basis[i]] for i in range(n)]
 
-    def ad_on_wedge(x, w):
-        out = WedgeElement()
-        for (a, b), c in w.terms.items():
-            for m, v in lie.bracket_basis(x, a).items():
-                out = out.add_pair(m, b, c * v)
-            for m, v in lie.bracket_basis(x, b).items():
-                out = out.add_pair(a, m, c * v)
-        return out
-
     bad = []
     for i in range(n):
         for j in range(i):
-            lhs = WedgeElement()
-            for k, v in lie.bracket_basis(i, j).items():
-                lhs = lhs + deltas[k].scale(v)
-            rhs = ad_on_wedge(i, deltas[j]) - ad_on_wedge(j, deltas[i])
+            lhs = WedgeElement(linear_combination(
+                (deltas[k], v) for k, v in lie.bracket_basis(i, j).items()))
+            rhs = _ad_on_wedge(lie, i, deltas[j]) - _ad_on_wedge(lie, j, deltas[i])
             if lhs != rhs:
                 bad.append(f"delta([{lie.basis[i]},{lie.basis[j]}])")
     entries.append(CheckResult(
         name=f"bialgebra/{lie.name}/cocycle", passed=not bad,
         residual="0" if not bad else "; ".join(bad)))
 
-    bad = []
-    for i in range(n):
-        acc = {}
-        for (a, b), c in deltas[i].terms.items():
+    def co_jacobi_pairs(delta):
+        for (a, b), c in delta.terms.items():
             for (p, q), d in ((a, b), Fraction(1)), ((b, a), Fraction(-1)):
                 for (u, v), e in deltas[p].terms.items():
                     for (s, t), f in ((u, v), Fraction(1)), ((v, u), Fraction(-1)):
                         w = c * d * e * f
                         # cyclic sum over the three tensor slots
                         for key in ((s, t, q), (t, q, s), (q, s, t)):
-                            acc[key] = acc.get(key, Fraction(0)) + w
-        if any(v != 0 for v in acc.values()):
+                            yield key, w
+
+    bad = []
+    for i in range(n):
+        if collect(co_jacobi_pairs(deltas[i])):
             bad.append(f"co-Jacobi({lie.basis[i]})")
     entries.append(CheckResult(
         name=f"bialgebra/{lie.name}/co-jacobi", passed=not bad,

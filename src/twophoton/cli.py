@@ -22,7 +22,8 @@ from .bialgebra import (two_photon_lie, schrodinger_lie, basis_change,
                         H6_R_MATRIX, SCH_R_MATRIX, H6_DELTA_TABLE,
                         SCH_DELTA_TABLE, H6_TO_SCH_MAP)
 from .discrete import (verify_realization, symmetry_checks, solution_checks,
-                       heat_polynomials, exponential_solutions, sample_grid)
+                       heat_polynomials, exponential_solutions, regular_kappas,
+                       sample_grid)
 from .hopf import (hopf_checks, rmatrix_checks, transport_checks,
                    structure_checks, casimir_checks, first_order_delta)
 from .report import (CheckResult, render_text, report_json_dict,
@@ -293,7 +294,8 @@ def _dump_spec(which, order, out_path):
 
 def _write_csv(cfg, path):
     polys = heat_polynomials(cfg["mass"], cfg["z"], 3)
-    exps = exponential_solutions(cfg["mass"], cfg["z"], [Fraction(1)])
+    kappas = regular_kappas(cfg["mass"], cfg["z"], [1])
+    exps = exponential_solutions(cfg["mass"], cfg["z"], kappas)
     xs = [Fraction(i, 2) for i in range(-4, 5)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

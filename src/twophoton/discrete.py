@@ -12,21 +12,29 @@ on the same carriers.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 from .report import CheckResult
-from .sparse import SparseTerms, solve_linear
+from .sparse import (SparseTerms, collect, linear_combination, monomial, render_sum,
+                     solve_linear, weyl_terms)
 
 __all__ = [
     "SchrodingerOperator", "ExpPolyFunction",
     "realize", "discrete_derivative", "casimir",
     "verify_realization", "symmetry_check", "symmetry_checks",
     "heat_polynomials", "exponential_solutions", "apply_and_recheck",
-    "solution_checks", "sample_grid",
+    "solution_checks", "regular_kappas", "sample_grid",
 ]
 
 SCH_GENERATOR_NAMES = ("H", "D", "M", "P", "K", "C")
+
+
+def _binomial_shift(b, delta):
+    """(t + delta)^b = sum_i C(b,i) delta^(b-i) t^i, as (i, coefficient) pairs, zeros dropped."""
+    pairs = ((i, comb(b, i) * delta ** (b - i)) for i in range(b + 1))
+    return [(i, c) for i, c in pairs if c != 0]
 
 
 class SchrodingerOperator(SparseTerms):
@@ -55,26 +63,20 @@ class SchrodingerOperator(SparseTerms):
             return self.scale(other)
         self._require_same(other)
         z4 = 4 * self.z
-        acc = {}
-        for (a1, b1, t1, p1, q1), c1 in self.terms.items():
-            for (a2, b2, t2, p2, q2), c2 in other.terms.items():
-                base = c1 * c2
-                # dx^p1 past x^a2 and dt^q1 past t^b2 via the Weyl rule,
-                # then T^t1 past the surviving t powers (t -> t + 4z t1)
-                for s in range(min(p1, a2) + 1):
-                    cs_f = Fraction(comb(p1, s) * comb(a2, s) * factorial(s))
-                    for r in range(min(q1, b2) + 1):
-                        cr_f = Fraction(comb(q1, r) * comb(b2, r) * factorial(r))
-                        bt = b2 - r
-                        shift = z4 * t1
-                        for i in range(bt + 1):
-                            ci = Fraction(comb(bt, i)) * shift ** (bt - i)
-                            if ci == 0:
-                                continue
-                            key = (a1 + a2 - s, b1 + i, t1 + t2,
-                                   p1 - s + p2, q1 - r + q2)
-                            acc[key] = acc.get(key, Fraction(0)) + base * cs_f * cr_f * ci
-        return SchrodingerOperator(self.z, acc)
+
+        def pairs():
+            for (a1, b1, t1, p1, q1), c1 in self.terms.items():
+                for (a2, b2, t2, p2, q2), c2 in other.terms.items():
+                    base = c1 * c2
+                    # dx^p1 past x^a2 and dt^q1 past t^b2 via the Weyl rule,
+                    # then T^t1 past the surviving t powers (t -> t + 4z t1)
+                    for s, cs in weyl_terms(p1, a2):
+                        for r, cr in weyl_terms(q1, b2):
+                            for i, ci in _binomial_shift(b2 - r, z4 * t1):
+                                yield ((a1 + a2 - s, b1 + i, t1 + t2, p1 - s + p2, q1 - r + q2),
+                                       base * cs * cr * ci)
+
+        return SchrodingerOperator(self.z, collect(pairs()))
 
     def __pow__(self, n):
         out = SchrodingerOperator.identity(self.z)
@@ -86,8 +88,8 @@ class SchrodingerOperator(SparseTerms):
         """Act on an ExpPolyFunction."""
         if func.z != self.z:
             raise ValueError(f"lattice step mismatch: z={self.z} vs {func.z}")
-        out = ExpPolyFunction(self.z, {})
-        for (a, b, tau, p, q), c in self.terms.items():
+
+        def image(a, b, tau, p, q):
             img = func
             for _ in range(q):
                 img = img.ddt()
@@ -95,31 +97,13 @@ class SchrodingerOperator(SparseTerms):
                 img = img.ddx()
             if tau:
                 img = img.shift(tau)
-            img = img.mul_powers(a, b)
-            out = out + img.scale(c)
-        return out
+            return img.mul_powers(a, b)
+
+        return ExpPolyFunction(self.z, linear_combination(
+            (image(*key), c) for key, c in self.terms.items()))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for key in sorted(self.terms):
-            a, b, tau, p, q = key
-            c = self.terms[key]
-            names = []
-            if a:
-                names.append("x" if a == 1 else f"x^{a}")
-            if b:
-                names.append("t" if b == 1 else f"t^{b}")
-            if tau:
-                names.append("T" if tau == 1 else f"T^{tau}")
-            if p:
-                names.append("dx" if p == 1 else f"dx^{p}")
-            if q:
-                names.append("dt" if q == 1 else f"dt^{q}")
-            body = "*".join(names)
-            parts.append(f"({c})" + (f"*{body}" if body else ""))
-        return " + ".join(parts)
+        return render_sum(self.terms, lambda key: monomial(*zip(("x", "t", "T", "dx", "dt"), key)))
 
     def __repr__(self):
         return f"<SchrodingerOperator z={self.z}: {self}>"
@@ -282,9 +266,7 @@ def symmetry_check(gen, mass, rep_param, z, classical=False):
     params = {"z": "0" if classical else str(z), "m": str(Fraction(mass)),
               "a": str(Fraction(rep_param))}
     name = f"discrete-se/symmetry-{label}/{gen}"
-    lam = SchrodingerOperator.zero(z)
-    for c, b in zip(sol, basis_ops):
-        lam = lam + b.scale(c)
+    lam = SchrodingerOperator(z, linear_combination(zip(basis_ops, sol)))
     if not consistent:
         remainder = com - lam * ez
         return CheckResult(name=name, passed=False, residual=str(remainder),
@@ -363,41 +345,41 @@ class ExpPolyFunction(SparseTerms):
     def exponential(cls, z, kappa, omega, rho, coeff=1):
         return cls(z, {(0, 0, Fraction(kappa), Fraction(omega), Fraction(rho)): coeff})
 
+    def _derivative(self, var):
+        """d/dx for var = 0, d/dt for var = 1.
+
+        A key holds the variable's power at slot var and its exponential rate
+        (kappa or w) at slot var + 2.
+        """
+        def pairs():
+            for key, c in self.terms.items():
+                power, rate = key[var], key[var + 2]
+                if power:
+                    yield key[:var] + (power - 1,) + key[var + 1:], c * power
+                if rate:
+                    yield key, c * rate
+
+        return ExpPolyFunction(self.z, collect(pairs()))
+
     def ddx(self):
-        acc = {}
-        for (a, b, kap, w, r), c in self.terms.items():
-            if a:
-                key = (a - 1, b, kap, w, r)
-                acc[key] = acc.get(key, Fraction(0)) + c * a
-            if kap:
-                key = (a, b, kap, w, r)
-                acc[key] = acc.get(key, Fraction(0)) + c * kap
-        return ExpPolyFunction(self.z, acc)
+        return self._derivative(0)
 
     def ddt(self):
-        acc = {}
-        for (a, b, kap, w, r), c in self.terms.items():
-            if b:
-                key = (a, b - 1, kap, w, r)
-                acc[key] = acc.get(key, Fraction(0)) + c * b
-            if w:
-                key = (a, b, kap, w, r)
-                acc[key] = acc.get(key, Fraction(0)) + c * w
-        return ExpPolyFunction(self.z, acc)
+        return self._derivative(1)
 
     def shift(self, steps=1):
         """T^steps: t -> t + 4 z steps on polynomial factors, times r^steps."""
         delta = 4 * self.z * steps
-        acc = {}
-        for (a, b, kap, w, r), c in self.terms.items():
-            if r == 0:
-                raise ValueError("step factor 0 cannot be shifted backwards")
-            factor = c * r ** steps
-            for i in range(b + 1):
-                key = (a, i, kap, w, r)
-                add = factor * comb(b, i) * delta ** (b - i)
-                acc[key] = acc.get(key, Fraction(0)) + add
-        return ExpPolyFunction(self.z, acc)
+
+        def pairs():
+            for (a, b, kap, w, r), c in self.terms.items():
+                if r == 0:
+                    raise ValueError("step factor 0 cannot be shifted backwards")
+                factor = c * r ** steps
+                for i, ci in _binomial_shift(b, delta):
+                    yield (a, i, kap, w, r), factor * ci
+
+        return ExpPolyFunction(self.z, collect(pairs()))
 
     def mul_powers(self, x_pow, t_pow):
         if x_pow == 0 and t_pow == 0:
@@ -407,26 +389,13 @@ class ExpPolyFunction(SparseTerms):
             for (a, b, kap, w, r), c in self.terms.items()})
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for key in sorted(self.terms):
+        def body(key):
             a, b, kap, w, r = key
-            c = self.terms[key]
-            names = []
-            if a:
-                names.append("x" if a == 1 else f"x^{a}")
-            if b:
-                names.append("t" if b == 1 else f"t^{b}")
-            if kap:
-                names.append(f"exp({kap}x)")
-            if w:
-                names.append(f"exp[w={w}]")
-            if r != 1:
-                names.append(f"step[{r}]")
-            body = "*".join(names)
-            parts.append(f"({c})" + (f"*{body}" if body else ""))
-        return " + ".join(parts)
+            names = [monomial(("x", a), ("t", b)), f"exp({kap}x)" if kap else "",
+                     f"exp[w={w}]" if w else "", f"step[{r}]" if r != 1 else ""]
+            return "*".join(name for name in names if name)
+
+        return render_sum(self.terms, body)
 
     def to_json_dict(self):
         return {
@@ -478,8 +447,7 @@ def heat_polynomials(mass, z, count, classical=False):
         terms = {}
         j = 0
         while n - 2 * j >= 0:
-            for deg, c in q.items():
-                terms[(n - 2 * j, deg)] = terms.get((n - 2 * j, deg), Fraction(0)) + c
+            terms.update({(n - 2 * j, deg): c for deg, c in q.items()})
             power = n - 2 * j
             if power < 2:
                 break
@@ -552,29 +520,36 @@ def _phi_tag(phi):
     return f"poly(deg={degree})"
 
 
+def regular_kappas(mass, z, kappas):
+    """The kappas, as Fractions, off the step-factor pole 1 - 2 z kappa^2 / m = 0."""
+    m, z = Fraction(mass), Fraction(z)
+    return [Fraction(kap) for kap in kappas if 1 - 2 * z * Fraction(kap) ** 2 / m != 0]
+
+
 def solution_checks(mass, rep_param, z, n_poly=5, kappas=(0, 1, 2), classical=False):
-    """Certified solution families plus their images under all six generators."""
+    """Certified solution families plus their images under all six generators.
+
+    Each solution is named by its family: the kappa = 0 exponential is the
+    constant 1, as is the degree-0 heat polynomial, and its name must differ.
+    """
     entries = []
     label = "classical" if classical else "deformed"
     params = {"m": str(Fraction(mass)), "a": str(Fraction(rep_param)),
               "z": "0" if classical else str(Fraction(z))}
-    m = Fraction(mass)
-    usable = []
-    for kap in kappas:
-        kap = Fraction(kap)
-        if not classical and 1 - 2 * Fraction(z) * kap * kap / m == 0:
-            continue
-        usable.append(kap)
+    usable = [Fraction(kap) for kap in kappas] if classical else regular_kappas(mass, z, kappas)
     polys = heat_polynomials(mass, z, n_poly, classical)
     exps = exponential_solutions(mass, z, usable, classical)
-    for phi in polys + exps:
+    tagged = ([(_phi_tag(phi), phi) for phi in polys]
+              + [(f"exp(k={kap})", phi) for kap, phi in zip(usable, exps)])
+    for tag, phi in tagged:
         entries.append(CheckResult(
-            name=f"discrete-se/solution-{label}/{_phi_tag(phi)}",
+            name=f"discrete-se/solution-{label}/{tag}",
             passed=True, residual="0",
             params={**params, "solution": json.dumps(phi.to_json_dict(),
                                                      sort_keys=True)}))
         for gen in SCH_GENERATOR_NAMES:
-            entries.append(apply_and_recheck(gen, phi, mass, rep_param, z, classical))
+            entry = apply_and_recheck(gen, phi, mass, rep_param, z, classical)
+            entries.append(replace(entry, name=f"discrete-se/solution-map-{label}/{gen}/{tag}"))
     return entries
 
 

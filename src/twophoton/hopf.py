@@ -12,8 +12,10 @@ from math import factorial
 from .algebra import (NCElement, QuantumAlgebra, TensorElement,
                       two_photon_algebra, schrodinger_algebra,
                       word_name, H6_GENERATORS, SCH_GENERATORS)
+from .bialgebra import H6_TO_SCH_MAP
 from .report import CheckResult, timed_check
 from .series import TruncatedSeries
+from .sparse import collect, linear_combination, solve_linear
 
 __all__ = [
     "hopf_checks", "rmatrix_checks", "r_matrix", "r_matrix_inverse",
@@ -28,42 +30,39 @@ __all__ = [
 
 def _coproduct_leg(alg, tensor, leg):
     """Apply the coproduct to one leg of a rank-2 tensor, giving rank 3."""
-    acc = TensorElement(alg, 3, {})
-    for (w1, w2), s in tensor.terms.items():
-        if leg == 0:
-            inner = alg.coproduct_word(w1)
-            emb = TensorElement(alg, 3, {(a, b, w2): c
-                                         for (a, b), c in inner.terms.items()})
-        else:
-            inner = alg.coproduct_word(w2)
-            emb = TensorElement(alg, 3, {(w1, a, b): c
-                                         for (a, b), c in inner.terms.items()})
-        acc = acc + emb.scale(s)
-    return acc
+
+    def pairs():
+        for words, s in tensor.terms.items():
+            for pair, c in alg.coproduct_word(words[leg]).terms.items():
+                p = c * s
+                if p:
+                    yield words[:leg] + pair + words[leg + 1:], p
+
+    return TensorElement(alg, 3, collect(pairs()))
 
 
 def _counit_collapse(alg, tensor, leg):
     """(eps (x) id) or (id (x) eps) applied to a rank-2 tensor."""
-    acc = alg.zero()
-    for (w1, w2), s in tensor.terms.items():
-        killed, kept = (w1, w2) if leg == 0 else (w2, w1)
-        eps = alg.counit_word(killed)
-        if eps.is_zero():
-            continue
-        acc = acc + NCElement(alg, {kept: s * eps})
-    return acc
+
+    def pairs():
+        for words, s in tensor.terms.items():
+            eps = alg.counit_word(words[leg])
+            if eps:
+                yield words[1 - leg], s * eps
+
+    return NCElement(alg, collect(pairs()))
 
 
 def _antipode_multiply(alg, tensor, leg):
     """m(gamma (x) id) or m(id (x) gamma) applied to a rank-2 tensor."""
-    acc = alg.zero()
-    for (w1, w2), s in tensor.terms.items():
+
+    def product(w1, w2):
         if leg == 0:
-            prod = alg.antipode_word(w1) * NCElement(alg, {w2: alg.one_series()})
-        else:
-            prod = NCElement(alg, {w1: alg.one_series()}) * alg.antipode_word(w2)
-        acc = acc + prod.scale(s)
-    return acc
+            return alg.antipode_word(w1) * NCElement(alg, {w2: alg.one_series()})
+        return NCElement(alg, {w1: alg.one_series()}) * alg.antipode_word(w2)
+
+    return NCElement(alg, linear_combination(
+        (product(w1, w2), s) for (w1, w2), s in tensor.terms.items()))
 
 
 def _residual_entry(name, thunk, params=None):
@@ -129,23 +128,24 @@ def _tensor_exp(alg, c, xname, yname):
     return TensorElement(alg, 2, terms)
 
 
-def r_matrix(alg):
+def _r_factors(alg):
     factors = R_FACTORS.get(alg.name)
     if factors is None:
         raise KeyError(f"no R-matrix factorization registered for {alg.name}")
+    return factors
+
+
+def r_matrix(alg):
     out = alg.tensor_one()
-    for c, x, y in factors:
+    for c, x, y in _r_factors(alg):
         out = out * _tensor_exp(alg, c, x, y)
     return out
 
 
 def r_matrix_inverse(alg):
     """Reversed product of the factor inverses exp(-c z X (x) Y)."""
-    factors = R_FACTORS.get(alg.name)
-    if factors is None:
-        raise KeyError(f"no R-matrix factorization registered for {alg.name}")
     out = alg.tensor_one()
-    for c, x, y in reversed(factors):
+    for c, x, y in reversed(_r_factors(alg)):
         out = out * _tensor_exp(alg, -c, x, y)
     return out
 
@@ -266,30 +266,28 @@ def casimir_checks(alg):
 
 # -- transport of structure ---------------------------------------------------------
 
-# forward: Schrodinger generators as elements of h6
-_FORWARD = {
-    "H": (("B+", Fraction(1, 2)),),
-    "D": (("N", Fraction(-1)), ("M", Fraction(-1, 2))),
-    "M": (("M", Fraction(1)),),
-    "P": (("A+", Fraction(1)),),
-    "K": (("A-", Fraction(1)),),
-    "C": (("B-", Fraction(1, 2)),),
-}
+# the basis change is the classical one, H6_TO_SCH_MAP, on generators:
+# Schrodinger generators in h6 coordinates, and its inverse solved once
+_FORWARD = dict(H6_TO_SCH_MAP)
 
-# inverse: h6 generators as combinations of Schrodinger generators
-_INVERSE = {
-    "B+": (("H", Fraction(2)),),
-    "N": (("D", Fraction(-1)), ("M", Fraction(-1, 2))),
-    "M": (("M", Fraction(1)),),
-    "A+": (("P", Fraction(1)),),
-    "A-": (("K", Fraction(1)),),
-    "B-": (("C", Fraction(2)),),
-}
+
+def _invert_basis_change():
+    columns = [vec for _, vec in H6_TO_SCH_MAP]
+    inverse = []
+    for g in range(len(H6_GENERATORS)):
+        coeffs, consistent = solve_linear(columns, {g: Fraction(1)})
+        if not consistent:
+            raise ValueError(f"H6_TO_SCH_MAP does not span {H6_GENERATORS[g]}")
+        inverse.append([(i, c) for i, c in enumerate(coeffs) if c])
+    return inverse
+
+
+# h6 generator index -> [(Schrodinger generator index, coefficient)]
+_INVERSE = _invert_basis_change()
 
 
 def _forward_element(h6, name):
-    return NCElement(h6, {(h6.gen_index(g),): h6.one_series() * c
-                          for g, c in _FORWARD[name]})
+    return NCElement(h6, {(g,): h6.one_series() * c for g, c in _FORWARD[name].items()})
 
 
 def _sort_with_central(word, central):
@@ -306,31 +304,25 @@ def _sort_with_central(word, central):
     return tuple(letters)
 
 
-def _map_terms_to_new(h6, terms, new_gen_index, central_new):
+def _map_terms_to_new(terms, central_new):
     """Push {h6 word: series} through the inverse letter substitution."""
-    out = {}
-    for word, series in terms.items():
-        expansions = [(1, ())]
-        for g in word:
-            images = _INVERSE[H6_GENERATORS[g]]
-            expansions = [
-                (c * ci, w + (new_gen_index[gname],))
-                for c, w in expansions
-                for gname, ci in images
-            ]
-        for c, w in expansions:
-            sorted_w = _sort_with_central(w, central_new)
-            cur = out.get(sorted_w)
-            add = series * Fraction(c)
-            out[sorted_w] = add if cur is None else cur + add
-    return {w: s for w, s in out.items() if not s.is_zero()}
+
+    def pairs():
+        for word, series in terms.items():
+            expansions = [(1, ())]
+            for g in word:
+                expansions = [(c * ci, w + (i,)) for c, w in expansions for i, ci in _INVERSE[g]]
+            for c, w in expansions:
+                yield _sort_with_central(w, central_new), series * Fraction(c)
+
+    return collect(pairs())
 
 
 def transport_structure(h6):
     """Carry the h6 Hopf data through the basis change to the Schrodinger side."""
     k = h6.order
-    new_gen_index = {name: i for i, name in enumerate(SCH_GENERATORS)}
-    central_new = {new_gen_index["M"]}
+    one = TruncatedSeries.one(k)
+    central_new = {SCH_GENERATORS.index("M")}
 
     fwd = {name: _forward_element(h6, name) for name in SCH_GENERATORS}
 
@@ -339,29 +331,22 @@ def transport_structure(h6):
         for lo in range(hi):
             x, y = SCH_GENERATORS[hi], SCH_GENERATORS[lo]
             bracket = fwd[x].commutator(fwd[y])
-            relations[(hi, lo)] = _map_terms_to_new(
-                h6, bracket.terms, new_gen_index, central_new)
+            relations[(hi, lo)] = _map_terms_to_new(bracket.terms, central_new)
+
+    def coproduct_pairs(dx):
+        for (w1, w2), s in dx.terms.items():
+            left = _map_terms_to_new({w1: s}, central_new)
+            right = _map_terms_to_new({w2: one}, central_new)
+            for lw, ls in left.items():
+                for rw, rs in right.items():
+                    yield (lw, rw), ls * rs
 
     coproduct = {}
     antipode = {}
     counit = {}
-    for name in SCH_GENERATORS:
-        i = new_gen_index[name]
-        dx = h6.coproduct(fwd[name])
-        coproduct[i] = {}
-        for (w1, w2), s in dx.terms.items():
-            left = _map_terms_to_new(h6, {w1: s}, new_gen_index, central_new)
-            right = _map_terms_to_new(
-                h6, {w2: TruncatedSeries.one(k)}, new_gen_index, central_new)
-            for lw, ls in left.items():
-                for rw, rs in right.items():
-                    key = (lw, rw)
-                    add = ls * rs
-                    cur = coproduct[i].get(key)
-                    coproduct[i][key] = add if cur is None else cur + add
-        coproduct[i] = {kk: vv for kk, vv in coproduct[i].items() if not vv.is_zero()}
-        antipode[i] = _map_terms_to_new(
-            h6, h6.antipode(fwd[name]).terms, new_gen_index, central_new)
+    for i, name in enumerate(SCH_GENERATORS):
+        coproduct[i] = collect(coproduct_pairs(h6.coproduct(fwd[name])))
+        antipode[i] = _map_terms_to_new(h6.antipode(fwd[name]).terms, central_new)
         counit[i] = h6.counit(fwd[name])
 
     return QuantumAlgebra("schrodinger11-transported", SCH_GENERATORS, k,
@@ -371,50 +356,30 @@ def transport_structure(h6):
 
 def verify_spec_equality(transported, handcoded):
     """Table-by-table comparison of two algebra specs over the same generators."""
-    entries = []
     params = {"order": str(handcoded.order)}
+    gens = handcoded.generators
+    zero = handcoded.zero_series()
 
-    def diff_terms(a, b):
-        words = set(a) | set(b)
-        zero = TruncatedSeries.zero(handcoded.order)
-        bad = sorted(w for w in words
-                     if a.get(w, zero) != b.get(w, zero))
-        return bad
-
-    mism = []
-    for pair in transported._relations:
-        bad = diff_terms(transported._relations[pair], handcoded._relations[pair])
-        if bad:
-            x, y = (handcoded.generators[pair[0]], handcoded.generators[pair[1]])
-            mism.append(f"[{x},{y}] at words {bad}")
-    entries.append(CheckResult(
-        name="transport/relations", passed=not mism,
-        residual="0" if not mism else "; ".join(mism), params=params))
+    def words_differing(a, b):
+        return sorted(w for w in set(a) | set(b) if a.get(w, zero) != b.get(w, zero))
 
     # tables live in different algebra instances, so compare raw term maps
-    mism = []
-    for i, name in enumerate(handcoded.generators):
-        if transported.coproduct_table[i].terms != handcoded.coproduct_table[i].terms:
-            mism.append(f"Delta({name})")
-    entries.append(CheckResult(
-        name="transport/coproduct", passed=not mism,
-        residual="0" if not mism else "; ".join(mism), params=params))
-
-    mism = []
-    for i, name in enumerate(handcoded.generators):
-        if transported.antipode_table[i].terms != handcoded.antipode_table[i].terms:
-            mism.append(f"gamma({name})")
-    entries.append(CheckResult(
-        name="transport/antipode", passed=not mism,
-        residual="0" if not mism else "; ".join(mism), params=params))
-
-    mism = []
-    for i, name in enumerate(handcoded.generators):
-        if transported.counit_table[i] != handcoded.counit_table[i]:
-            mism.append(f"eps({name})")
-    entries.append(CheckResult(
-        name="transport/counit", passed=not mism,
-        residual="0" if not mism else "; ".join(mism), params=params))
+    tables = {
+        "relations": lambda alg: [(f"[{gens[hi]},{gens[lo]}]", value)
+                                  for (hi, lo), value in alg._relations.items()],
+        "coproduct": lambda alg: [(f"Delta({gens[i]})", te.terms)
+                                  for i, te in alg.coproduct_table.items()],
+        "antipode": lambda alg: [(f"gamma({gens[i]})", el.terms)
+                                 for i, el in alg.antipode_table.items()],
+        "counit": lambda alg: [(f"eps({gens[i]})", s) for i, s in alg.counit_table.items()],
+    }
+    entries = []
+    for table, rows in tables.items():
+        mism = [label + (f" at words {words_differing(a, b)}" if table == "relations" else "")
+                for (label, a), (_, b) in zip(rows(transported), rows(handcoded)) if a != b]
+        entries.append(CheckResult(
+            name=f"transport/{table}", passed=not mism,
+            residual="0" if not mism else "; ".join(mism), params=params))
     return entries
 
 

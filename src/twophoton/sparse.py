@@ -3,14 +3,62 @@
 Every object the verifier certifies is such a sum: PBW words, tensor legs,
 alpha^j d^l operators, space-time operators, lattice functions, wedges. The
 linear structure is the same for all of them and lives here; a subclass
-adds its space, constructor validation, product and rendering.
+adds its space, constructor validation, product and rendering. Like terms
+are combined in one place, ``collect``: a product or a linear extension
+yields its (key, coefficient) pairs and collects them once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import comb, factorial
 
-__all__ = ["SparseTerms", "solve_linear"]
+__all__ = ["SparseTerms", "collect", "linear_combination", "weyl_terms",
+           "render_sum", "monomial", "solve_linear"]
+
+
+def collect(pairs):
+    """Sum (key, coefficient) pairs whose keys may repeat; zero sums are dropped."""
+    acc = {}
+    for k, c in pairs:
+        cur = acc.get(k)
+        acc[k] = c if cur is None else cur + c
+    return {k: c for k, c in acc.items() if c}
+
+
+def linear_combination(parts):
+    """Terms of sum_i c_i x_i for (x_i, c_i) pairs of elements of one space and scalars.
+
+    A product v * c that vanishes (by truncation, say) is dropped before it
+    reaches an addition.
+    """
+    def pairs():
+        for x, c in parts:
+            for k, v in x.terms.items():
+                p = v * c
+                if p:
+                    yield k, p
+
+    return collect(pairs())
+
+
+def render_sum(terms, body, sort_key=None):
+    """'(c)*body(key) + ...' over the sorted keys, '(c)' where the body is empty, '0' if none."""
+    if not terms:
+        return "0"
+    parts = ((f"({terms[key]})", body(key)) for key in sorted(terms, key=sort_key))
+    return " + ".join(f"{c}*{b}" if b else c for c, b in parts)
+
+
+def monomial(*factors):
+    """'x^2*dt' from (name, power) pairs; zero powers are left out."""
+    return "*".join(name if p == 1 else f"{name}^{p}" for name, p in factors if p)
+
+
+def weyl_terms(l, j):
+    """d^l x^j = sum_t C(l,t) C(j,t) t! x^(j-t) d^(l-t), as (t, coefficient) pairs."""
+    return [(t, Fraction(comb(l, t) * comb(j, t) * factorial(t))) for t in range(min(l, j) + 1)]
 
 
 class SparseTerms:
@@ -45,11 +93,7 @@ class SparseTerms:
 
     def __add__(self, other):
         self._require_same(other)
-        acc = dict(self.terms)
-        for k, c in other.terms.items():
-            cur = acc.get(k)
-            acc[k] = c if cur is None else cur + c
-        return self._new(acc)
+        return self._new(collect(chain(self.terms.items(), other.terms.items())))
 
     def __sub__(self, other):
         return self + (-other)

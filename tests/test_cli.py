@@ -133,6 +133,15 @@ def test_csv_sampler(tmp_path):
     assert len(lines) > 1
 
 
+def test_csv_sampler_skips_step_factor_pole(tmp_path):
+    # at z = 1/2, m = 1 the kappa = 1 exponential sits on 1 - 2 z kappa^2 / m = 0
+    path = tmp_path / "grid.csv"
+    res = run_cli("--checks", "eigen", "--z", "1/2", "--mass", "1", "--csv-out", str(path))
+    assert res.returncode == 0, res.stderr
+    rows = path.read_text().strip().splitlines()[1:]
+    assert {row.split(",")[0] for row in rows} == {"0", "1", "2"}
+
+
 def test_failing_residual_rendered_in_text():
     res = run_cli("--checks", "discrete-se", "--rep-param", "0")
     fail_lines = [l for l in res.stdout.splitlines()

@@ -235,3 +235,11 @@ def test_solution_serialization():
     assert data["z"] == "1/10"
     assert {"x_pow": 2, "t_pow": 0, "kappa": "0", "omega": "0",
             "step": "1", "coeff": "1"} in data["terms"]
+
+
+def test_solution_check_names_are_unique():
+    # the kappa = 0 exponential is the constant 1, like the degree-0 polynomial
+    for classical in (False, True):
+        names = [e.name for e in solution_checks(M, A, Z, classical=classical)]
+        assert len(names) == len(set(names))
+        assert sum(n.endswith("/exp(k=0)") for n in names) == 7

@@ -1,9 +1,10 @@
-"""Golden digests of the --out report, so refactors keep it byte-identical.
+"""Golden digests of the --out report and the spec dump, so refactors keep them byte-identical.
 
-Each digest is the sha256 of the canonical JSON report with ``timings``
-dropped. A change that alters any check name, parameter, residual
-rendering or verdict changes the digest; a deliberate change must update
-the table and say why.
+Each report digest is the sha256 of the canonical JSON report with
+``timings`` dropped. A change that alters any check name, parameter,
+residual rendering or verdict changes the digest; a deliberate change must
+update the table and say why. The spec digests cover the relation,
+coproduct, antipode and counit tables that ``--dump-spec`` writes.
 """
 
 import hashlib
@@ -14,11 +15,11 @@ import pytest
 from twophoton import cli
 
 GOLDEN = {
-    ("--order", "0"): "e9323135d00484700c1e535e896598c5a0d9defed27de118bfad73396233c541",
-    ("--order", "1"): "f10948056f206fc9c6f8d9233e169e6184b1f05825e961839cc950dad6fa082b",
-    ("--order", "2"): "a471d05db7d6834749ee66277c6dc8376ffead1614382907a555789209283a13",
+    ("--order", "0"): "0a93943599b4dc44299d2f846296a0ad58fc22303dff36e0a8452f97f272849c",
+    ("--order", "1"): "a43bc08fdc9feb2f99d3ed5e160f088289a23eab56669847adc7025045bccc2f",
+    ("--order", "2"): "3a0234e95147959bbd9aaf480b84a592fbda8660e4d9bbc10e0180170fb20dbb",
     ("--rep-param", "0", "--order", "2"):
-        "81e0c6da84900d1855f118d21ebcd9da6cdcce7547ae09c59b7d0a7ef3020fbb",
+        "fe18eae5043aa73dafabcca5b32914c7db16240c4dcde294ced3b7357af10f22",
 }
 
 
@@ -32,3 +33,16 @@ def test_report_digest(args, tmp_path, capsys):
     report.pop("timings")
     digest = hashlib.sha256(cli.canonical_json(report).encode()).hexdigest()
     assert digest == GOLDEN[args]
+
+
+SPEC_GOLDEN = {
+    "h6": "a630caf757e320f005ba6b28c53b35a3acb5e6b7ddb34bad1976602372993982",
+    "sch": "9f1b912fc0342a6b9965b01b811874fbb12ebc6de22b4c8921a8b0330bc13418",
+}
+
+
+@pytest.mark.parametrize("which", sorted(SPEC_GOLDEN))
+def test_spec_dump_digest(which, capsys):
+    assert cli.main(["--dump-spec", which, "--order", "8"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == SPEC_GOLDEN[which]

@@ -10,8 +10,9 @@ from twophoton.algebra import (NCElement, TensorElement, schrodinger_algebra,
 from twophoton.bargmann import DiffOperator, _CPoly
 from twophoton.bialgebra import WedgeElement, basis_change, two_photon_lie
 from twophoton.discrete import ExpPolyFunction, SchrodingerOperator
+from twophoton.scalars import ComplexRational
 from twophoton.series import TruncatedSeries, exp_nilpotent, sqrt_unit
-from twophoton.sparse import solve_linear
+from twophoton.sparse import SparseTerms, collect, solve_linear
 
 ORDER = 2
 ALGEBRAS = (two_photon_algebra(ORDER), schrodinger_algebra(ORDER))
@@ -169,3 +170,43 @@ def test_exp_and_sqrt_shared_by_series_and_cpoly():
             exp_nilpotent(unit, one)
         with pytest.raises(ValueError):
             sqrt_unit(unit, one)
+
+
+def test_collect_sums_repeated_keys_and_drops_zero_sums():
+    half = Fraction(1, 2)
+    assert collect([]) == {}
+    assert collect([("a", Fraction(0))]) == {}
+    assert collect([("a", half), ("b", Fraction(1)), ("a", half), ("b", Fraction(-1))]) \
+        == {"a": Fraction(1)}
+    s = TruncatedSeries.z_power(1, 2, 3)
+    assert collect([((), s), ((0,), s), ((), -s), ((0,), s)]) == {(0,): s + s}
+    i = ComplexRational(0, 1)
+    assert collect([(0, i), (0, i), (1, i), (1, -i)]) == {0: ComplexRational(0, 2)}
+
+
+class _Sum(SparseTerms):
+    __slots__ = ()
+
+    def __init__(self, terms):
+        super().__init__((), terms)
+
+
+def test_collect_is_an_order_free_fold_of_add():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    pairs_strategy = st.lists(
+        st.tuples(st.integers(0, 3), st.integers(-2, 2).map(Fraction)), max_size=12)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(pairs_strategy, st.randoms(use_true_random=False))
+    def check(pairs, rnd):
+        shuffled = list(pairs)
+        rnd.shuffle(shuffled)
+        assert collect(shuffled) == collect(pairs)
+        folded = _Sum({})
+        for k, c in pairs:
+            folded = folded + _Sum({k: c})
+        assert collect(pairs) == folded.terms
+
+    check()
