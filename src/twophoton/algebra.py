@@ -1,10 +1,14 @@
 """PBW normal-ordering engine for the deformed generator algebras.
 
 Elements are finite sums of PBW-ordered words (tuples of generator indices,
-non-decreasing) with truncated-series coefficients. A product rewrites every
-out-of-order adjacent pair through the relation table, X*Y -> Y*X + [X,Y].
-The generator orders of the built-in algebras are chosen so that every
-relation term either strictly shortens the word or carries a strictly
+non-decreasing) with truncated-series coefficients. A raw word is brought
+to normal form by multiplying its sorted prefix by one generator at a time,
+the multiplication-table approach of G-algebra systems: for a PBW word
+``head + (h,)`` and a generator g < h, ``(head + (h,)) * g = (head * g) * h
++ head * [h, g]``, with [h, g] read from the relation table. Products of a
+PBW word by one generator and normal forms of whole raw words are both
+memoised. The generator orders of the built-in algebras are chosen so that
+every relation term either strictly shortens the word or carries a strictly
 positive z power; series truncation then prunes the exponential tails and
 rewriting terminates. A fuel counter turns a broken relation table into a
 visible error instead of a hang.
@@ -20,12 +24,11 @@ Two algebras are built in:
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from itertools import chain, groupby
 from math import factorial
 
-from .series import TruncatedSeries
+from .series import TruncatedSeries, add_product_into
 from .sparse import SparseTerms, collect, linear_combination, monomial, render_sum
 
 __all__ = [
@@ -44,10 +47,7 @@ SCH_GENERATORS = ("H", "D", "M", "P", "K", "C")
 
 DEFAULT_FUEL = 10 ** 6
 
-# deep relation tails unwind through recursion; words stay short but chains
-# of adjacent swaps can nest a few hundred frames
-if sys.getrecursionlimit() < 20000:
-    sys.setrecursionlimit(20000)
+_ZERO = Fraction(0)
 
 
 class NormalOrderError(RuntimeError):
@@ -69,35 +69,19 @@ def _first_inversion(word):
 # mutable-list accumulators for the rewriting hot path; immutable series
 # allocation dominates the profile otherwise
 
-def _acc_series(acc, word, series):
-    cur = acc.get(word)
-    if cur is None:
-        acc[word] = list(series.coeffs)
-    else:
-        for i, c in enumerate(series.coeffs):
-            if c != 0:
-                cur[i] = cur[i] + c
-
-
 def _acc_product(acc, word, a, b, order):
     """Accumulate the series product a*b onto acc[word] without allocating."""
     cur = acc.get(word)
     if cur is None:
-        cur = acc[word] = [Fraction(0)] * (order + 1)
-    for i, ca in enumerate(a.coeffs):
-        if ca == 0:
-            continue
-        for j in range(order + 1 - i):
-            cb = b.coeffs[j]
-            if cb != 0:
-                cur[i + j] = cur[i + j] + ca * cb
+        cur = acc[word] = [_ZERO] * (order + 1)
+    add_product_into(cur, a, b)
 
 
 def _finalize_acc(acc, order):
     out = {}
     for w, coeffs in acc.items():
-        if any(c != 0 for c in coeffs):
-            out[w] = TruncatedSeries(coeffs, order)
+        if any(coeffs):
+            out[w] = TruncatedSeries._exact(tuple(coeffs), order)
     return out
 
 
@@ -256,6 +240,7 @@ class QuantumAlgebra:
         self._fuel_budget = fuel
         self._fuel = fuel
         self._nf_cache = {}
+        self._mul_cache = {}
         self._cop_cache = {}
         self._anti_cache = {}
 
@@ -360,27 +345,58 @@ class QuantumAlgebra:
         return collect(pairs())
 
     def _nf(self, word):
+        """Normal form of a raw word, split at its first inversion.
+
+        With word = prefix + (g,) + rest, prefix sorted and prefix * g =
+        sum_v s_v v, the normal form is sum_v s_v NF(v + rest); rest shrinks
+        by one letter at every level.
+        """
         cached = self._nf_cache.get(word)
         if cached is not None:
             return cached
         i = _first_inversion(word)
         if i is None:
             out = {word: self._one}
-            self._nf_cache[word] = out
-            return out
+        else:
+            product = self._mul_gen(word[:i + 1], word[i + 1])
+            rest = word[i + 2:]
+            if not rest:
+                out = product
+            else:
+                acc = {}
+                for v, s in product.items():
+                    for w, c in self._nf(v + rest).items():
+                        _acc_product(acc, w, s, c, self.order)
+                out = _finalize_acc(acc, self.order)
+        self._nf_cache[word] = out
+        return out
+
+    def _mul_gen(self, word, g):
+        """The normal form of word * g for a PBW word and one generator.
+
+        With word = head + (h,) and h > g, word * g = (head * g) * h +
+        head * [h, g]. Memoised on (word, g); each miss spends one unit of
+        fuel.
+        """
+        if not word or word[-1] <= g:
+            return {word + (g,): self._one}
+        key = (word, g)
+        cached = self._mul_cache.get(key)
+        if cached is not None:
+            return cached
         self._fuel -= 1
         if self._fuel <= 0:
-            raise NormalOrderError(self.name, word)
-        hi, lo = word[i], word[i + 1]
-        head, tail = word[:i], word[i + 2:]
+            raise NormalOrderError(self.name, word + (g,))
+        head, h = word[:-1], word[-1]
         acc = {}
-        for w, s in self._nf(head + (lo, hi) + tail).items():
-            _acc_series(acc, w, s)
-        for rw, rs in self._relations[(hi, lo)].items():
-            for w, s in self._nf(head + rw + tail).items():
-                _acc_product(acc, w, rs, s, self.order)
+        for v, s in self._mul_gen(head, g).items():
+            for w, c in self._mul_gen(v, h).items():
+                _acc_product(acc, w, s, c, self.order)
+        for rw, rs in self._relations[(h, g)].items():
+            for w, c in self._nf(head + rw).items():
+                _acc_product(acc, w, rs, c, self.order)
         out = _finalize_acc(acc, self.order)
-        self._nf_cache[word] = out
+        self._mul_cache[key] = out
         return out
 
     # -- structure maps -------------------------------------------------------

@@ -12,7 +12,6 @@ on the same carriers.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -492,8 +491,13 @@ def exponential_solutions(mass, z, kappas, classical=False):
     return out
 
 
-def apply_and_recheck(gen, phi, mass, rep_param, z, classical=False):
-    """Certify that the realized generator maps the solution to a solution."""
+def apply_and_recheck(gen, phi, mass, rep_param, z, classical=False, tag=None):
+    """Certify that the realized generator maps the solution to a solution.
+
+    ``tag`` names the solution in the check name. Its default is read off
+    phi, which cannot tell the kappa = 0 exponential from the degree-0
+    polynomial: both are the constant 1.
+    """
     z_eff = phi.z
     ez = casimir(mass, z_eff, classical)
     if not ez.apply(phi).is_zero():
@@ -502,7 +506,7 @@ def apply_and_recheck(gen, phi, mass, rep_param, z, classical=False):
     residual = ez.apply(image)
     label = "classical" if classical else "deformed"
     return CheckResult(
-        name=f"discrete-se/solution-map-{label}/{gen}/{_phi_tag(phi)}",
+        name=f"discrete-se/solution-map-{label}/{gen}/{tag or _phi_tag(phi)}",
         passed=residual.is_zero(), residual=str(residual),
         params={"m": str(Fraction(mass)), "a": str(Fraction(rep_param)),
                 "z": "0" if classical else str(z_eff)})
@@ -548,8 +552,7 @@ def solution_checks(mass, rep_param, z, n_poly=5, kappas=(0, 1, 2), classical=Fa
             params={**params, "solution": json.dumps(phi.to_json_dict(),
                                                      sort_keys=True)}))
         for gen in SCH_GENERATOR_NAMES:
-            entry = apply_and_recheck(gen, phi, mass, rep_param, z, classical)
-            entries.append(replace(entry, name=f"discrete-se/solution-map-{label}/{gen}/{tag}"))
+            entries.append(apply_and_recheck(gen, phi, mass, rep_param, z, classical, tag))
     return entries
 
 

@@ -11,8 +11,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from operator import add, neg, sub
 
-__all__ = ["TruncatedSeries", "exp_nilpotent", "sqrt_unit"]
+__all__ = ["TruncatedSeries", "add_product_into", "exp_nilpotent", "sqrt_unit"]
+
+
+_ZERO = Fraction(0)
 
 
 def _coerce(c):
@@ -30,6 +34,24 @@ def _inv_scalar(c):
     return 1 / c
 
 
+def add_product_into(out, a, b):
+    """Add the truncated product a*b onto the coefficient list ``out`` in place.
+
+    Only nonzero coefficients of a and b are visited, and adding to a zero
+    slot is a copy: the z-graded algebras make most operands single
+    monomials, so a dense loop would spend its time comparing zeros.
+    """
+    k = len(out) - 1
+    nonzero_b = [(j, cb) for j, cb in enumerate(b.coeffs) if cb]
+    for i, ca in enumerate(a.coeffs):
+        if ca:
+            for j, cb in nonzero_b:
+                if i + j > k:
+                    break
+                prev = out[i + j]
+                out[i + j] = prev + ca * cb if prev else ca * cb
+
+
 class TruncatedSeries:
     __slots__ = ("order", "coeffs", "_low")
 
@@ -44,6 +66,20 @@ class TruncatedSeries:
         self.order = order
         self.coeffs = coeffs
         self._low = -2  # lazy low_order cache; -2 means not yet computed
+
+    @classmethod
+    def _exact(cls, coeffs, order):
+        """Wrap a tuple of order+1 coefficients that are already exact scalars.
+
+        The ring operations build their results here: their coefficients
+        come from exact operands, so the public constructor's coercion and
+        float rejection would only repeat work.
+        """
+        series = object.__new__(cls)
+        series.order = order
+        series.coeffs = coeffs
+        series._low = -2
+        return series
 
     # -- constructors -------------------------------------------------------
 
@@ -104,40 +140,33 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._require_same_order(other)
-        return TruncatedSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), self.order)
+        return TruncatedSeries._exact(tuple(map(add, self.coeffs, other.coeffs)), self.order)
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._require_same_order(other)
-        return TruncatedSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)), self.order)
+        return TruncatedSeries._exact(tuple(map(sub, self.coeffs, other.coeffs)), self.order)
 
     def __neg__(self):
-        return TruncatedSeries(tuple(-a for a in self.coeffs), self.order)
+        return TruncatedSeries._exact(tuple(map(neg, self.coeffs)), self.order)
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             self._require_same_order(other)
-            k = self.order
-            out = [Fraction(0)] * (k + 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j in range(k + 1 - i):
-                    b = other.coeffs[j]
-                    if b != 0:
-                        out[i + j] = out[i + j] + a * b
-            return TruncatedSeries(out, k)
+            out = [_ZERO] * (self.order + 1)
+            add_product_into(out, self, other)
+            return TruncatedSeries._exact(tuple(out), self.order)
         if isinstance(other, float):
             return NotImplemented
         c = _coerce(other)
-        return TruncatedSeries(tuple(a * c for a in self.coeffs), self.order)
+        return TruncatedSeries._exact(tuple(a * c for a in self.coeffs), self.order)
 
     def __rmul__(self, other):
         if isinstance(other, (TruncatedSeries, float)):
             return NotImplemented
         c = _coerce(other)
-        return TruncatedSeries(tuple(c * a for a in self.coeffs), self.order)
+        return TruncatedSeries._exact(tuple(c * a for a in self.coeffs), self.order)
 
     def __pow__(self, n):
         if n < 0:

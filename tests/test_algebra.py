@@ -1,8 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
+from pathlib import Path
 
 import pytest
 
+import twophoton
 from twophoton.algebra import (NormalOrderError, QuantumAlgebra,
                                two_photon_algebra, schrodinger_algebra)
 from twophoton.series import TruncatedSeries
@@ -154,6 +160,55 @@ def test_fuel_guard_reports_offending_word():
     with pytest.raises(NormalOrderError) as exc:
         bad.normal_word((1, 0))
     assert exc.value.word == (1, 0)
+
+
+def _reference_normal_form(alg, word, memo):
+    """Independent rewriter: swap the first out-of-order adjacent pair, X*Y = Y*X + [X, Y]."""
+    if word in memo:
+        return memo[word]
+    i = next((i for i in range(len(word) - 1) if word[i] > word[i + 1]), None)
+    if i is None:
+        out = {word: alg.one_series()}
+    else:
+        hi, lo = word[i], word[i + 1]
+        head, tail = word[:i], word[i + 2:]
+        acc = dict(_reference_normal_form(alg, head + (lo, hi) + tail, memo))
+        bracket = alg.relation(alg.generators[hi], alg.generators[lo])
+        for rw, rs in bracket.terms.items():
+            for w, s in _reference_normal_form(alg, head + rw + tail, memo).items():
+                acc[w] = acc[w] + rs * s if w in acc else rs * s
+        out = {w: s for w, s in acc.items() if s}
+    memo[word] = out
+    return out
+
+
+@pytest.mark.parametrize("make", [two_photon_algebra, schrodinger_algebra])
+def test_normal_word_matches_reference_rewriter(make):
+    alg, memo = make(3), {}
+    for length in range(5):
+        for raw in product(range(6), repeat=length):
+            assert alg.normal_word(raw) == _reference_normal_form(alg, raw, memo), raw
+
+
+@pytest.mark.parametrize("make", [two_photon_algebra, schrodinger_algebra])
+def test_pbw_word_times_generator_matches_reference_rewriter(make):
+    # a fresh algebra at a higher order, so every product starts from cold memos
+    alg, memo = make(5), {}
+    for length in range(4):
+        for w in combinations_with_replacement(range(6), length):
+            for g in range(6):
+                raw = w + (g,)
+                assert alg.normal_word(raw) == _reference_normal_form(alg, raw, memo), raw
+
+
+def test_import_leaves_recursion_limit_alone():
+    src = str(Path(twophoton.__file__).resolve().parents[1])
+    code = ("import sys; before = sys.getrecursionlimit(); import twophoton; "
+            "print(sys.getrecursionlimit() == before)")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "True"
 
 
 def test_relation_sanity_rejected_at_construction():

@@ -243,3 +243,11 @@ def test_solution_check_names_are_unique():
         names = [e.name for e in solution_checks(M, A, Z, classical=classical)]
         assert len(names) == len(set(names))
         assert sum(n.endswith("/exp(k=0)") for n in names) == 7
+
+
+def test_apply_and_recheck_takes_the_tag_of_its_caller():
+    # the kappa = 0 exponential is the constant 1, which phi alone would tag poly(deg=0)
+    phi = exponential_solutions(M, Z, [0])[0]
+    entry = apply_and_recheck("H", phi, M, A, Z, tag="exp(k=0)")
+    assert entry.passed
+    assert entry.name == "discrete-se/solution-map-deformed/H/exp(k=0)"

@@ -20,6 +20,9 @@ GOLDEN = {
     ("--order", "2"): "3a0234e95147959bbd9aaf480b84a592fbda8660e4d9bbc10e0180170fb20dbb",
     ("--rep-param", "0", "--order", "2"):
         "fe18eae5043aa73dafabcca5b32914c7db16240c4dcde294ced3b7357af10f22",
+    # PBW rewriting of long words: up to 17 letters in the rmatrix checks
+    ("--checks", "rmatrix", "--order", "4"):
+        "fc0170a5024e94d7d891a12e92cc44bffc8c4cb2f15223db0370c0eb15490104",
 }
 
 

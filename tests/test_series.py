@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from twophoton.algebra import _acc_product
 from twophoton.scalars import ComplexRational, parse_complex_rational, parse_rational
 from twophoton.series import TruncatedSeries
 
@@ -89,6 +90,51 @@ def test_ring_axioms_random():
             assert a + b == b + a
             assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
+
+
+def _dense_product(a, b):
+    k = a.order
+    return TruncatedSeries([sum((a.coeffs[i] * b.coeffs[n - i] for i in range(n + 1)),
+                                Fraction(0)) for n in range(k + 1)], k)
+
+
+def test_sparse_series_kernels_and_ring_axioms():
+    # the product kernels visit nonzero coefficients only: check them, and the
+    # ring axioms, on series that are mostly zero, over both scalar rings
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    order = 5
+    rational = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    complex_rational = st.builds(ComplexRational, rational, rational)
+
+    def sparse_series(scalar):
+        return st.dictionaries(st.integers(0, order), scalar, max_size=3).map(
+            lambda nonzero: TruncatedSeries(
+                [nonzero.get(i, Fraction(0)) for i in range(order + 1)], order))
+
+    series = st.one_of(sparse_series(rational), sparse_series(complex_rational))
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(series, series, series)
+    def check(a, b, c):
+        ab = a * b
+        assert ab == _dense_product(a, b)
+        assert all(isinstance(x, (Fraction, ComplexRational)) for x in ab.coeffs)
+        acc = {}
+        _acc_product(acc, "w", a, b, order)
+        assert TruncatedSeries(acc["w"], order) == ab
+        _acc_product(acc, "w", c, b, order)
+        assert TruncatedSeries(acc["w"], order) == ab + _dense_product(c, b)
+        assert (a + b) + c == a + (b + c)
+        assert a + b == b + a
+        assert (a * b) * c == a * (b * c)
+        assert a * b == b * a
+        assert a * (b + c) == a * b + a * c
+        assert a - a == TruncatedSeries.zero(order) == a + (-a)
+
+    check()
+    with pytest.raises(TypeError):
+        TruncatedSeries([0.5])
 
 
 def test_exp_sqrt_functional_identities_random():
