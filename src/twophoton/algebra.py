@@ -10,8 +10,9 @@ PBW word by one generator and normal forms of whole raw words are both
 memoised. The generator orders of the built-in algebras are chosen so that
 every relation term either strictly shortens the word or carries a strictly
 positive z power; series truncation then prunes the exponential tails and
-rewriting terminates. A fuel counter turns a broken relation table into a
-visible error instead of a hang.
+rewriting terminates. A broken relation table that rewrites without end
+runs into the interpreter's recursion limit, which surfaces as a
+``NormalOrderError`` naming the word instead of a hang.
 
 Two algebras are built in:
 
@@ -45,18 +46,16 @@ __all__ = [
 H6_GENERATORS = ("B+", "N", "M", "A+", "A-", "B-")
 SCH_GENERATORS = ("H", "D", "M", "P", "K", "C")
 
-DEFAULT_FUEL = 10 ** 6
-
 _ZERO = Fraction(0)
 
 
 class NormalOrderError(RuntimeError):
-    """Rewriting ran out of fuel; signals an inconsistent relation table."""
+    """Rewriting did not terminate; signals an inconsistent relation table."""
 
     def __init__(self, algebra_name, word):
         self.word = word
         super().__init__(
-            f"normal ordering exhausted its fuel in {algebra_name} on word {word!r}")
+            f"normal ordering hit the recursion limit in {algebra_name} on word {word!r}")
 
 
 def _first_inversion(word):
@@ -230,15 +229,13 @@ class QuantumAlgebra:
     """
 
     def __init__(self, name, generators, order, relations, coproduct,
-                 antipode, counit, central=(), fuel=DEFAULT_FUEL):
+                 antipode, counit, central=()):
         self.name = name
         self.generators = tuple(generators)
         self.order = order
         self.central = frozenset(central)
         self._one = TruncatedSeries.one(order)
         self._zero = TruncatedSeries.zero(order)
-        self._fuel_budget = fuel
-        self._fuel = fuel
         self._nf_cache = {}
         self._mul_cache = {}
         self._cop_cache = {}
@@ -327,22 +324,27 @@ class QuantumAlgebra:
 
     def normal_word(self, word):
         """PBW normal form of one raw word, as a {word: series} map."""
-        self._fuel = self._fuel_budget
-        return self._nf(tuple(word))
+        return self._normal_form(tuple(word))
 
     def normal_terms(self, raw_terms):
-        self._fuel = self._fuel_budget
-
         def pairs():
             for word, c in raw_terms.items():
                 series = self._as_series(c)
                 if series:
-                    for w, s in self._nf(tuple(word)).items():
+                    for w, s in self._normal_form(tuple(word)).items():
                         sc = series * s
                         if sc:
                             yield w, sc
 
         return collect(pairs())
+
+    def _normal_form(self, word):
+        """``_nf`` for a caller outside the rewriting: a rewriting that never
+        ends exhausts the recursion limit and is reported on its word."""
+        try:
+            return self._nf(word)
+        except RecursionError:
+            raise NormalOrderError(self.name, word) from None
 
     def _nf(self, word):
         """Normal form of a raw word, split at its first inversion.
@@ -375,8 +377,7 @@ class QuantumAlgebra:
         """The normal form of word * g for a PBW word and one generator.
 
         With word = head + (h,) and h > g, word * g = (head * g) * h +
-        head * [h, g]. Memoised on (word, g); each miss spends one unit of
-        fuel.
+        head * [h, g]. Memoised on (word, g).
         """
         if not word or word[-1] <= g:
             return {word + (g,): self._one}
@@ -384,9 +385,6 @@ class QuantumAlgebra:
         cached = self._mul_cache.get(key)
         if cached is not None:
             return cached
-        self._fuel -= 1
-        if self._fuel <= 0:
-            raise NormalOrderError(self.name, word + (g,))
         head, h = word[:-1], word[-1]
         acc = {}
         for v, s in self._mul_gen(head, g).items():
@@ -518,6 +516,11 @@ def _prefix(head, term_map):
     return {tuple(head) + w: s for w, s in term_map.items()}
 
 
+def _behind(left, term_map):
+    """Put every word of a term map behind the fixed left leg: left (x) word."""
+    return {(tuple(left), w): s for w, s in term_map.items()}
+
+
 def two_photon_algebra(order):
     """Deformed two-photon algebra U_z(h6) truncated at the given z order."""
     k = order
@@ -554,24 +557,20 @@ def two_photon_algebra(order):
         M: primitive(M),
         # Delta(N) = 1 (x) N + N (x) e^{2zB+}
         N: _merge({((), (N,)): TruncatedSeries.one(k)},
-                  {((N,), (B,) * n): zs(n, Fraction(2) ** n / factorial(n))
-                   for n in range(k + 1)}),
+                  _behind((N,), _exp_words(B, 2, k))),
         # Delta(A+) = 1 (x) A+ + A+ (x) e^{-zB+}
         AP: _merge({((), (AP,)): TruncatedSeries.one(k)},
-                   {((AP,), (B,) * n): zs(n, Fraction(-1) ** n / factorial(n))
-                    for n in range(k + 1)}),
+                   _behind((AP,), _exp_words(B, -1, k))),
         # Delta(A-) = 1 (x) A- + A- (x) e^{zB+} + 2z N (x) e^{2zB+} A+
         AM: _merge({((), (AM,)): TruncatedSeries.one(k)},
-                   {((AM,), (B,) * n): zs(n, Fraction(1) / factorial(n))
-                    for n in range(k + 1)},
-                   {((N,), (B,) * n + (AP,)): zs(n + 1, 2 * Fraction(2) ** n / factorial(n))
-                    for n in range(k)}),
+                   _behind((AM,), _exp_words(B, 1, k)),
+                   _behind((N,), _exp_words(B, 2, k, zshift=1, scale=Fraction(2),
+                                            suffix=(AP,)))),
         # Delta(B-) = 1 (x) B- + B- (x) e^{2zB+} + 2z N (x) e^{2zB+} M
         BM: _merge({((), (BM,)): TruncatedSeries.one(k)},
-                   {((BM,), (B,) * n): zs(n, Fraction(2) ** n / factorial(n))
-                    for n in range(k + 1)},
-                   {((N,), (B,) * n + (M,)): zs(n + 1, 2 * Fraction(2) ** n / factorial(n))
-                    for n in range(k)}),
+                   _behind((BM,), _exp_words(B, 2, k)),
+                   _behind((N,), _exp_words(B, 2, k, zshift=1, scale=Fraction(2),
+                                            suffix=(M,)))),
     }
 
     antipode = {
@@ -630,30 +629,25 @@ def schrodinger_algebra(order):
         M: primitive(M),
         # Delta(P) = 1 (x) P + P (x) e^{-2zH}
         P: _merge({((), (P,)): TruncatedSeries.one(k)},
-                  {((P,), (H,) * n): zs(n, Fraction(-2) ** n / factorial(n))
-                   for n in range(k + 1)}),
+                  _behind((P,), _exp_words(H, -2, k))),
         # Delta(D) = 1 (x) D + D (x) e^{4zH} + M (x) (e^{4zH}-1)/2
         D: _merge({((), (D,)): TruncatedSeries.one(k)},
-                  {((D,), (H,) * n): zs(n, Fraction(4) ** n / factorial(n))
-                   for n in range(k + 1)},
-                  {((M,), (H,) * n): zs(n, Fraction(4) ** n / (2 * factorial(n)))
-                   for n in range(1, k + 1)}),
+                  _behind((D,), _exp_words(H, 4, k)),
+                  _behind((M,), _exp_words(H, 4, k, lo=1, scale=Fraction(1, 2)))),
         # Delta(K) = 1 (x) K + K (x) e^{2zH} - 2z (D + M/2) (x) e^{4zH} P
         K: _merge({((), (K,)): TruncatedSeries.one(k)},
-                  {((K,), (H,) * n): zs(n, Fraction(2) ** n / factorial(n))
-                   for n in range(k + 1)},
-                  {((D,), (H,) * n + (P,)): zs(n + 1, -2 * Fraction(4) ** n / factorial(n))
-                   for n in range(k)},
-                  {((M,), (H,) * n + (P,)): zs(n + 1, -Fraction(4) ** n / factorial(n))
-                   for n in range(k)}),
+                  _behind((K,), _exp_words(H, 2, k)),
+                  _behind((D,), _exp_words(H, 4, k, zshift=1, scale=Fraction(-2),
+                                           suffix=(P,))),
+                  _behind((M,), _exp_words(H, 4, k, zshift=1, scale=Fraction(-1),
+                                           suffix=(P,)))),
         # Delta(C) = 1 (x) C + C (x) e^{4zH} - z (D + M/2) (x) e^{4zH} M
         C: _merge({((), (C,)): TruncatedSeries.one(k)},
-                  {((C,), (H,) * n): zs(n, Fraction(4) ** n / factorial(n))
-                   for n in range(k + 1)},
-                  {((D,), (H,) * n + (M,)): zs(n + 1, -Fraction(4) ** n / factorial(n))
-                   for n in range(k)},
-                  {((M,), (H,) * n + (M,)): zs(n + 1, -Fraction(4) ** n / (2 * factorial(n)))
-                   for n in range(k)}),
+                  _behind((C,), _exp_words(H, 4, k)),
+                  _behind((D,), _exp_words(H, 4, k, zshift=1, scale=Fraction(-1),
+                                           suffix=(M,))),
+                  _behind((M,), _exp_words(H, 4, k, zshift=1, scale=Fraction(-1, 2),
+                                           suffix=(M,)))),
     }
 
     antipode = {

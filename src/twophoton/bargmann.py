@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import two_photon_algebra
-from .report import CheckResult
+from .report import CheckResult, residual_entry
 from .scalars import ComplexRational
 from .series import TruncatedSeries, exp_nilpotent, sqrt_unit
 from .sparse import (SparseTerms, collect, linear_combination, monomial, render_sum,
@@ -273,10 +273,8 @@ def verify_rep(order):
         for y in alg.generators[:i]:
             lhs = images[x].commutator(images[y])
             rhs = image_of(alg.relation(x, y))
-            residual = lhs - rhs
-            entries.append(CheckResult(
-                name=f"rep/bracket/{x},{y}", passed=residual.is_zero(),
-                residual=str(residual), params={"order": str(order)}))
+            entries.append(residual_entry(f"rep/bracket/{x},{y}", lhs - rhs,
+                                          {"order": str(order)}))
     return entries
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .algebra import H6_GENERATORS, SCH_GENERATORS
 from .report import CheckResult
 from .sparse import SparseTerms, collect, linear_combination, solve_linear
 
@@ -140,9 +141,6 @@ class LieAlgebra:
 
 # -- built-in classical algebras -------------------------------------------------
 
-H6_BASIS = ("B+", "N", "M", "A+", "A-", "B-")
-SCH_BASIS = ("H", "D", "M", "P", "K", "C")
-
 
 def two_photon_lie():
     B, N, M, AP, AM, BM = range(6)
@@ -156,7 +154,7 @@ def two_photon_lie():
         (BM, N): {BM: 2},
         (BM, AP): {AM: 2},         # [B-, A+] = 2A-
     }
-    return LieAlgebra("h6", H6_BASIS, brackets)
+    return LieAlgebra("h6", H6_GENERATORS, brackets)
 
 
 def schrodinger_lie():
@@ -171,7 +169,7 @@ def schrodinger_lie():
         (C, D): {C: -2},
         (C, P): {K: 1},            # [C, P] = K
     }
-    return LieAlgebra("schrodinger", SCH_BASIS, brackets)
+    return LieAlgebra("schrodinger", SCH_GENERATORS, brackets)
 
 
 # h6 -> Schrodinger basis change: rows give the new generators in h6 coordinates

@@ -1,16 +1,15 @@
 """Command-line front end: selects checks, fixes parameters, runs the matrix.
 
 Exit codes: 0 all checks passed, 1 at least one verification failed,
-2 usage error, 3 internal engine error. Every flag can be preset through an
-environment variable with the TWOPHOTON_ prefix (TWOPHOTON_ORDER, ...).
+2 usage error, 3 internal engine error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
+import time
 import traceback
 from fractions import Fraction
 
@@ -26,17 +25,12 @@ from .discrete import (verify_realization, symmetry_checks, solution_checks,
                        sample_grid)
 from .hopf import (hopf_checks, rmatrix_checks, transport_checks,
                    structure_checks, casimir_checks, first_order_delta)
-from .report import (CheckResult, render_text, report_json_dict,
+from .report import (CheckResult, residual_entry, render_text, report_json_dict,
                      canonical_json, summarize)
 from .scalars import ComplexRational, parse_rational, parse_complex_rational
 
 ALL_CHECKS = ("bialgebra", "hopf", "rmatrix", "rep", "eigen", "discrete-se")
-ENV_PREFIX = "TWOPHOTON_"
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
-
-
-def _env_default(flag, fallback):
-    return os.environ.get(ENV_PREFIX + flag.upper().replace("-", "_"), fallback)
 
 
 def build_parser():
@@ -44,24 +38,21 @@ def build_parser():
         prog="twophoton-verify",
         description="Certify the deformed two-photon / Schrodinger algebra "
                     "identities to a configurable truncation order.")
-    p.add_argument("--algebra", choices=("h6", "sch", "both"),
-                   default=_env_default("algebra", "both"))
-    p.add_argument("--order", type=int, default=_env_default("order", "3"),
+    p.add_argument("--algebra", choices=("h6", "sch", "both"), default="both")
+    p.add_argument("--order", type=int, default=3,
                    help="series truncation order k, 0..8")
-    p.add_argument("--z", default=_env_default("z", "1/10"),
+    p.add_argument("--z", default="1/10",
                    help="lattice parameter, a positive rational like 1/10")
-    p.add_argument("--mass", default=_env_default("mass", "1"))
-    p.add_argument("--rep-param", dest="rep_param",
-                   default=_env_default("rep-param", "-1/2"),
+    p.add_argument("--mass", default="1")
+    p.add_argument("--rep-param", dest="rep_param", default="-1/2",
                    help="representation label a; C is a symmetry only at -1/2")
-    p.add_argument("--checks", default=_env_default("checks", ",".join(ALL_CHECKS)),
+    p.add_argument("--checks", default=",".join(ALL_CHECKS),
                    help="comma-separated subset of " + ",".join(ALL_CHECKS))
-    p.add_argument("--beta", default=_env_default("beta", "0,1,0,0,0"),
+    p.add_argument("--beta", default="0,1,0,0,0",
                    help="five complex rationals for the eigenproblem")
-    p.add_argument("--eigenvalue", default=_env_default("eigenvalue", "1"))
-    p.add_argument("--degree", type=int, default=_env_default("degree", "30"))
-    p.add_argument("--out", default=_env_default("out", ""),
-                   help="write the JSON report here")
+    p.add_argument("--eigenvalue", default="1")
+    p.add_argument("--degree", type=int, default=30)
+    p.add_argument("--out", default="", help="write the JSON report here")
     p.add_argument("--dump-spec", choices=("h6", "sch"), default="",
                    help="dump an algebra spec as JSON and exit")
     p.add_argument("--csv-out", default="",
@@ -227,10 +218,8 @@ def run_eigen(cfg):
     order = max(1, cfg["order"])
     full = eigen_operator(problem, order, "full").truncate(1)
     first = eigen_operator(problem, 1, "first-order")
-    entries.append(CheckResult(
-        name="eigen/first-order-vs-full", passed=full == first,
-        residual="0" if full == first else str(full - first),
-        params={"order": str(order)}))
+    entries.append(residual_entry("eigen/first-order-vs-full", full - first,
+                                  {"order": str(order)}))
 
     # deformed solve at the configured rational z
     op = eigen_operator(problem, 1, "first-order").substitute_z(cfg["z"])
@@ -314,8 +303,9 @@ def main(argv=None):
                 parser.error("--order must be between 0 and 8")
             return _dump_spec(args.dump_spec, args.order, args.out)
         cfg = parse_config(args, parser)
+        start = time.perf_counter()
         entries = run_checks(cfg)
-        report = report_json_dict(config_echo(cfg), entries)
+        report = report_json_dict(config_echo(cfg), entries, start)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(canonical_json(report))

@@ -15,7 +15,8 @@ import json
 from fractions import Fraction
 from math import comb
 
-from .report import CheckResult
+from .algebra import SCH_GENERATORS
+from .report import CheckResult, residual_entry
 from .sparse import (SparseTerms, collect, linear_combination, monomial, render_sum,
                      solve_linear, weyl_terms)
 
@@ -26,8 +27,6 @@ __all__ = [
     "heat_polynomials", "exponential_solutions", "apply_and_recheck",
     "solution_checks", "regular_kappas", "sample_grid",
 ]
-
-SCH_GENERATOR_NAMES = ("H", "D", "M", "P", "K", "C")
 
 
 def _binomial_shift(b, delta):
@@ -195,7 +194,7 @@ def _expected_brackets(ops, mass, z, classical):
     z = Fraction(z)
     zero = SchrodingerOperator.zero(z)
     one = SchrodingerOperator.identity(z)
-    H, D, M, P, K, C = (ops[g] for g in SCH_GENERATOR_NAMES)
+    H, D, M, P, K, C = (ops[g] for g in SCH_GENERATORS)
     if classical:
         table = {
             ("D", "H"): H.scale(-2), ("D", "P"): -P, ("D", "K"): K,
@@ -217,7 +216,7 @@ def _expected_brackets(ops, mass, z, classical):
             ("P", "H"): zero,
             ("P", "C"): -K - (D * P + P * D + P * M).scale(z),
         }
-    for g in SCH_GENERATOR_NAMES:
+    for g in SCH_GENERATORS:
         if g != "M":
             table[("M", g)] = zero
     return table
@@ -225,17 +224,15 @@ def _expected_brackets(ops, mass, z, classical):
 
 def verify_realization(mass, rep_param, z, classical=False):
     """All fifteen bracket identities of the realized table, exactly."""
-    ops = {g: realize(g, mass, rep_param, z, classical) for g in SCH_GENERATOR_NAMES}
+    ops = {g: realize(g, mass, rep_param, z, classical) for g in SCH_GENERATORS}
     expected = _expected_brackets(ops, mass, z, classical)
     params = {"z": "0" if classical else str(Fraction(z)), "m": str(Fraction(mass)),
               "a": str(Fraction(rep_param))}
     label = "classical" if classical else "deformed"
     entries = []
     for (x, y), want in sorted(expected.items()):
-        residual = ops[x].commutator(ops[y]) - want
-        entries.append(CheckResult(
-            name=f"discrete-se/realization-{label}/[{x},{y}]",
-            passed=residual.is_zero(), residual=str(residual), params=params))
+        entries.append(residual_entry(f"discrete-se/realization-{label}/[{x},{y}]",
+                                      ops[x].commutator(ops[y]) - want, params))
     return entries
 
 
@@ -298,7 +295,7 @@ def symmetry_checks(mass, rep_param, z, classical=False):
         else:
             expected["C"] = (2 * z * (1 - m), Fraction(2), -4 * z)
     entries = []
-    for gen in SCH_GENERATOR_NAMES:
+    for gen in SCH_GENERATORS:
         entry, lams = symmetry_check(gen, m, a, z, classical)
         want = expected.get(gen)
         if lams is not None and want is not None and lams != want:
@@ -503,13 +500,11 @@ def apply_and_recheck(gen, phi, mass, rep_param, z, classical=False, tag=None):
     if not ez.apply(phi).is_zero():
         raise ValueError("input function is not a solution of the equation")
     image = realize(gen, mass, rep_param, z_eff, classical).apply(phi)
-    residual = ez.apply(image)
     label = "classical" if classical else "deformed"
-    return CheckResult(
-        name=f"discrete-se/solution-map-{label}/{gen}/{tag or _phi_tag(phi)}",
-        passed=residual.is_zero(), residual=str(residual),
-        params={"m": str(Fraction(mass)), "a": str(Fraction(rep_param)),
-                "z": "0" if classical else str(z_eff)})
+    return residual_entry(
+        f"discrete-se/solution-map-{label}/{gen}/{tag or _phi_tag(phi)}", ez.apply(image),
+        {"m": str(Fraction(mass)), "a": str(Fraction(rep_param)),
+         "z": "0" if classical else str(z_eff)})
 
 
 def _phi_tag(phi):
@@ -551,7 +546,7 @@ def solution_checks(mass, rep_param, z, n_poly=5, kappas=(0, 1, 2), classical=Fa
             passed=True, residual="0",
             params={**params, "solution": json.dumps(phi.to_json_dict(),
                                                      sort_keys=True)}))
-        for gen in SCH_GENERATOR_NAMES:
+        for gen in SCH_GENERATORS:
             entries.append(apply_and_recheck(gen, phi, mass, rep_param, z, classical, tag))
     return entries
 

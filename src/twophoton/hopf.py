@@ -11,9 +11,9 @@ from math import factorial
 
 from .algebra import (NCElement, QuantumAlgebra, TensorElement,
                       two_photon_algebra, schrodinger_algebra,
-                      word_name, H6_GENERATORS, SCH_GENERATORS)
+                      word_name, _exp_words, H6_GENERATORS, SCH_GENERATORS)
 from .bialgebra import H6_TO_SCH_MAP
-from .report import CheckResult, timed_check
+from .report import CheckResult, residual_entry
 from .series import TruncatedSeries
 from .sparse import collect, linear_combination, solve_linear
 
@@ -65,13 +65,6 @@ def _antipode_multiply(alg, tensor, leg):
         (product(w1, w2), s) for (w1, w2), s in tensor.terms.items()))
 
 
-def _residual_entry(name, thunk, params=None):
-    def run():
-        residual = thunk()
-        return residual.is_zero(), str(residual)
-    return timed_check(name, run, params)
-
-
 def hopf_checks(alg):
     """Coassociativity, counit, antipode, and coproduct-homomorphism checks."""
     entries = []
@@ -81,31 +74,25 @@ def hopf_checks(alg):
         dx = alg.coproduct(alg.gen(name))
         x = alg.gen(name)
         eps_one = alg.one().scale(alg.counit(x))
-        entries.append(_residual_entry(
+        entries.append(residual_entry(
             f"{prefix}/coassoc/{name}",
-            lambda dx=dx: _coproduct_leg(alg, dx, 0) - _coproduct_leg(alg, dx, 1),
+            _coproduct_leg(alg, dx, 0) - _coproduct_leg(alg, dx, 1), params))
+        entries.append(residual_entry(
+            f"{prefix}/counit-left/{name}", _counit_collapse(alg, dx, 0) - x, params))
+        entries.append(residual_entry(
+            f"{prefix}/counit-right/{name}", _counit_collapse(alg, dx, 1) - x, params))
+        entries.append(residual_entry(
+            f"{prefix}/antipode-left/{name}", _antipode_multiply(alg, dx, 0) - eps_one,
             params))
-        entries.append(_residual_entry(
-            f"{prefix}/counit-left/{name}",
-            lambda dx=dx, x=x: _counit_collapse(alg, dx, 0) - x, params))
-        entries.append(_residual_entry(
-            f"{prefix}/counit-right/{name}",
-            lambda dx=dx, x=x: _counit_collapse(alg, dx, 1) - x, params))
-        entries.append(_residual_entry(
-            f"{prefix}/antipode-left/{name}",
-            lambda dx=dx, e=eps_one: _antipode_multiply(alg, dx, 0) - e, params))
-        entries.append(_residual_entry(
-            f"{prefix}/antipode-right/{name}",
-            lambda dx=dx, e=eps_one: _antipode_multiply(alg, dx, 1) - e, params))
+        entries.append(residual_entry(
+            f"{prefix}/antipode-right/{name}", _antipode_multiply(alg, dx, 1) - eps_one,
+            params))
     for i, x in enumerate(alg.generators):
         for y in alg.generators[:i]:
-            def bracket_residual(x=x, y=y):
-                lhs = alg.coproduct(alg.relation(x, y))
-                rhs = alg.coproduct(alg.gen(x)).commutator(
-                    alg.coproduct(alg.gen(y)))
-                return lhs - rhs
-            entries.append(_residual_entry(
-                f"{prefix}/coproduct-bracket/{x},{y}", bracket_residual, params))
+            entries.append(residual_entry(
+                f"{prefix}/coproduct-bracket/{x},{y}",
+                alg.coproduct(alg.relation(x, y))
+                - alg.coproduct(alg.gen(x)).commutator(alg.coproduct(alg.gen(y))), params))
     return entries
 
 
@@ -156,22 +143,17 @@ def rmatrix_checks(alg):
     prefix = f"rmatrix/{alg.name}"
     params = {"order": str(alg.order)}
     R = r_matrix(alg)
-    entries.append(_residual_entry(
-        f"{prefix}/inverse",
-        lambda: R * r_matrix_inverse(alg) - alg.tensor_one(), params))
-
-    def qybe():
-        r12 = R.embed3((0, 1))
-        r13 = R.embed3((0, 2))
-        r23 = R.embed3((1, 2))
-        return r12 * r13 * r23 - r23 * r13 * r12
-
-    entries.append(_residual_entry(f"{prefix}/qybe", qybe, params))
+    entries.append(residual_entry(
+        f"{prefix}/inverse", R * r_matrix_inverse(alg) - alg.tensor_one(), params))
+    r12 = R.embed3((0, 1))
+    r13 = R.embed3((0, 2))
+    r23 = R.embed3((1, 2))
+    entries.append(residual_entry(
+        f"{prefix}/qybe", r12 * r13 * r23 - r23 * r13 * r12, params))
     for name in alg.generators:
-        def intertwine(name=name):
-            dx = alg.coproduct(alg.gen(name))
-            return R * dx - dx.swap() * R
-        entries.append(_residual_entry(f"{prefix}/intertwine/{name}", intertwine, params))
+        dx = alg.coproduct(alg.gen(name))
+        entries.append(residual_entry(
+            f"{prefix}/intertwine/{name}", R * dx - dx.swap() * R, params))
     return entries
 
 
@@ -236,15 +218,10 @@ def galilei_casimir(alg):
     H = alg.gen_index("H")
     M = alg.gen_index("M")
     P = alg.gen_index("P")
-    k = alg.order
-    terms = {(P, P): TruncatedSeries.one(k)}
     # -2M (1 - e^{-4zH})/(4z) = sum_{n>=1} (-4)^n/(2 n!) z^{n-1} H^n M
-    for n in range(1, k + 2):
-        if n - 1 > k:
-            break
-        coeff = Fraction(-4) ** n / (2 * factorial(n))
-        terms[(H,) * n + (M,)] = TruncatedSeries.z_power(n - 1, k, coeff)
-    return NCElement(alg, terms)
+    return NCElement(alg, {(P, P): alg.one_series(),
+                           **_exp_words(H, -4, alg.order, lo=1, zshift=-1,
+                                        scale=Fraction(1, 2), suffix=(M,))})
 
 
 def casimir_checks(alg):
@@ -257,9 +234,8 @@ def casimir_checks(alg):
         residual="0" if closed else witness, params={"order": str(alg.order)}))
     ez = galilei_casimir(alg)
     for name in ("K", "H", "P", "M"):
-        entries.append(_residual_entry(
-            f"{prefix}/casimir-central/{name}",
-            lambda name=name: ez.commutator(alg.gen(name)),
+        entries.append(residual_entry(
+            f"{prefix}/casimir-central/{name}", ez.commutator(alg.gen(name)),
             {"order": str(alg.order)}))
     return entries
 

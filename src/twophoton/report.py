@@ -6,7 +6,7 @@ import json
 import time
 from dataclasses import dataclass, field
 
-__all__ = ["CheckResult", "timed_check", "summarize", "render_text",
+__all__ = ["CheckResult", "residual_entry", "summarize", "render_text",
            "report_json_dict", "canonical_json"]
 
 
@@ -14,24 +14,21 @@ __all__ = ["CheckResult", "timed_check", "summarize", "render_text",
 class CheckResult:
     """One verified identity: name, parameters, residual rendering, outcome.
 
-    ``seconds`` is informational only and excluded from the determinism
-    contract; everything else must be byte-stable for a fixed configuration.
+    ``made_at`` is the clock reading when the entry was made. It only feeds
+    the report's timings, which are excluded from the determinism contract;
+    everything else must be byte-stable for a fixed configuration.
     """
 
     name: str
     passed: bool
     residual: str = "0"
     params: dict = field(default_factory=dict)
-    seconds: float = 0.0
+    made_at: float = field(default_factory=time.perf_counter, compare=False, repr=False)
 
 
-def timed_check(name, fn, params=None):
-    """Run fn() -> (passed, residual_text) and wrap it with wall time."""
-    start = time.perf_counter()
-    passed, residual = fn()
-    elapsed = time.perf_counter() - start
-    return CheckResult(name=name, passed=passed, residual=residual,
-                       params=dict(params or {}), seconds=elapsed)
+def residual_entry(name, residual, params):
+    """The entry for an identity that holds exactly when its residual is zero."""
+    return CheckResult(name, residual.is_zero(), str(residual), params)
 
 
 def summarize(entries):
@@ -61,9 +58,22 @@ def render_text(entries):
     return "\n".join(lines)
 
 
-def report_json_dict(config, entries):
+def _entry_seconds(entries, start):
+    """Charge each entry the time since the entry made before it, the first
+    one the time since ``start``, so every piece of work, shared setup
+    included, lands on the first entry made after it."""
+    seconds = {}
+    last = start
+    for e in sorted(entries, key=lambda e: e.made_at):
+        seconds[e.name] = e.made_at - last
+        last = e.made_at
+    return seconds
+
+
+def report_json_dict(config, entries, start):
     """Stable report layout; timings live in their own key so golden
-    comparisons can drop them wholesale."""
+    comparisons can drop them wholesale. ``start`` is the clock reading
+    taken just before the first check ran."""
     ordered = sorted(entries, key=lambda e: e.name)
     return {
         "config": dict(config),
@@ -73,7 +83,7 @@ def report_json_dict(config, entries):
             for e in ordered
         ],
         "summary": summarize(ordered),
-        "timings": {e.name: e.seconds for e in ordered},
+        "timings": _entry_seconds(ordered, start),
     }
 
 

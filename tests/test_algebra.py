@@ -154,8 +154,7 @@ def test_fuel_guard_reports_offending_word():
         coproduct={0: {((), (0,)): 1, ((0,), ()): 1},
                    1: {((), (1,)): 1, ((1,), ()): 1}},
         antipode={0: {(0,): -1}, 1: {(1,): -1}},
-        counit={},
-        fuel=50)
+        counit={})
     bad._relations[(1, 0)] = {(1, 0): TruncatedSeries.one(2)}
     with pytest.raises(NormalOrderError) as exc:
         bad.normal_word((1, 0))

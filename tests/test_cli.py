@@ -1,17 +1,16 @@
 import json
 import subprocess
 import sys
+import time
 
 from twophoton import cli
+from twophoton.report import CheckResult, report_json_dict
 
 
-def run_cli(*args, env_extra=None):
-    import os
-    env = dict(os.environ)
-    env.update(env_extra or {})
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "twophoton.cli", *args],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True)
 
 
 def test_full_run_passes_and_exits_zero():
@@ -85,18 +84,29 @@ def test_report_layout(tmp_path):
         assert set(entry) == {"name", "params", "residual", "pass"}
 
 
+def test_timings_charge_each_entry_the_time_since_the_previous_one():
+    entries = [CheckResult("b", True, made_at=3.0), CheckResult("a", True, made_at=6.0),
+               CheckResult("c", True, made_at=1.0)]
+    timings = report_json_dict({}, entries, start=0.5)["timings"]
+    assert timings == {"c": 0.5, "b": 2.0, "a": 3.0}
+
+
+def test_timings_add_up_to_the_wall_time(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    start = time.perf_counter()
+    assert cli.main(["--order", "1", "--out", str(out)]) == 0
+    wall = time.perf_counter() - start
+    timings = json.loads(out.read_text())["timings"]
+    assert all(t > 0 for t in timings.values())
+    assert sum(timings.values()) >= 0.9 * wall
+
+
 def test_exit_status_matches_summary(tmp_path):
     out = tmp_path / "report.json"
     res = run_cli("--checks", "discrete-se", "--rep-param", "0", "--out", str(out))
     data = json.loads(out.read_text())
     assert (res.returncode == 0) == (data["summary"]["failed"] == 0)
     assert res.returncode == 1
-
-
-def test_env_overrides():
-    res = run_cli("--checks", "eigen", env_extra={"TWOPHOTON_DEGREE": "1"})
-    # degree 1 is rejected by validation, proving the env var reached the config
-    assert res.returncode == 2
 
 
 def test_dump_spec():
