@@ -1,18 +1,25 @@
 """PBW normal-ordering engine for the deformed generator algebras.
 
 Elements are finite sums of PBW-ordered words (tuples of generator indices,
-non-decreasing) with truncated-series coefficients. A raw word is brought
-to normal form by multiplying its sorted prefix by one generator at a time,
-the multiplication-table approach of G-algebra systems: for a PBW word
-``head + (h,)`` and a generator g < h, ``(head + (h,)) * g = (head * g) * h
-+ head * [h, g]``, with [h, g] read from the relation table. Products of a
-PBW word by one generator and normal forms of whole raw words are both
-memoised. The generator orders of the built-in algebras are chosen so that
-every relation term either strictly shortens the word or carries a strictly
-positive z power; series truncation then prunes the exponential tails and
+non-decreasing) with coefficients that are series in z truncated at z^k. A
+raw word is brought to normal form by multiplying its sorted prefix by one
+generator at a time, the multiplication-table approach of G-algebra systems:
+for a PBW word ``head + (h,)`` and a generator g < h, ``(head + (h,)) * g =
+(head * g) * h + head * [h, g]``, with [h, g] read from the relation table.
+Products of a PBW word by one generator and normal forms of whole raw words
+are both memoised. The generator orders of the built-in algebras are chosen
+so that every relation term either strictly shortens the word or carries a
+strictly positive z power; truncation then prunes the exponential tails and
 rewriting terminates. A broken relation table that rewrites without end
 runs into the interpreter's recursion limit, which surfaces as a
 ``NormalOrderError`` naming the word instead of a hang.
+
+Inside the engine, the relation table and both memos map (word, z power)
+to one exact scalar. The built-in tables are homogeneous for a grading in
+which z has a weight, so a normal form carries one z power per word and a
+dense series per word would be mostly zeros. Every product of elements,
+tensors or raw tensors goes through one kernel, ``QuantumAlgebra._ordered``,
+which hands back one series per word again.
 
 Two algebras are built in:
 
@@ -28,8 +35,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, groupby
 from math import factorial
+from operator import add
 
-from .series import TruncatedSeries, add_product_into
+from .series import TruncatedSeries
 from .sparse import SparseTerms, collect, linear_combination, monomial, render_sum
 
 __all__ = [
@@ -47,6 +55,7 @@ H6_GENERATORS = ("B+", "N", "M", "A+", "A-", "B-")
 SCH_GENERATORS = ("H", "D", "M", "P", "K", "C")
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class NormalOrderError(RuntimeError):
@@ -65,23 +74,14 @@ def _first_inversion(word):
     return None
 
 
-# mutable-list accumulators for the rewriting hot path; immutable series
-# allocation dominates the profile otherwise
-
-def _acc_product(acc, word, a, b, order):
-    """Accumulate the series product a*b onto acc[word] without allocating."""
-    cur = acc.get(word)
-    if cur is None:
-        cur = acc[word] = [_ZERO] * (order + 1)
-    add_product_into(cur, a, b)
-
-
-def _finalize_acc(acc, order):
-    out = {}
-    for w, coeffs in acc.items():
-        if any(coeffs):
-            out[w] = TruncatedSeries._exact(tuple(coeffs), order)
-    return out
+def _term_products(a, b, join):
+    """(join(key_a, key_b), s_a * s_b) for the pairs of terms that survive truncation."""
+    order = a.algebra.order
+    for wa, sa in a.terms.items():
+        la = sa.low_order()
+        for wb, sb in b.terms.items():
+            if la + sb.low_order() <= order:
+                yield join(wa, wb), sa * sb
 
 
 class NCElement(SparseTerms):
@@ -97,19 +97,8 @@ class NCElement(SparseTerms):
         if not isinstance(other, NCElement):
             return self.scale(other)
         self._require_same(other)
-        alg = self.algebra
-        order = alg.order
-        acc = {}
-        for wa, sa in self.terms.items():
-            la = sa.low_order()
-            for wb, sb in other.terms.items():
-                if la + sb.low_order() > order:
-                    continue
-                s = sa * sb
-                for w, c in alg.normal_word(wa + wb).items():
-                    if s.low_order() + c.low_order() <= order:
-                        _acc_product(acc, w, s, c, order)
-        return NCElement(alg, _finalize_acc(acc, order))
+        product = self.algebra._ordered(_term_products(self, other, lambda a, b: (a + b,)))
+        return NCElement(self.algebra, {w: s for (w,), s in product.items()})
 
     def coefficient(self, word):
         return self.terms.get(tuple(word), self.algebra.zero_series())
@@ -119,23 +108,6 @@ class NCElement(SparseTerms):
 
     def __repr__(self):
         return f"<NCElement {self} in {self.algebra.name}>"
-
-
-def _acc_legwise(acc, legs, words, s, low, order):
-    """Accumulate s times the tensor product of the leg normal forms onto acc.
-
-    ``low`` is the z order of s. A partial product whose z order already
-    exceeds the truncation is dropped before the next leg is expanded.
-    """
-    last = len(legs) == 1
-    for w, c in legs[0].items():
-        lw = low + c.low_order()
-        if lw > order:
-            continue
-        if last:
-            _acc_product(acc, words + (w,), s, c, order)
-        else:
-            _acc_legwise(acc, legs[1:], words + (w,), s * c, lw, order)
 
 
 class TensorElement(SparseTerms):
@@ -158,18 +130,8 @@ class TensorElement(SparseTerms):
         if not isinstance(other, TensorElement):
             return self.scale(other)
         self._require_same(other)
-        alg = self.algebra
-        order = alg.order
-        acc = {}
-        for wa, sa in self.terms.items():
-            la = sa.low_order()
-            for wb, sb in other.terms.items():
-                if la + sb.low_order() > order:
-                    continue
-                s = sa * sb
-                legs = [alg.normal_word(a + b) for a, b in zip(wa, wb)]
-                _acc_legwise(acc, legs, (), s, s.low_order(), order)
-        return TensorElement(alg, self.rank, _finalize_acc(acc, order))
+        return TensorElement(self.algebra, self.rank, self.algebra._ordered(
+            _term_products(self, other, lambda a, b: tuple(map(add, a, b)))))
 
     def swap(self):
         """Flip the two legs of a rank-2 tensor."""
@@ -226,6 +188,13 @@ class QuantumAlgebra:
     are extended multiplicatively / anti-multiplicatively / as an algebra
     map. Tables are fixed after construction and every operation is pure up
     to idempotent memo caches, so results never depend on evaluation order.
+
+    The relation table and the memos of normal forms map (word, z power) to
+    one exact scalar, and ``_ordered`` is the one product kernel over them.
+    The coproduct and antipode tables and their memos hold plain
+    {key: series} maps, wrapped into elements on access: an element points
+    back at its algebra, so tables of elements would keep every algebra in
+    a reference cycle until the cyclic collector ran.
     """
 
     def __init__(self, name, generators, order, relations, coproduct,
@@ -245,18 +214,17 @@ class QuantumAlgebra:
         n = len(self.generators)
         for hi in range(n):
             for lo in range(hi):
-                value = {w: s for w, s in relations.get((hi, lo), {}).items() if s}
+                value = {(w, p): c for w, s in relations.get((hi, lo), {}).items()
+                         for p, c in enumerate(self._as_series(s).coeffs) if c}
                 self._check_relation((hi, lo), value)
                 self._relations[(hi, lo)] = value
 
         self.counit_table = {i: counit.get(i, self._zero) for i in range(n)}
         self.coproduct_table = {
-            i: TensorElement(self, 2, {legs: self._as_series(c)
-                                       for legs, c in coproduct[i].items()})
+            i: collect((legs, self._as_series(c)) for legs, c in coproduct[i].items())
             for i in range(n)}
         # antipode values may arrive as raw (unordered) words
-        self.antipode_table = {
-            i: NCElement(self, self.normal_terms(antipode[i])) for i in range(n)}
+        self.antipode_table = {i: self.normal_terms(antipode[i]) for i in range(n)}
 
     def _as_series(self, c):
         return c if isinstance(c, TruncatedSeries) else self._one * c
@@ -272,11 +240,10 @@ class QuantumAlgebra:
         This is the termination precondition for the rewriting loop; checking
         it here converts a transcription slip into an immediate error.
         """
-        for word, series in value.items():
+        for word, power in value:
             if tuple(sorted(word)) != word:
                 raise ValueError(f"relation {pair}: word {word} is not PBW ordered")
-            low = series.low_order()
-            if len(word) > 1 and (low is None or low == 0):
+            if len(word) > 1 and power == 0:
                 raise ValueError(
                     f"relation {pair}: term {word} neither shortens nor carries z")
 
@@ -312,31 +279,54 @@ class QuantumAlgebra:
 
     def tensor(self, raw_terms, rank=2):
         """Build a tensor from a raw {legs: coefficient} map, normal ordering each leg."""
-        acc = {}
-        for legs, c in raw_terms.items():
-            series = self._as_series(c)
-            if series:
-                nfs = [self.normal_word(tuple(w)) for w in legs]
-                _acc_legwise(acc, nfs, (), series, series.low_order(), self.order)
-        return TensorElement(self, rank, _finalize_acc(acc, self.order))
+        return TensorElement(self, rank, self._ordered(
+            (tuple(map(tuple, legs)), self._as_series(c)) for legs, c in raw_terms.items()))
 
     # -- normal ordering ------------------------------------------------------
 
     def normal_word(self, word):
         """PBW normal form of one raw word, as a {word: series} map."""
-        return self._normal_form(tuple(word))
+        return self._series_terms(self._normal_form(tuple(word)))
 
     def normal_terms(self, raw_terms):
-        def pairs():
-            for word, c in raw_terms.items():
-                series = self._as_series(c)
-                if series:
-                    for w, s in self._normal_form(tuple(word)).items():
-                        sc = series * s
-                        if sc:
-                            yield w, sc
+        """Normal form of a raw {word: coefficient} map, as a {word: series} map."""
+        ordered = self._ordered(
+            ((tuple(word),), self._as_series(c)) for word, c in raw_terms.items())
+        return {w: s for (w,), s in ordered.items()}
 
-        return collect(pairs())
+    def _ordered(self, raw):
+        """Normal-ordered {legs: series} of a sum of raw (legs, series) terms.
+
+        The one product kernel of the engine. Each series is split into its
+        z powers, each raw leg is expanded against its memoised normal form
+        in turn, and a partial product past z^k is dropped before the next
+        leg. The surviving (legs, power) terms are collected once and
+        regrouped into one series per tuple of legs.
+        """
+        k = self.order
+
+        def pairs():
+            for legs, series in raw:
+                partial = [((), n, c) for n, c in enumerate(series.coeffs) if c]
+                for leg in legs:
+                    nf = self._normal_form(leg).items()
+                    partial = [(words + (w,), n + m, c * x) for words, n, c in partial
+                               for (w, m), x in nf if n + m <= k]
+                for words, n, c in partial:
+                    yield (words, n), c
+
+        return self._series_terms(collect(pairs()))
+
+    def _series_terms(self, terms):
+        """Regroup a {(key, z power): scalar} map into {key: series}."""
+        k = self.order
+        slots = {}
+        for (key, n), c in terms.items():
+            coeffs = slots.get(key)
+            if coeffs is None:
+                coeffs = slots[key] = [_ZERO] * (k + 1)
+            coeffs[n] = c
+        return {key: TruncatedSeries._exact(tuple(c), k) for key, c in slots.items()}
 
     def _normal_form(self, word):
         """``_nf`` for a caller outside the rewriting: a rewriting that never
@@ -346,8 +336,13 @@ class QuantumAlgebra:
         except RecursionError:
             raise NormalOrderError(self.name, word) from None
 
+    # The two memos below are built by list comprehensions, not generators
+    # fed to ``collect``: each rewriting level then nests two frames, not
+    # three, on the way to the recursion limit.
+
     def _nf(self, word):
-        """Normal form of a raw word, split at its first inversion.
+        """Normal form of a raw word as {(word, z power): scalar}, split at
+        its first inversion.
 
         With word = prefix + (g,) + rest, prefix sorted and prefix * g =
         sum_v s_v v, the normal form is sum_v s_v NF(v + rest); rest shrinks
@@ -358,18 +353,14 @@ class QuantumAlgebra:
             return cached
         i = _first_inversion(word)
         if i is None:
-            out = {word: self._one}
+            out = {(word, 0): _ONE}
         else:
-            product = self._mul_gen(word[:i + 1], word[i + 1])
+            out = self._mul_gen(word[:i + 1], word[i + 1])
             rest = word[i + 2:]
-            if not rest:
-                out = product
-            else:
-                acc = {}
-                for v, s in product.items():
-                    for w, c in self._nf(v + rest).items():
-                        _acc_product(acc, w, s, c, self.order)
-                out = _finalize_acc(acc, self.order)
+            if rest:
+                k = self.order
+                out = collect([((w, n + m), c * x) for (v, n), c in out.items()
+                               for (w, m), x in self._nf(v + rest).items() if n + m <= k])
         self._nf_cache[word] = out
         return out
 
@@ -380,20 +371,18 @@ class QuantumAlgebra:
         head * [h, g]. Memoised on (word, g).
         """
         if not word or word[-1] <= g:
-            return {word + (g,): self._one}
+            return {(word + (g,), 0): _ONE}
         key = (word, g)
         cached = self._mul_cache.get(key)
         if cached is not None:
             return cached
         head, h = word[:-1], word[-1]
-        acc = {}
-        for v, s in self._mul_gen(head, g).items():
-            for w, c in self._mul_gen(v, h).items():
-                _acc_product(acc, w, s, c, self.order)
-        for rw, rs in self._relations[(h, g)].items():
-            for w, c in self._nf(head + rw).items():
-                _acc_product(acc, w, rs, c, self.order)
-        out = _finalize_acc(acc, self.order)
+        k = self.order
+        out = collect(
+            [((w, n + m), c * x) for (v, n), c in self._mul_gen(head, g).items()
+             for (w, m), x in self._mul_gen(v, h).items() if n + m <= k]
+            + [((w, n + m), c * x) for (rw, n), c in self._relations[(h, g)].items()
+               for (w, m), x in self._nf(head + rw).items() if n + m <= k])
         self._mul_cache[key] = out
         return out
 
@@ -405,8 +394,8 @@ class QuantumAlgebra:
         if i == j:
             return self.zero()
         if i > j:
-            return NCElement(self, dict(self._relations[(i, j)]))
-        return -NCElement(self, dict(self._relations[(j, i)]))
+            return NCElement(self, self._series_terms(self._relations[(i, j)]))
+        return -NCElement(self, self._series_terms(self._relations[(j, i)]))
 
     def commutator(self, x, y):
         return x.commutator(y)
@@ -416,9 +405,9 @@ class QuantumAlgebra:
         if cached is None:
             out = self.tensor_one()
             for g in word:
-                out = out * self.coproduct_table[g]
-            self._cop_cache[word] = cached = out
-        return cached
+                out = out * TensorElement(self, 2, self.coproduct_table[g])
+            self._cop_cache[word] = cached = out.terms
+        return TensorElement(self, 2, cached)
 
     def coproduct(self, elem):
         return TensorElement(self, 2, linear_combination(
@@ -429,9 +418,9 @@ class QuantumAlgebra:
         if cached is None:
             out = self.one()
             for g in reversed(word):
-                out = out * self.antipode_table[g]
-            self._anti_cache[word] = cached = out
-        return cached
+                out = out * NCElement(self, self.antipode_table[g])
+            self._anti_cache[word] = cached = out.terms
+        return NCElement(self, cached)
 
     def antipode(self, elem):
         return NCElement(self, linear_combination(
@@ -462,11 +451,11 @@ class QuantumAlgebra:
                 for w, s in sorted(terms.items(), key=lambda kv: _word_sort_key(kv[0]))
             ]
 
-        def tensor_json(te):
+        def tensor_json(terms):
             return [
                 {"legs": [[self.generators[g] for g in w] for w in words],
                  "series": series_json(s)}
-                for words, s in sorted(te.terms.items(), key=lambda kv: _tensor_sort_key(kv[0]))
+                for words, s in sorted(terms.items(), key=lambda kv: _tensor_sort_key(kv[0]))
             ]
 
         return {
@@ -475,16 +464,17 @@ class QuantumAlgebra:
             "generators": list(self.generators),
             "central": sorted(self.generators[i] for i in self.central),
             "relations": {
-                f"[{self.generators[hi]},{self.generators[lo]}]": words_json(val)
+                f"[{self.generators[hi]},{self.generators[lo]}]":
+                    words_json(self._series_terms(val))
                 for (hi, lo), val in sorted(self._relations.items())
             },
             "coproduct": {
-                self.generators[i]: tensor_json(te)
-                for i, te in sorted(self.coproduct_table.items())
+                self.generators[i]: tensor_json(terms)
+                for i, terms in sorted(self.coproduct_table.items())
             },
             "antipode": {
-                self.generators[i]: words_json(el.terms)
-                for i, el in sorted(self.antipode_table.items())
+                self.generators[i]: words_json(terms)
+                for i, terms in sorted(self.antipode_table.items())
             },
             "counit": {
                 self.generators[i]: series_json(s)

@@ -61,8 +61,6 @@ def build_parser():
 
 
 def parse_config(args, parser):
-    if not 0 <= args.order <= 8:
-        parser.error("--order must be between 0 and 8")
     try:
         z = parse_rational(args.z)
         mass = parse_rational(args.mass)
@@ -297,10 +295,10 @@ def _write_csv(cfg, path):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if not 0 <= args.order <= 8:
+        parser.error("--order must be between 0 and 8")
     try:
         if args.dump_spec:
-            if not 0 <= args.order <= 8:
-                parser.error("--order must be between 0 and 8")
             return _dump_spec(args.dump_spec, args.order, args.out)
         cfg = parse_config(args, parser)
         start = time.perf_counter()

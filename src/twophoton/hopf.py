@@ -341,12 +341,12 @@ def verify_spec_equality(transported, handcoded):
 
     # tables live in different algebra instances, so compare raw term maps
     tables = {
-        "relations": lambda alg: [(f"[{gens[hi]},{gens[lo]}]", value)
-                                  for (hi, lo), value in alg._relations.items()],
-        "coproduct": lambda alg: [(f"Delta({gens[i]})", te.terms)
-                                  for i, te in alg.coproduct_table.items()],
-        "antipode": lambda alg: [(f"gamma({gens[i]})", el.terms)
-                                 for i, el in alg.antipode_table.items()],
+        "relations": lambda alg: [(f"[{x},{y}]", alg.relation(x, y).terms)
+                                  for i, x in enumerate(gens) for y in gens[:i]],
+        "coproduct": lambda alg: [(f"Delta({gens[i]})", terms)
+                                  for i, terms in alg.coproduct_table.items()],
+        "antipode": lambda alg: [(f"gamma({gens[i]})", terms)
+                                 for i, terms in alg.antipode_table.items()],
         "counit": lambda alg: [(f"eps({gens[i]})", s) for i, s in alg.counit_table.items()],
     }
     entries = []

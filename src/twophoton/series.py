@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial
 from operator import add, neg, sub
 
-__all__ = ["TruncatedSeries", "add_product_into", "exp_nilpotent", "sqrt_unit"]
+__all__ = ["TruncatedSeries", "exp_nilpotent", "sqrt_unit"]
 
 
 _ZERO = Fraction(0)
@@ -32,24 +32,6 @@ def _inv_scalar(c):
     if rec is not None:
         return rec()
     return 1 / c
-
-
-def add_product_into(out, a, b):
-    """Add the truncated product a*b onto the coefficient list ``out`` in place.
-
-    Only nonzero coefficients of a and b are visited, and adding to a zero
-    slot is a copy: the z-graded algebras make most operands single
-    monomials, so a dense loop would spend its time comparing zeros.
-    """
-    k = len(out) - 1
-    nonzero_b = [(j, cb) for j, cb in enumerate(b.coeffs) if cb]
-    for i, ca in enumerate(a.coeffs):
-        if ca:
-            for j, cb in nonzero_b:
-                if i + j > k:
-                    break
-                prev = out[i + j]
-                out[i + j] = prev + ca * cb if prev else ca * cb
 
 
 class TruncatedSeries:
@@ -154,9 +136,19 @@ class TruncatedSeries:
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             self._require_same_order(other)
-            out = [_ZERO] * (self.order + 1)
-            add_product_into(out, self, other)
-            return TruncatedSeries._exact(tuple(out), self.order)
+            # only nonzero coefficients are visited, and adding to a zero slot
+            # is a copy: in the z-graded algebras most series are monomials
+            k = self.order
+            out = [_ZERO] * (k + 1)
+            nonzero = [(j, b) for j, b in enumerate(other.coeffs) if b]
+            for i, a in enumerate(self.coeffs):
+                if a:
+                    for j, b in nonzero:
+                        if i + j > k:
+                            break
+                        prev = out[i + j]
+                        out[i + j] = prev + a * b if prev else a * b
+            return TruncatedSeries._exact(tuple(out), k)
         if isinstance(other, float):
             return NotImplemented
         c = _coerce(other)

@@ -1,7 +1,9 @@
+import gc
 import os
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from pathlib import Path
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import twophoton
-from twophoton.algebra import (NormalOrderError, QuantumAlgebra,
+from twophoton.algebra import (NCElement, NormalOrderError, QuantumAlgebra, TensorElement,
                                two_photon_algebra, schrodinger_algebra)
 from twophoton.series import TruncatedSeries
 
@@ -155,7 +157,7 @@ def test_fuel_guard_reports_offending_word():
                    1: {((), (1,)): 1, ((1,), ()): 1}},
         antipode={0: {(0,): -1}, 1: {(1,): -1}},
         counit={})
-    bad._relations[(1, 0)] = {(1, 0): TruncatedSeries.one(2)}
+    bad._relations[(1, 0)] = {((1, 0), 0): Fraction(1)}
     with pytest.raises(NormalOrderError) as exc:
         bad.normal_word((1, 0))
     assert exc.value.word == (1, 0)
@@ -198,6 +200,72 @@ def test_pbw_word_times_generator_matches_reference_rewriter(make):
             for g in range(6):
                 raw = w + (g,)
                 assert alg.normal_word(raw) == _reference_normal_form(alg, raw, memo), raw
+
+
+def _reference_product(alg, a_terms, b_terms, memo):
+    """a * b over {legs: series} maps: per pair of terms, a series product
+    times the reference normal form of each leg, summed term by term."""
+    acc = {}
+    for wa, sa in a_terms.items():
+        for wb, sb in b_terms.items():
+            partial = {(): sa * sb}
+            for la, lb in zip(wa, wb):
+                nf = _reference_normal_form(alg, la + lb, memo)
+                partial = {words + (w,): p * c for words, p in partial.items()
+                           for w, c in nf.items()}
+            for words, p in partial.items():
+                acc[words] = acc[words] + p if words in acc else p
+    return {words: s for words, s in acc.items() if s}
+
+
+def _several_powers(rng, order):
+    """A series with two or more nonzero z powers (non-homogeneous)."""
+    powers = rng.sample(range(order + 1), rng.randint(2, order + 1))
+    return TruncatedSeries([Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 2))
+                            if n in powers else Fraction(0) for n in range(order + 1)])
+
+
+@pytest.mark.parametrize("make", [two_photon_algebra, schrodinger_algebra])
+def test_product_kernel_matches_reference_rewriter(make):
+    # NCElement and TensorElement products share the engine's one kernel;
+    # the reference multiplies term by term with series arithmetic only
+    alg, memo, rng = make(3), {}, random.Random(7)
+
+    def legs(rank):
+        return tuple(tuple(sorted(rng.randrange(6) for _ in range(rng.randint(0, 2))))
+                     for _ in range(rank))
+
+    for _ in range(4):
+        for rank in (1, 2, 3):
+            a, b = ({legs(rank): _several_powers(rng, alg.order) for _ in range(3)}
+                    for _ in range(2))
+            want = _reference_product(alg, a, b, memo)
+            if rank == 1:
+                got = NCElement(alg, {w: s for (w,), s in a.items()}) * NCElement(
+                    alg, {w: s for (w,), s in b.items()})
+                assert got.terms == {w: s for (w,), s in want.items()}
+            else:
+                got = TensorElement(alg, rank, a) * TensorElement(alg, rank, b)
+                assert got.terms == want
+
+
+@pytest.mark.parametrize("make", [two_photon_algebra, schrodinger_algebra])
+def test_algebra_is_freed_without_the_cycle_collector(make):
+    # the tables and memos hold plain term maps, so an algebra is in no
+    # reference cycle and goes as soon as its last element does
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        alg = make(2)
+        x = alg.gen(alg.generators[4]) * alg.gen(alg.generators[0])
+        alg.coproduct(x)
+        alg.antipode(x)
+        ref = weakref.ref(alg)
+        del alg, x
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_import_leaves_recursion_limit_alone():

@@ -1,7 +1,6 @@
 from fractions import Fraction
 
-from twophoton.algebra import (TensorElement, two_photon_algebra,
-                               schrodinger_algebra)
+from twophoton.algebra import two_photon_algebra, schrodinger_algebra
 from twophoton.hopf import (bracket_closure, casimir_checks, coproduct_closure,
                             first_order_delta, galilei_casimir, hopf_checks,
                             r_matrix, r_matrix_inverse, rmatrix_checks,
@@ -132,10 +131,10 @@ def test_transport_detects_corruption():
     # corrupt one coproduct entry and expect the comparison to flag it
     i = sch.gen_index("P")
     broken = dict(sch.coproduct_table)
-    terms = dict(broken[i].terms)
+    terms = dict(broken[i])
     key = next(iter(terms))
     terms[key] = terms[key] * 2
-    broken[i] = TensorElement(sch, 2, terms)
+    broken[i] = terms
     sch.coproduct_table = broken
     entries = {e.name: e for e in verify_spec_equality(transported, sch)}
     assert not entries["transport/coproduct"].passed

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from twophoton.algebra import _acc_product
 from twophoton.scalars import ComplexRational, parse_complex_rational, parse_rational
 from twophoton.series import TruncatedSeries
 
@@ -99,7 +98,7 @@ def _dense_product(a, b):
 
 
 def test_sparse_series_kernels_and_ring_axioms():
-    # the product kernels visit nonzero coefficients only: check them, and the
+    # the product kernel visits nonzero coefficients only: check it, and the
     # ring axioms, on series that are mostly zero, over both scalar rings
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -120,11 +119,6 @@ def test_sparse_series_kernels_and_ring_axioms():
         ab = a * b
         assert ab == _dense_product(a, b)
         assert all(isinstance(x, (Fraction, ComplexRational)) for x in ab.coeffs)
-        acc = {}
-        _acc_product(acc, "w", a, b, order)
-        assert TruncatedSeries(acc["w"], order) == ab
-        _acc_product(acc, "w", c, b, order)
-        assert TruncatedSeries(acc["w"], order) == ab + _dense_product(c, b)
         assert (a + b) + c == a + (b + c)
         assert a + b == b + a
         assert (a * b) * c == a * (b * c)
