@@ -75,12 +75,18 @@ def _first_inversion(word):
 
 
 def _term_products(a, b, join):
-    """(join(key_a, key_b), s_a * s_b) for the pairs of terms that survive truncation."""
+    """(join(key_a, key_b), s_a * s_b) for the pairs of terms that survive truncation.
+
+    b's terms are bucketed by low z order once, so a term of a with low
+    order la visits only the buckets 0 .. k - la and no rejected pair.
+    """
     order = a.algebra.order
+    buckets = [[] for _ in range(order + 1)]
+    for wb, sb in b.terms.items():
+        buckets[sb.low_order()].append((wb, sb))
     for wa, sa in a.terms.items():
-        la = sa.low_order()
-        for wb, sb in b.terms.items():
-            if la + sb.low_order() <= order:
+        for bucket in buckets[:order + 1 - sa.low_order()]:
+            for wb, sb in bucket:
                 yield join(wa, wb), sa * sb
 
 
@@ -310,7 +316,8 @@ class QuantumAlgebra:
                 partial = [((), n, c) for n, c in enumerate(series.coeffs) if c]
                 for leg in legs:
                     nf = self._normal_form(leg).items()
-                    partial = [(words + (w,), n + m, c * x) for words, n, c in partial
+                    partial = [(words + (w,), n + m, c if x is _ONE else c * x)
+                               for words, n, c in partial
                                for (w, m), x in nf if n + m <= k]
                 for words, n, c in partial:
                     yield (words, n), c
@@ -338,7 +345,8 @@ class QuantumAlgebra:
 
     # The two memos below are built by list comprehensions, not generators
     # fed to ``collect``: each rewriting level then nests two frames, not
-    # three, on the way to the recursion limit.
+    # three, on the way to the recursion limit. A PBW word's normal form is
+    # {(word, 0): _ONE}, and a factor that is this unit is not multiplied.
 
     def _nf(self, word):
         """Normal form of a raw word as {(word, z power): scalar}, split at
@@ -359,7 +367,8 @@ class QuantumAlgebra:
             rest = word[i + 2:]
             if rest:
                 k = self.order
-                out = collect([((w, n + m), c * x) for (v, n), c in out.items()
+                out = collect([((w, n + m), c if x is _ONE else c * x)
+                               for (v, n), c in out.items()
                                for (w, m), x in self._nf(v + rest).items() if n + m <= k])
         self._nf_cache[word] = out
         return out
@@ -379,9 +388,11 @@ class QuantumAlgebra:
         head, h = word[:-1], word[-1]
         k = self.order
         out = collect(
-            [((w, n + m), c * x) for (v, n), c in self._mul_gen(head, g).items()
+            [((w, n + m), c if x is _ONE else c * x)
+             for (v, n), c in self._mul_gen(head, g).items()
              for (w, m), x in self._mul_gen(v, h).items() if n + m <= k]
-            + [((w, n + m), c * x) for (rw, n), c in self._relations[(h, g)].items()
+            + [((w, n + m), c if x is _ONE else c * x)
+               for (rw, n), c in self._relations[(h, g)].items()
                for (w, m), x in self._nf(head + rw).items() if n + m <= k])
         self._mul_cache[key] = out
         return out

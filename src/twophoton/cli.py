@@ -78,6 +78,8 @@ def parse_config(args, parser):
     if args.degree < 2:
         parser.error("--degree must be at least 2")
     checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
+    if not checks:
+        parser.error("--checks selects no check")
     bad = [c for c in checks if c not in ALL_CHECKS]
     if bad:
         parser.error(f"unknown checks: {', '.join(bad)}")

@@ -10,6 +10,8 @@ from fractions import Fraction
 
 __all__ = ["ComplexRational", "parse_rational", "parse_complex_rational"]
 
+_ZERO = Fraction(0)
+
 
 def parse_rational(text):
     """Parse 'p' or 'p/q' into a Fraction, rejecting anything inexact."""
@@ -26,6 +28,8 @@ class ComplexRational:
 
     Interoperates with int and Fraction through the reflected operators, so
     mixed coefficient arithmetic inside series and operators stays exact.
+    Sums and products skip zero parts, so a real or imaginary operand costs
+    no arithmetic on its zero part.
     """
 
     __slots__ = ("re", "im")
@@ -36,19 +40,30 @@ class ComplexRational:
         self.re = Fraction(re)
         self.im = Fraction(im)
 
+    @classmethod
+    def _exact(cls, re, im):
+        """Wrap parts that are already Fractions, without the validation."""
+        z = object.__new__(cls)
+        z.re, z.im = re, im
+        return z
+
     @staticmethod
     def _coerce(other):
         if isinstance(other, ComplexRational):
             return other
-        if isinstance(other, (int, Fraction)):
-            return ComplexRational(other)
+        if isinstance(other, Fraction):
+            return ComplexRational._exact(other, _ZERO)
+        if isinstance(other, int):
+            return ComplexRational._exact(Fraction(other), _ZERO)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return ComplexRational(self.re + o.re, self.im + o.im)
+        a, b, c, d = self.re, self.im, o.re, o.im
+        return ComplexRational._exact((a + c if a else c) if c else a,
+                                      (b + d if b else d) if d else b)
 
     __radd__ = __add__
 
@@ -56,20 +71,24 @@ class ComplexRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return ComplexRational(self.re - o.re, self.im - o.im)
+        return ComplexRational._exact(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return ComplexRational(o.re - self.re, o.im - self.im)
+        return ComplexRational._exact(o.re - self.re, o.im - self.im)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return ComplexRational(self.re * o.re - self.im * o.im,
-                               self.re * o.im + self.im * o.re)
+        a, b, c, d = self.re, self.im, o.re, o.im
+        if not d:
+            return ComplexRational._exact(a * c if a else a, b * c if b else b)
+        if not b:
+            return ComplexRational._exact(a * c if a else a, a * d if a else a)
+        return ComplexRational._exact(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
@@ -77,7 +96,7 @@ class ComplexRational:
         n = self.re * self.re + self.im * self.im
         if n == 0:
             raise ZeroDivisionError("reciprocal of zero ComplexRational")
-        return ComplexRational(self.re / n, -self.im / n)
+        return ComplexRational._exact(self.re / n, -self.im / n)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -92,7 +111,7 @@ class ComplexRational:
         return o * self.reciprocal()
 
     def __neg__(self):
-        return ComplexRational(-self.re, -self.im)
+        return ComplexRational._exact(-self.re, -self.im)
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -106,7 +125,7 @@ class ComplexRational:
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self.re or self.im)
 
     def __str__(self):
         if self.im == 0:

@@ -2,16 +2,19 @@
 
 A series carries exactly order+1 coefficients c0..ck and all arithmetic is
 mod z^(k+1). Coefficients default to Fraction but any exact scalar ring with
-+, -, * and equality against 0/1 works (ComplexRational in particular); the
-variable z itself is always central. Mixing truncation orders is an error,
-never a silent coercion.
++, -, *, equality against 0/1 and a truth value that is False exactly for
+zero works (ComplexRational in particular); the variable z itself is always
+central. Mixing truncation orders is an error, never a silent coercion.
+
+In the z-graded algebras most series are monomials, so the ring operations
+skip zero slots: no scalar arithmetic is done on them, and a zero slot of a
+result is an operand's zero or the ring's shared zero.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from operator import add, neg, sub
 
 __all__ = ["TruncatedSeries", "exp_nilpotent", "sqrt_unit"]
 
@@ -100,7 +103,7 @@ class TruncatedSeries:
     def low_order(self):
         """Index of the first nonzero coefficient, or None for the zero series."""
         if self._low == -2:
-            self._low = next((i for i, c in enumerate(self.coeffs) if c != 0), None)
+            self._low = next((i for i, c in enumerate(self.coeffs) if c), None)
         return self._low
 
     def truncate(self, order):
@@ -122,22 +125,26 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._require_same_order(other)
-        return TruncatedSeries._exact(tuple(map(add, self.coeffs, other.coeffs)), self.order)
+        return TruncatedSeries._exact(tuple((a + b if b else a) if a else b
+                                            for a, b in zip(self.coeffs, other.coeffs)),
+                                      self.order)
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._require_same_order(other)
-        return TruncatedSeries._exact(tuple(map(sub, self.coeffs, other.coeffs)), self.order)
+        return TruncatedSeries._exact(tuple((a - b if a else -b) if b else a
+                                            for a, b in zip(self.coeffs, other.coeffs)),
+                                      self.order)
 
     def __neg__(self):
-        return TruncatedSeries._exact(tuple(map(neg, self.coeffs)), self.order)
+        return TruncatedSeries._exact(tuple(-a if a else a for a in self.coeffs), self.order)
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             self._require_same_order(other)
             # only nonzero coefficients are visited, and adding to a zero slot
-            # is a copy: in the z-graded algebras most series are monomials
+            # is a copy
             k = self.order
             out = [_ZERO] * (k + 1)
             nonzero = [(j, b) for j, b in enumerate(other.coeffs) if b]
@@ -152,13 +159,13 @@ class TruncatedSeries:
         if isinstance(other, float):
             return NotImplemented
         c = _coerce(other)
-        return TruncatedSeries._exact(tuple(a * c for a in self.coeffs), self.order)
+        return TruncatedSeries._exact(tuple(a * c if a else a for a in self.coeffs), self.order)
 
     def __rmul__(self, other):
         if isinstance(other, (TruncatedSeries, float)):
             return NotImplemented
         c = _coerce(other)
-        return TruncatedSeries._exact(tuple(c * a for a in self.coeffs), self.order)
+        return TruncatedSeries._exact(tuple(c * a if a else a for a in self.coeffs), self.order)
 
     def __pow__(self, n):
         if n < 0:

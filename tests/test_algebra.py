@@ -225,20 +225,38 @@ def _several_powers(rng, order):
                             if n in powers else Fraction(0) for n in range(order + 1)])
 
 
+def _from_low_order(rng, low, order):
+    """A series whose first nonzero coefficient sits at z^low."""
+    head = [Fraction(0)] * low + [Fraction(rng.choice((-2, -1, 1, 2, 3)))]
+    return TruncatedSeries(head + [Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                                   for _ in range(order - low)])
+
+
 @pytest.mark.parametrize("make", [two_photon_algebra, schrodinger_algebra])
 def test_product_kernel_matches_reference_rewriter(make):
     # NCElement and TensorElement products share the engine's one kernel;
-    # the reference multiplies term by term with series arithmetic only
+    # the reference multiplies every pair of terms with series arithmetic
+    # only, so it also checks the pairs the kernel skips by z order
     alg, memo, rng = make(3), {}, random.Random(7)
 
     def legs(rank):
         return tuple(tuple(sorted(rng.randrange(6) for _ in range(rng.randint(0, 2))))
                      for _ in range(rank))
 
+    def several_powers(rank):
+        return {legs(rank): _several_powers(rng, alg.order) for _ in range(3)}
+
+    def every_low_order(rank):
+        # one term of each low order 0..k: for every term of a with low
+        # order la, b has a term at exactly k - la, the last that survives
+        terms = {}
+        while len(terms) <= alg.order:
+            terms.setdefault(legs(rank), _from_low_order(rng, len(terms), alg.order))
+        return terms
+
     for _ in range(4):
-        for rank in (1, 2, 3):
-            a, b = ({legs(rank): _several_powers(rng, alg.order) for _ in range(3)}
-                    for _ in range(2))
+        for rank, operands in product((1, 2, 3), (several_powers, every_low_order)):
+            a, b = operands(rank), operands(rank)
             want = _reference_product(alg, a, b, memo)
             if rank == 1:
                 got = NCElement(alg, {w: s for (w,), s in a.items()}) * NCElement(

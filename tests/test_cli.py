@@ -3,6 +3,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from twophoton import cli
 from twophoton.report import CheckResult, report_json_dict
 
@@ -47,6 +49,17 @@ def test_usage_errors_exit_two():
     assert run_cli("--z", "oops").returncode == 2
     assert run_cli("--checks", "nonsense").returncode == 2
     assert run_cli("--beta", "1,2").returncode == 2
+
+
+def test_empty_check_selection_is_a_usage_error(capsys):
+    # a selection with no check in it would certify nothing and exit 0
+    for selection in ("", ",", " , "):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--checks", selection, "--order", "0"])
+        assert exc.value.code == 2, selection
+        out, err = capsys.readouterr()
+        assert "summary:" not in out
+        assert "selects no check" in err
 
 
 def test_internal_error_exits_three(monkeypatch):

@@ -63,6 +63,29 @@ def test_diffop_composition_matches_sympy_on_monomials():
             assert sp.expand(got - want) == 0
 
 
+def _sparse_series(rng, order, head):
+    """head + a random series in z with zero slots, as a TruncatedSeries."""
+    coeffs = [Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3)) if rng.random() < 0.5
+              else Fraction(0) for _ in range(order + 1)]
+    coeffs[0] = Fraction(head)
+    return TruncatedSeries(coeffs)
+
+
+@pytest.mark.parametrize("order", [1, 3, 5])
+def test_series_exp_sqrt_inverse_match_sympy(order):
+    # exp, sqrt and inverse are sums of powers built with + and scalar *,
+    # which skip zero slots; sympy expands the same functions in z
+    rng = random.Random(order)
+    for _ in range(4):
+        nil = _sparse_series(rng, order, 0)
+        unit = _sparse_series(rng, order, 1)
+        head = _sparse_series(rng, order, rng.choice((-2, Fraction(1, 3), 5)))
+        for s, f, got in ((nil, sp.exp, nil.exp()), (unit, sp.sqrt, unit.sqrt()),
+                          (head, lambda e: 1 / e, head.inverse())):
+            want = sp.series(f(_series_expr(s)), z, 0, order + 1).removeO()
+            assert sp.expand(_series_expr(got) - want) == 0, (s, f)
+
+
 def _lattice_step(z_value):
     """r^(t/(4z)): the step factor as a function that T^n multiplies by r^n."""
     return lambda r: _q(r) ** (t / (4 * _q(z_value)))

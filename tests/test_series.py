@@ -189,3 +189,45 @@ def test_complex_rational_arithmetic():
     assert (1 / i) == -i
     assert i.reciprocal() == -i
     assert Fraction(2) * i == ComplexRational(0, 2)
+
+
+def test_complex_rational_field_properties():
+    # sums and products skip zero parts, so the parts are often 0 here; each
+    # result is checked against the textbook formulas on the Fraction parts
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rational = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    part = st.one_of(st.just(Fraction(0)), rational)
+    gaussian = st.builds(ComplexRational, part, part)
+    real = st.one_of(st.integers(-3, 3), rational)
+
+    def parts(x):
+        assert isinstance(x, ComplexRational)
+        assert type(x.re) is Fraction and type(x.im) is Fraction
+        return x.re, x.im
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(gaussian, gaussian, gaussian, real)
+    def check(x, y, w, s):
+        zero, one = ComplexRational(0), ComplexRational(1)
+        (a, b), (c, d), r = parts(x), parts(y), Fraction(s)
+        assert parts(x + y) == (a + c, b + d)
+        assert parts(x - y) == (a - c, b - d)
+        assert parts(-x) == (-a, -b)
+        assert parts(x * y) == (a * c - b * d, a * d + b * c)
+        assert (x + y) + w == x + (y + w) and x + y == y + x
+        assert (x * y) * w == x * (y * w) and x * y == y * x
+        assert x * (y + w) == x * y + x * w
+        assert x + zero == x == x * one and x - x == zero == x * zero
+        # an int or Fraction on either side of + - *
+        assert parts(x + s) == parts(s + x) == (a + r, b)
+        assert parts(x - s) == (a - r, b) and parts(s - x) == (r - a, -b)
+        assert parts(x * s) == parts(s * x) == (a * r, b * r)
+        if x:
+            inv = x.reciprocal()
+            parts(inv)
+            assert x * inv == one == inv * x
+            assert parts(y / x) == parts(y * inv)
+        assert parse_complex_rational(str(x)) == x
+
+    check()
