@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import lcm
 
 from .algebra import two_photon_algebra
 from .report import CheckResult, residual_entry
@@ -338,19 +340,54 @@ class SingularRecurrenceError(ValueError):
         super().__init__(f"singular recurrence head at coefficient index {index}")
 
 
+def _gaussian(x):
+    """An exact scalar as (re, im, q): a Gaussian-integer numerator over q > 0."""
+    if isinstance(x, ComplexRational):
+        q = lcm(x.re.denominator, x.im.denominator)
+        return (x.re.numerator * (q // x.re.denominator),
+                x.im.numerator * (q // x.im.denominator), q)
+    x = Fraction(x)
+    return x.numerator, 0, x.denominator
+
+
+def _gmul(ar, ai, br, bi):
+    """Gaussian-integer product (ar + ai i)(br + bi i), skipping zero parts."""
+    if not ai:
+        return ar * br, ar * bi if bi else 0
+    if not bi:
+        return ar * br, ai * br
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
 def series_solve(op, degree, seeds=None):
     """Power-series kernel element of a z-evaluated operator.
 
     The operator must have order 0 (exact scalars). Coefficients follow the
-    triangular recurrence in which c_n is determined by the alpha^(n-d)
-    equation, d being the largest derivative excess. Indices below d are free
-    seeds (defaults c0 = 1, then c1 = 0). A vanishing head with vanishing
-    right-hand side is a free direction: the seed value is used if supplied,
-    otherwise 1 on an all-zero prefix and 0 after a nonzero one. A vanishing
-    head against a nonzero right-hand side raises SingularRecurrenceError.
+    triangular recurrence in which c_n is determined by the
+    alpha^(n + smin) equation, smin being the least j - l and d = max(0,
+    -smin) the largest derivative excess. Indices below d are free seeds
+    (defaults c0 = 1, then c1 = 0). A vanishing head with vanishing
+    right-hand side is a free direction: the seed value is used if
+    supplied, otherwise 1 on an all-zero prefix and 0 after a nonzero one.
+    A vanishing head against a nonzero right-hand side raises
+    SingularRecurrenceError.
+
+    The arithmetic is fraction-free. The operator is scaled by the lcm of
+    its coefficient denominators, so its coefficients are Gaussian
+    integers, and c_n is held as a Gaussian-integer numerator P_n over
+    the running denominator D_n = q_0 ... q_n. Here q_n is the head when
+    it is real and |head|^2 otherwise (P_n then carries the conjugate
+    head), or the denominator of a seed. A step brings each earlier P onto
+    D_(n-1) with the few q between, so it multiplies big integers by small
+    ones only and takes no gcd. The residual check applies the whole
+    operator to every P_n brought onto D_degree and requires the image to
+    vanish exactly through degree + smin. Each coefficient and each tail
+    value is reduced once, when it is returned.
 
     Returns (coefficients, residual_tail) where the tail holds the nonzero
-    image coefficients above degree + min(j - l).
+    image coefficients above degree + smin. Values are ComplexRational if
+    the operator or a seed is, else Fraction; seed and free-direction
+    values are returned as given.
     """
     if op.order != 0:
         raise ValueError("series_solve needs an order-0 operator; substitute z first")
@@ -364,43 +401,116 @@ def series_solve(op, degree, seeds=None):
     defaults = {0: Fraction(1), 1: Fraction(0)}
     for n in range(d):
         seeds.setdefault(n, defaults.get(n, Fraction(0)))
+    is_complex = any(isinstance(c, ComplexRational)
+                     for c in chain(terms.values(), seeds.values()))
 
-    coeffs = {}
-    for n in range(min(d, degree + 1)):
-        coeffs[n] = seeds[n]
+    parts = {key: _gaussian(c) for key, c in terms.items()}
+    scale = lcm(*(q for _, _, q in parts.values()))
+    ops = [(j, l, re * (scale // q), im * (scale // q))
+           for (j, l), (re, im, q) in parts.items()]
+    nums, dens, given = _recurrence(ops, smin, d, degree, seeds)
 
-    for n in range(d, degree + 1):
-        m = n - d
-        head = Fraction(0)
-        rhs = Fraction(0)
-        for (j, l), c in terms.items():
-            s = j - l
-            if s == smin:
-                head = head + c * _falling(n, l)
-            else:
-                np = m - s
-                if 0 <= np < n:
-                    prev = coeffs.get(np, Fraction(0))
-                    if prev:
-                        rhs = rhs + c * _falling(np, l) * prev
-        if head == 0:
-            if rhs != 0:
-                raise SingularRecurrenceError(n)
-            if n in seeds:
-                coeffs[n] = seeds[n]
-            else:
-                coeffs[n] = Fraction(1) if all(v == 0 for v in coeffs.values()) else Fraction(0)
-        else:
-            coeffs[n] = -rhs / head
+    def reduced(re, im, den):
+        if is_complex:
+            return ComplexRational(Fraction(re, den), Fraction(im, den))
+        return Fraction(re, den)
 
-    image = op.apply_to_polynomial(coeffs)
+    image, common = _image(ops, nums, dens)
     solved_through = degree + smin
     tail = {}
-    for m, s in image.items():
-        val = s.coeffs[0]
-        if val == 0:
-            continue
-        if m <= solved_through:
-            raise AssertionError(f"recurrence left residual at degree {m}")
-        tail[m] = val
-    return [coeffs.get(n, Fraction(0)) for n in range(degree + 1)], tail
+    for m in sorted(image):
+        re, im = image[m]
+        if re or im:
+            if m <= solved_through:
+                raise AssertionError(f"recurrence left residual at degree {m}")
+            tail[m] = reduced(re, im, scale * common)
+
+    coeffs = []
+    den = 1
+    for n, (re, im) in enumerate(nums):
+        den *= dens[n]
+        coeffs.append(given[n] if n in given else reduced(re, im, den))
+    return coeffs, tail
+
+
+def _recurrence(ops, smin, d, degree, seeds):
+    """Numerators P_n, factors q_n and the seed or free values of series_solve.
+
+    c_n = P_n / D_n with D_n = q_0 ... q_n. The equation of alpha^(n + smin)
+    reads head_n c_n + sum_k feed_k c_(n-k) = 0, where a term alpha^j d^l
+    with offset k = j - l - smin feeds c_(n-k) into it; scaled by D_(n-1),
+    c_(n-k) becomes P_(n-k) q_(n-k+1) ... q_(n-1). A given value p/q
+    enters as P_n = p D_(n-1), q_n = q.
+    """
+    seeds = {n: (v, _gaussian(v)) for n, v in seeds.items()}
+    # the free-direction value, keyed by whether a nonzero c came before
+    free = {False: (Fraction(1), (1, 0, 1)), True: (Fraction(0), (0, 0, 1))}
+    heads = [(l, re, im) for j, l, re, im in ops if j - l == smin]
+    feeds = sorted((j - l - smin, l, re, im) for j, l, re, im in ops if j - l != smin)
+    nums, dens, given = [], [], {}
+    nonzero = False
+    den = 1  # D_(n-1)
+    for n in range(degree + 1):
+        value = None
+        if n < d:
+            value = seeds[n]
+        else:
+            hr = hi = 0
+            for l, re, im in heads:
+                f = _falling(n, l)
+                hr += re * f
+                hi += im * f
+            rr = ri = 0
+            gap, spanned = 1, 1  # gap = q_(n-1) ... q_(n-spanned+1)
+            for k, l, re, im in feeds:
+                if k > n:
+                    break
+                while spanned < k:
+                    gap *= dens[n - spanned]
+                    spanned += 1
+                pr, pi = nums[n - k]
+                f = _falling(n - k, l) * gap
+                if f and (pr or pi):
+                    xr, xi = _gmul(re * f, im * f, pr, pi)
+                    rr += xr
+                    ri += xi
+            if hi:
+                (pr, pi), q = _gmul(-rr, -ri, hr, -hi), hr * hr + hi * hi
+            elif hr:
+                pr, pi, q = -rr, -ri, hr
+            elif rr or ri:
+                raise SingularRecurrenceError(n)
+            else:
+                value = seeds.get(n, free[nonzero])
+        if value is not None:
+            given[n], (pr, pi, q) = value
+            pr, pi = pr * den, pi * den
+        nums.append((pr, pi))
+        dens.append(q)
+        den *= q
+        nonzero = nonzero or bool(pr or pi)
+    return nums, dens, given
+
+
+def _image(ops, nums, dens):
+    """Integer image of sum_n c_n alpha^n under the scaled operator, over D_degree.
+
+    Walks n downwards with the suffix product q_(n+1) ... q_degree, so each
+    P_n is put on the common denominator as it is used and nothing is
+    kept but the image. Returns ({alpha power: (re, im)}, D_degree).
+    """
+    image = {}
+    suffix = 1
+    for n in range(len(nums) - 1, -1, -1):
+        pr, pi = nums[n]
+        if pr or pi:
+            xr, xi = pr * suffix, pi * suffix if pi else 0
+            for j, l, re, im in ops:
+                f = _falling(n, l)
+                if f:
+                    yr, yi = _gmul(re * f, im * f, xr, xi)
+                    m = n + j - l
+                    cr, ci = image.get(m, (0, 0))
+                    image[m] = cr + yr, ci + yi
+        suffix *= dens[n]
+    return image, suffix

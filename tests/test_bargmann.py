@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import perm
 
 import pytest
 
@@ -133,6 +134,53 @@ def test_eigenproblem_validation():
         EigenProblem((ComplexRational(1),) * 4, ComplexRational(1))
 
 
+def _reference_solve(op, degree, seeds=None):
+    """The recurrence of series_solve, transcribed on the operator's own scalars."""
+    terms = {key: s.coeffs[0] for key, s in op.terms.items()}
+    smin = min(j - l for (j, l) in terms)
+    d = max(0, -smin)
+    seeds = dict(seeds or {})
+    for n in range(d):
+        seeds.setdefault(n, Fraction(1) if n == 0 else Fraction(0))
+    coeffs = []
+    for n in range(degree + 1):
+        if n < d:
+            coeffs.append(seeds[n])
+            continue
+        head = rhs = Fraction(0)
+        for (j, l), c in terms.items():
+            np = n + smin - (j - l)
+            if np == n:
+                head = head + c * perm(n, l)
+            elif np >= 0:
+                rhs = rhs + c * perm(np, l) * coeffs[np]
+        if head:
+            coeffs.append(-rhs / head)
+        elif rhs:
+            raise SingularRecurrenceError(n)
+        else:
+            coeffs.append(seeds.get(n, Fraction(0) if any(coeffs) else Fraction(1)))
+    return coeffs
+
+
+def _check_against_oracles(op, degree, seeds=None):
+    """series_solve against the reference recurrence and against apply_to_polynomial."""
+    try:
+        want = _reference_solve(op, degree, seeds)
+    except SingularRecurrenceError as exc:
+        with pytest.raises(SingularRecurrenceError) as got:
+            series_solve(op, degree, seeds)
+        assert got.value.index == exc.index
+        return None
+    coeffs, tail = series_solve(op, degree, seeds)
+    assert coeffs == want
+    solved_through = degree + min(j - l for (j, l) in op.terms)
+    image = op.apply_to_polynomial(dict(enumerate(coeffs)))
+    assert all(m > solved_through for m in image)
+    assert tail == {m: s.coeffs[0] for m, s in image.items()}
+    return coeffs, tail
+
+
 def test_series_solve_number_operator():
     zero, one = ComplexRational(0), ComplexRational(1)
     problem = EigenProblem((one, zero, zero, zero, zero), ComplexRational(4))
@@ -173,6 +221,10 @@ def test_series_solve_custom_seeds():
     coeffs, tail = series_solve(op, 5, seeds={0: Fraction(2), 1: Fraction(3)})
     assert coeffs == [2, 3, 0, 0, 0, 0]
     assert tail == {}
+    # seeds with denominators enter the running denominator
+    op = op0({(0, 2): 1, (1, 1): Fraction(2, 3), (0, 0): Fraction(-5, 7)})
+    coeffs, _ = _check_against_oracles(op, 20, {0: Fraction(2, 3), 1: Fraction(-5, 7)})
+    assert coeffs[:2] == [Fraction(2, 3), Fraction(-5, 7)]
 
 
 def test_series_solve_singular_head_with_obstruction():
@@ -182,6 +234,80 @@ def test_series_solve_singular_head_with_obstruction():
     with pytest.raises(SingularRecurrenceError) as exc:
         series_solve(op, 10)
     assert exc.value.index == 6
+    # the same obstruction with complex coefficients, against the reference
+    op = DiffOperator.from_scalar_terms(0, {
+        (0, 1): ComplexRational(0, 1), (1, 2): ComplexRational(0, Fraction(-1, 5)),
+        (0, 0): Fraction(1, 2)})
+    assert _check_against_oracles(op, 10) is None
+    with pytest.raises(SingularRecurrenceError) as exc:
+        series_solve(op, 10)
+    assert exc.value.index == 6
+
+
+def test_series_solve_matches_oracles_on_random_operators():
+    # fraction-free series_solve against a Fraction transcription of its
+    # recurrence, and its residual tail against the operator applied directly
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rational = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+    part = st.one_of(st.just(Fraction(0)), rational)
+    scalar = st.one_of(rational, st.builds(ComplexRational, part, part))
+    operator = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), scalar,
+                               min_size=1, max_size=4)
+    seeds = st.one_of(st.none(), st.dictionaries(st.integers(0, 6), scalar, max_size=3))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(operator, seeds, st.integers(0, 30))
+    def check(terms, seed_map, degree):
+        op = DiffOperator.from_scalar_terms(0, terms)
+        hypothesis.assume(not op.is_zero())
+        _check_against_oracles(op, degree, seed_map)
+
+    check()
+
+
+def test_series_solve_conjugate_head():
+    # (1 + 2i) d^2 + (1/3) a d - 1/2: the head (1 + 2i) n (n - 1) is not real
+    op = DiffOperator.from_scalar_terms(0, {
+        (0, 2): ComplexRational(1, 2), (1, 1): Fraction(1, 3), (0, 0): Fraction(-1, 2)})
+    coeffs, tail = _check_against_oracles(op, 25)
+    assert coeffs[2] == ComplexRational(Fraction(1, 20), Fraction(-1, 10))
+    assert tail
+
+
+def test_series_solve_complex_seeds_on_real_operator():
+    # d^2 - 1 with complex seeds: the tail keeps its imaginary part
+    op = op0({(0, 2): 1, (0, 0): -1})
+    seeds = {0: ComplexRational(1, Fraction(1, 2)), 1: ComplexRational(0, 3)}
+    coeffs, tail = _check_against_oracles(op, 12, seeds)
+    assert coeffs[12] == ComplexRational(Fraction(1, 479001600), Fraction(1, 958003200))
+    assert set(tail) == {11, 12}
+    assert all(v.im for v in tail.values())
+
+
+def test_series_solve_free_directions():
+    # a d - 4: the head n - 4 vanishes at n = 4 after an all-zero prefix
+    op = op0({(1, 1): 1, (0, 0): -4})
+    coeffs, _ = _check_against_oracles(op, 8)
+    assert coeffs == [0, 0, 0, 0, 1, 0, 0, 0, 0]
+    coeffs, _ = _check_against_oracles(op, 8, {4: Fraction(5, 3)})
+    assert coeffs[4] == Fraction(5, 3)
+    # a d^2 - 3 d: the head n (n - 4) vanishes at n = 4 after c0 = 1
+    op = op0({(1, 2): 1, (0, 1): -3})
+    coeffs, _ = _check_against_oracles(op, 8)
+    assert coeffs == [1, 0, 0, 0, 0, 0, 0, 0, 0]
+    coeffs, _ = _check_against_oracles(op, 8, {4: ComplexRational(0, 2)})
+    assert coeffs == [1, 0, 0, 0, ComplexRational(0, 2), 0, 0, 0, 0]
+
+
+def test_series_solve_all_terms_raise_degree():
+    # a^2 d - 3 a + a^2 has j - l >= 1 in every term; the free c3 = 1 feeds
+    # c4 through the a^2 term: (n - 3) c_n + c_(n-1) = 0
+    op = op0({(2, 1): 1, (1, 0): -3, (2, 0): 1})
+    coeffs, tail = _check_against_oracles(op, 8)
+    assert coeffs == [0, 0, 0, 1, -1, Fraction(1, 2), Fraction(-1, 6), Fraction(1, 24),
+                      Fraction(-1, 120)]
+    assert tail == {10: Fraction(-1, 120)}
 
 
 def test_series_solve_rejects_unsubstituted_operator():

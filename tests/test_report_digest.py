@@ -23,6 +23,10 @@ GOLDEN = {
     # PBW rewriting of long words: up to 17 letters in the rmatrix checks
     ("--checks", "rmatrix", "--order", "4"):
         "fc0170a5024e94d7d891a12e92cc44bffc8c4cb2f15223db0370c0eb15490104",
+    # a degree-400 complex series solve: its coefficients fill the report
+    ("--checks", "eigen", "--degree", "400", "--beta", "1,1,1,1,1",
+     "--eigenvalue", "1/3+1/2i", "--order", "2"):
+        "fe0d9e292dd1d7d66f03f230430a34c88cd544d1d4027d75ad3f5b4e97888f3f",
 }
 
 
