@@ -16,10 +16,11 @@ runs into the interpreter's recursion limit, which surfaces as a
 
 Inside the engine, the relation table and both memos map (word, z power)
 to one exact scalar. The built-in tables are homogeneous for a grading in
-which z has a weight, so a normal form carries one z power per word and a
-dense series per word would be mostly zeros. Every product of elements,
-tensors or raw tensors goes through one kernel, ``QuantumAlgebra._ordered``,
-which hands back one series per word again.
+which z has a weight, so a normal form carries one z power per word. Every
+product of elements, tensors or raw tensors goes through one kernel,
+``QuantumAlgebra._ordered``. It reads each coefficient's stored
+(z power, scalar) pairs and hands back one series per word, built from
+that word's pairs: in the graded tables, one monomial.
 
 Two algebras are built in:
 
@@ -54,7 +55,6 @@ __all__ = [
 H6_GENERATORS = ("B+", "N", "M", "A+", "A-", "B-")
 SCH_GENERATORS = ("H", "D", "M", "P", "K", "C")
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -221,7 +221,7 @@ class QuantumAlgebra:
         for hi in range(n):
             for lo in range(hi):
                 value = {(w, p): c for w, s in relations.get((hi, lo), {}).items()
-                         for p, c in enumerate(self._as_series(s).coeffs) if c}
+                         for p, c in self._as_series(s).pairs}
                 self._check_relation((hi, lo), value)
                 self._relations[(hi, lo)] = value
 
@@ -303,17 +303,17 @@ class QuantumAlgebra:
     def _ordered(self, raw):
         """Normal-ordered {legs: series} of a sum of raw (legs, series) terms.
 
-        The one product kernel of the engine. Each series is split into its
-        z powers, each raw leg is expanded against its memoised normal form
-        in turn, and a partial product past z^k is dropped before the next
-        leg. The surviving (legs, power) terms are collected once and
-        regrouped into one series per tuple of legs.
+        The one product kernel of the engine. Each series contributes its
+        stored (z power, scalar) pairs, each raw leg is expanded against its
+        memoised normal form in turn, and a partial product past z^k is
+        dropped before the next leg. The surviving (legs, power) terms are
+        collected once and regrouped into one series per tuple of legs.
         """
         k = self.order
 
         def pairs():
             for legs, series in raw:
-                partial = [((), n, c) for n, c in enumerate(series.coeffs) if c]
+                partial = [((), n, c) for n, c in series.pairs]
                 for leg in legs:
                     nf = self._normal_form(leg).items()
                     partial = [(words + (w,), n + m, c if x is _ONE else c * x)
@@ -325,15 +325,16 @@ class QuantumAlgebra:
         return self._series_terms(collect(pairs()))
 
     def _series_terms(self, terms):
-        """Regroup a {(key, z power): scalar} map into {key: series}."""
+        """Regroup a {(key, z power): nonzero scalar} map into {key: series}.
+
+        Each key's (power, scalar) pairs, sorted by power, are its series'
+        stored pairs; no zero power is filled in.
+        """
         k = self.order
-        slots = {}
+        pairs = {}
         for (key, n), c in terms.items():
-            coeffs = slots.get(key)
-            if coeffs is None:
-                coeffs = slots[key] = [_ZERO] * (k + 1)
-            coeffs[n] = c
-        return {key: TruncatedSeries._exact(tuple(c), k) for key, c in slots.items()}
+            pairs.setdefault(key, []).append((n, c))
+        return {key: TruncatedSeries._exact(tuple(sorted(p)), k) for key, p in pairs.items()}
 
     def _normal_form(self, word):
         """``_nf`` for a caller outside the rewriting: a rewriting that never

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 
 from .algebra import two_photon_algebra
 from .report import CheckResult, residual_entry
@@ -379,7 +379,9 @@ def series_solve(op, degree, seeds=None):
     it is real and |head|^2 otherwise (P_n then carries the conjugate
     head), or the denominator of a seed. A step brings each earlier P onto
     D_(n-1) with the few q between, so it multiplies big integers by small
-    ones only and takes no gcd. The residual check applies the whole
+    ones only. The new q_n and P_n then lose their common factor, found by
+    a gcd against the small q_n, so the operator's scale and the head's
+    content do not pile up in D_n. The residual check applies the whole
     operator to every P_n brought onto D_degree and requires the image to
     vanish exactly through degree + smin. Each coefficient and each tail
     value is reduced once, when it is returned.
@@ -440,7 +442,8 @@ def _recurrence(ops, smin, d, degree, seeds):
     reads head_n c_n + sum_k feed_k c_(n-k) = 0, where a term alpha^j d^l
     with offset k = j - l - smin feeds c_(n-k) into it; scaled by D_(n-1),
     c_(n-k) becomes P_(n-k) q_(n-k+1) ... q_(n-1). A given value p/q
-    enters as P_n = p D_(n-1), q_n = q.
+    enters as P_n = p D_(n-1), q_n = q. Each q_n is stored divided by
+    gcd(q_n, P_n), and P_n with it.
     """
     seeds = {n: (v, _gaussian(v)) for n, v in seeds.items()}
     # the free-direction value, keyed by whether a nonzero c came before
@@ -485,6 +488,10 @@ def _recurrence(ops, smin, d, degree, seeds):
         if value is not None:
             given[n], (pr, pi, q) = value
             pr, pi = pr * den, pi * den
+        # q_n is small, so this gcd costs one big-mod-small step per part
+        g = gcd(q, pr, pi)
+        if g > 1:
+            pr, pi, q = pr // g, pi // g, q // g
         nums.append((pr, pi))
         dens.append(q)
         den *= q

@@ -1,14 +1,18 @@
 """Truncated formal power series in the deformation parameter z.
 
-A series carries exactly order+1 coefficients c0..ck and all arithmetic is
-mod z^(k+1). Coefficients default to Fraction but any exact scalar ring with
-+, -, *, equality against 0/1 and a truth value that is False exactly for
-zero works (ComplexRational in particular); the variable z itself is always
-central. Mixing truncation orders is an error, never a silent coercion.
+A series has a truncation order k and all arithmetic is mod z^(k+1). It
+stores only its nonzero terms, as an ascending tuple of (power, coefficient)
+pairs with 0 <= power <= k. The deformed tables are homogeneous for a
+grading in which z has a weight, so most series are monomials: a product
+of two monomials is one scalar multiplication, and no operation visits a
+zero coefficient. A sum or product whose coefficients cancel drops them,
+so equal series store equal pairs.
 
-In the z-graded algebras most series are monomials, so the ring operations
-skip zero slots: no scalar arithmetic is done on them, and a zero slot of a
-result is an operand's zero or the ring's shared zero.
+Coefficients default to Fraction but any exact scalar ring without zero
+divisors, with +, -, *, equality against 0/1 and a truth value that is
+False exactly for zero works (ComplexRational in particular); the variable
+z itself is always central. Mixing truncation orders is an error, never a
+silent coercion.
 """
 
 from __future__ import annotations
@@ -37,10 +41,25 @@ def _inv_scalar(c):
     return 1 / c
 
 
+def _nonzero_sorted(acc):
+    """The ascending (power, coefficient) pairs of a {power: coefficient} map
+    whose coefficients may have cancelled to zero."""
+    return tuple(sorted((n, c) for n, c in acc.items() if c))
+
+
 class TruncatedSeries:
-    __slots__ = ("order", "coeffs", "_low")
+    """c_0 + c_1 z + ... + c_k z^k, kept as the pairs (n, c_n) with c_n != 0.
+
+    ``pairs`` is the one stored form: ascending in n, every coefficient
+    nonzero, so ``low_order`` and the truth value read its first pair.
+    ``coeffs`` is the dense tuple c_0..c_k, derived on each access for the
+    readers that index by power.
+    """
+
+    __slots__ = ("order", "pairs")
 
     def __init__(self, coeffs, order=None):
+        """The series with the dense coefficients c_0..c_order."""
         coeffs = tuple(_coerce(c) for c in coeffs)
         if order is None:
             order = len(coeffs) - 1
@@ -49,12 +68,11 @@ class TruncatedSeries:
         if len(coeffs) != order + 1:
             raise ValueError(f"need exactly {order + 1} coefficients, got {len(coeffs)}")
         self.order = order
-        self.coeffs = coeffs
-        self._low = -2  # lazy low_order cache; -2 means not yet computed
+        self.pairs = tuple((n, c) for n, c in enumerate(coeffs) if c)
 
     @classmethod
-    def _exact(cls, coeffs, order):
-        """Wrap a tuple of order+1 coefficients that are already exact scalars.
+    def _exact(cls, pairs, order):
+        """Wrap ascending (power, coefficient) pairs with nonzero exact coefficients.
 
         The ring operations build their results here: their coefficients
         come from exact operands, so the public constructor's coercion and
@@ -62,31 +80,38 @@ class TruncatedSeries:
         """
         series = object.__new__(cls)
         series.order = order
-        series.coeffs = coeffs
-        series._low = -2
+        series.pairs = pairs
         return series
+
+    @property
+    def coeffs(self):
+        """The dense coefficients c_0..c_k; zero powers read Fraction(0)."""
+        out = [_ZERO] * (self.order + 1)
+        for n, c in self.pairs:
+            out[n] = c
+        return tuple(out)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, order):
-        return cls((Fraction(0),) * (order + 1), order)
+        return cls.z_power(0, order, 0)
 
     @classmethod
     def one(cls, order):
-        return cls.constant(Fraction(1), order)
+        return cls.z_power(0, order, 1)
 
     @classmethod
     def constant(cls, c, order):
-        return cls((_coerce(c),) + (Fraction(0),) * order, order)
+        return cls.z_power(0, order, c)
 
     @classmethod
     def z_power(cls, power, order, coeff=1):
         """coeff * z^power, truncated (zero if power exceeds the order)."""
-        coeffs = [Fraction(0)] * (order + 1)
-        if 0 <= power <= order:
-            coeffs[power] = _coerce(coeff)
-        return cls(coeffs, order)
+        if order < 0:
+            raise ValueError("truncation order must be >= 0")
+        coeff = _coerce(coeff)
+        return cls._exact(((power, coeff),) if coeff and 0 <= power <= order else (), order)
 
     # -- helpers ------------------------------------------------------------
 
@@ -95,77 +120,93 @@ class TruncatedSeries:
             raise ValueError(f"order mismatch: {self.order} vs {other.order}")
 
     def is_zero(self):
-        return self.low_order() is None
+        return not self.pairs
 
     def __bool__(self):
-        return self.low_order() is not None
+        return bool(self.pairs)
 
     def low_order(self):
-        """Index of the first nonzero coefficient, or None for the zero series."""
-        if self._low == -2:
-            self._low = next((i for i, c in enumerate(self.coeffs) if c), None)
-        return self._low
+        """Power of the first nonzero coefficient, or None for the zero series."""
+        return self.pairs[0][0] if self.pairs else None
 
     def truncate(self, order):
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} to {order}")
-        return TruncatedSeries(self.coeffs[: order + 1], order)
+        if order < 0:
+            raise ValueError("truncation order must be >= 0")
+        return TruncatedSeries._exact(tuple(p for p in self.pairs if p[0] <= order), order)
 
     def divided_by_z(self):
         """Exact division by z; requires zero constant term, drops one order."""
-        if self.coeffs[0] != 0:
+        if self.low_order() == 0:
             raise ValueError("division by z needs zero constant term")
         if self.order == 0:
             raise ValueError("cannot divide an order-0 series by z")
-        return TruncatedSeries(self.coeffs[1:], self.order - 1)
+        return TruncatedSeries._exact(tuple((n - 1, c) for n, c in self.pairs),
+                                      self.order - 1)
 
     # -- ring operations ----------------------------------------------------
+
+    def _plus(self, other_pairs):
+        """self + the series with ``other_pairs``, at self's order."""
+        if not other_pairs:
+            return self
+        if not self.pairs:
+            return TruncatedSeries._exact(other_pairs, self.order)
+        acc = dict(self.pairs)
+        for n, c in other_pairs:
+            prev = acc.get(n)
+            acc[n] = c if prev is None else prev + c
+        return TruncatedSeries._exact(_nonzero_sorted(acc), self.order)
 
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._require_same_order(other)
-        return TruncatedSeries._exact(tuple((a + b if b else a) if a else b
-                                            for a, b in zip(self.coeffs, other.coeffs)),
-                                      self.order)
+        return self._plus(other.pairs)
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._require_same_order(other)
-        return TruncatedSeries._exact(tuple((a - b if a else -b) if b else a
-                                            for a, b in zip(self.coeffs, other.coeffs)),
-                                      self.order)
+        return self._plus(tuple((n, -c) for n, c in other.pairs))
 
     def __neg__(self):
-        return TruncatedSeries._exact(tuple(-a if a else a for a in self.coeffs), self.order)
+        return TruncatedSeries._exact(tuple((n, -c) for n, c in self.pairs), self.order)
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             self._require_same_order(other)
-            # only nonzero coefficients are visited, and adding to a zero slot
-            # is a copy
             k = self.order
-            out = [_ZERO] * (k + 1)
-            nonzero = [(j, b) for j, b in enumerate(other.coeffs) if b]
-            for i, a in enumerate(self.coeffs):
-                if a:
-                    for j, b in nonzero:
-                        if i + j > k:
-                            break
-                        prev = out[i + j]
-                        out[i + j] = prev + a * b if prev else a * b
-            return TruncatedSeries._exact(tuple(out), k)
+            a, b = self.pairs, other.pairs
+            if len(a) == 1 and len(b) == 1:
+                # two monomials: one scalar product, nonzero as the ring has
+                # no zero divisors
+                (i, x), = a
+                (j, y), = b
+                return TruncatedSeries._exact(((i + j, x * y),) if i + j <= k else (), k)
+            acc = {}
+            for i, x in a:
+                for j, y in b:
+                    if i + j > k:
+                        break
+                    prev = acc.get(i + j)
+                    acc[i + j] = x * y if prev is None else prev + x * y
+            return TruncatedSeries._exact(_nonzero_sorted(acc), k)
         if isinstance(other, float):
             return NotImplemented
         c = _coerce(other)
-        return TruncatedSeries._exact(tuple(a * c if a else a for a in self.coeffs), self.order)
+        if not c:
+            return TruncatedSeries._exact((), self.order)
+        return TruncatedSeries._exact(tuple((n, a * c) for n, a in self.pairs), self.order)
 
     def __rmul__(self, other):
         if isinstance(other, (TruncatedSeries, float)):
             return NotImplemented
         c = _coerce(other)
-        return TruncatedSeries._exact(tuple(c * a if a else a for a in self.coeffs), self.order)
+        if not c:
+            return TruncatedSeries._exact((), self.order)
+        return TruncatedSeries._exact(tuple((n, c * a) for n, a in self.pairs), self.order)
 
     def __pow__(self, n):
         if n < 0:
@@ -188,15 +229,16 @@ class TruncatedSeries:
 
     def inverse(self):
         """Multiplicative inverse; requires nonzero constant term."""
-        if self.coeffs[0] == 0:
+        coeffs = self.coeffs
+        if coeffs[0] == 0:
             raise ValueError("series inverse needs nonzero constant term")
         k = self.order
-        b0 = _inv_scalar(self.coeffs[0])
+        b0 = _inv_scalar(coeffs[0])
         b = [b0] + [Fraction(0)] * k
         for n in range(1, k + 1):
             acc = Fraction(0)
             for i in range(1, n + 1):
-                acc = acc + self.coeffs[i] * b[n - i]
+                acc = acc + coeffs[i] * b[n - i]
             b[n] = -b0 * acc
         return TruncatedSeries(b, k)
 
@@ -205,17 +247,14 @@ class TruncatedSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.order == other.order and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs))
+        return self.order == other.order and self.pairs == other.pairs
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self.pairs))
 
     def __str__(self):
         parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
+        for i, c in self.pairs:
             if i == 0:
                 parts.append(str(c))
             else:

@@ -91,10 +91,9 @@ def test_ring_axioms_random():
             assert a * (b + c) == a * b + a * c
 
 
-def _dense_product(a, b):
-    k = a.order
-    return TruncatedSeries([sum((a.coeffs[i] * b.coeffs[n - i] for i in range(n + 1)),
-                                Fraction(0)) for n in range(k + 1)], k)
+def _dense_product(x, y):
+    """Textbook truncated convolution of two equal-length dense coefficient lists."""
+    return [sum((x[i] * y[n - i] for i in range(n + 1)), Fraction(0)) for n in range(len(x))]
 
 
 def test_sparse_series_kernels_and_ring_axioms():
@@ -117,7 +116,7 @@ def test_sparse_series_kernels_and_ring_axioms():
     @hypothesis.given(series, series, series)
     def check(a, b, c):
         ab = a * b
-        assert ab == _dense_product(a, b)
+        assert ab.coeffs == tuple(_dense_product(a.coeffs, b.coeffs))
         assert all(isinstance(x, (Fraction, ComplexRational)) for x in ab.coeffs)
         assert (a + b) + c == a + (b + c)
         assert a + b == b + a
@@ -129,6 +128,52 @@ def test_sparse_series_kernels_and_ring_axioms():
     check()
     with pytest.raises(TypeError):
         TruncatedSeries([0.5])
+
+
+def test_stored_pairs_against_dense_reference():
+    # a series stores only its nonzero (power, coefficient) pairs: every ring
+    # operation must agree with the dense formulas, and equal series must
+    # store equal pairs and hash alike however they were built
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    order = 4
+    zero = st.just(Fraction(0))
+    rational = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2))
+    scalar = st.one_of(zero, rational, st.builds(ComplexRational, rational, rational))
+    dense = st.lists(st.one_of(zero, scalar), min_size=order + 1, max_size=order + 1)
+
+    def lifted(c):
+        return c if isinstance(c, ComplexRational) else ComplexRational(c)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(dense, dense, scalar)
+    def check(x, y, c):
+        a, b = TruncatedSeries(x, order), TruncatedSeries(y, order)
+        cases = [
+            (a, x),
+            (a + b, [p + q for p, q in zip(x, y)]),
+            (a - b, [p - q for p, q in zip(x, y)]),
+            (-a, [-p for p in x]),
+            (a * b, _dense_product(x, y)),
+            (a * c, [p * c for p in x]),
+            (c * a, [c * p for p in x]),
+        ]
+        for got, want in cases:
+            powers = [n for n, _ in got.pairs]
+            assert powers == sorted(set(powers)) and all(0 <= n <= order for n in powers)
+            assert all(v for _, v in got.pairs)
+            assert got.coeffs == tuple(want)
+            assert TruncatedSeries(got.coeffs, order) == got
+            built = TruncatedSeries(want, order)
+            assert built == got and hash(built) == hash(got)
+            assert got.low_order() == next((n for n, v in enumerate(want) if v), None)
+            assert bool(got) == any(want)
+        assert a - a == TruncatedSeries.zero(order) == a + (-a)
+        assert hash(a - a) == hash(TruncatedSeries.zero(order))
+        as_complex = TruncatedSeries([lifted(p) for p in x], order)
+        assert as_complex == a and hash(as_complex) == hash(a)
+
+    check()
 
 
 def test_exp_sqrt_functional_identities_random():
