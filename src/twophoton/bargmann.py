@@ -2,9 +2,11 @@
 
 Operators are sums alpha^j d^l with truncated-series-in-z coefficients, kept
 in canonical form (all derivatives to the right). The deformed one-boson
-realization is assembled from series exponentials and square roots of the
-multiplication operator alpha^2; the apparent 1/alpha factors of the closed
-forms must cancel order by order, and the construction asserts that instead
+realization is assembled in this one ring, from exponentials and square
+roots of the multiplication operator 2 z alpha^2, exact divisions by z and
+by powers of alpha, and composition with d. The apparent 1/alpha factors of
+the closed forms must cancel order by order: an exact division by alpha^m
+raises on any term below alpha^m, so the construction asserts that instead
 of assuming it.
 """
 
@@ -80,13 +82,30 @@ class DiffOperator(SparseTerms):
                 for (j2, l2), s2 in other.terms.items():
                     s = s1 * s2
                     if s:
+                        # the t = 0 term's factor is 1
                         for t, c in weyl_terms(l1, j2):
-                            yield (j1 + j2 - t, l1 + l2 - t), s * c
+                            yield (j1 + j2 - t, l1 + l2 - t), s * c if t else s
 
         return DiffOperator(self.order, collect(pairs()))
 
     def truncate(self, order):
         return DiffOperator(order, {k: s.truncate(order) for k, s in self.terms.items()})
+
+    def low_order(self):
+        """Least z power among the coefficients, or None for the zero operator."""
+        return min((s.low_order() for s in self.terms.values()), default=None)
+
+    def divided_by_z(self):
+        """Exact division by z; every coefficient needs zero constant term."""
+        return DiffOperator(self.order - 1,
+                            {k: s.divided_by_z() for k, s in self.terms.items()})
+
+    def divided_by_alpha(self, m):
+        """alpha^-m times self, exact: a term below alpha^m raises ValueError."""
+        low = min((j for j, _ in self.terms), default=m)
+        if low < m:
+            raise ValueError(f"alpha^{low} is not divisible by alpha^{m}")
+        return DiffOperator(self.order, {(j - m, l): s for (j, l), s in self.terms.items()})
 
     def substitute_z(self, z):
         """Collapse the series coefficients at an exact rational z value."""
@@ -115,59 +134,6 @@ class DiffOperator(SparseTerms):
 
     def __repr__(self):
         return f"<DiffOperator {self}>"
-
-
-class _CPoly(SparseTerms):
-    """Commutative {alpha_power: series} scratch ring for the construction.
-
-    The closed forms pass through Laurent terms in alpha, so powers may be
-    negative here; _finish rejects any that survive.
-    """
-
-    __slots__ = ("order",)
-
-    def __init__(self, order, terms):
-        self.order = order
-        super().__init__((order,), terms)
-
-    def __mul__(self, other):
-        if not isinstance(other, _CPoly):
-            return self.scale(other)
-        self._require_same(other)
-
-        def pairs():
-            for j1, s1 in self.terms.items():
-                for j2, s2 in other.terms.items():
-                    s = s1 * s2
-                    if s:
-                        yield j1 + j2, s
-
-        return _CPoly(self.order, collect(pairs()))
-
-    def low_order(self):
-        return min((s.low_order() for s in self.terms.values()), default=None)
-
-    def divided_by_z(self):
-        return _CPoly(self.order - 1, {j: s.divided_by_z() for j, s in self.terms.items()})
-
-    def shift(self, m):
-        """Multiply by alpha^m."""
-        return _CPoly(self.order, {j + m: s for j, s in self.terms.items()})
-
-    def truncate(self, order):
-        return _CPoly(order, {j: s.truncate(order) for j, s in self.terms.items()})
-
-
-def _finish(mult_parts, order, name):
-    """Assemble {d_power: cpoly} into a DiffOperator, rejecting Laurent leftovers."""
-    terms = {}
-    for l, p in mult_parts.items():
-        for j, s in p.truncate(order).terms.items():
-            if j < 0:
-                raise RuntimeError(
-                    f"negative alpha power alpha^{j} survived in the deformed {name}")
-            terms[(j, l)] = s
-    return DiffOperator(order, terms)
 
 
 # -- representations -------------------------------------------------------------
@@ -213,46 +179,43 @@ def first_order_rep(gen, order=1):
 def deformed_rep(gen, order):
     """Deformed one-boson realization, exact mod z^(order+1).
 
-    Built from the closed forms: one internal division by z costs one order,
-    so everything is computed at order+1 and truncated at the end.
+    Built from the closed forms, whose z- and alpha-dependent factors are
+    multiplication operators: DiffOperators without d, with the d factors
+    composed on the right. Each apparent 1/alpha is an exact
+    divided_by_alpha, which raises unless the closed form's lower powers
+    cancel, so the construction asserts that cancellation instead of
+    assuming it. One internal division by z costs one order, so
+    e^{2 z a^2} is computed at order+1.
     """
     if gen not in _CLASSICAL:
         raise KeyError(f"unknown generator {gen!r}")
+    if gen in ("B+", "M"):
+        return classical_rep(gen, order)
     k = order
-    kk = k + 1  # internal margin for the single /z in each closed form
-    one = _CPoly(kk, {0: TruncatedSeries.one(kk)})
-    # u = 2 z alpha^2 as a cpoly
-    u2 = _CPoly(kk, {2: TruncatedSeries.z_power(1, kk, 2)})
+    one, one_kk = DiffOperator.identity(k), DiffOperator.identity(k + 1)
+    a, a2, d, d2 = (classical_rep(g, k) for g in ("A+", "B+", "A-", "B-"))
+    u = DiffOperator(k + 1, {(2, 0): TruncatedSeries.z_power(1, k + 1, 2)})  # 2 z a^2
 
-    if gen == "B+":
-        return DiffOperator(k, {(2, 0): TruncatedSeries.one(k)})
-    if gen == "M":
-        return DiffOperator(k, {(0, 0): TruncatedSeries.one(k)})
-
-    exp_kk = exp_nilpotent(u2, one)
-    exp_u = exp_kk.truncate(k)       # e^{2 z alpha^2}, back at order k
+    exp_kk = exp_nilpotent(u, one_kk)
+    exp_u = exp_kk.truncate(k)       # e^{2 z a^2}, back at order k
     # (e^{2 z a^2} - 1)/(2z), exactly order k after the division
-    growth = (exp_kk - one).divided_by_z().scale(Fraction(1, 2))
+    growth = (exp_kk - one_kk).divided_by_z().scale(Fraction(1, 2))
 
     if gen == "N":
         # (e^{2 z a^2} - 1)/(2z) * a^{-1} d
-        return _finish({1: growth.shift(-1)}, k, "N")
+        return growth.divided_by_alpha(1) * d
 
     if gen in ("A+", "A-"):
         # shared radical ((1 - e^{-2 z a^2})/(2z))^{1/2} = a * sqrt(unit)
-        exp_mu = exp_nilpotent(-u2, one)
-        radicand = (one - exp_mu).divided_by_z().scale(Fraction(1, 2))
-        one_k = one.truncate(k)
-        root = sqrt_unit(radicand.shift(-2) - one_k, one_k)
+        radicand = (one_kk - exp_nilpotent(-u, one_kk)).divided_by_z().scale(Fraction(1, 2))
+        root = sqrt_unit(radicand.divided_by_alpha(2) - one, one)
         if gen == "A+":
-            return _finish({0: root.shift(1)}, k, "A+")
+            return a * root
         # e^{2 z a^2} a^{-1} * (a * root) d = e^{2 z a^2} root d
-        return _finish({1: exp_u * root}, k, "A-")
+        return exp_u * root * d
 
-    # B-: ((e^{2 z a^2}-1)/(2 z a^2)) d^2 + (e^{2 z a^2}/a + (1-e^{2 z a^2})/(2 z a^3)) d
-    dd = growth.shift(-2)
-    d1 = exp_u.shift(-1) - growth.shift(-3)
-    return _finish({2: dd, 1: d1}, k, "B-")
+    # B-: ((e^{2 z a^2}-1)/(2 z a^2)) d^2 + ((e^{2 z a^2} a^2 - (e^{2 z a^2}-1)/(2z))/a^3) d
+    return growth.divided_by_alpha(2) * d2 + (exp_u * a2 - growth).divided_by_alpha(3) * d
 
 
 def verify_rep(order):

@@ -24,6 +24,14 @@ __all__ = [
 ]
 
 
+def _render(terms, name):
+    """'c*name(key) + ...' over the sorted keys, c left out at 1 and '-' at -1."""
+    if not terms:
+        return "0"
+    coeff = lambda c: "" if c == 1 else ("-" if c == -1 else f"{c}*")
+    return " + ".join(f"{coeff(terms[key])}{name(key)}" for key in sorted(terms))
+
+
 class WedgeElement(SparseTerms):
     """Antisymmetric rank-2 tensor, stored on index pairs i < j.
 
@@ -52,14 +60,7 @@ class WedgeElement(SparseTerms):
         return self + WedgeElement({(i, j): c})
 
     def render(self, basis):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (i, j) in sorted(self.terms):
-            c = self.terms[(i, j)]
-            coeff = "" if c == 1 else ("-" if c == -1 else f"{c}*")
-            parts.append(f"{coeff}{basis[i]}^{basis[j]}")
-        return " + ".join(parts)
+        return _render(self.terms, lambda key: f"{basis[key[0]]}^{basis[key[1]]}")
 
 
 class LieAlgebra:
@@ -129,14 +130,7 @@ class LieAlgebra:
         return out
 
     def render_vector(self, vec):
-        if not vec:
-            return "0"
-        parts = []
-        for i in sorted(vec):
-            c = vec[i]
-            coeff = "" if c == 1 else ("-" if c == -1 else f"{c}*")
-            parts.append(f"{coeff}{self.basis[i]}")
-        return " + ".join(parts)
+        return _render(vec, self.basis.__getitem__)
 
 
 # -- built-in classical algebras -------------------------------------------------

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import re
 import sys
 import time
 import traceback
@@ -31,6 +32,13 @@ from .scalars import ComplexRational, parse_rational, parse_complex_rational
 
 ALL_CHECKS = ("bialgebra", "hopf", "rmatrix", "rep", "eigen", "discrete-se")
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
+
+# per algebra: its classical Lie algebra, classical r-matrix, cocommutator
+# table and quantum algebra
+ALGEBRAS = {
+    "h6": (two_photon_lie, H6_R_MATRIX, H6_DELTA_TABLE, two_photon_algebra),
+    "sch": (schrodinger_lie, SCH_R_MATRIX, SCH_DELTA_TABLE, schrodinger_algebra),
+}
 
 
 def build_parser():
@@ -58,6 +66,30 @@ def build_parser():
     p.add_argument("--csv-out", default="",
                    help="sample certified solutions on the lattice into a CSV")
     return p
+
+
+# a value led by '-' that argparse would read as an option: -1/2, -i, -.5, -1,1,0,0,0
+_NEGATIVE_VALUE = re.compile(r"-[\d.i]")
+
+
+def _attach_negative_values(argv):
+    """Write '--opt -1/2' as '--opt=-1/2'.
+
+    argparse reads a separate token that starts with '-' as an option unless
+    it is a plain decimal such as -1, so a negative rational, '-i' or a beta
+    list led by a negative entry would leave its option without a value.
+    Every long option but --help takes one value; after any other, a token
+    that starts with '-' and then a digit, '.' or 'i' is that value.
+    """
+    out = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if (_NEGATIVE_VALUE.match(tok) and prev.startswith("--") and "=" not in prev
+                and not "--help".startswith(prev)):
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
+    return out
 
 
 def parse_config(args, parser):
@@ -114,22 +146,14 @@ def config_echo(cfg):
 
 
 def _selected_algebras(cfg):
-    out = []
-    if cfg["algebra"] in ("h6", "both"):
-        out.append("h6")
-    if cfg["algebra"] in ("sch", "both"):
-        out.append("sch")
-    return out
+    """The ALGEBRAS rows that --algebra selects, h6 first."""
+    return [row for key, row in ALGEBRAS.items() if cfg["algebra"] in (key, "both")]
 
 
 def run_bialgebra(cfg):
     entries = []
-    data = {
-        "h6": (two_photon_lie(), H6_R_MATRIX, H6_DELTA_TABLE, two_photon_algebra),
-        "sch": (schrodinger_lie(), SCH_R_MATRIX, SCH_DELTA_TABLE, schrodinger_algebra),
-    }
-    for key in _selected_algebras(cfg):
-        lie, r, table, quantum = data[key]
+    for make_lie, r, table, quantum in _selected_algebras(cfg):
+        lie = make_lie()
         entries.append(CheckResult(
             name=f"bialgebra/{lie.name}/jacobi",
             passed=not lie.jacobi_violations(), residual="0"))
@@ -154,9 +178,8 @@ def run_bialgebra(cfg):
 
 def run_hopf(cfg):
     entries = []
-    makers = {"h6": two_photon_algebra, "sch": schrodinger_algebra}
-    for key in _selected_algebras(cfg):
-        alg = makers[key](cfg["order"])
+    for *_, quantum in _selected_algebras(cfg):
+        alg = quantum(cfg["order"])
         entries.extend(hopf_checks(alg))
         entries.extend(structure_checks(alg))
     entries.extend(transport_checks(cfg["order"]))
@@ -173,9 +196,8 @@ def run_hopf(cfg):
 
 def run_rmatrix(cfg):
     entries = []
-    makers = {"h6": two_photon_algebra, "sch": schrodinger_algebra}
-    for key in _selected_algebras(cfg):
-        entries.extend(rmatrix_checks(makers[key](cfg["order"])))
+    for *_, quantum in _selected_algebras(cfg):
+        entries.extend(rmatrix_checks(quantum(cfg["order"])))
     return entries
 
 
@@ -271,8 +293,8 @@ def run_checks(cfg):
 
 
 def _dump_spec(which, order, out_path):
-    alg = two_photon_algebra(order) if which == "h6" else schrodinger_algebra(order)
-    text = canonical_json(alg.to_json_dict())
+    *_, quantum = ALGEBRAS[which]
+    text = canonical_json(quantum(order).to_json_dict())
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -296,7 +318,7 @@ def _write_csv(cfg, path):
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     if not 0 <= args.order <= 8:
         parser.error("--order must be between 0 and 8")
     try:

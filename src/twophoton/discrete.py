@@ -222,13 +222,18 @@ def _expected_brackets(ops, mass, z, classical):
     return table
 
 
+def _label_params(mass, rep_param, z, classical):
+    """A check's name label and its {z, m, a} params; z reads 0 classically."""
+    return "classical" if classical else "deformed", {
+        "z": "0" if classical else str(Fraction(z)), "m": str(Fraction(mass)),
+        "a": str(Fraction(rep_param))}
+
+
 def verify_realization(mass, rep_param, z, classical=False):
     """All fifteen bracket identities of the realized table, exactly."""
     ops = {g: realize(g, mass, rep_param, z, classical) for g in SCH_GENERATORS}
     expected = _expected_brackets(ops, mass, z, classical)
-    params = {"z": "0" if classical else str(Fraction(z)), "m": str(Fraction(mass)),
-              "a": str(Fraction(rep_param))}
-    label = "classical" if classical else "deformed"
+    label, params = _label_params(mass, rep_param, z, classical)
     entries = []
     for (x, y), want in sorted(expected.items()):
         entries.append(residual_entry(f"discrete-se/realization-{label}/[{x},{y}]",
@@ -258,9 +263,7 @@ def symmetry_check(gen, mass, rep_param, z, classical=False):
     columns = [(b * ez).terms for b in basis_ops]
     sol, consistent = solve_linear(columns, com.terms)
 
-    label = "classical" if classical else "deformed"
-    params = {"z": "0" if classical else str(z), "m": str(Fraction(mass)),
-              "a": str(Fraction(rep_param))}
+    label, params = _label_params(mass, rep_param, z, classical)
     name = f"discrete-se/symmetry-{label}/{gen}"
     lam = SchrodingerOperator(z, linear_combination(zip(basis_ops, sol)))
     if not consistent:
@@ -500,11 +503,10 @@ def apply_and_recheck(gen, phi, mass, rep_param, z, classical=False, tag=None):
     if not ez.apply(phi).is_zero():
         raise ValueError("input function is not a solution of the equation")
     image = realize(gen, mass, rep_param, z_eff, classical).apply(phi)
-    label = "classical" if classical else "deformed"
+    label, params = _label_params(mass, rep_param, z_eff, classical)
     return residual_entry(
         f"discrete-se/solution-map-{label}/{gen}/{tag or _phi_tag(phi)}", ez.apply(image),
-        {"m": str(Fraction(mass)), "a": str(Fraction(rep_param)),
-         "z": "0" if classical else str(z_eff)})
+        params)
 
 
 def _phi_tag(phi):
@@ -532,9 +534,7 @@ def solution_checks(mass, rep_param, z, n_poly=5, kappas=(0, 1, 2), classical=Fa
     constant 1, as is the degree-0 heat polynomial, and its name must differ.
     """
     entries = []
-    label = "classical" if classical else "deformed"
-    params = {"m": str(Fraction(mass)), "a": str(Fraction(rep_param)),
-              "z": "0" if classical else str(Fraction(z))}
+    label, params = _label_params(mass, rep_param, z, classical)
     usable = [Fraction(kap) for kap in kappas] if classical else regular_kappas(mass, z, kappas)
     polys = heat_polynomials(mass, z, n_poly, classical)
     exps = exponential_solutions(mass, z, usable, classical)

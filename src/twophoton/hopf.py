@@ -7,7 +7,6 @@ and reports pass exactly when the residual is zero mod z^(k+1).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
 from .algebra import (NCElement, QuantumAlgebra, TensorElement,
                       two_photon_algebra, schrodinger_algebra,
@@ -107,12 +106,9 @@ R_FACTORS = {
 
 def _tensor_exp(alg, c, xname, yname):
     """exp(c z X (x) Y) as a truncated rank-2 tensor."""
-    gx, gy = alg.gen_index(xname), alg.gen_index(yname)
-    terms = {}
-    for n in range(alg.order + 1):
-        coeff = TruncatedSeries.z_power(n, alg.order, Fraction(c) ** n / factorial(n))
-        terms[((gx,) * n, (gy,) * n)] = coeff
-    return TensorElement(alg, 2, terms)
+    gy = alg.gen_index(yname)
+    return TensorElement(alg, 2, {(w, (gy,) * len(w)): s for w, s in
+                                  _exp_words(alg.gen_index(xname), c, alg.order).items()})
 
 
 def _r_factors(alg):

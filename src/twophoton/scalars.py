@@ -28,8 +28,6 @@ class ComplexRational:
 
     Interoperates with int and Fraction through the reflected operators, so
     mixed coefficient arithmetic inside series and operators stays exact.
-    Sums and products skip zero parts, so a real or imaginary operand costs
-    no arithmetic on its zero part.
     """
 
     __slots__ = ("re", "im")
@@ -61,9 +59,7 @@ class ComplexRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b, c, d = self.re, self.im, o.re, o.im
-        return ComplexRational._exact((a + c if a else c) if c else a,
-                                      (b + d if b else d) if d else b)
+        return ComplexRational._exact(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
@@ -84,10 +80,6 @@ class ComplexRational:
         if o is None:
             return NotImplemented
         a, b, c, d = self.re, self.im, o.re, o.im
-        if not d:
-            return ComplexRational._exact(a * c if a else a, b * c if b else b)
-        if not b:
-            return ComplexRational._exact(a * c if a else a, a * d if a else a)
         return ComplexRational._exact(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__

@@ -274,11 +274,11 @@ class TruncatedSeries:
 
 # -- exp and sqrt over any ring truncated in z ------------------------------------
 #
-# x is a TruncatedSeries or a sparse sum with series coefficients: anything
-# with .order, .low_order(), +, * (by itself and by a Fraction) and a truth
-# value that is False exactly for zero. A strictly positive z order makes
-# x^n vanish for n > order, so both sums are finite; they stop at the first
-# vanishing power.
+# x is a TruncatedSeries or a bargmann.DiffOperator, the multiplication
+# operators of the deformed realization: anything with .order, .low_order(),
+# +, * (by itself and by a Fraction) and a truth value that is False exactly
+# for zero. A strictly positive z order makes x^n vanish for n > order, so
+# both sums are finite; they stop at the first vanishing power.
 
 
 def exp_nilpotent(x, one):

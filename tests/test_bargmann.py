@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from math import perm
@@ -9,7 +10,7 @@ from twophoton.bargmann import (DiffOperator, EigenProblem,
                                 deformed_rep, eigen_operator, first_order_rep,
                                 rep_checks, series_solve, verify_rep)
 from twophoton.scalars import ComplexRational
-from twophoton.series import TruncatedSeries
+from twophoton.series import TruncatedSeries, exp_nilpotent
 
 
 def op0(terms):
@@ -78,6 +79,44 @@ def test_deformed_first_order_values():
 def test_deformed_rep_reduces_to_classical():
     for gen in ("B+", "N", "M", "A+", "A-", "B-"):
         assert deformed_rep(gen, 0) == classical_rep(gen, 0)
+
+
+# sha256 of the six deformed generators at order 8, rendered one per line in
+# the order N, B-, B+, A-, A+, M; taken before the construction moved from a
+# separate Laurent-polynomial ring onto DiffOperator
+DEFORMED_K8_SHA256 = "bd805f513fcf7e932b238e71b0face7e16b6bad662ccc485cbbaa96c1276b10f"
+
+
+def test_deformed_rep_rendering_pinned_at_order_8():
+    text = "\n".join(str(deformed_rep(g, 8)) for g in ("N", "B-", "B+", "A-", "A+", "M"))
+    assert hashlib.sha256(text.encode()).hexdigest() == DEFORMED_K8_SHA256
+
+
+def test_multiplication_operator_divisions():
+    k = 3
+    one = DiffOperator.identity(k)
+    u = DiffOperator(k, {(2, 0): TruncatedSeries.z_power(1, k, 2)})  # 2 z a^2
+    exp_u = exp_nilpotent(u, one)
+    assert u.low_order() == 1 and exp_u.low_order() == 0
+    assert DiffOperator.zero(k).low_order() is None
+    # (e^{2 z a^2} - 1)/z starts at 2 a^2, so alpha^2 divides it exactly
+    growth = (exp_u - one).divided_by_z()
+    assert growth.order == k - 1
+    assert growth.divided_by_alpha(2).terms[(0, 0)] == TruncatedSeries.constant(2, k - 1)
+    with pytest.raises(ValueError):
+        exp_u.divided_by_z()
+
+
+def test_divided_by_alpha_rejects_inexact_division():
+    # negative control: e^{2 z a^2} has a constant term, so 1/alpha leaves alpha^-1
+    k = 3
+    u = DiffOperator(k, {(2, 0): TruncatedSeries.z_power(1, k, 2)})
+    exp_u = exp_nilpotent(u, DiffOperator.identity(k))
+    with pytest.raises(ValueError, match="not divisible"):
+        exp_u.divided_by_alpha(1)
+    with pytest.raises(ValueError, match="not divisible"):
+        (exp_u * classical_rep("B+", k)).divided_by_alpha(3)
+    assert (exp_u * classical_rep("A+", k)).divided_by_alpha(1) == exp_u
 
 
 def test_first_order_table_equals_truncated_full():

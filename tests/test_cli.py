@@ -51,6 +51,30 @@ def test_usage_errors_exit_two():
     assert run_cli("--beta", "1,2").returncode == 2
 
 
+def test_negative_values_parse_as_separate_arguments(tmp_path, capsys):
+    def report(*args):
+        out = tmp_path / "report.json"
+        argv = ["--checks", "discrete-se,eigen", "--order", "2", *args, "--out", str(out)]
+        assert cli.main(argv) == 0, args
+        data = json.loads(out.read_text())
+        data.pop("timings")
+        return json.dumps(data, sort_keys=True)
+
+    values = (("--rep-param", "-1/2"), ("--eigenvalue", "-5/2"), ("--beta", "-1,1,0,0,0"))
+    separate = report(*(tok for pair in values for tok in pair))
+    joined = report(*(f"{opt}={value}" for opt, value in values))
+    assert separate == joined
+    config = json.loads(separate)["config"]
+    assert (config["rep_param"], config["eigenvalue"], config["beta"]) \
+        == ("-1/2", "-5/2", "-1,1,0,0,0")
+    assert json.loads(report("--eigenvalue", "-i"))["config"]["eigenvalue"] == "-1i"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--z", "-1/10"])
+    assert exc.value.code == 2
+    assert "--z must be a positive rational" in capsys.readouterr().err
+
+
 def test_empty_check_selection_is_a_usage_error(capsys):
     # a selection with no check in it would certify nothing and exit 0
     for selection in ("", ",", " , "):

@@ -237,8 +237,8 @@ def test_complex_rational_arithmetic():
 
 
 def test_complex_rational_field_properties():
-    # sums and products skip zero parts, so the parts are often 0 here; each
-    # result is checked against the textbook formulas on the Fraction parts
+    # the parts are often 0 here; each result is checked against the
+    # textbook formulas on the Fraction parts
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     rational = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))

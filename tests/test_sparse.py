@@ -7,7 +7,7 @@ import pytest
 
 from twophoton.algebra import (NCElement, TensorElement, schrodinger_algebra,
                                two_photon_algebra)
-from twophoton.bargmann import DiffOperator, _CPoly
+from twophoton.bargmann import DiffOperator
 from twophoton.bialgebra import WedgeElement, basis_change, two_photon_lie
 from twophoton.discrete import ExpPolyFunction, SchrodingerOperator
 from twophoton.scalars import ComplexRational
@@ -80,8 +80,10 @@ def _diffop(rng):
                                 for _ in range(3)})
 
 
-def _cpoly(rng):
-    return _CPoly(ORDER, {rng.randrange(-2, 3): _series(rng) for _ in range(3)})
+def _multiplication_op(rng, order=ORDER, low=0):
+    """Random d-free DiffOperator: a multiplication operator in alpha."""
+    return DiffOperator(order, {(rng.randrange(4), 0): _series(rng, order, low)
+                                for _ in range(3)})
 
 
 def _schop(rng):
@@ -106,7 +108,7 @@ SUBCLASSES = {
     "NCElement": (_nc, schrodinger_algebra(ORDER).gen("H")),
     "TensorElement": (_tensor, ALGEBRAS[0].tensor_one(3)),
     "DiffOperator": (_diffop, DiffOperator.identity(ORDER + 1)),
-    "_CPoly": (_cpoly, _CPoly(ORDER + 1, {0: TruncatedSeries.one(ORDER + 1)})),
+    "DiffOperator-multiplication": (_multiplication_op, DiffOperator.identity(ORDER + 1)),
     "SchrodingerOperator": (_schop, SchrodingerOperator.identity(Fraction(1, 4))),
     "ExpPolyFunction": (_exppoly, ExpPolyFunction.exponential(Fraction(1, 4), 1, 0, 1)),
     "WedgeElement": (_wedge, None),
@@ -152,16 +154,16 @@ def test_basis_change_rejects_dependent_row():
         basis_change(two_photon_lie(), rows)
 
 
-def test_exp_and_sqrt_shared_by_series_and_cpoly():
+def test_exp_and_sqrt_shared_by_series_and_multiplication_operators():
     rng = random.Random(3)
     k = 4
     s_one = TruncatedSeries.one(k)
-    c_one = _CPoly(k, {0: s_one})
+    c_one = DiffOperator.identity(k)
     for _ in range(5):
         x = _series(rng, k, low=1)
         assert exp_nilpotent(x, s_one) * exp_nilpotent(-x, s_one) == s_one
         assert sqrt_unit(x, s_one) ** 2 == s_one + x
-        p = _CPoly(k, {j: _series(rng, k, low=1) for j in (-2, 1, 2)})
+        p = _multiplication_op(rng, k, low=1)
         assert exp_nilpotent(p, c_one) * exp_nilpotent(-p, c_one) == c_one
         root = sqrt_unit(p, c_one)
         assert root * root == c_one + p
