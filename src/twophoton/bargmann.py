@@ -1,13 +1,14 @@
 """Differential-operator calculus on the Fock-Bargmann space.
 
 Operators are sums alpha^j d^l with truncated-series-in-z coefficients, kept
-in canonical form (all derivatives to the right). The deformed one-boson
-realization is assembled in this one ring, from exponentials and square
-roots of the multiplication operator 2 z alpha^2, exact divisions by z and
-by powers of alpha, and composition with d. The apparent 1/alpha factors of
-the closed forms must cancel order by order: an exact division by alpha^m
-raises on any term below alpha^m, so the construction asserts that instead
-of assuming it.
+in canonical form (all derivatives to the right). Each one-boson
+realization (classical, first-order, deformed) is one table {generator:
+operator}. The deformed one is assembled in this one ring, from
+exponentials and square roots of the multiplication operator 2 z alpha^2,
+exact divisions by z and by powers of alpha, and composition with d. The
+apparent 1/alpha factors of the closed forms must cancel order by order:
+an exact division by alpha^m raises on any term below alpha^m, so the
+construction asserts that instead of assuming it.
 """
 
 from __future__ import annotations
@@ -144,84 +145,69 @@ _CLASSICAL = {
 }
 
 
-def classical_rep(gen, order=0):
+def classical_rep(order=0):
     """Undeformed one-boson table: N = a d, A+ = a, A- = d, M = 1, B+ = a^2, B- = d^2."""
-    try:
-        key = _CLASSICAL[gen]
-    except KeyError:
-        raise KeyError(f"unknown generator {gen!r}") from None
-    return DiffOperator(order, {key: TruncatedSeries.one(order)})
+    return {gen: DiffOperator(order, {key: TruncatedSeries.one(order)})
+            for gen, key in _CLASSICAL.items()}
 
 
-def first_order_rep(gen, order=1):
-    """The displayed first-order table, zero above z^1."""
-    if order < 1:
-        raise ValueError("first-order table needs order >= 1")
-
+def first_order_rep():
+    """The displayed first-order table, at order 1."""
     def s(c0=0, c1=0):
-        return TruncatedSeries([Fraction(c0), Fraction(c1)] + [Fraction(0)] * (order - 1),
-                               order)
+        return TruncatedSeries([Fraction(c0), Fraction(c1)], 1)
 
     tables = {
-        "B+": {(2, 0): s(1)},
-        "M": {(0, 0): s(1)},
         "N": {(1, 1): s(1), (3, 1): s(0, 1)},
         "A+": {(1, 0): s(1), (3, 0): s(0, Fraction(-1, 2))},
         "A-": {(0, 1): s(1), (2, 1): s(0, Fraction(3, 2))},
+        "M": {(0, 0): s(1)},
+        "B+": {(2, 0): s(1)},
         "B-": {(0, 2): s(1), (2, 2): s(0, 1), (1, 1): s(0, 1)},
     }
-    try:
-        return DiffOperator(order, tables[gen])
-    except KeyError:
-        raise KeyError(f"unknown generator {gen!r}") from None
+    return {gen: DiffOperator(1, terms) for gen, terms in tables.items()}
 
 
-def deformed_rep(gen, order):
-    """Deformed one-boson realization, exact mod z^(order+1).
+def deformed_rep(order):
+    """Deformed one-boson table, exact mod z^(order+1).
 
     Built from the closed forms, whose z- and alpha-dependent factors are
     multiplication operators: DiffOperators without d, with the d factors
-    composed on the right. Each apparent 1/alpha is an exact
-    divided_by_alpha, which raises unless the closed form's lower powers
-    cancel, so the construction asserts that cancellation instead of
-    assuming it. One internal division by z costs one order, so
-    e^{2 z a^2} is computed at order+1.
+    composed on the right. e^{2 z a^2}, the growth factor and the radical
+    shared by A+ and A- are computed once for the whole table. Each
+    apparent 1/alpha is an exact divided_by_alpha, which raises unless the
+    closed form's lower powers cancel, so the construction asserts that
+    cancellation instead of assuming it. One internal division by z costs
+    one order, so e^{2 z a^2} is computed at order+1. B+ and M keep their
+    classical images.
     """
-    if gen not in _CLASSICAL:
-        raise KeyError(f"unknown generator {gen!r}")
-    if gen in ("B+", "M"):
-        return classical_rep(gen, order)
     k = order
+    rep = classical_rep(k)
+    a, a2, d, d2 = (rep[g] for g in ("A+", "B+", "A-", "B-"))
     one, one_kk = DiffOperator.identity(k), DiffOperator.identity(k + 1)
-    a, a2, d, d2 = (classical_rep(g, k) for g in ("A+", "B+", "A-", "B-"))
     u = DiffOperator(k + 1, {(2, 0): TruncatedSeries.z_power(1, k + 1, 2)})  # 2 z a^2
 
     exp_kk = exp_nilpotent(u, one_kk)
     exp_u = exp_kk.truncate(k)       # e^{2 z a^2}, back at order k
     # (e^{2 z a^2} - 1)/(2z), exactly order k after the division
     growth = (exp_kk - one_kk).divided_by_z().scale(Fraction(1, 2))
+    # shared radical ((1 - e^{-2 z a^2})/(2z))^{1/2} = a * sqrt(unit)
+    radicand = (one_kk - exp_nilpotent(-u, one_kk)).divided_by_z().scale(Fraction(1, 2))
+    root = sqrt_unit(radicand.divided_by_alpha(2) - one, one)
 
-    if gen == "N":
-        # (e^{2 z a^2} - 1)/(2z) * a^{-1} d
-        return growth.divided_by_alpha(1) * d
-
-    if gen in ("A+", "A-"):
-        # shared radical ((1 - e^{-2 z a^2})/(2z))^{1/2} = a * sqrt(unit)
-        radicand = (one_kk - exp_nilpotent(-u, one_kk)).divided_by_z().scale(Fraction(1, 2))
-        root = sqrt_unit(radicand.divided_by_alpha(2) - one, one)
-        if gen == "A+":
-            return a * root
-        # e^{2 z a^2} a^{-1} * (a * root) d = e^{2 z a^2} root d
-        return exp_u * root * d
-
+    # N: (e^{2 z a^2} - 1)/(2z) * a^{-1} d
+    rep["N"] = growth.divided_by_alpha(1) * d
+    rep["A+"] = a * root
+    # A-: e^{2 z a^2} a^{-1} * (a * root) d = e^{2 z a^2} root d
+    rep["A-"] = exp_u * root * d
     # B-: ((e^{2 z a^2}-1)/(2 z a^2)) d^2 + ((e^{2 z a^2} a^2 - (e^{2 z a^2}-1)/(2z))/a^3) d
-    return growth.divided_by_alpha(2) * d2 + (exp_u * a2 - growth).divided_by_alpha(3) * d
+    rep["B-"] = growth.divided_by_alpha(2) * d2 + (exp_u * a2 - growth).divided_by_alpha(3) * d
+    return rep
 
 
 def verify_rep(order):
     """Every deformed commutator matches the image of the tabulated bracket."""
     alg = two_photon_algebra(order)
-    images = {g: deformed_rep(g, order) for g in alg.generators}
+    images = deformed_rep(order)
 
     def image_of_word(word):
         op = DiffOperator.identity(order)
@@ -246,17 +232,16 @@ def verify_rep(order):
 def rep_checks(order):
     """Bracket residuals plus the classical-limit and first-order table ties."""
     entries = list(verify_rep(order))
-    gens = _CLASSICAL.keys()
-    bad = [g for g in gens if deformed_rep(g, 0) != classical_rep(g, 0)]
-    entries.append(CheckResult(
-        name="rep/classical-limit", passed=not bad,
-        residual="0" if not bad else ", ".join(bad), params={"order": "0"}))
+
+    def tie(name, rep, want, at):
+        bad = [g for g in _CLASSICAL if rep[g] != want[g]]
+        return CheckResult(name=name, passed=not bad, residual=", ".join(bad) or "0",
+                           params={"order": str(at)})
+
+    entries.append(tie("rep/classical-limit", deformed_rep(0), classical_rep(0), 0))
     if order >= 1:
-        bad = [g for g in gens
-               if deformed_rep(g, order).truncate(1) != first_order_rep(g, 1)]
-        entries.append(CheckResult(
-            name="rep/first-order-table", passed=not bad,
-            residual="0" if not bad else ", ".join(bad), params={"order": str(order)}))
+        full = {g: op.truncate(1) for g, op in deformed_rep(order).items()}
+        entries.append(tie("rep/first-order-table", full, first_order_rep(), order))
     return entries
 
 
@@ -277,22 +262,17 @@ class EigenProblem:
             raise ValueError("at least one beta must be nonzero")
 
 
-def eigen_operator(problem, order, mode="full"):
-    """sum_i beta_i rep(generator_i) - eigenvalue, in canonical form."""
-    reps = {
-        "classical": lambda g: classical_rep(g, order),
-        "first-order": lambda g: first_order_rep(g, max(order, 1)).truncate(order)
-        if order >= 1 else None,
-        "full": lambda g: deformed_rep(g, order),
-    }
-    if mode not in reps:
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "first-order" and order < 1:
-        raise ValueError("first-order mode needs order >= 1")
-    parts = [(reps[mode](gen), beta)
-             for beta, gen in zip(problem.betas, GENERATOR_ORDER) if beta]
-    parts.append((DiffOperator.identity(order), -problem.eigenvalue))
-    return DiffOperator(order, linear_combination(parts))
+def eigen_operator(problem, rep):
+    """sum_i beta_i rep[generator_i] - eigenvalue rep["M"], in canonical form.
+
+    ``rep`` is a one-boson table (classical_rep, first_order_rep or
+    deformed_rep), in each of which M is the identity; the operator has the
+    table's order.
+    """
+    one = rep["M"]
+    parts = [(rep[gen], beta) for beta, gen in zip(problem.betas, GENERATOR_ORDER) if beta]
+    parts.append((one, -problem.eigenvalue))
+    return DiffOperator(one.order, linear_combination(parts))
 
 
 class SingularRecurrenceError(ValueError):

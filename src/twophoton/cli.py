@@ -15,8 +15,8 @@ import traceback
 from fractions import Fraction
 
 from .algebra import two_photon_algebra, schrodinger_algebra
-from .bargmann import (EigenProblem, eigen_operator, rep_checks, series_solve,
-                       SingularRecurrenceError)
+from .bargmann import (EigenProblem, classical_rep, deformed_rep, eigen_operator,
+                       first_order_rep, rep_checks, series_solve, SingularRecurrenceError)
 from .bialgebra import (two_photon_lie, schrodinger_lie, basis_change,
                         delta_table_from_r, verify_cybe, verify_cocycle,
                         H6_R_MATRIX, SCH_R_MATRIX, H6_DELTA_TABLE,
@@ -107,6 +107,8 @@ def parse_config(args, parser):
         parser.error("--mass must be nonzero")
     if len(betas) != 5:
         parser.error("--beta needs exactly five entries")
+    if not any(betas):
+        parser.error("--beta needs at least one nonzero entry")
     if args.degree < 2:
         parser.error("--degree must be at least 2")
     checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
@@ -213,8 +215,8 @@ def run_eigen(cfg):
     # number operator: alpha d/dalpha f = n f has the monomial solution
     n_target = 5
     problem = EigenProblem((one, zero, zero, zero, zero), ComplexRational(n_target))
-    op = eigen_operator(problem, 0, "classical")
-    coeffs, tail = series_solve(op, 10)
+    classical = classical_rep()
+    coeffs, tail = series_solve(eigen_operator(problem, classical), 10)
     want = [Fraction(1) if i == n_target else Fraction(0) for i in range(11)]
     ok = coeffs == want and not tail
     entries.append(CheckResult(
@@ -225,7 +227,7 @@ def run_eigen(cfg):
     # pure second-derivative case follows the two-step recurrence
     lam = ComplexRational(1)
     problem = EigenProblem((zero, one, zero, zero, zero), lam)
-    coeffs, _ = series_solve(eigen_operator(problem, 0, "classical"), 12)
+    coeffs, _ = series_solve(eigen_operator(problem, classical), 12)
     expect = [Fraction(1), Fraction(0)]
     for n in range(11):
         expect.append(expect[n] / ((n + 1) * (n + 2)))
@@ -238,13 +240,13 @@ def run_eigen(cfg):
     # displayed first-order truncation against the closed-form realization
     problem = EigenProblem(cfg["betas"], cfg["eigenvalue"])
     order = max(1, cfg["order"])
-    full = eigen_operator(problem, order, "full").truncate(1)
-    first = eigen_operator(problem, 1, "first-order")
+    full = eigen_operator(problem, deformed_rep(order)).truncate(1)
+    first = eigen_operator(problem, first_order_rep())
     entries.append(residual_entry("eigen/first-order-vs-full", full - first,
                                   {"order": str(order)}))
 
     # deformed solve at the configured rational z
-    op = eigen_operator(problem, 1, "first-order").substitute_z(cfg["z"])
+    op = first.substitute_z(cfg["z"])
     params = {"beta": ",".join(str(b) for b in cfg["betas"]),
               "lambda": str(cfg["eigenvalue"]), "z": str(cfg["z"]),
               "degree": str(cfg["degree"])}

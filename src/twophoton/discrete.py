@@ -110,54 +110,48 @@ class SchrodingerOperator(SparseTerms):
 # -- realization -----------------------------------------------------------------
 
 
-def realize(gen, mass, rep_param, z, classical=False):
-    """Realized generator at exact rational parameters; b = mass/2 - 2."""
+def realize(mass, rep_param, z, classical=False):
+    """The realized generator table {name: operator} at exact rational
+    parameters; b = mass/2 - 2.
+
+    H, P and M are the same in both tables; the deformed K, D and C carry
+    the shift T and need z > 0.
+    """
     m = Fraction(mass)
     a = Fraction(rep_param)
     z = Fraction(z)
     if not classical and z <= 0:
         raise ValueError("the deformed realization needs z > 0")
     b = m / 2 - 2
-
-    def op(terms):
-        return SchrodingerOperator(z, terms)
-
-    if gen == "H":
-        return op({(0, 0, 0, 0, 1): 1})
-    if gen == "P":
-        return op({(0, 0, 0, 1, 0): 1})
-    if gen == "M":
-        return op({(0, 0, 0, 0, 0): m})
     if classical:
-        if gen == "K":
-            return op({(0, 1, 0, 1, 0): -1, (1, 0, 0, 0, 0): -m})
-        if gen == "D":
-            return op({(0, 1, 0, 0, 1): 2, (1, 0, 0, 1, 0): 1, (0, 0, 0, 0, 0): -a})
-        if gen == "C":
-            return op({(0, 2, 0, 0, 1): 1, (1, 1, 0, 1, 0): 1,
-                       (0, 1, 0, 0, 0): -a, (2, 0, 0, 0, 0): m / 2})
-        raise KeyError(f"unknown generator {gen!r}")
-    if gen == "K":
-        return op({(0, 1, 1, 1, 0): -1, (0, 0, 1, 1, 0): -4 * z,
-                   (1, 0, 0, 0, 0): -m})
-    if gen == "D":
-        return op({(0, 1, 1, 0, 0): Fraction(1, 2) / z,
-                   (0, 1, 0, 0, 0): Fraction(-1, 2) / z,
-                   (0, 0, 1, 0, 0): 2,
-                   (0, 0, 0, 0, 0): -2 - a,
-                   (1, 0, 0, 1, 0): 1})
-    if gen == "C":
-        return op({(0, 2, 1, 0, 0): Fraction(1, 4) / z,
-                   (0, 2, 0, 0, 0): Fraction(-1, 4) / z,
-                   (0, 1, 1, 0, 0): -b,
-                   (1, 1, 0, 1, 0): 1,
-                   (0, 1, 0, 0, 0): b - a,
-                   (2, 0, 0, 0, 0): m / 2,
-                   (0, 0, 1, 0, 0): -4 * z * (b + 1),
-                   (2, 0, 0, 2, 0): -z,
-                   (1, 0, 0, 1, 0): -2 * z * (b - a + Fraction(1, 2)),
-                   (0, 0, 0, 0, 0): -z * (b - a) ** 2})
-    raise KeyError(f"unknown generator {gen!r}")
+        table = {
+            "K": {(0, 1, 0, 1, 0): -1, (1, 0, 0, 0, 0): -m},
+            "D": {(0, 1, 0, 0, 1): 2, (1, 0, 0, 1, 0): 1, (0, 0, 0, 0, 0): -a},
+            "C": {(0, 2, 0, 0, 1): 1, (1, 1, 0, 1, 0): 1,
+                  (0, 1, 0, 0, 0): -a, (2, 0, 0, 0, 0): m / 2},
+        }
+    else:
+        table = {
+            "K": {(0, 1, 1, 1, 0): -1, (0, 0, 1, 1, 0): -4 * z, (1, 0, 0, 0, 0): -m},
+            "D": {(0, 1, 1, 0, 0): Fraction(1, 2) / z,
+                  (0, 1, 0, 0, 0): Fraction(-1, 2) / z,
+                  (0, 0, 1, 0, 0): 2,
+                  (0, 0, 0, 0, 0): -2 - a,
+                  (1, 0, 0, 1, 0): 1},
+            "C": {(0, 2, 1, 0, 0): Fraction(1, 4) / z,
+                  (0, 2, 0, 0, 0): Fraction(-1, 4) / z,
+                  (0, 1, 1, 0, 0): -b,
+                  (1, 1, 0, 1, 0): 1,
+                  (0, 1, 0, 0, 0): b - a,
+                  (2, 0, 0, 0, 0): m / 2,
+                  (0, 0, 1, 0, 0): -4 * z * (b + 1),
+                  (2, 0, 0, 2, 0): -z,
+                  (1, 0, 0, 1, 0): -2 * z * (b - a + Fraction(1, 2)),
+                  (0, 0, 0, 0, 0): -z * (b - a) ** 2},
+        }
+    table.update({"H": {(0, 0, 0, 0, 1): 1}, "P": {(0, 0, 0, 1, 0): 1},
+                  "M": {(0, 0, 0, 0, 0): m}})
+    return {gen: SchrodingerOperator(z, table[gen]) for gen in SCH_GENERATORS}
 
 
 def discrete_derivative(z, direction="forward"):
@@ -231,7 +225,7 @@ def _label_params(mass, rep_param, z, classical):
 
 def verify_realization(mass, rep_param, z, classical=False):
     """All fifteen bracket identities of the realized table, exactly."""
-    ops = {g: realize(g, mass, rep_param, z, classical) for g in SCH_GENERATORS}
+    ops = realize(mass, rep_param, z, classical)
     expected = _expected_brackets(ops, mass, z, classical)
     label, params = _label_params(mass, rep_param, z, classical)
     entries = []
@@ -253,7 +247,7 @@ def symmetry_check(gen, mass, rep_param, z, classical=False):
     """
     z = Fraction(z)
     ez = casimir(mass, z, classical)
-    s_op = realize(gen, mass, rep_param, z, classical)
+    s_op = realize(mass, rep_param, z, classical)[gen]
     com = ez.commutator(s_op)
 
     one = SchrodingerOperator.identity(z)
@@ -502,7 +496,7 @@ def apply_and_recheck(gen, phi, mass, rep_param, z, classical=False, tag=None):
     ez = casimir(mass, z_eff, classical)
     if not ez.apply(phi).is_zero():
         raise ValueError("input function is not a solution of the equation")
-    image = realize(gen, mass, rep_param, z_eff, classical).apply(phi)
+    image = realize(mass, rep_param, z_eff, classical)[gen].apply(phi)
     label, params = _label_params(mass, rep_param, z_eff, classical)
     return residual_entry(
         f"discrete-se/solution-map-{label}/{gen}/{tag or _phi_tag(phi)}", ez.apply(image),

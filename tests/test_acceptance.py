@@ -93,9 +93,11 @@ def test_criterion_5_representation():
     for order in (0, 1, 2, 3, 4):
         bad = [e.name for e in verify_rep(order) if not e.passed]
         assert not bad, (order, bad)
+    full, limit = deformed_rep(4), deformed_rep(0)
+    first, classical = first_order_rep(), classical_rep()
     for gen in GENERATORS:
-        assert deformed_rep(gen, 4).truncate(1) == first_order_rep(gen, 1), gen
-        assert deformed_rep(gen, 0) == classical_rep(gen, 0), gen
+        assert full[gen].truncate(1) == first[gen], gen
+        assert limit[gen] == classical[gen], gen
     report(5, True, "deformed one-boson realization exact at k=0..4, "
                     "first-order and classical limits reproduced")
 
@@ -104,20 +106,20 @@ def test_criterion_6_eigenstates():
     zero, one = ComplexRational(0), ComplexRational(1)
     n = 7
     problem = EigenProblem((one, zero, zero, zero, zero), ComplexRational(n))
-    coeffs, tail = series_solve(eigen_operator(problem, 0, "classical"), 12)
+    coeffs, tail = series_solve(eigen_operator(problem, classical_rep()), 12)
     assert tail == {}
     assert coeffs == [Fraction(1) if i == n else Fraction(0) for i in range(13)]
 
     lam = ComplexRational(Fraction(2, 3))
     problem = EigenProblem((zero, one, zero, zero, zero), lam)
-    coeffs, _ = series_solve(eigen_operator(problem, 0, "classical"), 14)
+    coeffs, _ = series_solve(eigen_operator(problem, classical_rep()), 14)
     expect = [Fraction(1), Fraction(0)]
     for m in range(13):
         expect.append(Fraction(2, 3) * expect[m] / ((m + 1) * (m + 2)))
     assert coeffs == expect
 
     problem = EigenProblem((zero, one, zero, zero, zero), one)
-    op = eigen_operator(problem, 1, "first-order").substitute_z(Fraction(1, 10))
+    op = eigen_operator(problem, first_order_rep()).substitute_z(Fraction(1, 10))
     coeffs, tail = series_solve(op, 30)
     image = op.apply_to_polynomial(dict(enumerate(coeffs)))
     low = {m for m, s in image.items() if m <= 28 and s.coeffs[0] != 0}

@@ -18,11 +18,10 @@ def op0(terms):
 
 
 def test_compose_boson_relation():
-    d = classical_rep("A-", 0)
-    a = classical_rep("A+", 0)
+    rep = classical_rep()
+    d, a, n = rep["A-"], rep["A+"], rep["N"]
     assert d * a == op0({(1, 1): 1, (0, 0): 1})
     assert a * a == op0({(2, 0): 1})
-    n = classical_rep("N", 0)
     assert n * n == op0({(2, 2): 1, (1, 1): 1})
 
 
@@ -57,28 +56,34 @@ def test_compose_associative_random():
 
 
 def test_classical_table():
-    assert classical_rep("B-", 0) == op0({(0, 2): 1})
-    assert classical_rep("M", 0) == op0({(0, 0): 1})
-    com = classical_rep("A-", 0).commutator(classical_rep("A+", 0))
+    rep = classical_rep()
+    assert rep["B-"] == op0({(0, 2): 1})
+    assert rep["M"] == op0({(0, 0): 1})
+    com = rep["A-"].commutator(rep["A+"])
     assert com == DiffOperator.identity(0)
     with pytest.raises(KeyError):
-        classical_rep("Q")
+        rep["Q"]
+
+
+def test_every_table_holds_the_six_generators():
+    for rep in (classical_rep(), classical_rep(2), first_order_rep(), deformed_rep(2)):
+        assert sorted(rep) == sorted(("B+", "N", "M", "A+", "A-", "B-"))
+        with pytest.raises(KeyError):
+            rep["Q"]
 
 
 def test_deformed_first_order_values():
     z1 = lambda c: TruncatedSeries([Fraction(0), Fraction(c)])
     one1 = TruncatedSeries([Fraction(1), Fraction(0)])
-    assert deformed_rep("N", 1) == DiffOperator(1, {(1, 1): one1, (3, 1): z1(1)})
-    assert deformed_rep("A+", 1) == DiffOperator(
-        1, {(1, 0): one1, (3, 0): z1(Fraction(-1, 2))})
-    assert deformed_rep("B-", 1) == DiffOperator(
-        1, {(0, 2): one1, (2, 2): z1(1), (1, 1): z1(1)})
-    assert deformed_rep("B+", 1) == DiffOperator(1, {(2, 0): one1})
+    rep = deformed_rep(1)
+    assert rep["N"] == DiffOperator(1, {(1, 1): one1, (3, 1): z1(1)})
+    assert rep["A+"] == DiffOperator(1, {(1, 0): one1, (3, 0): z1(Fraction(-1, 2))})
+    assert rep["B-"] == DiffOperator(1, {(0, 2): one1, (2, 2): z1(1), (1, 1): z1(1)})
+    assert rep["B+"] == DiffOperator(1, {(2, 0): one1})
 
 
 def test_deformed_rep_reduces_to_classical():
-    for gen in ("B+", "N", "M", "A+", "A-", "B-"):
-        assert deformed_rep(gen, 0) == classical_rep(gen, 0)
+    assert deformed_rep(0) == classical_rep(0)
 
 
 # sha256 of the six deformed generators at order 8, rendered one per line in
@@ -88,7 +93,8 @@ DEFORMED_K8_SHA256 = "bd805f513fcf7e932b238e71b0face7e16b6bad662ccc485cbbaa96c12
 
 
 def test_deformed_rep_rendering_pinned_at_order_8():
-    text = "\n".join(str(deformed_rep(g, 8)) for g in ("N", "B-", "B+", "A-", "A+", "M"))
+    rep = deformed_rep(8)
+    text = "\n".join(str(rep[g]) for g in ("N", "B-", "B+", "A-", "A+", "M"))
     assert hashlib.sha256(text.encode()).hexdigest() == DEFORMED_K8_SHA256
 
 
@@ -115,13 +121,12 @@ def test_divided_by_alpha_rejects_inexact_division():
     with pytest.raises(ValueError, match="not divisible"):
         exp_u.divided_by_alpha(1)
     with pytest.raises(ValueError, match="not divisible"):
-        (exp_u * classical_rep("B+", k)).divided_by_alpha(3)
-    assert (exp_u * classical_rep("A+", k)).divided_by_alpha(1) == exp_u
+        (exp_u * classical_rep(k)["B+"]).divided_by_alpha(3)
+    assert (exp_u * classical_rep(k)["A+"]).divided_by_alpha(1) == exp_u
 
 
 def test_first_order_table_equals_truncated_full():
-    for gen in ("B+", "N", "M", "A+", "A-", "B-"):
-        assert deformed_rep(gen, 3).truncate(1) == first_order_rep(gen, 1)
+    assert {g: op.truncate(1) for g, op in deformed_rep(3).items()} == first_order_rep()
 
 
 def test_verify_rep_all_orders():
@@ -135,7 +140,7 @@ def test_verify_rep_all_orders():
 def test_eigen_operator_classical_shape():
     betas = tuple(ComplexRational(b) for b in (2, 3, 5, 7, 11))
     problem = EigenProblem(betas, ComplexRational(13))
-    got = eigen_operator(problem, 0, "classical")
+    got = eigen_operator(problem, classical_rep())
     # beta2 d^2 + (beta1 a + beta4) d + (beta3 a^2 + beta5 a - lambda)
     want = DiffOperator.from_scalar_terms(0, {
         (0, 2): ComplexRational(3), (1, 1): ComplexRational(2),
@@ -147,7 +152,7 @@ def test_eigen_operator_classical_shape():
 def test_eigen_operator_first_order_displayed_terms():
     betas = tuple(ComplexRational(b) for b in (2, 3, 5, 7, 11))
     problem = EigenProblem(betas, ComplexRational(13))
-    got = eigen_operator(problem, 1, "first-order")
+    got = eigen_operator(problem, first_order_rep())
     z1 = lambda c: TruncatedSeries([Fraction(0), Fraction(c)])
     # d coefficient gains z(beta1 a^3 + beta2 a + 3 beta4 a^2 / 2)
     assert got.terms[(3, 1)] == z1(2)
@@ -159,11 +164,25 @@ def test_eigen_operator_first_order_displayed_terms():
     assert got.terms[(2, 2)] == z1(3)
 
 
+def test_eigen_operator_is_the_explicit_sum_on_every_table():
+    betas = (ComplexRational(2), ComplexRational(0), ComplexRational(Fraction(1, 3), 1),
+             ComplexRational(-1), ComplexRational(0, 5))
+    lam = ComplexRational(Fraction(7, 2), -1)
+    problem = EigenProblem(betas, lam)
+    for rep in (classical_rep(), first_order_rep(), deformed_rep(3)):
+        order = rep["M"].order
+        assert rep["M"] == DiffOperator.identity(order)
+        want = DiffOperator.identity(order).scale(-lam)
+        for beta, gen in zip(betas, ("N", "B-", "B+", "A-", "A+")):
+            want = want + rep[gen].scale(beta)
+        assert eigen_operator(problem, rep) == want
+
+
 def test_first_order_equals_full_mod_z2():
     betas = tuple(ComplexRational(b) for b in (1, 1, 1, 1, 1))
     problem = EigenProblem(betas, ComplexRational(2))
-    assert eigen_operator(problem, 3, "full").truncate(1) == \
-        eigen_operator(problem, 1, "first-order")
+    assert eigen_operator(problem, deformed_rep(3)).truncate(1) == \
+        eigen_operator(problem, first_order_rep())
 
 
 def test_eigenproblem_validation():
@@ -223,7 +242,7 @@ def _check_against_oracles(op, degree, seeds=None):
 def test_series_solve_number_operator():
     zero, one = ComplexRational(0), ComplexRational(1)
     problem = EigenProblem((one, zero, zero, zero, zero), ComplexRational(4))
-    coeffs, tail = series_solve(eigen_operator(problem, 0, "classical"), 9)
+    coeffs, tail = series_solve(eigen_operator(problem, classical_rep()), 9)
     assert coeffs == [0, 0, 0, 0, 1, 0, 0, 0, 0, 0]
     assert tail == {}
 
@@ -232,7 +251,7 @@ def test_series_solve_beta2_recurrence():
     zero, one = ComplexRational(0), ComplexRational(1)
     lam = ComplexRational(Fraction(3, 2))
     problem = EigenProblem((zero, one, zero, zero, zero), lam)
-    coeffs, _ = series_solve(eigen_operator(problem, 0, "classical"), 11)
+    coeffs, _ = series_solve(eigen_operator(problem, classical_rep()), 11)
     # independent recurrence c_{n+2} = lam c_n / ((n+1)(n+2))
     expect = [Fraction(1), Fraction(0)]
     for n in range(10):
@@ -243,7 +262,7 @@ def test_series_solve_beta2_recurrence():
 def test_series_solve_deformed_residual_window():
     zero, one = ComplexRational(0), ComplexRational(1)
     problem = EigenProblem((zero, one, zero, zero, zero), one)
-    op = eigen_operator(problem, 1, "first-order").substitute_z(Fraction(1, 10))
+    op = eigen_operator(problem, first_order_rep()).substitute_z(Fraction(1, 10))
     coeffs, tail = series_solve(op, 30)
     # the d^2 head lowers degree by two: residual vanishes through degree 28
     assert all(m > 28 for m in tail)
@@ -351,6 +370,6 @@ def test_series_solve_all_terms_raise_degree():
 
 def test_series_solve_rejects_unsubstituted_operator():
     with pytest.raises(ValueError):
-        series_solve(deformed_rep("N", 2), 5)
+        series_solve(deformed_rep(2)["N"], 5)
     with pytest.raises(ValueError):
         series_solve(DiffOperator.zero(0), 5)

@@ -86,6 +86,17 @@ def test_empty_check_selection_is_a_usage_error(capsys):
         assert "selects no check" in err
 
 
+def test_all_zero_beta_is_a_usage_error(capsys):
+    # the eigenproblem sum_i beta_i X_i - lambda needs some generator in it
+    for beta in ("0,0,0,0,0", "0,0,0,0,0i", "0/3,0,0,0,0"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--checks", "eigen", "--beta", beta])
+        assert exc.value.code == 2, beta
+        out, err = capsys.readouterr()
+        assert "summary:" not in out and "Traceback" not in err
+        assert "--beta needs at least one nonzero entry" in err
+
+
 def test_internal_error_exits_three(monkeypatch):
     def boom(cfg):
         raise RuntimeError("engine exploded")

@@ -61,19 +61,22 @@ def test_shift_relations():
 
 
 def test_realize_examples():
-    h = realize("H", M, A, Z)
-    p = realize("P", M, A, Z)
-    m_op = realize("M", M, A, Z)
-    assert h == basis_op(Z, (0, 0, 0, 0, 1))
-    assert p == basis_op(Z, (0, 0, 0, 1, 0))
-    assert m_op == SchrodingerOperator(Z, {(0, 0, 0, 0, 0): M})
-    k = realize("K", M, A, Z)
-    assert k == SchrodingerOperator(Z, {
+    ops = realize(M, A, Z)
+    assert ops["H"] == basis_op(Z, (0, 0, 0, 0, 1))
+    assert ops["P"] == basis_op(Z, (0, 0, 0, 1, 0))
+    assert ops["M"] == SchrodingerOperator(Z, {(0, 0, 0, 0, 0): M})
+    assert ops["K"] == SchrodingerOperator(Z, {
         (0, 1, 1, 1, 0): -1, (0, 0, 1, 1, 0): -4 * Z, (1, 0, 0, 0, 0): -M})
-    d = realize("D", M, A, Z)
-    assert d == SchrodingerOperator(Z, {
+    assert ops["D"] == SchrodingerOperator(Z, {
         (0, 1, 1, 0, 0): Fraction(1, 2) / Z, (0, 1, 0, 0, 0): -Fraction(1, 2) / Z,
         (0, 0, 1, 0, 0): 2, (0, 0, 0, 0, 0): -2 - A, (1, 0, 0, 1, 0): 1})
+
+
+def test_realize_tables_hold_the_six_generators():
+    for ops in (realize(M, A, Z), realize(M, A, 0, classical=True)):
+        assert sorted(ops) == sorted(("H", "D", "M", "P", "K", "C"))
+        with pytest.raises(KeyError):
+            ops["N"]
 
 
 def test_realization_brackets_over_matrix():
@@ -193,8 +196,7 @@ def test_solution_checks_count_and_classical():
 def test_operator_and_function_level_agree():
     ez = casimir(M, Z)
     sols = heat_polynomials(M, Z, 5) + exponential_solutions(M, Z, [1, 2])
-    for gen in ("H", "D", "M", "P", "K", "C"):
-        s_op = realize(gen, M, A, Z)
+    for gen, s_op in realize(M, A, Z).items():
         com = ez.commutator(s_op)
         for phi in sols:
             direct = com.apply(phi)
