@@ -14,13 +14,18 @@ rewriting terminates. A broken relation table that rewrites without end
 runs into the interpreter's recursion limit, which surfaces as a
 ``NormalOrderError`` naming the word instead of a hang.
 
-Inside the engine, the relation table and both memos map (word, z power)
-to one exact scalar. The built-in tables are homogeneous for a grading in
-which z has a weight, so a normal form carries one z power per word. Every
+Inside the engine, the relation table maps (word, z power) to one Fraction,
+and both memos hold Python ints: an entry is (d, {(word, z power):
+numerator}) over one positive denominator d, reduced so that d and the
+numerators have no common factor. Entries are combined over the lcm of
+their denominators, so a coefficient operation is an int product, not a
+Fraction's gcd. The built-in tables are homogeneous for a grading in which
+z has a weight, so a normal form carries one z power per word. Every
 product of elements, tensors or raw tensors goes through one kernel,
 ``QuantumAlgebra._ordered``. It reads each coefficient's stored
-(z power, scalar) pairs and hands back one series per word, built from
-that word's pairs: in the graded tables, one monomial.
+(z power, Fraction) pairs as int numerators and denominators, and hands
+back one series of Fractions per word, built from that word's pairs: in
+the graded tables, one monomial.
 
 Two algebras are built in:
 
@@ -35,7 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, groupby
-from math import factorial
+from math import factorial, gcd, lcm
 from operator import add
 
 from .series import TruncatedSeries
@@ -55,8 +60,6 @@ __all__ = [
 H6_GENERATORS = ("B+", "N", "M", "A+", "A-", "B-")
 SCH_GENERATORS = ("H", "D", "M", "P", "K", "C")
 
-_ONE = Fraction(1)
-
 
 class NormalOrderError(RuntimeError):
     """Rewriting did not terminate; signals an inconsistent relation table."""
@@ -72,6 +75,29 @@ def _first_inversion(word):
         if word[i] > word[i + 1]:
             return i
     return None
+
+
+def _combine(parts, order):
+    """sum_i c_i / d_i * z^(n_i) * entry_i as a reduced memo entry.
+
+    Each part is (c, d, n, (e, {(word, m): x})) with int c, d, e, x; terms
+    past z^order are dropped, and the result is (D, {(word, n + m):
+    numerator}) over the lcm D of the parts' denominators d * e, divided by
+    the gcd of D and its nonzero numerators.
+    """
+    den = lcm(*(d * e for _, d, _, (e, _) in parts))
+    acc = {}
+    for c, d, n, (e, terms) in parts:
+        s = c * (den // (d * e))
+        for (w, m), x in terms.items():
+            if n + m <= order:
+                key = (w, n + m)
+                acc[key] = acc.get(key, 0) + s * x
+    acc = {key: x for key, x in acc.items() if x}
+    g = gcd(den, *acc.values())
+    if g == 1:
+        return den, acc
+    return den // g, {key: x // g for key, x in acc.items()}
 
 
 def _term_products(a, b, join):
@@ -195,8 +221,9 @@ class QuantumAlgebra:
     map. Tables are fixed after construction and every operation is pure up
     to idempotent memo caches, so results never depend on evaluation order.
 
-    The relation table and the memos of normal forms map (word, z power) to
-    one exact scalar, and ``_ordered`` is the one product kernel over them.
+    The relation table maps (word, z power) to one Fraction; the memos of
+    normal forms hold int numerators over one reduced denominator per
+    entry, and ``_ordered`` is the one product kernel over them.
     The coproduct and antipode tables and their memos hold plain
     {key: series} maps, wrapped into elements on access: an element points
     back at its algebra, so tables of elements would keep every algebra in
@@ -292,7 +319,8 @@ class QuantumAlgebra:
 
     def normal_word(self, word):
         """PBW normal form of one raw word, as a {word: series} map."""
-        return self._series_terms(self._normal_form(tuple(word)))
+        d, nf = self._normal_form(tuple(word))
+        return self._series_terms({key: Fraction(x, d) for key, x in nf.items()})
 
     def normal_terms(self, raw_terms):
         """Normal form of a raw {word: coefficient} map, as a {word: series} map."""
@@ -304,25 +332,38 @@ class QuantumAlgebra:
         """Normal-ordered {legs: series} of a sum of raw (legs, series) terms.
 
         The one product kernel of the engine. Each series contributes its
-        stored (z power, scalar) pairs, each raw leg is expanded against its
-        memoised normal form in turn, and a partial product past z^k is
-        dropped before the next leg. The surviving (legs, power) terms are
-        collected once and regrouped into one series per tuple of legs.
+        stored (z power, coefficient) pairs as (numerator, denominator)
+        ints, each raw leg is expanded against its memoised normal form in
+        turn, and a partial product past z^k is dropped before the next
+        leg. The surviving (legs, power) terms accumulate in one dict of
+        numerators over a running denominator, rescaled in the rare case
+        that a new denominator grows it; one Fraction per surviving term is
+        built just before the terms are regrouped into one series per tuple
+        of legs.
         """
         k = self.order
-
-        def pairs():
-            for legs, series in raw:
-                partial = [((), n, c) for n, c in series.pairs]
-                for leg in legs:
-                    nf = self._normal_form(leg).items()
-                    partial = [(words + (w,), n + m, c if x is _ONE else c * x)
-                               for words, n, c in partial
-                               for (w, m), x in nf if n + m <= k]
-                for words, n, c in partial:
-                    yield (words, n), c
-
-        return self._series_terms(collect(pairs()))
+        nf_cache = self._nf_cache
+        acc = {}
+        den = 1
+        for legs, series in raw:
+            partial = [((), n, c.numerator, c.denominator) for n, c in series.pairs]
+            for leg in legs:
+                entry = nf_cache.get(leg)
+                if entry is None:
+                    entry = self._normal_form(leg)
+                d, nf = entry
+                nf = nf.items()
+                partial = [(words + (w,), n + m, a * x, b * d)
+                           for words, n, a, b in partial
+                           for (w, m), x in nf if n + m <= k]
+            for words, n, a, b in partial:
+                if den % b:
+                    grow = b // gcd(den, b)
+                    acc = {key: x * grow for key, x in acc.items()}
+                    den *= grow
+                key = (words, n)
+                acc[key] = acc.get(key, 0) + a * (den // b)
+        return self._series_terms({key: Fraction(a, den) for key, a in acc.items() if a})
 
     def _series_terms(self, terms):
         """Regroup a {(key, z power): nonzero scalar} map into {key: series}.
@@ -344,57 +385,59 @@ class QuantumAlgebra:
         except RecursionError:
             raise NormalOrderError(self.name, word) from None
 
-    # The two memos below are built by list comprehensions, not generators
-    # fed to ``collect``: each rewriting level then nests two frames, not
-    # three, on the way to the recursion limit. A PBW word's normal form is
-    # {(word, 0): _ONE}, and a factor that is this unit is not multiplied.
+    # The two memos below hold (d, {(word, z power): numerator}): the
+    # scalars are the int numerators over one positive denominator d, with
+    # gcd(d, *numerators) == 1. Their pieces are built by list
+    # comprehensions, not generators: each rewriting level then nests two
+    # frames, not three, on the way to the recursion limit. A PBW word's
+    # normal form is (1, {(word, 0): 1}).
 
     def _nf(self, word):
-        """Normal form of a raw word as {(word, z power): scalar}, split at
-        its first inversion.
+        """Normal form of a raw word as (d, {(word, z power): numerator}),
+        split at its first inversion.
 
         With word = prefix + (g,) + rest, prefix sorted and prefix * g =
         sum_v s_v v, the normal form is sum_v s_v NF(v + rest); rest shrinks
-        by one letter at every level.
+        by one letter at every level. The pieces are combined over the lcm
+        of their denominators.
         """
         cached = self._nf_cache.get(word)
         if cached is not None:
             return cached
         i = _first_inversion(word)
         if i is None:
-            out = {(word, 0): _ONE}
+            out = (1, {(word, 0): 1})
         else:
             out = self._mul_gen(word[:i + 1], word[i + 1])
             rest = word[i + 2:]
             if rest:
-                k = self.order
-                out = collect([((w, n + m), c if x is _ONE else c * x)
-                               for (v, n), c in out.items()
-                               for (w, m), x in self._nf(v + rest).items() if n + m <= k])
+                d, terms = out
+                out = _combine([(c, d, n, self._nf(v + rest))
+                                for (v, n), c in terms.items()], self.order)
         self._nf_cache[word] = out
         return out
 
     def _mul_gen(self, word, g):
-        """The normal form of word * g for a PBW word and one generator.
+        """The normal form of word * g for a PBW word and one generator, as
+        (d, {(word, z power): numerator}).
 
         With word = head + (h,) and h > g, word * g = (head * g) * h +
-        head * [h, g]. Memoised on (word, g).
+        head * [h, g]; the Fraction coefficients of the relation [h, g]
+        enter as their numerators and denominators. Memoised on (word, g).
         """
         if not word or word[-1] <= g:
-            return {(word + (g,), 0): _ONE}
+            return (1, {(word + (g,), 0): 1})
         key = (word, g)
         cached = self._mul_cache.get(key)
         if cached is not None:
             return cached
         head, h = word[:-1], word[-1]
-        k = self.order
-        out = collect(
-            [((w, n + m), c if x is _ONE else c * x)
-             for (v, n), c in self._mul_gen(head, g).items()
-             for (w, m), x in self._mul_gen(v, h).items() if n + m <= k]
-            + [((w, n + m), c if x is _ONE else c * x)
-               for (rw, n), c in self._relations[(h, g)].items()
-               for (w, m), x in self._nf(head + rw).items() if n + m <= k])
+        d, first = self._mul_gen(head, g)
+        out = _combine(
+            [(c, d, n, self._mul_gen(v, h)) for (v, n), c in first.items()]
+            + [(c.numerator, c.denominator, n, self._nf(head + rw))
+               for (rw, n), c in self._relations[(h, g)].items()],
+            self.order)
         self._mul_cache[key] = out
         return out
 

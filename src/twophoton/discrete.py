@@ -246,9 +246,15 @@ def symmetry_check(gen, mass, rep_param, z, classical=False):
     symmetric representation value.
     """
     z = Fraction(z)
-    ez = casimir(mass, z, classical)
-    s_op = realize(mass, rep_param, z, classical)[gen]
-    com = ez.commutator(s_op)
+    return _symmetry_entry(gen, casimir(mass, z, classical),
+                           realize(mass, rep_param, z, classical),
+                           _label_params(mass, rep_param, z, classical))
+
+
+def _symmetry_entry(gen, ez, ops, labelled):
+    """``symmetry_check`` of ops[gen] against the equation operator ez."""
+    z = ez.z
+    com = ez.commutator(ops[gen])
 
     one = SchrodingerOperator.identity(z)
     t_op = SchrodingerOperator(z, {(0, 1, 0, 0, 0): 1})
@@ -257,7 +263,7 @@ def symmetry_check(gen, mass, rep_param, z, classical=False):
     columns = [(b * ez).terms for b in basis_ops]
     sol, consistent = solve_linear(columns, com.terms)
 
-    label, params = _label_params(mass, rep_param, z, classical)
+    label, params = labelled
     name = f"discrete-se/symmetry-{label}/{gen}"
     lam = SchrodingerOperator(z, linear_combination(zip(basis_ops, sol)))
     if not consistent:
@@ -291,9 +297,12 @@ def symmetry_checks(mass, rep_param, z, classical=False):
             expected["C"] = (Fraction(0), Fraction(2), Fraction(0))
         else:
             expected["C"] = (2 * z * (1 - m), Fraction(2), -4 * z)
+    ez = casimir(m, z, classical)
+    ops = realize(m, a, z, classical)
+    labelled = _label_params(m, a, z, classical)
     entries = []
     for gen in SCH_GENERATORS:
-        entry, lams = symmetry_check(gen, m, a, z, classical)
+        entry, lams = _symmetry_entry(gen, ez, ops, labelled)
         want = expected.get(gen)
         if lams is not None and want is not None and lams != want:
             entry = CheckResult(name=entry.name, passed=False,
@@ -496,11 +505,16 @@ def apply_and_recheck(gen, phi, mass, rep_param, z, classical=False, tag=None):
     ez = casimir(mass, z_eff, classical)
     if not ez.apply(phi).is_zero():
         raise ValueError("input function is not a solution of the equation")
-    image = realize(mass, rep_param, z_eff, classical)[gen].apply(phi)
-    label, params = _label_params(mass, rep_param, z_eff, classical)
+    return _solution_map_entry(gen, phi, ez, realize(mass, rep_param, z_eff, classical),
+                               _label_params(mass, rep_param, z_eff, classical), tag)
+
+
+def _solution_map_entry(gen, phi, ez, ops, labelled, tag):
+    """The residual ez(ops[gen](phi)) of a certified solution phi of ez."""
+    label, params = labelled
     return residual_entry(
-        f"discrete-se/solution-map-{label}/{gen}/{tag or _phi_tag(phi)}", ez.apply(image),
-        params)
+        f"discrete-se/solution-map-{label}/{gen}/{tag or _phi_tag(phi)}",
+        ez.apply(ops[gen].apply(phi)), params)
 
 
 def _phi_tag(phi):
@@ -528,10 +542,15 @@ def solution_checks(mass, rep_param, z, n_poly=5, kappas=(0, 1, 2), classical=Fa
     constant 1, as is the degree-0 heat polynomial, and its name must differ.
     """
     entries = []
-    label, params = _label_params(mass, rep_param, z, classical)
+    labelled = _label_params(mass, rep_param, z, classical)
+    label, params = labelled
     usable = [Fraction(kap) for kap in kappas] if classical else regular_kappas(mass, z, kappas)
+    # both families are certified as they are built, on the z that they carry
     polys = heat_polynomials(mass, z, n_poly, classical)
     exps = exponential_solutions(mass, z, usable, classical)
+    z_eff = Fraction(0) if classical else Fraction(z)
+    ez = casimir(mass, z_eff, classical)
+    ops = realize(mass, rep_param, z_eff, classical)
     tagged = ([(_phi_tag(phi), phi) for phi in polys]
               + [(f"exp(k={kap})", phi) for kap, phi in zip(usable, exps)])
     for tag, phi in tagged:
@@ -540,8 +559,8 @@ def solution_checks(mass, rep_param, z, n_poly=5, kappas=(0, 1, 2), classical=Fa
             passed=True, residual="0",
             params={**params, "solution": json.dumps(phi.to_json_dict(),
                                                      sort_keys=True)}))
-        for gen in SCH_GENERATORS:
-            entries.append(apply_and_recheck(gen, phi, mass, rep_param, z, classical, tag))
+        entries.extend(_solution_map_entry(gen, phi, ez, ops, labelled, tag)
+                       for gen in SCH_GENERATORS)
     return entries
 
 

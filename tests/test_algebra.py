@@ -6,6 +6,7 @@ import sys
 import weakref
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -163,6 +164,36 @@ def test_fuel_guard_reports_offending_word():
     assert exc.value.word == (1, 0)
 
 
+# h6 in the basis Y_i = LAMBDA_i X_i with z = MU z': an isomorphic algebra,
+# so its rewriting is still confluent, whose relation coefficients carry the
+# coprime denominators 2, 3 and 7 (-1/2, 5/6 z, 49/3, 10/21, 875/9 z^3, ...)
+_LAMBDA = (Fraction(3), Fraction(1, 2), Fraction(1, 7), Fraction(1, 3), Fraction(7),
+           Fraction(5))
+_MU = Fraction(5, 2)
+
+
+def coprime_algebra(order):
+    """The rescaled h6 with primitive coproducts; only its products are used."""
+    h6 = two_photon_algebra(order)
+
+    def rescaled(hi, lo):
+        out = {}
+        for w, s in h6.relation(h6.generators[hi], h6.generators[lo]).terms.items():
+            scale = _LAMBDA[hi] * _LAMBDA[lo] / prod(_LAMBDA[g] for g in w)
+            out[w] = TruncatedSeries([scale * c * _MU ** n for n, c in enumerate(s.coeffs)])
+        return out
+
+    return QuantumAlgebra(
+        "coprime-h6", h6.generators, order,
+        relations={(hi, lo): rescaled(hi, lo) for hi in range(6) for lo in range(hi)},
+        coproduct={g: {((), (g,)): 1, ((g,), ()): 1} for g in range(6)},
+        antipode={g: {(g,): -1} for g in range(6)},
+        counit={})
+
+
+ALGEBRAS = [two_photon_algebra, schrodinger_algebra, coprime_algebra]
+
+
 def _reference_normal_form(alg, word, memo):
     """Independent rewriter: swap the first out-of-order adjacent pair, X*Y = Y*X + [X, Y]."""
     if word in memo:
@@ -183,7 +214,7 @@ def _reference_normal_form(alg, word, memo):
     return out
 
 
-@pytest.mark.parametrize("make", [two_photon_algebra, schrodinger_algebra])
+@pytest.mark.parametrize("make", ALGEBRAS)
 def test_normal_word_matches_reference_rewriter(make):
     alg, memo = make(3), {}
     for length in range(5):
@@ -191,7 +222,7 @@ def test_normal_word_matches_reference_rewriter(make):
             assert alg.normal_word(raw) == _reference_normal_form(alg, raw, memo), raw
 
 
-@pytest.mark.parametrize("make", [two_photon_algebra, schrodinger_algebra])
+@pytest.mark.parametrize("make", ALGEBRAS)
 def test_pbw_word_times_generator_matches_reference_rewriter(make):
     # a fresh algebra at a higher order, so every product starts from cold memos
     alg, memo = make(5), {}
@@ -200,6 +231,22 @@ def test_pbw_word_times_generator_matches_reference_rewriter(make):
             for g in range(6):
                 raw = w + (g,)
                 assert alg.normal_word(raw) == _reference_normal_form(alg, raw, memo), raw
+
+
+@pytest.mark.parametrize("make", ALGEBRAS)
+def test_memo_entries_are_ints_over_one_reduced_denominator(make):
+    alg = make(3)
+    for length in range(5):
+        for raw in product(range(6), repeat=length):
+            alg.normal_word(raw)
+    entries = list(alg._nf_cache.values()) + list(alg._mul_cache.values())
+    for d, terms in entries:
+        assert type(d) is int and d > 0
+        assert all(type(x) is int and x for x in terms.values())
+        assert gcd(d, *terms.values()) == 1
+    if make is coprime_algebra:
+        # pieces over the coprime 2, 3 and 7 were put over their lcm
+        assert any(d % 42 == 0 for d, _ in entries)
 
 
 def _reference_product(alg, a_terms, b_terms, memo):
@@ -232,7 +279,7 @@ def _from_low_order(rng, low, order):
                                    for _ in range(order - low)])
 
 
-@pytest.mark.parametrize("make", [two_photon_algebra, schrodinger_algebra])
+@pytest.mark.parametrize("make", ALGEBRAS)
 def test_product_kernel_matches_reference_rewriter(make):
     # NCElement and TensorElement products share the engine's one kernel;
     # the reference multiplies every pair of terms with series arithmetic
@@ -320,6 +367,50 @@ def test_spec_json_export_shape():
         {"word": ["B+", "B+"], "series": [[0, 1], [2, 1]]},
     ]
     assert data["counit"]["N"] == [[0, 1], [0, 1]]
+
+
+# B+, N, M, A+, A-, B- and H, D, M, P, K, C, with z of weight -2: every
+# table is homogeneous, so a normal form carries one z power per word
+GRADING = (2, 0, 0, 1, -1, -2)
+Z_WEIGHT = -2
+
+
+def _grading_violations(spec):
+    """(coefficients, violations) over the relation, coproduct and antipode
+    tables of a spec dump: a coefficient at z^n of words of total weight w
+    in the value on generators of weight v must have w + n * Z_WEIGHT == v."""
+    weight = dict(zip(spec["generators"], GRADING))
+
+    def of(names):
+        return sum(weight[g] for g in names)
+
+    values = []
+    for bracket, terms in spec["relations"].items():
+        x, y = bracket[1:-1].split(",")
+        values += [(weight[x] + weight[y], of(t["word"]), t["series"]) for t in terms]
+    for g, terms in spec["coproduct"].items():
+        values += [(weight[g], sum(of(leg) for leg in t["legs"]), t["series"]) for t in terms]
+    for g, terms in spec["antipode"].items():
+        values += [(weight[g], of(t["word"]), t["series"]) for t in terms]
+    coefficients = [(v, w, n) for v, w, series in values
+                    for n, (numerator, _) in enumerate(series) if numerator]
+    return len(coefficients), [(v, w, n) for v, w, n in coefficients
+                               if w + n * Z_WEIGHT != v]
+
+
+@pytest.mark.parametrize("make, coefficients", [(two_photon_algebra, 191),
+                                                (schrodinger_algebra, 234)])
+def test_tables_are_homogeneous_for_the_grading(make, coefficients):
+    assert _grading_violations(make(8).to_json_dict()) == (coefficients, [])
+
+
+def test_grading_check_catches_a_term_moved_to_another_z_power():
+    spec = two_photon_algebra(8).to_json_dict()
+    # 4z N^2 in [B-, N] moved to z^2
+    (term,) = [t for t in spec["relations"]["[B-,N]"] if t["word"] == ["N", "N"]]
+    series = term["series"]
+    series[1], series[2] = series[2], series[1]
+    assert _grading_violations(spec) == (191, [(-2, 0, 2)])
 
 
 def test_rendering_stable():
