@@ -25,7 +25,11 @@ product of elements, tensors or raw tensors goes through one kernel,
 ``QuantumAlgebra._ordered``. It reads each coefficient's stored
 (z power, Fraction) pairs as int numerators and denominators, and hands
 back one series of Fractions per word, built from that word's pairs: in
-the graded tables, one monomial.
+the graded tables, one monomial. The residual a*b - c*d of a product
+identity is one pass of the same kernel, ``product_difference``: the raw
+terms of c*d enter with negated numerators and both sides sum into the one
+accumulator, so neither side is built, and only terms that do not cancel
+become Fractions.
 
 Two algebras are built in:
 
@@ -39,7 +43,7 @@ Two algebras are built in:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, groupby
+from itertools import chain, groupby, repeat
 from math import factorial, gcd, lcm
 from operator import add
 
@@ -51,6 +55,7 @@ __all__ = [
     "NCElement",
     "TensorElement",
     "QuantumAlgebra",
+    "product_difference",
     "two_photon_algebra",
     "schrodinger_algebra",
     "H6_GENERATORS",
@@ -100,13 +105,14 @@ def _combine(parts, order):
     return den // g, {key: x // g for key, x in acc.items()}
 
 
-def _term_products(a, b, join):
-    """(join(key_a, key_b), s_a * s_b) for the pairs of terms that survive truncation.
+def _term_products(a, b):
+    """(raw legs, s_a * s_b) for the pairs of terms that survive truncation.
 
     b's terms are bucketed by low z order once, so a term of a with low
     order la visits only the buckets 0 .. k - la and no rejected pair.
     """
     order = a.algebra.order
+    join = a._join
     buckets = [[] for _ in range(order + 1)]
     for wb, sb in b.terms.items():
         buckets[sb.low_order()].append((wb, sb))
@@ -116,7 +122,39 @@ def _term_products(a, b, join):
                 yield join(wa, wb), sa * sb
 
 
-class NCElement(SparseTerms):
+def product_difference(a, b, c, d):
+    """a*b - c*d in one pass of the product kernel.
+
+    Both sides' raw terms feed one ``QuantumAlgebra._ordered`` call, c*d's
+    with negated numerators, so neither product is built: only the terms
+    that survive the cancellation become series. An identity residual that
+    vanishes costs no Fraction at all.
+    """
+    for x in (b, c, d):
+        a._require_same(x)
+    return a._from_ordered(a.algebra._ordered(_term_products(a, b), _term_products(c, d)))
+
+
+class _PBWTerms(SparseTerms):
+    """A sum of PBW words or of tensors of them, multiplied by the one kernel.
+
+    A subclass gives ``_join``, the raw legs of the product of two keys,
+    and ``_from_ordered``, its element of the kernel's {legs: series} map.
+    """
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        if not isinstance(other, type(self)):
+            return self.scale(other)
+        self._require_same(other)
+        return self._from_ordered(self.algebra._ordered(_term_products(self, other)))
+
+    def commutator(self, other):
+        return product_difference(self, other, other, self)
+
+
+class NCElement(_PBWTerms):
     """Sum of PBW-ordered words with TruncatedSeries coefficients."""
 
     __slots__ = ("algebra",)
@@ -125,12 +163,12 @@ class NCElement(SparseTerms):
         self.algebra = algebra
         super().__init__((algebra,), terms)
 
-    def __mul__(self, other):
-        if not isinstance(other, NCElement):
-            return self.scale(other)
-        self._require_same(other)
-        product = self.algebra._ordered(_term_products(self, other, lambda a, b: (a + b,)))
-        return NCElement(self.algebra, {w: s for (w,), s in product.items()})
+    @staticmethod
+    def _join(a, b):
+        return (a + b,)
+
+    def _from_ordered(self, ordered):
+        return NCElement(self.algebra, {w: s for (w,), s in ordered.items()})
 
     def coefficient(self, word):
         return self.terms.get(tuple(word), self.algebra.zero_series())
@@ -142,7 +180,7 @@ class NCElement(SparseTerms):
         return f"<NCElement {self} in {self.algebra.name}>"
 
 
-class TensorElement(SparseTerms):
+class TensorElement(_PBWTerms):
     """Tensor of any rank >= 1 with legs in PBW normal form.
 
     The tensor product is over the scalar series ring: multiplication acts
@@ -158,12 +196,12 @@ class TensorElement(SparseTerms):
         self.rank = rank
         super().__init__((algebra, rank), terms)
 
-    def __mul__(self, other):
-        if not isinstance(other, TensorElement):
-            return self.scale(other)
-        self._require_same(other)
-        return TensorElement(self.algebra, self.rank, self.algebra._ordered(
-            _term_products(self, other, lambda a, b: tuple(map(add, a, b)))))
+    @staticmethod
+    def _join(a, b):
+        return tuple(map(add, a, b))
+
+    def _from_ordered(self, ordered):
+        return TensorElement(self.algebra, self.rank, ordered)
 
     def swap(self):
         """Flip the two legs of a rank-2 tensor."""
@@ -328,16 +366,18 @@ class QuantumAlgebra:
             ((tuple(word),), self._as_series(c)) for word, c in raw_terms.items())
         return {w: s for (w,), s in ordered.items()}
 
-    def _ordered(self, raw):
-        """Normal-ordered {legs: series} of a sum of raw (legs, series) terms.
+    def _ordered(self, raw, minus=()):
+        """Normal-ordered {legs: series} of the sum of the raw (legs, series)
+        terms of ``raw`` minus those of ``minus``.
 
         The one product kernel of the engine. Each series contributes its
         stored (z power, coefficient) pairs as (numerator, denominator)
-        ints, each raw leg is expanded against its memoised normal form in
-        turn, and a partial product past z^k is dropped before the next
-        leg. The surviving (legs, power) terms accumulate in one dict of
-        numerators over a running denominator, rescaled in the rare case
-        that a new denominator grows it; one Fraction per surviving term is
+        ints, negated for a term of ``minus``; each raw leg is expanded
+        against its memoised normal form in turn, and a partial product
+        past z^k is dropped before the next leg. The surviving (legs, power)
+        terms of both sums accumulate in one dict of numerators over a
+        running denominator, rescaled in the rare case that a new
+        denominator grows it; one Fraction per term that does not cancel is
         built just before the terms are regrouped into one series per tuple
         of legs.
         """
@@ -345,8 +385,8 @@ class QuantumAlgebra:
         nf_cache = self._nf_cache
         acc = {}
         den = 1
-        for legs, series in raw:
-            partial = [((), n, c.numerator, c.denominator) for n, c in series.pairs]
+        for sign, (legs, series) in chain(zip(repeat(1), raw), zip(repeat(-1), minus)):
+            partial = [((), n, sign * c.numerator, c.denominator) for n, c in series.pairs]
             for leg in legs:
                 entry = nf_cache.get(leg)
                 if entry is None:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import (NCElement, QuantumAlgebra, TensorElement,
+from .algebra import (NCElement, QuantumAlgebra, TensorElement, product_difference,
                       two_photon_algebra, schrodinger_algebra,
                       word_name, _exp_words, H6_GENERATORS, SCH_GENERATORS)
 from .bialgebra import H6_TO_SCH_MAP
@@ -139,17 +139,18 @@ def rmatrix_checks(alg):
     prefix = f"rmatrix/{alg.name}"
     params = {"order": str(alg.order)}
     R = r_matrix(alg)
+    one = alg.tensor_one()
     entries.append(residual_entry(
-        f"{prefix}/inverse", R * r_matrix_inverse(alg) - alg.tensor_one(), params))
+        f"{prefix}/inverse", product_difference(R, r_matrix_inverse(alg), one, one), params))
     r12 = R.embed3((0, 1))
     r13 = R.embed3((0, 2))
     r23 = R.embed3((1, 2))
     entries.append(residual_entry(
-        f"{prefix}/qybe", r12 * r13 * r23 - r23 * r13 * r12, params))
+        f"{prefix}/qybe", product_difference(r12 * r13, r23, r23 * r13, r12), params))
     for name in alg.generators:
         dx = alg.coproduct(alg.gen(name))
         entries.append(residual_entry(
-            f"{prefix}/intertwine/{name}", R * dx - dx.swap() * R, params))
+            f"{prefix}/intertwine/{name}", product_difference(R, dx, dx.swap(), R), params))
     return entries
 
 

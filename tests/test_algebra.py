@@ -5,7 +5,7 @@ import subprocess
 import sys
 import weakref
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 from math import gcd, prod
 from pathlib import Path
 
@@ -13,7 +13,7 @@ import pytest
 
 import twophoton
 from twophoton.algebra import (NCElement, NormalOrderError, QuantumAlgebra, TensorElement,
-                               two_photon_algebra, schrodinger_algebra)
+                               product_difference, two_photon_algebra, schrodinger_algebra)
 from twophoton.series import TruncatedSeries
 
 
@@ -146,6 +146,8 @@ def test_algebra_mismatch_rejected():
     a, b = two_photon_algebra(2), schrodinger_algebra(2)
     with pytest.raises(ValueError):
         a.gen("N") * b.gen("D")
+    with pytest.raises(ValueError):
+        product_difference(a.gen("N"), a.gen("B+"), a.gen("N"), b.gen("D"))
 
 
 def test_fuel_guard_reports_offending_word():
@@ -312,6 +314,65 @@ def test_product_kernel_matches_reference_rewriter(make):
             else:
                 got = TensorElement(alg, rank, a) * TensorElement(alg, rank, b)
                 assert got.terms == want
+
+
+@pytest.mark.parametrize("make", ALGEBRAS)
+def test_product_difference_matches_two_products(make):
+    # the fused residual sums both sides in one kernel pass; the reference
+    # builds a*b and c*d as elements and subtracts them
+    alg, rng = make(3), random.Random(11)
+
+    def legs(rank):
+        return tuple(tuple(sorted(rng.randrange(6) for _ in range(rng.randint(0, 2))))
+                     for _ in range(rank))
+
+    def random_tensor(rank):
+        return TensorElement(alg, rank, {legs(rank): _several_powers(rng, alg.order)
+                                         for _ in range(3)})
+
+    for _ in range(4):
+        a, b, c, d = (_random_element(alg, rng) for _ in range(4))
+        assert product_difference(a, b, c, d) == a * b - c * d
+        assert a.commutator(b) == a * b - b * a
+        for rank in (2, 3):
+            a, b, c, d = (random_tensor(rank) for _ in range(4))
+            assert product_difference(a, b, c, d) == a * b - c * d
+            assert a.commutator(b) == a * b - b * a
+    # both sides equal by associativity: every term cancels in the one pass
+    x, y, w = (_random_element(alg, rng) for _ in range(3))
+    assert (x * y) * w
+    assert product_difference(x * y, w, x, y * w).is_zero()
+
+
+def _unresolved_overlaps(alg):
+    """The generator triples c > b > a whose overlap (C*B)*A = C*(B*A) fails.
+
+    By Bergman's diamond lemma the rewriting defines an associative algebra
+    with the PBW words as a basis iff every such overlap resolves; every
+    relation shortens the word or raises the z power, so truncation at z^k
+    leaves no other ambiguity.
+    """
+    g = [alg.gen(name) for name in alg.generators]
+    return [(alg.generators[c], alg.generators[b], alg.generators[a])
+            for a, b, c in combinations(range(len(g)), 3)
+            if (g[c] * g[b]) * g[a] != g[c] * (g[b] * g[a])]
+
+
+@pytest.mark.parametrize("order", [3, 8])
+@pytest.mark.parametrize("make", [two_photon_algebra, schrodinger_algebra])
+def test_every_pbw_overlap_resolves(make, order):
+    assert _unresolved_overlaps(make(order)) == []
+
+
+def test_overlap_check_catches_a_perturbed_relation():
+    alg = two_photon_algebra(3)
+    # +1 on the B- coefficient of [B-, N] = 2B- + 4z N^2
+    relation = alg._relations[(alg.gen_index("B-"), alg.gen_index("N"))]
+    relation[((alg.gen_index("B-"),), 0)] += 1
+    alg._nf_cache.clear()
+    alg._mul_cache.clear()
+    assert _unresolved_overlaps(alg) == [("B-", "N", "B+"), ("B-", "A+", "N"),
+                                         ("B-", "A-", "N")]
 
 
 @pytest.mark.parametrize("make", [two_photon_algebra, schrodinger_algebra])

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+from twophoton import hopf
 from twophoton.algebra import two_photon_algebra, schrodinger_algebra
 from twophoton.hopf import (bracket_closure, casimir_checks, coproduct_closure,
                             first_order_delta, galilei_casimir, hopf_checks,
@@ -101,6 +102,37 @@ def test_intertwining_trivial_for_primitive_symmetric():
     R = r_matrix(alg)
     db = alg.coproduct(alg.gen("B+"))
     assert (R * db - db.swap() * R).is_zero()
+
+
+def test_failing_residuals_render_like_the_two_products(monkeypatch):
+    # a wrong last Schrodinger factor, -3 z D (x) H for -2 z D (x) H; each
+    # fused residual must print exactly as the difference of its two sides
+    factors = hopf.R_FACTORS["schrodinger11"]
+    monkeypatch.setitem(hopf.R_FACTORS, "schrodinger11", factors[:-1] + ((-3, "D", "H"),))
+    alg = schrodinger_algebra(4)
+    failing = {e.name: e.residual for e in rmatrix_checks(alg) + hopf_checks(alg)
+               if not e.passed}
+    R = r_matrix(alg)
+    r12, r13, r23 = (R.embed3(legs) for legs in ((0, 1), (0, 2), (1, 2)))
+    prefix = "rmatrix/schrodinger11"
+    two_products = {f"{prefix}/qybe": r12 * r13 * r23 - r23 * r13 * r12}
+    for name in ("H", "D", "P", "K", "C"):
+        dx = alg.coproduct(alg.gen(name))
+        two_products[f"{prefix}/intertwine/{name}"] = R * dx - dx.swap() * R
+    assert failing == {name: str(x) for name, x in two_products.items()}
+    assert sum(map(len, failing.values())) == 26960
+
+
+def test_inverse_residual_subtracts_the_unit(monkeypatch):
+    # with R^-1 + 1 for R^-1 the residual R R^-1 - 1 becomes R itself
+    alg = two_photon_algebra(3)
+    one = alg.tensor_one()
+    wrong = r_matrix_inverse(alg) + one
+    monkeypatch.setattr(hopf, "r_matrix_inverse", lambda _: wrong)
+    (entry,) = [e for e in rmatrix_checks(alg) if e.name.endswith("/inverse")]
+    R = r_matrix(alg)
+    assert not entry.passed
+    assert entry.residual == str(R * wrong - one) == str(R)
 
 
 def test_transport_matches_handcoded_tables():

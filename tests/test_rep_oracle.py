@@ -61,13 +61,14 @@ def test_realization_agrees_with_every_memoised_normal_form(factory):
     assert _disagreements(alg, words) == []
 
 
-@pytest.mark.parametrize("x, y, coefficient", [
+@pytest.mark.parametrize("factory, x, y, coefficient, caught", [
     # rescaling the central M leaves hopf and rmatrix checks blind
-    ("A-", "A+", "M"),
-    ("B-", "N", "B-"),
+    pytest.param(two_photon_algebra, "A-", "A+", "M", 19, id="A--A+-M"),
+    pytest.param(two_photon_algebra, "B-", "N", "B-", 20, id="B--N-B-"),
+    pytest.param(schrodinger_algebra, "K", "P", "M", 19, id="K-P-M"),
 ])
-def test_oracle_catches_a_perturbed_relation(x, y, coefficient):
-    alg = two_photon_algebra(K)
+def test_oracle_catches_a_perturbed_relation(factory, x, y, coefficient, caught):
+    alg = factory(K)
     relation = alg._relations[(alg.gen_index(x), alg.gen_index(y))]
     key = ((alg.gen_index(coefficient),), 0)
     assert key in relation
@@ -78,4 +79,5 @@ def test_oracle_catches_a_perturbed_relation(x, y, coefficient):
     alg._mul_cache.clear()
     n = len(alg.generators)
     words = [w for length in (2, 3) for w in product(range(n), repeat=length)]
-    assert _disagreements(alg, words)
+    assert len(words) == 252
+    assert len(_disagreements(alg, words)) == caught
