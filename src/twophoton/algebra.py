@@ -29,7 +29,12 @@ the graded tables, one monomial. The residual a*b - c*d of a product
 identity is one pass of the same kernel, ``product_difference``: the raw
 terms of c*d enter with negated numerators and both sides sum into the one
 accumulator, so neither side is built, and only terms that do not cancel
-become Fractions.
+become Fractions. Products and these residuals enter the kernel through
+its one entry, ``ordered_difference``, which also takes hand-made streams
+of raw terms: the antipode and coproduct-bracket residuals of
+``hopf.hopf_checks`` are each one such pass. The coproduct and antipode of
+a word are memoised on its prefix, so words that share one (B+^n, H^n,
+...) share its product.
 
 Two algebras are built in:
 
@@ -55,7 +60,9 @@ __all__ = [
     "NCElement",
     "TensorElement",
     "QuantumAlgebra",
+    "ordered_difference",
     "product_difference",
+    "term_products",
     "two_photon_algebra",
     "schrodinger_algebra",
     "H6_GENERATORS",
@@ -105,7 +112,7 @@ def _combine(parts, order):
     return den // g, {key: x // g for key, x in acc.items()}
 
 
-def _term_products(a, b):
+def term_products(a, b):
     """(raw legs, s_a * s_b) for the pairs of terms that survive truncation.
 
     b's terms are bucketed by low z order once, so a term of a with low
@@ -132,7 +139,19 @@ def product_difference(a, b, c, d):
     """
     for x in (b, c, d):
         a._require_same(x)
-    return a._from_ordered(a.algebra._ordered(_term_products(a, b), _term_products(c, d)))
+    return ordered_difference(a, term_products(a, b), term_products(c, d))
+
+
+def ordered_difference(like, raw, minus=()):
+    """The normal-ordered sum of the raw (legs, series) terms of ``raw``
+    minus those of ``minus``, as an element of ``like``'s space.
+
+    The one entry to the product kernel ``QuantumAlgebra._ordered``: a
+    product, the residual of a product identity and the residual of a Hopf
+    axiom are each one call. Legs are raw words, one per tensor leg and
+    one for an element; the caller keeps every stream in ``like``'s space.
+    """
+    return like._from_ordered(like.algebra._ordered(raw, minus))
 
 
 class _PBWTerms(SparseTerms):
@@ -148,7 +167,7 @@ class _PBWTerms(SparseTerms):
         if not isinstance(other, type(self)):
             return self.scale(other)
         self._require_same(other)
-        return self._from_ordered(self.algebra._ordered(_term_products(self, other)))
+        return ordered_difference(self, term_products(self, other))
 
     def commutator(self, other):
         return product_difference(self, other, other, self)
@@ -496,28 +515,36 @@ class QuantumAlgebra:
         return x.commutator(y)
 
     def coproduct_word(self, word):
+        """Delta(word) = Delta(word[:-1]) * Delta(word[-1]), memoised per word."""
         cached = self._cop_cache.get(word)
         if cached is None:
-            out = self.tensor_one()
-            for g in word:
-                out = out * TensorElement(self, 2, self.coproduct_table[g])
+            if word:
+                out = self.coproduct_word(word[:-1]) * TensorElement(
+                    self, 2, self.coproduct_table[word[-1]])
+            else:
+                out = self.tensor_one()
             self._cop_cache[word] = cached = out.terms
         return TensorElement(self, 2, cached)
 
     def coproduct(self, elem):
+        self.zero()._require_same(elem)
         return TensorElement(self, 2, linear_combination(
             (self.coproduct_word(w), s) for w, s in elem.terms.items()))
 
     def antipode_word(self, word):
+        """gamma(word) = gamma(word[-1]) * gamma(word[:-1]), memoised per word."""
         cached = self._anti_cache.get(word)
         if cached is None:
-            out = self.one()
-            for g in reversed(word):
-                out = out * NCElement(self, self.antipode_table[g])
+            if word:
+                out = NCElement(self, self.antipode_table[word[-1]]) * self.antipode_word(
+                    word[:-1])
+            else:
+                out = self.one()
             self._anti_cache[word] = cached = out.terms
         return NCElement(self, cached)
 
     def antipode(self, elem):
+        self.zero()._require_same(elem)
         return NCElement(self, linear_combination(
             (self.antipode_word(w), s) for w, s in elem.terms.items()))
 
@@ -530,6 +557,7 @@ class QuantumAlgebra:
         return out
 
     def counit(self, elem):
+        self.zero()._require_same(elem)
         return sum((self.counit_word(w) * s for w, s in elem.terms.items()), self._zero)
 
     # -- export ---------------------------------------------------------------

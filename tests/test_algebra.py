@@ -12,9 +12,11 @@ from pathlib import Path
 import pytest
 
 import twophoton
+from twophoton import hopf
 from twophoton.algebra import (NCElement, NormalOrderError, QuantumAlgebra, TensorElement,
                                product_difference, two_photon_algebra, schrodinger_algebra)
 from twophoton.series import TruncatedSeries
+from twophoton.sparse import collect, linear_combination
 
 
 def word(alg, *names):
@@ -148,6 +150,10 @@ def test_algebra_mismatch_rejected():
         a.gen("N") * b.gen("D")
     with pytest.raises(ValueError):
         product_difference(a.gen("N"), a.gen("B+"), a.gen("N"), b.gen("D"))
+    # N and D are both generator 1: a structure map must not read one as the other
+    for structure_map in (b.coproduct, b.antipode, b.counit):
+        with pytest.raises(ValueError):
+            structure_map(a.gen("N"))
 
 
 def test_fuel_guard_reports_offending_word():
@@ -175,7 +181,8 @@ _MU = Fraction(5, 2)
 
 
 def coprime_algebra(order):
-    """The rescaled h6 with primitive coproducts; only its products are used."""
+    """The rescaled h6 with primitive coproducts, so not a Hopf algebra: its
+    coproduct-bracket residuals do not vanish."""
     h6 = two_photon_algebra(order)
 
     def rescaled(hi, lo):
@@ -342,6 +349,144 @@ def test_product_difference_matches_two_products(make):
     x, y, w = (_random_element(alg, rng) for _ in range(3))
     assert (x * y) * w
     assert product_difference(x * y, w, x, y * w).is_zero()
+
+
+def _coproduct_by_generators(alg, word):
+    out = alg.tensor_one()
+    for g in word:
+        out = out * TensorElement(alg, 2, alg.coproduct_table[g])
+    return out
+
+
+def _antipode_by_generators(alg, word):
+    out = alg.one()
+    for g in reversed(word):
+        out = out * NCElement(alg, alg.antipode_table[g])
+    return out
+
+
+@pytest.mark.parametrize("make", ALGEBRAS)
+def test_prefix_memoised_words_match_generator_products(make):
+    alg = make(3)
+    for n in range(5):
+        for w in combinations_with_replacement(range(6), n):
+            assert alg.coproduct_word(w) == _coproduct_by_generators(alg, w)
+            assert alg.antipode_word(w) == _antipode_by_generators(alg, w)
+
+
+def _two_pass_hopf_residuals(alg):
+    """{entry name: residual} of the coassoc, antipode and coproduct-bracket
+    checks, each side built as an element from generator-by-generator
+    coproducts and antipodes, and the sides subtracted."""
+    one = alg.one_series()
+
+    def coproduct_leg(tensor, leg):
+        return TensorElement(alg, 3, collect(
+            (words[:leg] + pair + words[leg + 1:], c * s)
+            for words, s in tensor.terms.items()
+            for pair, c in _coproduct_by_generators(alg, words[leg]).terms.items()))
+
+    def antipode_multiply(tensor, leg):
+        def product(w1, w2):
+            if leg == 0:
+                return _antipode_by_generators(alg, w1) * NCElement(alg, {w2: one})
+            return NCElement(alg, {w1: one}) * _antipode_by_generators(alg, w2)
+
+        return NCElement(alg, linear_combination(
+            (product(w1, w2), s) for (w1, w2), s in tensor.terms.items()))
+
+    def coproduct(elem):
+        return TensorElement(alg, 2, linear_combination(
+            (_coproduct_by_generators(alg, w), s) for w, s in elem.terms.items()))
+
+    prefix = f"hopf/{alg.name}"
+    deltas = {name: coproduct(alg.gen(name)) for name in alg.generators}
+    out = {}
+    for name, dx in deltas.items():
+        eps_one = alg.one().scale(alg.counit(alg.gen(name)))
+        out[f"{prefix}/coassoc/{name}"] = coproduct_leg(dx, 0) - coproduct_leg(dx, 1)
+        out[f"{prefix}/antipode-left/{name}"] = antipode_multiply(dx, 0) - eps_one
+        out[f"{prefix}/antipode-right/{name}"] = antipode_multiply(dx, 1) - eps_one
+    for i, x in enumerate(alg.generators):
+        for y in alg.generators[:i]:
+            dx, dy = deltas[x], deltas[y]
+            out[f"{prefix}/coproduct-bracket/{x},{y}"] = (
+                coproduct(alg.relation(x, y)) - (dx * dy - dy * dx))
+    return out
+
+
+def _fused_hopf_residuals(alg):
+    prefix = f"hopf/{alg.name}"
+    out = {}
+    for name in alg.generators:
+        x = alg.gen(name)
+        dx = alg.coproduct(x)
+        out[f"{prefix}/coassoc/{name}"] = hopf._coassoc_residual(alg, dx)
+        out[f"{prefix}/antipode-left/{name}"] = hopf._antipode_residual(alg, x, dx, 0)
+        out[f"{prefix}/antipode-right/{name}"] = hopf._antipode_residual(alg, x, dx, 1)
+    for i, x in enumerate(alg.generators):
+        for y in alg.generators[:i]:
+            out[f"{prefix}/coproduct-bracket/{x},{y}"] = hopf._coproduct_bracket_residual(
+                alg, x, y, alg.coproduct(alg.gen(x)), alg.coproduct(alg.gen(y)))
+    return out
+
+
+@pytest.mark.parametrize("make", ALGEBRAS)
+def test_fused_hopf_residuals_match_two_passes(make):
+    # each fused residual is one collect or one kernel pass; the reference
+    # builds every product as an element and subtracts
+    alg = make(3)
+    want = _two_pass_hopf_residuals(alg)
+    assert _fused_hopf_residuals(alg) == want
+    rendered = {e.name: e.residual for e in hopf.hopf_checks(alg)}
+    assert {name: rendered[name] for name in want} == {
+        name: str(r) for name, r in want.items()}
+    # primitive coproducts on deformed relations: Delta is no homomorphism
+    nonzero = sorted(name for name, r in want.items() if r)
+    assert bool(nonzero) == (make is coprime_algebra), nonzero
+    # every generator has counit 0, so only a scalar brings in eps(x) 1
+    x = alg.one().scale(Fraction(-5, 3)) + alg.gen("M")
+    for leg in (0, 1):
+        assert hopf._antipode_residual(alg, x, alg.coproduct(x), leg).is_zero()
+
+
+def _hopf_table_sites(alg):
+    """(table, generator, key, z power) of every nonzero coproduct and
+    antipode coefficient."""
+    return [(table, g, key, n)
+            for table in ("coproduct_table", "antipode_table")
+            for g, terms in getattr(alg, table).items()
+            for key, s in terms.items() for n, _ in s.pairs]
+
+
+def _with_one_added(make, site, order=2):
+    """A fresh algebra whose table coefficient at ``site`` has 1 added."""
+    alg = make(order)
+    table, g, key, n = site
+    terms = getattr(alg, table)
+    terms[g] = {**terms[g], key: terms[g][key] + TruncatedSeries.z_power(n, order)}
+    return alg
+
+
+@pytest.mark.parametrize("make, n_sites, n_failing", [
+    (two_photon_algebra, 51, 275), (schrodinger_algebra, 61, 335)])
+def test_hopf_checks_catch_every_coproduct_and_antipode_mutation(make, n_sites, n_failing):
+    # +1 on one coproduct or antipode coefficient at a time, at k = 2: some
+    # hopf entry must fail, and each failing fused residual must print
+    # exactly like its two-pass reference
+    sites = _hopf_table_sites(make(2))
+    assert len(sites) == n_sites
+    failing = 0
+    for site in sites:
+        alg = _with_one_added(make, site)
+        rendered = {e.name: e.residual for e in hopf.hopf_checks(alg) if not e.passed}
+        assert rendered, site
+        failing += len(rendered)
+        want = _two_pass_hopf_residuals(alg)
+        for name, residual in rendered.items():
+            if name in want:
+                assert residual == str(want[name]), (site, name)
+    assert failing == n_failing
 
 
 def _unresolved_overlaps(alg):

@@ -23,6 +23,9 @@ GOLDEN = {
     # PBW rewriting of long words: up to 17 letters in the rmatrix checks
     ("--checks", "rmatrix", "--order", "4"):
         "fc0170a5024e94d7d891a12e92cc44bffc8c4cb2f15223db0370c0eb15490104",
+    # the Hopf axioms on long coproduct and antipode words: the hopf-k8 workload
+    ("--checks", "bialgebra,hopf", "--order", "8"):
+        "0bf7c95c4fabccbe44b359be2e1a1000c504dc2dcea6b8955dd69cd88e99a612",
     # a degree-400 complex series solve: its coefficients fill the report
     ("--checks", "eigen", "--degree", "400", "--beta", "1,1,1,1,1",
      "--eigenvalue", "1/3+1/2i", "--order", "2"):
