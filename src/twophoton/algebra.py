@@ -6,8 +6,13 @@ raw word is brought to normal form by multiplying its sorted prefix by one
 generator at a time, the multiplication-table approach of G-algebra systems:
 for a PBW word ``head + (h,)`` and a generator g < h, ``(head + (h,)) * g =
 (head * g) * h + head * [h, g]``, with [h, g] read from the relation table.
-Products of a PBW word by one generator and normal forms of whole raw words
-are both memoised. The generator orders of the built-in algebras are chosen
+A raw word that starts with a run of generator 0, the lowest letter, takes
+the normal form of the rest with the run in front, since no rewriting
+touches that run: the exponentials e^{2zB+} and e^{4zH} put long runs of B+
+and H in front of the coproduct, antipode and R-matrix words, and each
+tail behind them is rewritten once, not once per power. Products of a PBW
+word by one generator and normal forms of whole raw words are both
+memoised. The generator orders of the built-in algebras are chosen
 so that every relation term either strictly shortens the word or carries a
 strictly positive z power; truncation then prunes the exponential tails and
 rewriting terminates. A broken relation table that rewrites without end
@@ -230,10 +235,12 @@ class TensorElement(_PBWTerms):
                              {(w2, w1): s for (w1, w2), s in self.terms.items()})
 
     def embed3(self, positions):
-        """Embed a rank-2 tensor into rank 3 at the given leg positions."""
+        """Embed a rank-2 tensor into rank 3 at two distinct leg positions in 0..2."""
         if self.rank != 2:
             raise ValueError("embed3 needs rank 2")
         i, j = positions
+        if i == j or i not in range(3) or j not in range(3):
+            raise ValueError(f"embed3 needs two distinct legs in 0..2, got {positions!r}")
 
         def embedded(w1, w2):
             legs = [(), (), ()]
@@ -448,17 +455,22 @@ class QuantumAlgebra:
     # scalars are the int numerators over one positive denominator d, with
     # gcd(d, *numerators) == 1. Their pieces are built by list
     # comprehensions, not generators: each rewriting level then nests two
-    # frames, not three, on the way to the recursion limit. A PBW word's
-    # normal form is (1, {(word, 0): 1}).
+    # frames, not three, on the way to the recursion limit (a stripped run
+    # adds one). A PBW word's normal form is (1, {(word, 0): 1}).
 
     def _nf(self, word):
         """Normal form of a raw word as (d, {(word, z power): numerator}),
         split at its first inversion.
 
-        With word = prefix + (g,) + rest, prefix sorted and prefix * g =
-        sum_v s_v v, the normal form is sum_v s_v NF(v + rest); rest shrinks
-        by one letter at every level. The pieces are combined over the lcm
-        of their denominators.
+        A word 0^j + tail with j >= 1 and an inversion in tail has the
+        normal form of tail with 0^j prepended to every word: generator 0
+        is the lowest letter, so no rewriting touches the run, and 0^j + v
+        is PBW for every PBW word v. The tails of B+^j ..., H^j ... are
+        then rewritten once, not once per power. Otherwise, with word =
+        prefix + (g,) + rest, prefix sorted and prefix * g = sum_v s_v v,
+        the normal form is sum_v s_v NF(v + rest); rest shrinks by one
+        letter at every level that does not strip a run. The pieces are
+        combined over the lcm of their denominators.
         """
         cached = self._nf_cache.get(word)
         if cached is not None:
@@ -466,6 +478,13 @@ class QuantumAlgebra:
         i = _first_inversion(word)
         if i is None:
             out = (1, {(word, 0): 1})
+        elif word[0] == 0:
+            j = 1
+            while word[j] == 0:
+                j += 1
+            run = word[:j]
+            d, terms = self._nf(word[j:])
+            out = (d, {(run + w, n): x for (w, n), x in terms.items()})
         else:
             out = self._mul_gen(word[:i + 1], word[i + 1])
             rest = word[i + 2:]

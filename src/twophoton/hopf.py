@@ -5,7 +5,8 @@ and reports pass exactly when the residual is zero mod z^(k+1). A residual
 is made in one pass, without building its sides: the R-matrix identities
 through ``product_difference``, the antipode and coproduct-bracket axioms
 as streams of raw terms through ``ordered_difference``, and
-coassociativity, whose legs are PBW already, as one collect.
+coassociativity and the counit axioms, whose legs are PBW already, as one
+collect each.
 """
 
 from __future__ import annotations
@@ -47,14 +48,17 @@ def _coassoc_residual(alg, dx):
     return TensorElement(alg, 3, collect(pairs()))
 
 
-def _counit_collapse(alg, tensor, leg):
-    """(eps (x) id) or (id (x) eps) applied to a rank-2 tensor."""
+def _counit_residual(alg, x, dx, leg):
+    """(eps (x) id) Delta x - x for leg 0, (id (x) eps) Delta x - x for leg
+    1, as one collect: the legs are PBW already."""
 
     def pairs():
-        for words, s in tensor.terms.items():
+        for words, s in dx.terms.items():
             eps = alg.counit_word(words[leg])
             if eps:
                 yield words[1 - leg], s * eps
+        for w, s in x.terms.items():
+            yield w, -s
 
     return NCElement(alg, collect(pairs()))
 
@@ -95,9 +99,9 @@ def hopf_checks(alg):
         entries.append(residual_entry(
             f"{prefix}/coassoc/{name}", _coassoc_residual(alg, dx), params))
         entries.append(residual_entry(
-            f"{prefix}/counit-left/{name}", _counit_collapse(alg, dx, 0) - x, params))
+            f"{prefix}/counit-left/{name}", _counit_residual(alg, x, dx, 0), params))
         entries.append(residual_entry(
-            f"{prefix}/counit-right/{name}", _counit_collapse(alg, dx, 1) - x, params))
+            f"{prefix}/counit-right/{name}", _counit_residual(alg, x, dx, 1), params))
         entries.append(residual_entry(
             f"{prefix}/antipode-left/{name}", _antipode_residual(alg, x, dx, 0), params))
         entries.append(residual_entry(

@@ -14,7 +14,8 @@ import pytest
 import twophoton
 from twophoton import hopf
 from twophoton.algebra import (NCElement, NormalOrderError, QuantumAlgebra, TensorElement,
-                               product_difference, two_photon_algebra, schrodinger_algebra)
+                               product_difference, two_photon_algebra, schrodinger_algebra,
+                               _combine, _first_inversion)
 from twophoton.series import TruncatedSeries
 from twophoton.sparse import collect, linear_combination
 
@@ -170,6 +171,23 @@ def test_fuel_guard_reports_offending_word():
     with pytest.raises(NormalOrderError) as exc:
         bad.normal_word((1, 0))
     assert exc.value.word == (1, 0)
+    # behind a leading run of generator 0 the loop is reported on the whole word
+    with pytest.raises(NormalOrderError) as exc:
+        bad.normal_word((0, 1, 0))
+    assert exc.value.word == (0, 1, 0)
+
+
+def test_embed3_places_both_legs():
+    alg = two_photon_algebra(2)
+    t = alg.tensor({((0,), (1,)): 1})
+    one = alg.one_series()
+    assert t.embed3((2, 0)).terms == {((1,), (), (0,)): one}
+    assert t.embed3((0, 1)).terms == {((0,), (1,), ()): one}
+    # a repeated leg used to drop the first one silently, and a leg past 2
+    # or below 0 raised a bare IndexError or wrapped around
+    for positions in ((1, 1), (0, 3), (3, 0), (-1, 0)):
+        with pytest.raises(ValueError):
+            t.embed3(positions)
 
 
 # h6 in the basis Y_i = LAMBDA_i X_i with z = MU z': an isomorphic algebra,
@@ -240,6 +258,91 @@ def test_pbw_word_times_generator_matches_reference_rewriter(make):
             for g in range(6):
                 raw = w + (g,)
                 assert alg.normal_word(raw) == _reference_normal_form(alg, raw, memo), raw
+
+
+def _leading_run_words(max_run=8, max_tail=3):
+    """Every word 0^a + t with a = 1..max_run and |t| <= max_tail."""
+    return {(0,) * a + t for a in range(1, max_run + 1)
+            for n in range(max_tail + 1) for t in product(range(6), repeat=n)}
+
+
+@pytest.mark.parametrize("make", ALGEBRAS)
+def test_leading_run_words_match_reference_rewriter(make):
+    # B+^a ... and H^a ...: the words that the coproducts, antipodes and
+    # R-matrices are made of, normal-ordered through their stripped tails
+    alg, memo = make(8), {}
+    for raw in sorted(_leading_run_words()):
+        assert alg.normal_word(raw) == _reference_normal_form(alg, raw, memo), raw
+
+
+def _unstripped_normal_form(alg, word, memo, mul_memo):
+    """The engine's recursion without the leading-run strip, as a memo entry:
+    split at the first inversion, prefix * g by one generator at a time."""
+    if word in memo:
+        return memo[word]
+    i = _first_inversion(word)
+    if i is None:
+        out = (1, {(word, 0): 1})
+    else:
+        out = _unstripped_product(alg, word[:i + 1], word[i + 1], memo, mul_memo)
+        rest = word[i + 2:]
+        if rest:
+            d, terms = out
+            out = _combine([(c, d, n, _unstripped_normal_form(alg, v + rest, memo, mul_memo))
+                            for (v, n), c in terms.items()], alg.order)
+    memo[word] = out
+    return out
+
+
+def _unstripped_product(alg, word, g, memo, mul_memo):
+    if not word or word[-1] <= g:
+        return (1, {(word + (g,), 0): 1})
+    if (word, g) in mul_memo:
+        return mul_memo[(word, g)]
+    head, h = word[:-1], word[-1]
+    d, first = _unstripped_product(alg, head, g, memo, mul_memo)
+    out = _combine(
+        [(c, d, n, _unstripped_product(alg, v, h, memo, mul_memo))
+         for (v, n), c in first.items()]
+        + [(c.numerator, c.denominator, n, _unstripped_normal_form(alg, head + rw, memo, mul_memo))
+           for (rw, n), c in alg._relations[(h, g)].items()],
+        alg.order)
+    mul_memo[(word, g)] = out
+    return out
+
+
+def _non_confluent_h6(order):
+    """h6 with +1 on the B- coefficient of [B-, N] = 2B- + 4z N^2: three of
+    its 20 PBW overlaps do not resolve."""
+    alg = two_photon_algebra(order)
+    alg._relations[word(alg, "B-", "N")][(word(alg, "B-"), 0)] += 1
+    alg._nf_cache.clear()
+    alg._mul_cache.clear()
+    return alg
+
+
+@pytest.mark.parametrize("order", [3, 8])
+def test_leading_run_strip_is_exact_on_a_non_confluent_table(order):
+    # the strip must reproduce the recursion it shortcuts entry by entry,
+    # which holds for any table, not only for one that defines an algebra
+    alg = _non_confluent_h6(order)
+    words = _leading_run_words() | {
+        raw for n in range(6) for raw in product(range(6), repeat=n)}
+    assert len(words) == 10627
+    memo, mul_memo = {}, {}
+    for raw in sorted(words):
+        # the memo entries themselves, so normal_word's series agree too
+        assert alg._normal_form(raw) == _unstripped_normal_form(alg, raw, memo, mul_memo), raw
+
+
+@pytest.mark.parametrize("make", ALGEBRAS)
+def test_no_product_memo_entry_starts_with_generator_0(make):
+    # a leading run of generator 0 is stripped before any product by a
+    # generator, so the product memo holds no B+^j ... or H^j ... prefix
+    alg = make(8)
+    hopf.hopf_checks(alg)
+    assert alg._mul_cache
+    assert [key for key in alg._mul_cache if key[0][:1] == (0,)] == []
 
 
 @pytest.mark.parametrize("make", ALGEBRAS)
@@ -375,10 +478,16 @@ def test_prefix_memoised_words_match_generator_products(make):
 
 
 def _two_pass_hopf_residuals(alg):
-    """{entry name: residual} of the coassoc, antipode and coproduct-bracket
-    checks, each side built as an element from generator-by-generator
-    coproducts and antipodes, and the sides subtracted."""
+    """{entry name: residual} of the coassoc, counit, antipode and
+    coproduct-bracket checks, each side built as an element from
+    generator-by-generator coproducts and antipodes, and the sides
+    subtracted."""
     one = alg.one_series()
+
+    def counit_collapse(tensor, leg):
+        return NCElement(alg, linear_combination(
+            (NCElement(alg, {words[1 - leg]: s}), alg.counit_word(words[leg]))
+            for words, s in tensor.terms.items()))
 
     def coproduct_leg(tensor, leg):
         return TensorElement(alg, 3, collect(
@@ -405,6 +514,8 @@ def _two_pass_hopf_residuals(alg):
     for name, dx in deltas.items():
         eps_one = alg.one().scale(alg.counit(alg.gen(name)))
         out[f"{prefix}/coassoc/{name}"] = coproduct_leg(dx, 0) - coproduct_leg(dx, 1)
+        out[f"{prefix}/counit-left/{name}"] = counit_collapse(dx, 0) - alg.gen(name)
+        out[f"{prefix}/counit-right/{name}"] = counit_collapse(dx, 1) - alg.gen(name)
         out[f"{prefix}/antipode-left/{name}"] = antipode_multiply(dx, 0) - eps_one
         out[f"{prefix}/antipode-right/{name}"] = antipode_multiply(dx, 1) - eps_one
     for i, x in enumerate(alg.generators):
@@ -422,6 +533,8 @@ def _fused_hopf_residuals(alg):
         x = alg.gen(name)
         dx = alg.coproduct(x)
         out[f"{prefix}/coassoc/{name}"] = hopf._coassoc_residual(alg, dx)
+        out[f"{prefix}/counit-left/{name}"] = hopf._counit_residual(alg, x, dx, 0)
+        out[f"{prefix}/counit-right/{name}"] = hopf._counit_residual(alg, x, dx, 1)
         out[f"{prefix}/antipode-left/{name}"] = hopf._antipode_residual(alg, x, dx, 0)
         out[f"{prefix}/antipode-right/{name}"] = hopf._antipode_residual(alg, x, dx, 1)
     for i, x in enumerate(alg.generators):
@@ -448,6 +561,7 @@ def test_fused_hopf_residuals_match_two_passes(make):
     x = alg.one().scale(Fraction(-5, 3)) + alg.gen("M")
     for leg in (0, 1):
         assert hopf._antipode_residual(alg, x, alg.coproduct(x), leg).is_zero()
+        assert hopf._counit_residual(alg, x, alg.coproduct(x), leg).is_zero()
 
 
 def _hopf_table_sites(alg):
@@ -510,12 +624,7 @@ def test_every_pbw_overlap_resolves(make, order):
 
 
 def test_overlap_check_catches_a_perturbed_relation():
-    alg = two_photon_algebra(3)
-    # +1 on the B- coefficient of [B-, N] = 2B- + 4z N^2
-    relation = alg._relations[(alg.gen_index("B-"), alg.gen_index("N"))]
-    relation[((alg.gen_index("B-"),), 0)] += 1
-    alg._nf_cache.clear()
-    alg._mul_cache.clear()
+    alg = _non_confluent_h6(3)
     assert _unresolved_overlaps(alg) == [("B-", "N", "B+"), ("B-", "A+", "N"),
                                          ("B-", "A-", "N")]
 

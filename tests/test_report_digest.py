@@ -23,9 +23,17 @@ GOLDEN = {
     # PBW rewriting of long words: up to 17 letters in the rmatrix checks
     ("--checks", "rmatrix", "--order", "4"):
         "fc0170a5024e94d7d891a12e92cc44bffc8c4cb2f15223db0370c0eb15490104",
+    # the R-matrix identities on words of up to 26 letters: the rmatrix-k5 workload
+    ("--checks", "rmatrix", "--order", "5"):
+        "88f22ffc6c4cbd771b5ef549e8343b3f842412244f99b386967414e9787ec03f",
     # the Hopf axioms on long coproduct and antipode words: the hopf-k8 workload
     ("--checks", "bialgebra,hopf", "--order", "8"):
         "0bf7c95c4fabccbe44b359be2e1a1000c504dc2dcea6b8955dd69cd88e99a612",
+    # realizations, a degree-400 solve and the lattice at a = 0, whose 18
+    # failing conformal C residuals fill the report: the lattice-k8 workload
+    ("--checks", "rep,eigen,discrete-se", "--order", "8", "--degree", "400",
+     "--beta", "1,1,1,1,1", "--eigenvalue", "1/3+1/2i", "--rep-param", "0"):
+        "317e198a4b84fd3293ec07072f25c5ed56034e3dac059f556091e1bdc49e7256",
     # a degree-400 complex series solve: its coefficients fill the report
     ("--checks", "eigen", "--degree", "400", "--beta", "1,1,1,1,1",
      "--eigenvalue", "1/3+1/2i", "--order", "2"):
