@@ -10,9 +10,10 @@ A raw word that starts with a run of generator 0, the lowest letter, takes
 the normal form of the rest with the run in front, since no rewriting
 touches that run: the exponentials e^{2zB+} and e^{4zH} put long runs of B+
 and H in front of the coproduct, antipode and R-matrix words, and each
-tail behind them is rewritten once, not once per power. Products of a PBW
-word by one generator and normal forms of whole raw words are both
-memoised. The generator orders of the built-in algebras are chosen
+tail behind them is rewritten once, not once per power. A product of a PBW
+word by one generator is the normal form of the raw word they make, so one
+recursion over raw words does all the rewriting, and one memo holds its
+normal forms. The generator orders of the built-in algebras are chosen
 so that every relation term either strictly shortens the word or carries a
 strictly positive z power; truncation then prunes the exponential tails and
 rewriting terminates. A broken relation table that rewrites without end
@@ -20,7 +21,7 @@ runs into the interpreter's recursion limit, which surfaces as a
 ``NormalOrderError`` naming the word instead of a hang.
 
 Inside the engine, the relation table maps (word, z power) to one Fraction,
-and both memos hold Python ints: an entry is (d, {(word, z power):
+and the memo holds Python ints: an entry is (d, {(word, z power):
 numerator}) over one positive denominator d, reduced so that d and the
 numerators have no common factor. Entries are combined over the lcm of
 their denominators, so a coefficient operation is an int product, not a
@@ -285,9 +286,9 @@ class QuantumAlgebra:
     map. Tables are fixed after construction and every operation is pure up
     to idempotent memo caches, so results never depend on evaluation order.
 
-    The relation table maps (word, z power) to one Fraction; the memos of
-    normal forms hold int numerators over one reduced denominator per
-    entry, and ``_ordered`` is the one product kernel over them.
+    The relation table maps (word, z power) to one Fraction; the memo of
+    normal forms holds int numerators over one reduced denominator per
+    entry, and ``_ordered`` is the one product kernel over it.
     The coproduct and antipode tables and their memos hold plain
     {key: series} maps, wrapped into elements on access: an element points
     back at its algebra, so tables of elements would keep every algebra in
@@ -303,7 +304,6 @@ class QuantumAlgebra:
         self._one = TruncatedSeries.one(order)
         self._zero = TruncatedSeries.zero(order)
         self._nf_cache = {}
-        self._mul_cache = {}
         self._cop_cache = {}
         self._anti_cache = {}
 
@@ -451,9 +451,9 @@ class QuantumAlgebra:
         except RecursionError:
             raise NormalOrderError(self.name, word) from None
 
-    # The two memos below hold (d, {(word, z power): numerator}): the
-    # scalars are the int numerators over one positive denominator d, with
-    # gcd(d, *numerators) == 1. Their pieces are built by list
+    # The memo below holds (d, {(word, z power): numerator}): the scalars
+    # are the int numerators over one positive denominator d, with
+    # gcd(d, *numerators) == 1. Its pieces are built by list
     # comprehensions, not generators: each rewriting level then nests two
     # frames, not three, on the way to the recursion limit (a stripped run
     # adds one). A PBW word's normal form is (1, {(word, 0): 1}).
@@ -467,10 +467,15 @@ class QuantumAlgebra:
         is the lowest letter, so no rewriting touches the run, and 0^j + v
         is PBW for every PBW word v. The tails of B+^j ..., H^j ... are
         then rewritten once, not once per power. Otherwise, with word =
-        prefix + (g,) + rest, prefix sorted and prefix * g = sum_v s_v v,
-        the normal form is sum_v s_v NF(v + rest); rest shrinks by one
-        letter at every level that does not strip a run. The pieces are
-        combined over the lcm of their denominators.
+        prefix + (g,) + rest, prefix sorted and NF(prefix + (g,)) = sum_v
+        s_v v, the normal form is sum_v s_v NF(v + rest); rest shrinks by
+        one letter at every level that does not strip a run. A word whose
+        only inversion is its last pair, head + (h, g) with h > g, is
+        rewritten by the relation [h, g]: with NF(head + (g,)) = sum_v s_v
+        v, its normal form is sum_v s_v NF(v + (h,)) + head * [h, g], the
+        Fraction coefficients of the relation entering as their numerators
+        and denominators. The pieces are combined over the lcm of their
+        denominators.
         """
         cached = self._nf_cache.get(word)
         if cached is not None:
@@ -485,38 +490,20 @@ class QuantumAlgebra:
             run = word[:j]
             d, terms = self._nf(word[j:])
             out = (d, {(run + w, n): x for (w, n), x in terms.items()})
-        else:
-            out = self._mul_gen(word[:i + 1], word[i + 1])
+        elif i + 2 < len(word):
+            d, terms = self._nf(word[:i + 2])
             rest = word[i + 2:]
-            if rest:
-                d, terms = out
-                out = _combine([(c, d, n, self._nf(v + rest))
-                                for (v, n), c in terms.items()], self.order)
+            out = _combine([(c, d, n, self._nf(v + rest))
+                            for (v, n), c in terms.items()], self.order)
+        else:
+            head, h, g = word[:-2], word[-2], word[-1]
+            d, first = self._nf(head + (g,))
+            out = _combine(
+                [(c, d, n, self._nf(v + (h,))) for (v, n), c in first.items()]
+                + [(c.numerator, c.denominator, n, self._nf(head + rw))
+                   for (rw, n), c in self._relations[(h, g)].items()],
+                self.order)
         self._nf_cache[word] = out
-        return out
-
-    def _mul_gen(self, word, g):
-        """The normal form of word * g for a PBW word and one generator, as
-        (d, {(word, z power): numerator}).
-
-        With word = head + (h,) and h > g, word * g = (head * g) * h +
-        head * [h, g]; the Fraction coefficients of the relation [h, g]
-        enter as their numerators and denominators. Memoised on (word, g).
-        """
-        if not word or word[-1] <= g:
-            return (1, {(word + (g,), 0): 1})
-        key = (word, g)
-        cached = self._mul_cache.get(key)
-        if cached is not None:
-            return cached
-        head, h = word[:-1], word[-1]
-        d, first = self._mul_gen(head, g)
-        out = _combine(
-            [(c, d, n, self._mul_gen(v, h)) for (v, n), c in first.items()]
-            + [(c.numerator, c.denominator, n, self._nf(head + rw))
-               for (rw, n), c in self._relations[(h, g)].items()],
-            self.order)
-        self._mul_cache[key] = out
         return out
 
     # -- structure maps -------------------------------------------------------

@@ -1,5 +1,9 @@
 """Classical layer: structure constants, r-matrices, cocommutators.
 
+The structure constants of h6 and of the Schrodinger algebra are read off
+the PBW relation tables of the deformed algebras at order 0: the classical
+Lie algebras are the z -> 0 limits of the one deformed bracket table.
+
 The deformation parameter stays a formal scalar here. The classical
 Yang-Baxter and 1-cocycle conditions are homogeneous in it, so wedges store
 plain rational coefficients of the single z power they carry.
@@ -9,13 +13,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import H6_GENERATORS, SCH_GENERATORS
+from .algebra import schrodinger_algebra, two_photon_algebra
 from .report import CheckResult
 from .sparse import SparseTerms, collect, linear_combination, solve_linear
 
 __all__ = [
     "LieAlgebra", "WedgeElement",
-    "two_photon_lie", "schrodinger_lie",
+    "classical_lie", "two_photon_lie", "schrodinger_lie",
     "H6_TO_SCH_MAP", "SL2_EXT_MAP",
     "cocommutator_from_r", "delta_table_from_r",
     "verify_cybe", "verify_cocycle", "basis_change",
@@ -136,34 +140,28 @@ class LieAlgebra:
 # -- built-in classical algebras -------------------------------------------------
 
 
+def classical_lie(name, alg):
+    """The Lie algebra of the z^0 coefficients of ``alg``'s PBW relations:
+    the classical limit z -> 0 of the deformed bracket table.
+
+    ``QuantumAlgebra`` rejects a z^0 relation term of two or more letters,
+    and the built-in tables have no constant term, so each z^0 term is one
+    generator times a rational.
+    """
+    brackets = {}
+    for i, x in enumerate(alg.generators):
+        for j, y in enumerate(alg.generators[:i]):
+            brackets[(i, j)] = {w[0]: s.coeffs[0]
+                                for w, s in alg.relation(x, y).terms.items() if s.coeffs[0]}
+    return LieAlgebra(name, alg.generators, brackets)
+
+
 def two_photon_lie():
-    B, N, M, AP, AM, BM = range(6)
-    brackets = {
-        (N, B): {B: 2},            # [N, B+] = 2B+
-        (AP, N): {AP: -1},         # [A+, N] = -A+
-        (AM, B): {AP: 2},          # [A-, B+] = 2A+
-        (AM, N): {AM: 1},
-        (AM, AP): {M: 1},          # [A-, A+] = M
-        (BM, B): {N: 4, M: 2},     # [B-, B+] = 4N + 2M
-        (BM, N): {BM: 2},
-        (BM, AP): {AM: 2},         # [B-, A+] = 2A-
-    }
-    return LieAlgebra("h6", H6_GENERATORS, brackets)
+    return classical_lie("h6", two_photon_algebra(0))
 
 
 def schrodinger_lie():
-    H, D, M, P, K, C = range(6)
-    brackets = {
-        (D, H): {H: -2},           # [D, H] = -2H
-        (P, D): {P: 1},            # [P, D] = P
-        (K, H): {P: 1},            # [K, H] = P
-        (K, D): {K: -1},
-        (K, P): {M: 1},            # [K, P] = M
-        (C, H): {D: -1},           # [C, H] = -D
-        (C, D): {C: -2},
-        (C, P): {K: 1},            # [C, P] = K
-    }
-    return LieAlgebra("schrodinger", SCH_GENERATORS, brackets)
+    return classical_lie("schrodinger", schrodinger_algebra(0))
 
 
 # h6 -> Schrodinger basis change: rows give the new generators in h6 coordinates

@@ -173,6 +173,8 @@ def casimir(mass, z, classical=False):
     z = Fraction(z)
     if classical:
         return SchrodingerOperator(z, {(0, 0, 0, 2, 0): 1, (0, 0, 0, 0, 1): -2 * m})
+    if z <= 0:
+        raise ValueError("the deformed Casimir needs z > 0")
     c = m / (2 * z)
     return SchrodingerOperator(z, {(0, 0, 0, 2, 0): 1,
                                    (0, 0, 0, 0, 0): -c,

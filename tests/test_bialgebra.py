@@ -2,16 +2,80 @@ from fractions import Fraction
 
 import pytest
 
+from twophoton.algebra import schrodinger_algebra, two_photon_algebra
 from twophoton.bialgebra import (H6_DELTA_TABLE, H6_R_MATRIX, H6_TO_SCH_MAP,
                                  SCH_DELTA_TABLE, SCH_R_MATRIX, SL2_EXT_MAP,
-                                 WedgeElement, basis_change, cocommutator_from_r,
-                                 delta_table_from_r, schrodinger_lie,
-                                 two_photon_lie, verify_cocycle, verify_cybe)
+                                 WedgeElement, basis_change, classical_lie,
+                                 cocommutator_from_r, delta_table_from_r,
+                                 schrodinger_lie, two_photon_lie, verify_cocycle,
+                                 verify_cybe)
+
+B, N, M, AP, AM, BM = range(6)
+# the classical brackets transcribed by hand from the paper, apart from the
+# PBW relation tables they are read off: [X_i, X_j] for i > j, zero if absent
+H6_BRACKETS = {
+    (N, B): {B: 2},            # [N, B+] = 2B+
+    (AP, N): {AP: -1},         # [A+, N] = -A+
+    (AM, B): {AP: 2},          # [A-, B+] = 2A+
+    (AM, N): {AM: 1},
+    (AM, AP): {M: 1},          # [A-, A+] = M
+    (BM, B): {N: 4, M: 2},     # [B-, B+] = 4N + 2M
+    (BM, N): {BM: 2},
+    (BM, AP): {AM: 2},         # [B-, A+] = 2A-
+}
+H, D, _, P, K, C = range(6)  # M is generator 2 in both bases
+SCH_BRACKETS = {
+    (D, H): {H: -2},           # [D, H] = -2H
+    (P, D): {P: 1},            # [P, D] = P
+    (K, H): {P: 1},            # [K, H] = P
+    (K, D): {K: -1},
+    (K, P): {M: 1},            # [K, P] = M
+    (C, H): {D: -1},           # [C, H] = -D
+    (C, D): {C: -2},
+    (C, P): {K: 1},            # [C, P] = K
+}
+
+
+def _pinned_table(brackets):
+    return {(i, j): {k: Fraction(c) for k, c in brackets.get((i, j), {}).items()}
+            for i in range(6) for j in range(i)}
 
 
 def test_builtin_tables_satisfy_jacobi():
     assert two_photon_lie().jacobi_violations() == []
     assert schrodinger_lie().jacobi_violations() == []
+
+
+def test_lie_tables_match_the_transcribed_brackets():
+    h6, sch = two_photon_lie(), schrodinger_lie()
+    assert (h6.name, sch.name) == ("h6", "schrodinger")
+    assert h6.basis == ("B+", "N", "M", "A+", "A-", "B-")
+    assert sch.basis == ("H", "D", "M", "P", "K", "C")
+    assert h6.table == _pinned_table(H6_BRACKETS)
+    assert sch.table == _pinned_table(SCH_BRACKETS)
+
+
+def test_classical_lie_sees_every_classical_relation_coefficient():
+    # +1 on any z^0 coefficient of a PBW relation breaks the Jacobi
+    # identity or moves the table; only the central M's coefficients leave
+    # a Lie algebra, a different one
+    raised = changed = 0
+    for name, make, brackets in (("h6", two_photon_algebra, H6_BRACKETS),
+                                 ("schrodinger", schrodinger_algebra, SCH_BRACKETS)):
+        alg = make(0)
+        for relation in alg._relations.values():
+            for key in [key for key in relation if key[1] == 0]:
+                relation[key] += 1
+                try:
+                    table = classical_lie(name, alg).table
+                except ValueError:
+                    raised += 1
+                else:
+                    assert table != _pinned_table(brackets), (name, key)
+                    changed += 1
+                relation[key] -= 1
+        assert classical_lie(name, alg).table == _pinned_table(brackets)
+    assert (raised, changed) == (14, 3)
 
 
 def test_wedge_antisymmetry_storage():

@@ -104,6 +104,21 @@ def test_discrete_derivative_examples():
         discrete_derivative(0)
 
 
+def test_deformed_casimir_needs_positive_z():
+    # z = 0 used to raise a bare ZeroDivisionError, and z < 0 to build an
+    # operator and lattice "solutions" of it
+    for z in (0, -1):
+        with pytest.raises(ValueError, match="z > 0"):
+            casimir(1, z)
+        with pytest.raises(ValueError, match="z > 0"):
+            heat_polynomials(1, z, 3)
+    with pytest.raises(ValueError, match="z > 0"):
+        symmetry_check("D", 1, Fraction(-1, 2), 0)
+    # the classical Casimir dx^2 - 2m dt has no z to divide by
+    assert casimir(1, 0, classical=True) == SchrodingerOperator(
+        0, {(0, 0, 0, 2, 0): 1, (0, 0, 0, 0, 1): -2})
+
+
 def test_casimir_annihilates_basic_solutions():
     ez = casimir(M, Z)
     for mono in ({(0, 0): 1}, {(1, 0): 1}, {(2, 0): 1, (0, 1): Fraction(1) / M}):

@@ -1,7 +1,10 @@
 from fractions import Fraction
 
+import pytest
+
 from twophoton import hopf
 from twophoton.algebra import two_photon_algebra, schrodinger_algebra
+from twophoton.bialgebra import H6_R_MATRIX, SCH_R_MATRIX
 from twophoton.hopf import (bracket_closure, casimir_checks, coproduct_closure,
                             first_order_delta, galilei_casimir, hopf_checks,
                             r_matrix, r_matrix_inverse, rmatrix_checks,
@@ -80,6 +83,41 @@ def test_rmatrix_first_order_value():
         (word(alg, "B+"), word(alg, "N")): TruncatedSeries([Fraction(0), Fraction(-1)]),
     })
     assert got == want
+
+
+@pytest.mark.parametrize("make, classical_r", [(two_photon_algebra, H6_R_MATRIX),
+                                                (schrodinger_algebra, SCH_R_MATRIX)])
+def test_rmatrix_linear_part_is_the_classical_r(make, classical_r):
+    # R = 1 + z r + O(z^2), with the wedge r read as Xi (x) Xj - Xj (x) Xi
+    got = {legs: s.coeffs[1] for legs, s in r_matrix(make(3)).terms.items() if s.coeffs[1]}
+    want = {}
+    for (i, j), c in classical_r.terms.items():
+        want[((i,), (j,))] = c
+        want[((j,), (i,))] = -c
+    assert got == want
+
+
+@pytest.mark.parametrize("order", [3, 6])
+@pytest.mark.parametrize("make", [two_photon_algebra, schrodinger_algebra])
+def test_rmatrix_inverse_is_the_flipped_rmatrix(make, order):
+    # R21 R = 1: read backwards, the factors of R are those of R^-1 with
+    # their legs flipped, exp(c z X (x) Y) against exp(-c z Y (x) X)
+    alg = make(order)
+    assert r_matrix_inverse(alg) == r_matrix(alg).swap()
+
+
+def test_rmatrix_checks_catch_every_perturbed_factor(monkeypatch):
+    # +1 on the z coefficient of one exp(c z X (x) Y) factor at a time
+    caught = []
+    for make in (two_photon_algebra, schrodinger_algebra):
+        name = make(0).name
+        factors = hopf.R_FACTORS[name]
+        for i, (c, x, y) in enumerate(factors):
+            monkeypatch.setitem(hopf.R_FACTORS, name,
+                                factors[:i] + ((c + 1, x, y),) + factors[i + 1:])
+            caught.append(sum(not e.passed for e in rmatrix_checks(make(2))))
+        monkeypatch.setitem(hopf.R_FACTORS, name, factors)
+    assert caught == [6, 6, 6, 4, 4, 6]
 
 
 def test_rmatrix_classical_limit_is_identity():

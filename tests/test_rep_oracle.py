@@ -74,9 +74,8 @@ def test_oracle_catches_a_perturbed_relation(factory, x, y, coefficient, caught)
     assert key in relation
     relation[key] += 1
     # building the algebra already normal-ordered its antipode table; forget
-    # those memos so that every product below sees the perturbed table
+    # that memo so that every product below sees the perturbed table
     alg._nf_cache.clear()
-    alg._mul_cache.clear()
     n = len(alg.generators)
     words = [w for length in (2, 3) for w in product(range(n), repeat=length)]
     assert len(words) == 252
