@@ -640,35 +640,57 @@ def _behind(left, term_map):
     return {(tuple(left), w): s for w, s in term_map.items()}
 
 
+# A relation row is the normal form of [hi, lo] at every truncation order:
+# (terms, exps), with terms mapping each word to its (z power, coefficient)
+# and each exponential (scale, base, lo, zshift, suffix) standing for
+# scale z^zshift sum_{n >= lo} (base z X)^n / n! suffix, X the first
+# generator. Words name the generators; pairs without a row commute.
+
+H6_RELATIONS = {
+    ("N", "B+"): ({}, ((1, 2, 1, -1, ()),)),  # (e^{2zB+} - 1)/z
+    ("A+", "N"): ({("A+",): (0, -1)}, ()),
+    ("A-", "B+"): ({}, ((2, 2, 0, 0, ("A+",)),)),  # 2 e^{2zB+} A+
+    ("A-", "N"): ({("A-",): (0, 1)}, ()),
+    ("A-", "A+"): ({("M",): (0, 1)}, ()),
+    ("B-", "B+"): ({("N",): (0, 4)}, ((2, 2, 0, 0, ("M",)),)),  # 4N + 2M e^{2zB+}
+    ("B-", "N"): ({("B-",): (0, 2), ("N", "N"): (1, 4)}, ()),
+    ("B-", "A+"): ({("A-",): (0, 2), ("A+",): (1, 2), ("N", "A+"): (1, -4)}, ()),
+    ("B-", "A-"): ({("A-",): (1, 2), ("N", "A-"): (1, 4)}, ()),
+}
+
+SCH_RELATIONS = {
+    ("D", "H"): ({}, ((Fraction(-1, 2), 4, 1, -1, ()),)),  # (1 - e^{4zH})/(2z)
+    ("P", "D"): ({("P",): (0, 1)}, ()),
+    ("K", "H"): ({}, ((1, 4, 0, 0, ("P",)),)),  # e^{4zH} P
+    ("K", "D"): ({("K",): (0, -1)}, ()),
+    ("K", "P"): ({("M",): (0, 1)}, ()),
+    # -D + (e^{4zH} - 1)/2 M
+    ("C", "H"): ({("D",): (0, -1)}, ((Fraction(1, 2), 4, 1, 0, ("M",)),)),
+    # -2C - 2z(D + M/2)^2
+    ("C", "D"): ({("C",): (0, -2), ("D", "D"): (1, -2), ("D", "M"): (1, -2),
+                  ("M", "M"): (1, Fraction(-1, 2))}, ()),
+    ("C", "P"): ({("K",): (0, 1), ("D", "P"): (1, 2), ("P",): (1, 1), ("M", "P"): (1, 1)}, ()),
+    ("C", "K"): ({("D", "K"): (1, -2), ("K",): (1, 1), ("M", "K"): (1, -1)}, ()),
+}
+
+
+def _relation_table(rows, generators, order):
+    """The {(hi, lo): {word: series}} table of relation rows, truncated at z^order."""
+    index = {g: i for i, g in enumerate(generators)}
+    word = lambda names: tuple(index[g] for g in names)
+    return {(index[x], index[y]): _merge(
+        {word(w): TruncatedSeries.z_power(p, order, c) for w, (p, c) in terms.items()},
+        *(_exp_words(0, base, order, lo=lo, zshift=zshift, scale=scale, suffix=word(suffix))
+          for scale, base, lo, zshift, suffix in exps))
+        for (x, y), (terms, exps) in rows.items()}
+
+
 def two_photon_algebra(order):
     """Deformed two-photon algebra U_z(h6) truncated at the given z order."""
     k = order
     B, N, M, AP, AM, BM = range(6)  # B+ N M A+ A- B-
 
-    def zs(power, coeff=1):
-        return TruncatedSeries.z_power(power, k, coeff)
-
-    relations = {
-        # [N, B+] = (e^{2zB+} - 1)/z
-        (N, B): _exp_words(B, 2, k, lo=1, zshift=-1),
-        (M, B): {}, (M, N): {},
-        (AP, B): {}, (AP, N): {(AP,): zs(0, -1)}, (AP, M): {},
-        # [A-, B+] = 2 e^{2zB+} A+
-        (AM, B): _exp_words(B, 2, k, scale=Fraction(2), suffix=(AP,)),
-        (AM, N): {(AM,): zs(0, 1)},
-        (AM, M): {},
-        (AM, AP): {(M,): zs(0, 1)},
-        # [B-, B+] = 4N + 2M e^{2zB+}
-        (BM, B): _merge({(N,): zs(0, 4)},
-                        _exp_words(B, 2, k, scale=Fraction(2), suffix=(M,))),
-        # [B-, N] = 2B- + 4z N^2
-        (BM, N): {(BM,): zs(0, 2), (N, N): zs(1, 4)},
-        (BM, M): {},
-        # [B-, A+] = 2A- + 2z A+ - 4z N A+
-        (BM, AP): {(AM,): zs(0, 2), (AP,): zs(1, 2), (N, AP): zs(1, -4)},
-        # [B-, A-] = 2z A- + 4z N A-
-        (BM, AM): {(AM,): zs(1, 2), (N, AM): zs(1, 4)},
-    }
+    relations = _relation_table(H6_RELATIONS, H6_GENERATORS, k)
 
     primitive = lambda g: {((), (g,)): Fraction(1), ((g,), ()): Fraction(1)}
     coproduct = {
@@ -693,8 +715,8 @@ def two_photon_algebra(order):
     }
 
     antipode = {
-        B: {(B,): zs(0, -1)},
-        M: {(M,): zs(0, -1)},
+        B: {(B,): -1},
+        M: {(M,): -1},
         # gamma(N) = -N e^{-2zB+}
         N: _prefix((N,), _exp_words(B, -2, k, scale=Fraction(-1))),
         # gamma(A+) = -A+ e^{zB+}
@@ -718,29 +740,7 @@ def schrodinger_algebra(order):
     k = order
     H, D, M, P, K, C = range(6)
 
-    def zs(power, coeff=1):
-        return TruncatedSeries.z_power(power, k, coeff)
-
-    relations = {
-        # [D, H] = (1 - e^{4zH})/(2z)
-        (D, H): _exp_words(H, 4, k, lo=1, zshift=-1, scale=Fraction(-1, 2)),
-        (M, H): {}, (M, D): {},
-        (P, H): {}, (P, D): {(P,): zs(0, 1)}, (P, M): {},
-        # [K, H] = e^{4zH} P
-        (K, H): _exp_words(H, 4, k, suffix=(P,)),
-        (K, D): {(K,): zs(0, -1)}, (K, M): {}, (K, P): {(M,): zs(0, 1)},
-        # [C, H] = -D + (e^{4zH} - 1)/2 M
-        (C, H): _merge({(D,): zs(0, -1)},
-                       _exp_words(H, 4, k, lo=1, scale=Fraction(1, 2), suffix=(M,))),
-        # [C, D] = -2C - 2z(D + M/2)^2
-        (C, D): {(C,): zs(0, -2), (D, D): zs(1, -2), (D, M): zs(1, -2),
-                 (M, M): zs(1, Fraction(-1, 2))},
-        (C, M): {},
-        # [C, P] = K + 2z DP + z P + z MP
-        (C, P): {(K,): zs(0, 1), (D, P): zs(1, 2), (P,): zs(1, 1), (M, P): zs(1, 1)},
-        # [C, K] = -2z DK + z K - z MK
-        (C, K): {(D, K): zs(1, -2), (K,): zs(1, 1), (M, K): zs(1, -1)},
-    }
+    relations = _relation_table(SCH_RELATIONS, SCH_GENERATORS, k)
 
     primitive = lambda g: {((), (g,)): Fraction(1), ((g,), ()): Fraction(1)}
     coproduct = {
@@ -770,12 +770,11 @@ def schrodinger_algebra(order):
     }
 
     antipode = {
-        H: {(H,): zs(0, -1)},
-        M: {(M,): zs(0, -1)},
-        # gamma(D) = -(D + M/2) e^{-4zH} + M/2
+        H: {(H,): -1},
+        M: {(M,): -1},
+        # gamma(D) = -(D + M/2) e^{-4zH} + M/2 = -D e^{-4zH} - M/2 (e^{-4zH} - 1)
         D: _merge(_prefix((D,), _exp_words(H, -4, k, scale=Fraction(-1))),
-                  _prefix((M,), _exp_words(H, -4, k, scale=Fraction(-1, 2))),
-                  {(M,): zs(0, Fraction(1, 2))}),
+                  _prefix((M,), _exp_words(H, -4, k, lo=1, scale=Fraction(-1, 2)))),
         # gamma(P) = -P e^{2zH}
         P: _prefix((P,), _exp_words(H, 2, k, scale=Fraction(-1))),
         # gamma(K) = -(K + 2z DP + z MP) e^{-2zH}

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import re
 import sys
 import time
@@ -323,6 +324,9 @@ def main(argv=None):
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     if not 0 <= args.order <= 8:
         parser.error("--order must be between 0 and 8")
+    for flag, path in (("--out", args.out), ("--csv-out", args.csv_out)):
+        if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+            parser.error(f"{flag} {path}: not a file in an existing directory")
     try:
         if args.dump_spec:
             return _dump_spec(args.dump_spec, args.order, args.out)

@@ -13,9 +13,12 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import comb
+from functools import reduce
+from itertools import combinations
+from math import comb, factorial
+from operator import mul
 
-from .algebra import SCH_GENERATORS
+from .algebra import SCH_GENERATORS, SCH_RELATIONS
 from .report import CheckResult, residual_entry
 from .sparse import (SparseTerms, collect, linear_combination, monomial, render_sum,
                      solve_linear, weyl_terms)
@@ -49,10 +52,6 @@ class SchrodingerOperator(SparseTerms):
         super().__init__((self.z,), {key: Fraction(c) for key, c in terms.items()})
 
     @classmethod
-    def zero(cls, z):
-        return cls(z, {})
-
-    @classmethod
     def identity(cls, z):
         return cls(z, {(0, 0, 0, 0, 0): Fraction(1)})
 
@@ -75,12 +74,6 @@ class SchrodingerOperator(SparseTerms):
                                        base * cs * cr * ci)
 
         return SchrodingerOperator(self.z, collect(pairs()))
-
-    def __pow__(self, n):
-        out = SchrodingerOperator.identity(self.z)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def apply(self, func):
         """Act on an ExpPolyFunction."""
@@ -184,37 +177,39 @@ def casimir(mass, z, classical=False):
 # -- bracket table verification ----------------------------------------------------
 
 
-def _expected_brackets(ops, mass, z, classical):
-    """The full commutator table, realized; series in H enter exactly through T."""
-    m = Fraction(mass)
+def _expected_brackets(ops, z, classical):
+    """The fifteen brackets [x, y], x before y in M, D, K, P, H, C (the order
+    of the check names), as the Schrodinger relation rows realized.
+
+    A word is the product of its realized generators and z^p the rational
+    z^p. Deformed, e^{4zH} is the shift T exactly, so an exponential row is
+    T minus its terms below lo; classically a row keeps its z^0 part.
+    """
     z = Fraction(z)
-    zero = SchrodingerOperator.zero(z)
-    one = SchrodingerOperator.identity(z)
-    H, D, M, P, K, C = (ops[g] for g in SCH_GENERATORS)
-    if classical:
-        table = {
-            ("D", "H"): H.scale(-2), ("D", "P"): -P, ("D", "K"): K,
-            ("D", "C"): C.scale(2), ("H", "C"): D, ("K", "H"): P,
-            ("K", "P"): M, ("K", "C"): zero, ("P", "H"): zero, ("P", "C"): -K,
-        }
-    else:
-        shift = SchrodingerOperator(z, {(0, 0, 1, 0, 0): 1})
-        one_minus_T = one - shift
-        table = {
-            ("D", "H"): one_minus_T.scale(Fraction(1, 2) / z),
-            ("D", "P"): -P,
-            ("D", "K"): K,
-            ("D", "C"): C.scale(2) + ((D + M.scale(Fraction(1, 2))) ** 2).scale(2 * z),
-            ("H", "C"): D + one_minus_T.scale(m / 2),
-            ("K", "H"): shift * P,
-            ("K", "P"): M,
-            ("K", "C"): (D * K + K * D + K * M).scale(z),
-            ("P", "H"): zero,
-            ("P", "C"): -K - (D * P + P * D + P * M).scale(z),
-        }
-    for g in SCH_GENERATORS:
-        if g != "M":
-            table[("M", g)] = zero
+    gens = {**ops, "T": SchrodingerOperator(z, {(0, 0, 1, 0, 0): 1})}
+
+    def realized(terms, exps):
+        parts = [(w, c * z ** p) for w, (p, c) in terms.items() if not classical or p == 0]
+        for scale, base, lo, zshift, suffix in exps:
+            if base != 4:
+                raise ValueError(f"e^({base}zH) is not a power of the shift T = e^(4zH)")
+            # the term scale z^zshift (4zH)^n / n! suffix of the row's sum
+            term = lambda n: (("H",) * n + suffix,
+                              scale * 4 ** n * z ** (n + zshift) / factorial(n))
+            if not classical:
+                parts.append((("T",) + suffix, scale * z ** zshift))
+                parts.extend((w, -c) for w, c in map(term, range(lo)))
+            elif -zshift >= lo:
+                parts.append(term(-zshift))
+        return SchrodingerOperator(z, linear_combination(
+            (reduce(mul, (gens[g] for g in w), SchrodingerOperator.identity(z)), c)
+            for w, c in parts))
+
+    rank = SCH_GENERATORS.index
+    table = {}
+    for x, y in combinations(("M", "D", "K", "P", "H", "C"), 2):
+        key, sign = ((x, y), 1) if rank(x) > rank(y) else ((y, x), -1)
+        table[(x, y)] = realized(*SCH_RELATIONS.get(key, ({}, ()))).scale(sign)
     return table
 
 
@@ -228,7 +223,7 @@ def _label_params(mass, rep_param, z, classical):
 def verify_realization(mass, rep_param, z, classical=False):
     """All fifteen bracket identities of the realized table, exactly."""
     ops = realize(mass, rep_param, z, classical)
-    expected = _expected_brackets(ops, mass, z, classical)
+    expected = _expected_brackets(ops, z, classical)
     label, params = _label_params(mass, rep_param, z, classical)
     entries = []
     for (x, y), want in sorted(expected.items()):

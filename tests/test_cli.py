@@ -97,6 +97,27 @@ def test_all_zero_beta_is_a_usage_error(capsys):
         assert "--beta needs at least one nonzero entry" in err
 
 
+@pytest.mark.parametrize("argv", [["--checks", "eigen", "--out"],
+                                  ["--checks", "eigen", "--csv-out"],
+                                  ["--dump-spec", "sch", "--out"]], ids=" ".join)
+def test_output_into_a_missing_directory_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
+    # these used to exit 3 with a FileNotFoundError, --out and --csv-out
+    # only after every check had run
+    def no_run(*args):
+        raise AssertionError("ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_checks", no_run)
+    monkeypatch.setattr(cli, "_dump_spec", no_run)
+    for path in (tmp_path / "missing" / "r.json", tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"{argv[-1]} {path}: not a file in an existing directory" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_internal_error_exits_three(monkeypatch):
     def boom(cfg):
         raise RuntimeError("engine exploded")

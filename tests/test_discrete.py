@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from twophoton import cli, discrete
+from twophoton.algebra import SCH_GENERATORS, SCH_RELATIONS
 from twophoton.discrete import (ExpPolyFunction, SchrodingerOperator,
                                 apply_and_recheck, casimir,
                                 discrete_derivative, exponential_solutions,
@@ -85,6 +87,118 @@ def test_realization_brackets_over_matrix():
             assert entry.passed, (entry.name, z, m, a, entry.residual)
     for entry in verify_realization(M, A, 0, classical=True):
         assert entry.passed, entry.name
+
+
+def _transcribed_brackets(ops, mass, z, classical):
+    """The realized commutator table transcribed by hand, apart from the
+    Schrodinger relation rows that the discrete layer derives it from;
+    series in H enter exactly through T."""
+    m = Fraction(mass)
+    z = Fraction(z)
+    zero = SchrodingerOperator(z, {})
+    one = SchrodingerOperator.identity(z)
+    H, D, M, P, K, C = (ops[g] for g in SCH_GENERATORS)
+    if classical:
+        table = {
+            ("D", "H"): H.scale(-2), ("D", "P"): -P, ("D", "K"): K,
+            ("D", "C"): C.scale(2), ("H", "C"): D, ("K", "H"): P,
+            ("K", "P"): M, ("K", "C"): zero, ("P", "H"): zero, ("P", "C"): -K,
+        }
+    else:
+        shift = SchrodingerOperator(z, {(0, 0, 1, 0, 0): 1})
+        one_minus_T = one - shift
+        d_plus_half_m = D + M.scale(Fraction(1, 2))
+        table = {
+            ("D", "H"): one_minus_T.scale(Fraction(1, 2) / z),
+            ("D", "P"): -P,
+            ("D", "K"): K,
+            ("D", "C"): C.scale(2) + (d_plus_half_m * d_plus_half_m).scale(2 * z),
+            ("H", "C"): D + one_minus_T.scale(m / 2),
+            ("K", "H"): shift * P,
+            ("K", "P"): M,
+            ("K", "C"): (D * K + K * D + K * M).scale(z),
+            ("P", "H"): zero,
+            ("P", "C"): -K - (D * P + P * D + P * M).scale(z),
+        }
+    for g in SCH_GENERATORS:
+        if g != "M":
+            table[("M", g)] = zero
+    return table
+
+
+def test_derived_brackets_match_the_transcribed_table():
+    points = [(Fraction(1), Fraction(-1, 2), Fraction(1, 10)),
+              (Fraction(3), Fraction(0), Fraction(2, 7)),
+              (Fraction(-5, 3), Fraction(7, 2), Fraction(9))]
+    points += [(m, a, z) for z, m, a in PARAM_MATRIX]
+    for m, a, z in points:
+        for classical in (False, True):
+            ops = realize(m, a, z, classical)
+            derived = discrete._expected_brackets(ops, z, classical)
+            assert len(derived) == 15
+            assert derived == _transcribed_brackets(ops, m, z, classical), (m, a, z, classical)
+
+
+def test_only_the_shift_realizes_an_exponential_row(monkeypatch):
+    # e^{2zH} is no power of T = e^{4zH}: the row raises, it is not skipped
+    monkeypatch.setitem(SCH_RELATIONS, ("K", "H"), ({}, ((1, 2, 0, 0, ("P",)),)))
+    with pytest.raises(ValueError, match="shift"):
+        verify_realization(M, A, Z)
+
+
+def _failed(entries):
+    return sum(not e.passed for e in entries)
+
+
+def test_realization_checks_see_every_relation_coefficient(monkeypatch):
+    # +1 on each polynomial coefficient and on each exponential scale of the
+    # Schrodinger relation rows, one at a time; a z^0 coefficient must fail
+    # a classical entry too, and any other must leave them all passing
+    mutations = []
+    for key, (terms, exps) in SCH_RELATIONS.items():
+        for w, (p, c) in terms.items():
+            mutations.append((key, ({**terms, w: (p, c + 1)}, exps), p == 0))
+        for i, (scale, base, lo, zshift, suffix) in enumerate(exps):
+            bumped = exps[:i] + ((scale + 1, base, lo, zshift, suffix),) + exps[i + 1:]
+            mutations.append((key, (terms, bumped), lo + zshift <= 0))
+    assert (len(mutations), sum(z0 for *_, z0 in mutations)) == (18, 8)
+    assert _failed(verify_realization(M, A, Z)) == 0
+    assert _failed(verify_realization(M, A, 0, classical=True)) == 0
+    for key, row, z0 in mutations:
+        with monkeypatch.context() as patch:
+            patch.setitem(SCH_RELATIONS, key, row)
+            assert _failed(verify_realization(M, A, Z)) >= 1, (key, row)
+            classical = _failed(verify_realization(M, A, 0, classical=True))
+            assert (classical >= 1) == z0, (key, row, classical)
+
+
+def test_discrete_group_catches_every_realize_coefficient(monkeypatch):
+    # +1 on each coefficient of the realized generators at the defaults
+    # z = 1/10, m = 1, a = -1/2 fails at least one discrete-se entry
+    parser = cli.build_parser()
+    cfg = cli.parse_config(parser.parse_args(["--checks", "discrete-se", "--order", "2"]),
+                           parser)
+    assert _failed(cli.run_discrete(cfg)) == 0
+    original = discrete.realize
+    caught = {}
+    for mode in (False, True):
+        for gen, op in original(M, A, Z, mode).items():
+            for key in op.terms:
+                def mutated(mass, rep_param, z, classical=False, gen=gen, key=key, mode=mode):
+                    ops = original(mass, rep_param, z, classical)
+                    if classical == mode:
+                        ops[gen] = ops[gen] + SchrodingerOperator(ops[gen].z, {key: 1})
+                    return ops
+
+                monkeypatch.setattr(discrete, "realize", mutated)
+                caught[(mode, gen, key)] = _failed(cli.run_discrete(cfg))
+    assert (len(caught), sum(mode for mode, *_ in caught)) == (33, 12)
+    assert min(caught.values()) >= 1, {site: n for site, n in caught.items() if not n}
+    # the weakest sites: the constant terms of the deformed C and of the
+    # classical D, and the classical M, are each caught by one entry
+    constant = (0, 0, 0, 0, 0)
+    assert sorted(site for site, n in caught.items() if n == 1) == [
+        (False, "C", constant), (True, "D", constant), (True, "M", constant)]
 
 
 def test_discrete_derivative_examples():
