@@ -20,6 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
+from .sparse import SparseTerms
+
 __all__ = ["TruncatedSeries", "exp_nilpotent", "sqrt_unit"]
 
 
@@ -193,7 +195,8 @@ class TruncatedSeries:
                     prev = acc.get(i + j)
                     acc[i + j] = x * y if prev is None else prev + x * y
             return TruncatedSeries._exact(_nonzero_sorted(acc), k)
-        if isinstance(other, float):
+        if isinstance(other, (float, SparseTerms)):
+            # an element takes a series as its scalar: x.scale(self)
             return NotImplemented
         c = _coerce(other)
         if not c:

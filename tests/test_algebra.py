@@ -367,6 +367,13 @@ def _reference_product(alg, a_terms, b_terms, memo):
     return {words: s for words, s in acc.items() if s}
 
 
+def _as_element(alg, rank, terms):
+    """A {legs: series} map as an NCElement (rank 1) or a TensorElement."""
+    if rank == 1:
+        return NCElement(alg, {w: s for (w,), s in terms.items()})
+    return TensorElement(alg, rank, terms)
+
+
 def _several_powers(rng, order):
     """A series with two or more nonzero z powers (non-homogeneous)."""
     powers = rng.sample(range(order + 1), rng.randint(2, order + 1))
@@ -407,13 +414,8 @@ def test_product_kernel_matches_reference_rewriter(make):
         for rank, operands in product((1, 2, 3), (several_powers, every_low_order)):
             a, b = operands(rank), operands(rank)
             want = _reference_product(alg, a, b, memo)
-            if rank == 1:
-                got = NCElement(alg, {w: s for (w,), s in a.items()}) * NCElement(
-                    alg, {w: s for (w,), s in b.items()})
-                assert got.terms == {w: s for (w,), s in want.items()}
-            else:
-                got = TensorElement(alg, rank, a) * TensorElement(alg, rank, b)
-                assert got.terms == want
+            got = _as_element(alg, rank, a) * _as_element(alg, rank, b)
+            assert got == _as_element(alg, rank, want)
 
 
 @pytest.mark.parametrize("make", ALGEBRAS)
@@ -442,6 +444,93 @@ def test_product_difference_matches_two_products(make):
     x, y, w = (_random_element(alg, rng) for _ in range(3))
     assert (x * y) * w
     assert product_difference(x * y, w, x, y * w).is_zero()
+
+
+def _shared_coefficient_operand(alg, rng, rank, n_terms=6):
+    """Terms that share three coefficient objects: a monomial, a series
+    with several z powers, and a distinct object equal to that series."""
+    k = alg.order
+    mono = TruncatedSeries.z_power(rng.randint(0, k), k, Fraction(rng.choice((-2, 1, 3)),
+                                                                  rng.randint(1, 2)))
+    several = _several_powers(rng, k)
+    copy = TruncatedSeries(several.coeffs)
+    assert copy == several and copy is not several
+    objects = (mono, several, copy)
+    keys = []
+    while len(keys) < n_terms:
+        legs = tuple(tuple(sorted(rng.randrange(6) for _ in range(rng.randint(0, 2))))
+                     for _ in range(rank))
+        if legs not in keys:
+            keys.append(legs)
+    return {legs: objects[i % 3] for i, legs in enumerate(keys)}
+
+
+@pytest.mark.parametrize("make", ALGEBRAS)
+def test_grouped_products_are_exact_on_shared_coefficients(make):
+    # term_products multiplies each pair of coefficient objects once and
+    # reuses the product for every word pair of the two groups; grouping
+    # by object must not merge the distinct objects that hold equal values
+    alg, memo, rng = make(3), {}, random.Random(13)
+    for _ in range(3):
+        for rank in (1, 2, 3):
+            a, b, c, d = (_shared_coefficient_operand(alg, rng, rank) for _ in range(4))
+            x, y, u, v = (_as_element(alg, rank, t) for t in (a, b, c, d))
+            ab, cd = _reference_product(alg, a, b, memo), _reference_product(alg, c, d, memo)
+            assert (x * y) == _as_element(alg, rank, ab)
+            want = _as_element(alg, rank, ab) - _as_element(alg, rank, cd)
+            assert product_difference(x, y, u, v) == want == x * y - u * v
+
+
+def _coefficient_objects(x):
+    return {id(s): s for s in x.terms.values()}.values()
+
+
+def _surviving_pairs(coefficients_a, coefficients_b, order):
+    return sum(sa.low_order() + sb.low_order() <= order
+               for sa in coefficients_a for sb in coefficients_b)
+
+
+@pytest.mark.parametrize("make", [two_photon_algebra, schrodinger_algebra])
+def test_qybe_multiplies_each_pair_of_coefficient_objects_once(make, monkeypatch):
+    alg = make(4)
+    R = hopf.r_matrix(alg)
+    r12, r13, r23 = (R.embed3(legs) for legs in ((0, 1), (0, 2), (1, 2)))
+    left, right = r12 * r13, r23 * r13
+    # the kernel hands back one object per distinct coefficient value
+    for x in (R, left):
+        assert len(_coefficient_objects(x)) == len(set(x.terms.values())) < len(x.terms)
+    calls = 0
+    series_mul = TruncatedSeries.__mul__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return series_mul(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+    assert product_difference(left, r23, right, r12).is_zero()
+    monkeypatch.undo()
+    k = alg.order
+    object_pairs = sum(_surviving_pairs(_coefficient_objects(x), _coefficient_objects(y), k)
+                       for x, y in ((left, r23), (right, r12)))
+    term_pairs = sum(_surviving_pairs(x.terms.values(), y.terms.values(), k)
+                     for x, y in ((left, r23), (right, r12)))
+    assert calls == object_pairs < term_pairs
+
+
+def test_products_of_different_kinds():
+    alg = two_photon_algebra(2)
+    x, t = alg.gen("N"), alg.tensor_one()
+    # each used to return an element whose coefficients were elements
+    with pytest.raises(TypeError):
+        x * t
+    with pytest.raises(TypeError):
+        t * x
+    s = TruncatedSeries.z_power(1, 2, Fraction(3, 2))
+    for product in (s * x, x * s):
+        assert type(product) is NCElement
+        assert product == x.scale(s)
+    assert alg.one_series() * t == t
 
 
 def _coproduct_by_generators(alg, word):

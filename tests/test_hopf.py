@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from twophoton import hopf
-from twophoton.algebra import two_photon_algebra, schrodinger_algebra
+from twophoton.algebra import (H6_RELATIONS, SCH_RELATIONS, two_photon_algebra,
+                               schrodinger_algebra)
 from twophoton.bialgebra import H6_R_MATRIX, SCH_R_MATRIX
 from twophoton.hopf import (bracket_closure, casimir_checks, coproduct_closure,
                             first_order_delta, galilei_casimir, hopf_checks,
@@ -209,6 +210,40 @@ def test_transport_detects_corruption():
     entries = {e.name: e for e in verify_spec_equality(transported, sch)}
     assert not entries["transport/coproduct"].passed
     assert "Delta(P)" in entries["transport/coproduct"].residual
+
+
+def _relation_row_mutations(rows):
+    """(bracket, site, row) with +1 on one polynomial coefficient or on one
+    exponential scale of a relation row."""
+    out = []
+    for key, (terms, exps) in rows.items():
+        for w, (p, c) in terms.items():
+            out.append((key, w, ({**terms, w: (p, c + 1)}, exps)))
+        for i, (scale, *rest) in enumerate(exps):
+            out.append((key, i, (terms, exps[:i] + ((scale + 1, *rest),) + exps[i + 1:])))
+    return out
+
+
+def test_hopf_rmatrix_and_transport_catch_every_relation_mutation(monkeypatch):
+    # +1 on each of the 14 h6 and 18 Schrodinger relation coefficients and
+    # exponential scales, one at a time, at k = 2
+    failing = {}
+    for rows, make in ((H6_RELATIONS, two_photon_algebra),
+                       (SCH_RELATIONS, schrodinger_algebra)):
+        assert all(e.passed for e in hopf_checks(make(2)) + rmatrix_checks(make(2)))
+        for key, site, row in _relation_row_mutations(rows):
+            with monkeypatch.context() as patch:
+                patch.setitem(rows, key, row)
+                alg = make(2)
+                entries = hopf_checks(alg) + rmatrix_checks(alg) + transport_checks(2)
+            failing[key, site] = [e.name for e in entries if not e.passed]
+    assert len(failing) == 32
+    assert all(failing.values()), [site for site, names in failing.items() if not names]
+    # a rescaled central M in [A-, A+] = M or [K, P] = M keeps every Hopf
+    # axiom and the R-matrix; only the comparison with the other table sees it
+    assert {site: names for site, names in failing.items() if len(names) == 1} == {
+        (("A-", "A+"), ("M",)): ["transport/relations"],
+        (("K", "P"), ("M",)): ["transport/relations"]}
 
 
 def test_first_order_delta_matches_tables():

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from twophoton.bargmann import DiffOperator
+from twophoton.bargmann import DiffOperator, deformed_rep
 from twophoton.discrete import (ExpPolyFunction, exponential_solutions,
                                 heat_polynomials, regular_kappas)
 from twophoton.series import TruncatedSeries
@@ -61,6 +61,35 @@ def test_diffop_composition_matches_sympy_on_monomials():
             image = ab.apply_to_polynomial({n: Fraction(1)})
             got = sum(_series_expr(s) * alpha ** m for m, s in image.items())
             assert sp.expand(got - want) == 0
+
+
+# the closed forms of the deformed one-boson realization, each generator a
+# {derivative order l: multiplication factor} map acting by sum_l c_l d^l;
+# a positive alpha lets sympy take sqrt(alpha^2) = alpha in the radical
+_A = sp.Symbol("a", positive=True)
+_E = sp.exp(2 * z * _A ** 2)
+_ROOT = sp.sqrt((1 - 1 / _E) / (2 * z))
+_CLOSED_FORMS = {
+    "N": {1: (_E - 1) / (2 * z * _A)},
+    "A+": {0: _ROOT},
+    "A-": {1: _E * _ROOT / _A},
+    "B-": {2: (_E - 1) / (2 * z * _A ** 2),
+           1: (_E * _A ** 2 - (_E - 1) / (2 * z)) / _A ** 3},
+}
+
+
+@pytest.mark.parametrize("gen", sorted(_CLOSED_FORMS))
+def test_deformed_rep_matches_its_closed_forms(gen):
+    # sympy expands each closed-form factor in z to z^3; the engine's
+    # realization is built by exp, sqrt and exact divisions of DiffOperators
+    order = 3
+    factors = {l: sp.series(c, z, 0, order + 1).removeO().subs(_A, alpha)
+               for l, c in _CLOSED_FORMS[gen].items()}
+    op = deformed_rep(order)[gen]
+    for n in range(6):
+        f = alpha ** n
+        want = sum(c * sp.diff(f, alpha, l) for l, c in factors.items())
+        assert sp.expand(_apply_diffop(op, f) - want) == 0, (gen, n)
 
 
 def _sparse_series(rng, order, head):
