@@ -55,6 +55,13 @@ Two algebras are built in:
   two-photon algebra h6.
 * ``schrodinger_algebra(order)``: generators H < D < M < P < K < C, the
   isomorphic deformed Schrodinger algebra in (1+1) dimensions.
+
+Each is transcribed once, as order-free data: its relation, coproduct and
+antipode tables (``H6_RELATIONS``, ``H6_COPRODUCTS``, ``H6_ANTIPODES`` and
+the ``SCH_`` three) are rows in one format, polynomial terms and
+exponentials in the first generator, which one builder expands at the
+requested order. A generator without a coproduct or antipode row is
+primitive, as a generator pair without a relation row commutes.
 """
 
 from __future__ import annotations
@@ -197,10 +204,8 @@ class _PBWTerms(SparseTerms):
     __slots__ = ()
 
     def __mul__(self, other):
-        if not isinstance(other, SparseTerms):
-            return self.scale(other)
         if not isinstance(other, type(self)):
-            raise TypeError(f"cannot multiply {type(self).__name__} by {type(other).__name__}")
+            return self.scale(other)
         self._require_same(other)
         return ordered_difference(self, term_products(self, other))
 
@@ -312,8 +317,9 @@ class QuantumAlgebra:
     normal form of [X_hi, X_lo]; the reversed bracket is the negative.
     Coproduct, antipode and counit tables hold the values on generators and
     are extended multiplicatively / anti-multiplicatively / as an algebra
-    map. Tables are fixed after construction and every operation is pure up
-    to idempotent memo caches, so results never depend on evaluation order.
+    map; a generator left out of the counit table has counit 0. Tables are
+    fixed after construction and every operation is pure up to idempotent
+    memo caches, so results never depend on evaluation order.
 
     The relation table maps (word, z power) to one Fraction; the memo of
     normal forms holds int numerators over one reduced denominator per
@@ -678,25 +684,19 @@ def _exp_words(gen, base, order, lo=0, zshift=0, scale=Fraction(1), suffix=()):
     return out
 
 
-def _merge(*term_maps):
-    return collect(chain.from_iterable(terms.items() for terms in term_maps))
-
-
-def _prefix(head, term_map):
-    """Prepend a fixed raw word segment to every key of a term map."""
-    return {tuple(head) + w: s for w, s in term_map.items()}
-
-
-def _behind(left, term_map):
-    """Put every word of a term map behind the fixed left leg: left (x) word."""
-    return {(tuple(left), w): s for w, s in term_map.items()}
-
-
-# A relation row is the normal form of [hi, lo] at every truncation order:
-# (terms, exps), with terms mapping each word to its (z power, coefficient)
-# and each exponential (scale, base, lo, zshift, suffix) standing for
-# scale z^zshift sum_{n >= lo} (base z X)^n / n! suffix, X the first
-# generator. Words name the generators; pairs without a row commute.
+# One row format serves the relation, coproduct and antipode tables. A row
+# stands for one sum at every truncation order: (terms, exps), with terms
+# mapping each word to its (z power, coefficient) and each exponential
+# (scale, base, lo, zshift, suffix) standing for scale z^zshift sum_{n >= lo}
+# (base z X)^n / n! suffix, X the first generator. Words name the generators.
+# * A relation row is the normal form of [hi, lo]; pairs without a row
+#   commute.
+# * The coproduct entry of X maps each left leg L to a row R_L: Delta(X) =
+#   1 (x) X + sum_L L (x) R_L.
+# * The antipode entry of X maps each left factor L to a row R_L: gamma(X) =
+#   sum_L L R_L, as raw words that the engine normal-orders.
+# A generator without a coproduct or antipode entry is primitive: Delta(X) =
+# 1 (x) X + X (x) 1 and gamma(X) = -X. Every counit vanishes.
 
 H6_RELATIONS = {
     ("N", "B+"): ({}, ((1, 2, 1, -1, ()),)),  # (e^{2zB+} - 1)/z
@@ -708,6 +708,24 @@ H6_RELATIONS = {
     ("B-", "N"): ({("B-",): (0, 2), ("N", "N"): (1, 4)}, ()),
     ("B-", "A+"): ({("A-",): (0, 2), ("A+",): (1, 2), ("N", "A+"): (1, -4)}, ()),
     ("B-", "A-"): ({("A-",): (1, 2), ("N", "A-"): (1, 4)}, ()),
+}
+
+H6_COPRODUCTS = {
+    "N": {("N",): ({}, ((1, 2, 0, 0, ()),))},  # 1 (x) N + N (x) e^{2zB+}
+    "A+": {("A+",): ({}, ((1, -1, 0, 0, ()),))},  # 1 (x) A+ + A+ (x) e^{-zB+}
+    # 1 (x) A- + A- (x) e^{zB+} + 2z N (x) e^{2zB+} A+
+    "A-": {("A-",): ({}, ((1, 1, 0, 0, ()),)), ("N",): ({}, ((2, 2, 0, 1, ("A+",)),))},
+    # 1 (x) B- + B- (x) e^{2zB+} + 2z N (x) e^{2zB+} M
+    "B-": {("B-",): ({}, ((1, 2, 0, 0, ()),)), ("N",): ({}, ((2, 2, 0, 1, ("M",)),))},
+}
+
+H6_ANTIPODES = {
+    "N": {("N",): ({}, ((-1, -2, 0, 0, ()),))},  # -N e^{-2zB+}
+    "A+": {("A+",): ({}, ((-1, 1, 0, 0, ()),))},  # -A+ e^{zB+}
+    # -(A- - 2z N A+) e^{-zB+}
+    "A-": {("A-",): ({}, ((-1, -1, 0, 0, ()),)), ("N", "A+"): ({}, ((2, -1, 0, 1, ()),))},
+    # -(B- - 2z N M) e^{-2zB+}
+    "B-": {("B-",): ({}, ((-1, -2, 0, 0, ()),)), ("N", "M"): ({}, ((2, -2, 0, 1, ()),))},
 }
 
 SCH_RELATIONS = {
@@ -725,121 +743,74 @@ SCH_RELATIONS = {
     ("C", "K"): ({("D", "K"): (1, -2), ("K",): (1, 1), ("M", "K"): (1, -1)}, ()),
 }
 
+SCH_COPRODUCTS = {
+    "D": {("D",): ({}, ((1, 4, 0, 0, ()),)),  # 1 (x) D + D (x) e^{4zH}
+          ("M",): ({}, ((Fraction(1, 2), 4, 1, 0, ()),))},  # + M (x) (e^{4zH} - 1)/2
+    "P": {("P",): ({}, ((1, -2, 0, 0, ()),))},  # 1 (x) P + P (x) e^{-2zH}
+    # 1 (x) K + K (x) e^{2zH} - 2z (D + M/2) (x) e^{4zH} P
+    "K": {("K",): ({}, ((1, 2, 0, 0, ()),)), ("D",): ({}, ((-2, 4, 0, 1, ("P",)),)),
+          ("M",): ({}, ((-1, 4, 0, 1, ("P",)),))},
+    # 1 (x) C + C (x) e^{4zH} - z (D + M/2) (x) e^{4zH} M
+    "C": {("C",): ({}, ((1, 4, 0, 0, ()),)), ("D",): ({}, ((-1, 4, 0, 1, ("M",)),)),
+          ("M",): ({}, ((Fraction(-1, 2), 4, 0, 1, ("M",)),))},
+}
 
-def _relation_table(rows, generators, order):
-    """The {(hi, lo): {word: series}} table of relation rows, truncated at z^order."""
-    index = {g: i for i, g in enumerate(generators)}
+SCH_ANTIPODES = {
+    "D": {("D",): ({}, ((-1, -4, 0, 0, ()),)),  # -D e^{-4zH}
+          ("M",): ({}, ((Fraction(-1, 2), -4, 1, 0, ()),))},  # - M/2 (e^{-4zH} - 1)
+    "P": {("P",): ({}, ((-1, 2, 0, 0, ()),))},  # -P e^{2zH}
+    # -(K + 2z DP + z MP) e^{-2zH}
+    "K": {("K",): ({}, ((-1, -2, 0, 0, ()),)), ("D", "P"): ({}, ((-2, -2, 0, 1, ()),)),
+          ("M", "P"): ({}, ((-1, -2, 0, 1, ()),))},
+    # -(C + z DM + z M^2/2) e^{-4zH}
+    "C": {("C",): ({}, ((-1, -4, 0, 0, ()),)), ("D", "M"): ({}, ((-1, -4, 0, 1, ()),)),
+          ("M", "M"): ({}, ((Fraction(-1, 2), -4, 0, 1, ()),))},
+}
+
+
+def _row_terms(terms, exps, index, order):
+    """The {word: series} sum of one row, truncated at z^order; ``index``
+    maps each generator name to its index."""
     word = lambda names: tuple(index[g] for g in names)
-    return {(index[x], index[y]): _merge(
-        {word(w): TruncatedSeries.z_power(p, order, c) for w, (p, c) in terms.items()},
-        *(_exp_words(0, base, order, lo=lo, zshift=zshift, scale=scale, suffix=word(suffix))
-          for scale, base, lo, zshift, suffix in exps))
-        for (x, y), (terms, exps) in rows.items()}
+    return collect(chain(
+        ((word(w), TruncatedSeries.z_power(p, order, c)) for w, (p, c) in terms.items()),
+        *(_exp_words(0, base, order, lo=lo, zshift=zshift, scale=scale,
+                     suffix=word(suffix)).items()
+          for scale, base, lo, zshift, suffix in exps)))
+
+
+def _row_algebra(name, generators, order, relations, coproducts, antipodes):
+    """The algebra given by relation, coproduct and antipode row tables,
+    truncated at z^order. A generator in no relation row is central."""
+    index = {g: i for i, g in enumerate(generators)}
+
+    def expand(rows, x, unit, place):
+        # {place(L, word): series} over the entry of x, by default x times
+        # the unit: the primitive X (x) 1 and -X
+        return collect(
+            (place(tuple(index[g] for g in left), w), s)
+            for left, row in rows.get(x, {(x,): ({(): (0, unit)}, ())}).items()
+            for w, s in _row_terms(*row, index, order).items())
+
+    return QuantumAlgebra(
+        name, generators, order,
+        relations={(index[x], index[y]): _row_terms(*row, index, order)
+                   for (x, y), row in relations.items()},
+        coproduct={index[x]: {((), (index[x],)): 1,
+                              **expand(coproducts, x, 1, lambda left, w: (left, w))}
+                   for x in generators},
+        antipode={index[x]: expand(antipodes, x, -1, add) for x in generators},
+        counit={},
+        central=[index[x] for x in generators if not any(x in pair for pair in relations)])
 
 
 def two_photon_algebra(order):
     """Deformed two-photon algebra U_z(h6) truncated at the given z order."""
-    k = order
-    B, N, M, AP, AM, BM = range(6)  # B+ N M A+ A- B-
-
-    relations = _relation_table(H6_RELATIONS, H6_GENERATORS, k)
-
-    primitive = lambda g: {((), (g,)): Fraction(1), ((g,), ()): Fraction(1)}
-    coproduct = {
-        B: primitive(B),
-        M: primitive(M),
-        # Delta(N) = 1 (x) N + N (x) e^{2zB+}
-        N: _merge({((), (N,)): TruncatedSeries.one(k)},
-                  _behind((N,), _exp_words(B, 2, k))),
-        # Delta(A+) = 1 (x) A+ + A+ (x) e^{-zB+}
-        AP: _merge({((), (AP,)): TruncatedSeries.one(k)},
-                   _behind((AP,), _exp_words(B, -1, k))),
-        # Delta(A-) = 1 (x) A- + A- (x) e^{zB+} + 2z N (x) e^{2zB+} A+
-        AM: _merge({((), (AM,)): TruncatedSeries.one(k)},
-                   _behind((AM,), _exp_words(B, 1, k)),
-                   _behind((N,), _exp_words(B, 2, k, zshift=1, scale=Fraction(2),
-                                            suffix=(AP,)))),
-        # Delta(B-) = 1 (x) B- + B- (x) e^{2zB+} + 2z N (x) e^{2zB+} M
-        BM: _merge({((), (BM,)): TruncatedSeries.one(k)},
-                   _behind((BM,), _exp_words(B, 2, k)),
-                   _behind((N,), _exp_words(B, 2, k, zshift=1, scale=Fraction(2),
-                                            suffix=(M,)))),
-    }
-
-    antipode = {
-        B: {(B,): -1},
-        M: {(M,): -1},
-        # gamma(N) = -N e^{-2zB+}
-        N: _prefix((N,), _exp_words(B, -2, k, scale=Fraction(-1))),
-        # gamma(A+) = -A+ e^{zB+}
-        AP: _prefix((AP,), _exp_words(B, 1, k, scale=Fraction(-1))),
-        # gamma(A-) = -(A- - 2z N A+) e^{-zB+}
-        AM: _merge(_prefix((AM,), _exp_words(B, -1, k, scale=Fraction(-1))),
-                   _prefix((N, AP), _exp_words(B, -1, k, zshift=1, scale=Fraction(2)))),
-        # gamma(B-) = -(B- - 2z N M) e^{-2zB+}
-        BM: _merge(_prefix((BM,), _exp_words(B, -2, k, scale=Fraction(-1))),
-                   _prefix((N, M), _exp_words(B, -2, k, zshift=1, scale=Fraction(2)))),
-    }
-
-    counit = {i: TruncatedSeries.zero(k) for i in range(6)}
-
-    return QuantumAlgebra("h6-twophoton", H6_GENERATORS, k, relations,
-                          coproduct, antipode, counit, central=(M,))
+    return _row_algebra("h6-twophoton", H6_GENERATORS, order,
+                        H6_RELATIONS, H6_COPRODUCTS, H6_ANTIPODES)
 
 
 def schrodinger_algebra(order):
     """Deformed Schrodinger algebra U_z(S(1+1)) truncated at the given z order."""
-    k = order
-    H, D, M, P, K, C = range(6)
-
-    relations = _relation_table(SCH_RELATIONS, SCH_GENERATORS, k)
-
-    primitive = lambda g: {((), (g,)): Fraction(1), ((g,), ()): Fraction(1)}
-    coproduct = {
-        H: primitive(H),
-        M: primitive(M),
-        # Delta(P) = 1 (x) P + P (x) e^{-2zH}
-        P: _merge({((), (P,)): TruncatedSeries.one(k)},
-                  _behind((P,), _exp_words(H, -2, k))),
-        # Delta(D) = 1 (x) D + D (x) e^{4zH} + M (x) (e^{4zH}-1)/2
-        D: _merge({((), (D,)): TruncatedSeries.one(k)},
-                  _behind((D,), _exp_words(H, 4, k)),
-                  _behind((M,), _exp_words(H, 4, k, lo=1, scale=Fraction(1, 2)))),
-        # Delta(K) = 1 (x) K + K (x) e^{2zH} - 2z (D + M/2) (x) e^{4zH} P
-        K: _merge({((), (K,)): TruncatedSeries.one(k)},
-                  _behind((K,), _exp_words(H, 2, k)),
-                  _behind((D,), _exp_words(H, 4, k, zshift=1, scale=Fraction(-2),
-                                           suffix=(P,))),
-                  _behind((M,), _exp_words(H, 4, k, zshift=1, scale=Fraction(-1),
-                                           suffix=(P,)))),
-        # Delta(C) = 1 (x) C + C (x) e^{4zH} - z (D + M/2) (x) e^{4zH} M
-        C: _merge({((), (C,)): TruncatedSeries.one(k)},
-                  _behind((C,), _exp_words(H, 4, k)),
-                  _behind((D,), _exp_words(H, 4, k, zshift=1, scale=Fraction(-1),
-                                           suffix=(M,))),
-                  _behind((M,), _exp_words(H, 4, k, zshift=1, scale=Fraction(-1, 2),
-                                           suffix=(M,)))),
-    }
-
-    antipode = {
-        H: {(H,): -1},
-        M: {(M,): -1},
-        # gamma(D) = -(D + M/2) e^{-4zH} + M/2 = -D e^{-4zH} - M/2 (e^{-4zH} - 1)
-        D: _merge(_prefix((D,), _exp_words(H, -4, k, scale=Fraction(-1))),
-                  _prefix((M,), _exp_words(H, -4, k, lo=1, scale=Fraction(-1, 2)))),
-        # gamma(P) = -P e^{2zH}
-        P: _prefix((P,), _exp_words(H, 2, k, scale=Fraction(-1))),
-        # gamma(K) = -(K + 2z DP + z MP) e^{-2zH}
-        K: _merge(_prefix((K,), _exp_words(H, -2, k, scale=Fraction(-1))),
-                  _prefix((D, P), _exp_words(H, -2, k, zshift=1, scale=Fraction(-2))),
-                  _prefix((M, P), _exp_words(H, -2, k, zshift=1, scale=Fraction(-1)))),
-        # gamma(C) = -(C + z DM + z M^2/2) e^{-4zH}
-        C: _merge(_prefix((C,), _exp_words(H, -4, k, scale=Fraction(-1))),
-                  _prefix((D, M), _exp_words(H, -4, k, zshift=1, scale=Fraction(-1))),
-                  _prefix((M, M), _exp_words(H, -4, k, zshift=1, scale=Fraction(-1, 2)))),
-    }
-
-    counit = {i: TruncatedSeries.zero(k) for i in range(6)}
-
-    return QuantumAlgebra("schrodinger11", SCH_GENERATORS, k, relations,
-                          coproduct, antipode, counit, central=(M,))
+    return _row_algebra("schrodinger11", SCH_GENERATORS, order,
+                        SCH_RELATIONS, SCH_COPRODUCTS, SCH_ANTIPODES)

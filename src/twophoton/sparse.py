@@ -102,6 +102,9 @@ class SparseTerms:
         return self._new({k: -c for k, c in self.terms.items()})
 
     def scale(self, c):
+        """This sum times the scalar c; an element of any space is no scalar."""
+        if isinstance(c, SparseTerms):
+            raise TypeError(f"cannot multiply {type(self).__name__} by {type(c).__name__}")
         return self._new({k: v * c for k, v in self.terms.items()})
 
     def __rmul__(self, other):

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from twophoton import hopf
-from twophoton.algebra import (H6_RELATIONS, SCH_RELATIONS, two_photon_algebra,
+from twophoton.algebra import (H6_ANTIPODES, H6_COPRODUCTS, H6_RELATIONS, SCH_ANTIPODES,
+                               SCH_COPRODUCTS, SCH_RELATIONS, two_photon_algebra,
                                schrodinger_algebra)
 from twophoton.bialgebra import H6_R_MATRIX, SCH_R_MATRIX
 from twophoton.hopf import (bracket_closure, casimir_checks, coproduct_closure,
@@ -213,8 +214,9 @@ def test_transport_detects_corruption():
 
 
 def _relation_row_mutations(rows):
-    """(bracket, site, row) with +1 on one polynomial coefficient or on one
-    exponential scale of a relation row."""
+    """(key, site, row) with +1 on one polynomial coefficient or on one
+    exponential scale of one row of a {key: row} table: the brackets of a
+    relation table or the left legs of a coproduct or antipode entry."""
     out = []
     for key, (terms, exps) in rows.items():
         for w, (p, c) in terms.items():
@@ -244,6 +246,28 @@ def test_hopf_rmatrix_and_transport_catch_every_relation_mutation(monkeypatch):
     assert {site: names for site, names in failing.items() if len(names) == 1} == {
         (("A-", "A+"), ("M",)): ["transport/relations"],
         (("K", "P"), ("M",)): ["transport/relations"]}
+
+
+def test_hopf_rmatrix_and_transport_catch_every_coproduct_and_antipode_row_mutation(
+        monkeypatch):
+    # +1 on each of the 12 h6 and 18 Schrodinger coproduct and antipode row
+    # coefficients and exponential scales, one at a time, at k = 2; the
+    # primitive generators have no row, and the mutations of the expanded
+    # tables in test_algebra.py cover them
+    failing = {}
+    for tables, make in (((H6_COPRODUCTS, H6_ANTIPODES), two_photon_algebra),
+                         ((SCH_COPRODUCTS, SCH_ANTIPODES), schrodinger_algebra)):
+        for kind, table in zip(("coproduct", "antipode"), tables):
+            for x, entry in table.items():
+                for left, site, row in _relation_row_mutations(entry):
+                    with monkeypatch.context() as patch:
+                        patch.setitem(entry, left, row)
+                        alg = make(2)
+                        entries = hopf_checks(alg) + rmatrix_checks(alg) + transport_checks(2)
+                    failing[alg.name, kind, x, left, site] = [
+                        e.name for e in entries if not e.passed]
+    assert len(failing) == 30
+    assert all(failing.values()), [site for site, names in failing.items() if not names]
 
 
 def test_first_order_delta_matches_tables():

@@ -2,14 +2,15 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from twophoton.algebra import (NCElement, TensorElement, schrodinger_algebra,
                                two_photon_algebra)
-from twophoton.bargmann import DiffOperator
+from twophoton.bargmann import DiffOperator, deformed_rep
 from twophoton.bialgebra import WedgeElement, basis_change, two_photon_lie
-from twophoton.discrete import ExpPolyFunction, SchrodingerOperator
+from twophoton.discrete import ExpPolyFunction, SchrodingerOperator, realize
 from twophoton.scalars import ComplexRational
 from twophoton.series import TruncatedSeries, exp_nilpotent, sqrt_unit
 from twophoton.sparse import SparseTerms, collect, solve_linear
@@ -133,6 +134,27 @@ def test_linear_axioms(name):
             a + foreign
         with pytest.raises(ValueError):
             a - foreign
+
+
+def test_an_element_of_another_class_is_no_scalar():
+    # each operator took any other operand for a scalar: the product raised
+    # from inside Fraction or the series ring, or held the element as a
+    # coefficient
+    diffop = deformed_rep(ORDER)["N"]
+    schop = realize(1, Fraction(-1, 2), Fraction(1, 10))["H"]
+    element = ALGEBRAS[0].gen("N")
+    for a, b in permutations((diffop, schop, element), 2):
+        with pytest.raises(TypeError, match=f"{type(a).__name__} by {type(b).__name__}"):
+            a * b
+    # the scalars of each coefficient ring still scale, from either side
+    half = Fraction(1, 2)
+    scalars = (half, ComplexRational(Fraction(1, 3), half),
+               TruncatedSeries.z_power(1, ORDER, Fraction(3, 2)))
+    for x, ring in ((diffop, scalars), (element, scalars), (schop, scalars[:1])):
+        for c in ring:
+            assert type(x * c) is type(x)
+            assert x * c == c * x == x.scale(c)
+        assert x * half + half * x == x
 
 
 def test_solve_linear_unique_solution():
