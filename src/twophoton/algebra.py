@@ -743,6 +743,11 @@ SCH_RELATIONS = {
     ("C", "K"): ({("D", "K"): (1, -2), ("K",): (1, 1), ("M", "K"): (1, -1)}, ()),
 }
 
+# The Galilei Casimir P^2 - 2M (1 - e^{-4zH})/(4z), central in the subalgebra
+# spanned by H, P, M and K, as one row; realized, it is the discrete-time
+# Schrodinger equation operator.
+SCH_CASIMIR = ({("P", "P"): (0, 1)}, ((Fraction(1, 2), -4, 1, -1, ("M",)),))
+
 SCH_COPRODUCTS = {
     "D": {("D",): ({}, ((1, 4, 0, 0, ()),)),  # 1 (x) D + D (x) e^{4zH}
           ("M",): ({}, ((Fraction(1, 2), 4, 1, 0, ()),))},  # + M (x) (e^{4zH} - 1)/2

@@ -268,11 +268,11 @@ def run_discrete(cfg):
     z, m, a = cfg["z"], cfg["mass"], cfg["rep_param"]
     entries = []
     entries.extend(verify_realization(m, a, z))
-    entries.extend(verify_realization(m, a, 0, classical=True))
+    entries.extend(verify_realization(m, a, 0))
     entries.extend(symmetry_checks(m, a, z))
-    entries.extend(symmetry_checks(m, a, 0, classical=True))
+    entries.extend(symmetry_checks(m, a, 0))
     entries.extend(solution_checks(m, a, z))
-    entries.extend(solution_checks(m, a, 0, classical=True))
+    entries.extend(solution_checks(m, a, 0))
     entries.extend(casimir_checks(schrodinger_algebra(cfg["order"])))
     return entries
 

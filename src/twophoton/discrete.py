@@ -3,10 +3,13 @@ Schrodinger equation.
 
 The time shift T is a first-class generator with the exact relations
 T t = (t + 4z) T and T T^{-1} = 1; no series truncation happens here, so
-every identity is certified with zero tolerance at a fixed rational z > 0.
+every identity is certified with zero tolerance at a fixed rational z >= 0.
 T and dt are algebraically independent: every commutation identity closes
 without imposing T = e^{4z dt}, and only the function layer lets both act
-on the same carriers.
+on the same carriers. z = 0 is the classical limit, the undeformed
+realization and the heat operator; z < 0 raises ValueError. Every scalar
+that enters, z, coefficients and parameters alike, passes one coercion that
+takes ints and Fractions only and raises TypeError on any other.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from itertools import combinations
 from math import comb, factorial
 from operator import mul
 
-from .algebra import SCH_GENERATORS, SCH_RELATIONS
+from .algebra import SCH_CASIMIR, SCH_GENERATORS, SCH_RELATIONS
 from .report import CheckResult, residual_entry
 from .sparse import (SparseTerms, collect, linear_combination, monomial, render_sum,
                      solve_linear, weyl_terms)
@@ -30,6 +33,16 @@ __all__ = [
     "heat_polynomials", "exponential_solutions", "apply_and_recheck",
     "solution_checks", "regular_kappas", "sample_grid",
 ]
+
+
+def _rational(value, cls):
+    """``value``, an int or a Fraction, as a Fraction; a float (its binary
+    expansion) or another ring's scalar raises TypeError naming ``cls``."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    raise TypeError(f"{cls.__name__} takes int or Fraction scalars, not {type(value).__name__}")
 
 
 def _binomial_shift(b, delta):
@@ -48,8 +61,9 @@ class SchrodingerOperator(SparseTerms):
     __slots__ = ("z",)
 
     def __init__(self, z, terms):
-        self.z = Fraction(z)
-        super().__init__((self.z,), {key: Fraction(c) for key, c in terms.items()})
+        self.z = _rational(z, SchrodingerOperator)
+        super().__init__((self.z,), {key: _rational(c, SchrodingerOperator)
+                                     for key, c in terms.items()})
 
     @classmethod
     def identity(cls, z):
@@ -103,27 +117,28 @@ class SchrodingerOperator(SparseTerms):
 # -- realization -----------------------------------------------------------------
 
 
-def realize(mass, rep_param, z, classical=False):
+def _galilean(mass, z):
+    """H, P and M at exact m and z >= 0: the same operators at every z."""
+    m, z = _rational(mass, SchrodingerOperator), _rational(z, SchrodingerOperator)
+    if z < 0:
+        raise ValueError(f"the realization needs z >= 0 (z = 0 is classical), not z = {z}")
+    return {"H": SchrodingerOperator(z, {(0, 0, 0, 0, 1): 1}),
+            "P": SchrodingerOperator(z, {(0, 0, 0, 1, 0): 1}),
+            "M": SchrodingerOperator(z, {(0, 0, 0, 0, 0): m})}
+
+
+def realize(mass, rep_param, z):
     """The realized generator table {name: operator} at exact rational
     parameters; b = mass/2 - 2.
 
-    H, P and M are the same in both tables; the deformed K, D and C carry
-    the shift T and need z > 0.
+    H, P and M are the same at every z; at z > 0 the deformed K, D and C
+    carry the shift T, and z = 0 gives the classical table.
     """
-    m = Fraction(mass)
-    a = Fraction(rep_param)
-    z = Fraction(z)
-    if not classical and z <= 0:
-        raise ValueError("the deformed realization needs z > 0")
+    ops = _galilean(mass, z)
+    z = ops["H"].z
+    m, a = _rational(mass, SchrodingerOperator), _rational(rep_param, SchrodingerOperator)
     b = m / 2 - 2
-    if classical:
-        table = {
-            "K": {(0, 1, 0, 1, 0): -1, (1, 0, 0, 0, 0): -m},
-            "D": {(0, 1, 0, 0, 1): 2, (1, 0, 0, 1, 0): 1, (0, 0, 0, 0, 0): -a},
-            "C": {(0, 2, 0, 0, 1): 1, (1, 1, 0, 1, 0): 1,
-                  (0, 1, 0, 0, 0): -a, (2, 0, 0, 0, 0): m / 2},
-        }
-    else:
+    if z:
         table = {
             "K": {(0, 1, 1, 1, 0): -1, (0, 0, 1, 1, 0): -4 * z, (1, 0, 0, 0, 0): -m},
             "D": {(0, 1, 1, 0, 0): Fraction(1, 2) / z,
@@ -142,14 +157,20 @@ def realize(mass, rep_param, z, classical=False):
                   (1, 0, 0, 1, 0): -2 * z * (b - a + Fraction(1, 2)),
                   (0, 0, 0, 0, 0): -z * (b - a) ** 2},
         }
-    table.update({"H": {(0, 0, 0, 0, 1): 1}, "P": {(0, 0, 0, 1, 0): 1},
-                  "M": {(0, 0, 0, 0, 0): m}})
-    return {gen: SchrodingerOperator(z, table[gen]) for gen in SCH_GENERATORS}
+    else:
+        table = {
+            "K": {(0, 1, 0, 1, 0): -1, (1, 0, 0, 0, 0): -m},
+            "D": {(0, 1, 0, 0, 1): 2, (1, 0, 0, 1, 0): 1, (0, 0, 0, 0, 0): -a},
+            "C": {(0, 2, 0, 0, 1): 1, (1, 1, 0, 1, 0): 1,
+                  (0, 1, 0, 0, 0): -a, (2, 0, 0, 0, 0): m / 2},
+        }
+    ops.update((gen, SchrodingerOperator(z, terms)) for gen, terms in table.items())
+    return {gen: ops[gen] for gen in SCH_GENERATORS}
 
 
 def discrete_derivative(z, direction="forward"):
     """(T - 1)/(4z) forward, (1 - T^{-1})/(4z) backward."""
-    z = Fraction(z)
+    z = _rational(z, SchrodingerOperator)
     if z <= 0:
         raise ValueError("discrete derivative needs z > 0")
     c = Fraction(1, 4) / z
@@ -160,73 +181,69 @@ def discrete_derivative(z, direction="forward"):
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def casimir(mass, z, classical=False):
-    """dx^2 - 2m * backward discrete derivative; dx^2 - 2m dt classically."""
-    m = Fraction(mass)
-    z = Fraction(z)
-    if classical:
-        return SchrodingerOperator(z, {(0, 0, 0, 2, 0): 1, (0, 0, 0, 0, 1): -2 * m})
-    if z <= 0:
-        raise ValueError("the deformed Casimir needs z > 0")
-    c = m / (2 * z)
-    return SchrodingerOperator(z, {(0, 0, 0, 2, 0): 1,
-                                   (0, 0, 0, 0, 0): -c,
-                                   (0, 0, -1, 0, 0): c})
+def _realized(row, ops):
+    """One Schrodinger row (terms, exps) realized by the generators ops, at their z.
+
+    A word is the product of its realized generators and z^p the rational
+    z^p. At z > 0, e^{4jzH} is the shift T^j exactly, so an exponential row
+    is T^j minus its terms below lo; any other rate raises. At z = 0 a row
+    keeps its z^0 part.
+    """
+    terms, exps = row
+    z = ops["H"].z
+    parts = [([ops[g] for g in w], c * z ** p) for w, (p, c) in terms.items()]
+    for scale, base, lo, zshift, suffix in exps:
+        if base % 4:
+            raise ValueError(f"e^({base}zH) is not a power of the shift T = e^(4zH)")
+        # the term scale z^zshift (base zH)^n / n! suffix of the row's sum
+        term = lambda n: ([ops[g] for g in ("H",) * n + suffix],
+                          scale * base ** n * z ** (n + zshift) / factorial(n))
+        if z:
+            shift = SchrodingerOperator(z, {(0, 0, base // 4, 0, 0): 1})
+            parts.append(([shift] + [ops[g] for g in suffix], scale * z ** zshift))
+            parts.extend((w, -c) for w, c in map(term, range(lo)))
+        elif -zshift >= lo:
+            parts.append(term(-zshift))
+    return SchrodingerOperator(z, linear_combination(
+        (reduce(mul, factors) if factors else SchrodingerOperator.identity(z), c)
+        for factors, c in parts if c))
+
+
+def casimir(mass, z):
+    """The equation operator: the row ``SCH_CASIMIR`` realized.
+
+    At z > 0 it is dx^2 - 2m (1 - T^{-1})/(4z), dx^2 minus 2m times the
+    backward discrete derivative; at z = 0 it is dx^2 - 2m dt.
+    """
+    return _realized(SCH_CASIMIR, _galilean(mass, z))
 
 
 # -- bracket table verification ----------------------------------------------------
 
 
-def _expected_brackets(ops, z, classical):
+def _expected_brackets(ops):
     """The fifteen brackets [x, y], x before y in M, D, K, P, H, C (the order
-    of the check names), as the Schrodinger relation rows realized.
-
-    A word is the product of its realized generators and z^p the rational
-    z^p. Deformed, e^{4zH} is the shift T exactly, so an exponential row is
-    T minus its terms below lo; classically a row keeps its z^0 part.
-    """
-    z = Fraction(z)
-    gens = {**ops, "T": SchrodingerOperator(z, {(0, 0, 1, 0, 0): 1})}
-
-    def realized(terms, exps):
-        parts = [(w, c * z ** p) for w, (p, c) in terms.items() if not classical or p == 0]
-        for scale, base, lo, zshift, suffix in exps:
-            if base != 4:
-                raise ValueError(f"e^({base}zH) is not a power of the shift T = e^(4zH)")
-            # the term scale z^zshift (4zH)^n / n! suffix of the row's sum
-            term = lambda n: (("H",) * n + suffix,
-                              scale * 4 ** n * z ** (n + zshift) / factorial(n))
-            if not classical:
-                parts.append((("T",) + suffix, scale * z ** zshift))
-                parts.extend((w, -c) for w, c in map(term, range(lo)))
-            elif -zshift >= lo:
-                parts.append(term(-zshift))
-        return SchrodingerOperator(z, linear_combination(
-            (reduce(mul, (gens[g] for g in w), SchrodingerOperator.identity(z)), c)
-            for w, c in parts))
-
+    of the check names), as the Schrodinger relation rows realized."""
     rank = SCH_GENERATORS.index
     table = {}
     for x, y in combinations(("M", "D", "K", "P", "H", "C"), 2):
         key, sign = ((x, y), 1) if rank(x) > rank(y) else ((y, x), -1)
-        table[(x, y)] = realized(*SCH_RELATIONS.get(key, ({}, ()))).scale(sign)
+        table[(x, y)] = _realized(SCH_RELATIONS.get(key, ({}, ())), ops).scale(sign)
     return table
 
 
-def _label_params(mass, rep_param, z, classical):
-    """A check's name label and its {z, m, a} params; z reads 0 classically."""
-    return "classical" if classical else "deformed", {
-        "z": "0" if classical else str(Fraction(z)), "m": str(Fraction(mass)),
-        "a": str(Fraction(rep_param))}
+def _label_params(mass, rep_param, z):
+    """A check's name label, classical at z = 0, and its {z, m, a} params."""
+    m, a, z = (_rational(v, SchrodingerOperator) for v in (mass, rep_param, z))
+    return "deformed" if z else "classical", {"z": str(z), "m": str(m), "a": str(a)}
 
 
-def verify_realization(mass, rep_param, z, classical=False):
+def verify_realization(mass, rep_param, z):
     """All fifteen bracket identities of the realized table, exactly."""
-    ops = realize(mass, rep_param, z, classical)
-    expected = _expected_brackets(ops, z, classical)
-    label, params = _label_params(mass, rep_param, z, classical)
+    ops = realize(mass, rep_param, z)
+    label, params = _label_params(mass, rep_param, z)
     entries = []
-    for (x, y), want in sorted(expected.items()):
+    for (x, y), want in sorted(_expected_brackets(ops).items()):
         entries.append(residual_entry(f"discrete-se/realization-{label}/[{x},{y}]",
                                       ops[x].commutator(ops[y]) - want, params))
     return entries
@@ -235,28 +252,24 @@ def verify_realization(mass, rep_param, z, classical=False):
 # -- symmetry analysis --------------------------------------------------------------
 
 
-def symmetry_check(gen, mass, rep_param, z, classical=False):
+def symmetry_check(gen, mass, rep_param, z):
     """[E, S] must equal Lambda * E with Lambda in the span of {1, t, x dx}.
 
     Returns (entry, lambdas); a failed structural division reports the
     nonzero remainder, which is the expected outcome for C away from the
     symmetric representation value.
     """
-    z = Fraction(z)
-    return _symmetry_entry(gen, casimir(mass, z, classical),
-                           realize(mass, rep_param, z, classical),
-                           _label_params(mass, rep_param, z, classical))
+    return _symmetry_entry(gen, casimir(mass, z), realize(mass, rep_param, z),
+                           _label_params(mass, rep_param, z))
 
 
 def _symmetry_entry(gen, ez, ops, labelled):
     """``symmetry_check`` of ops[gen] against the equation operator ez."""
     z = ez.z
     com = ez.commutator(ops[gen])
-
-    one = SchrodingerOperator.identity(z)
-    t_op = SchrodingerOperator(z, {(0, 1, 0, 0, 0): 1})
-    xdx_op = SchrodingerOperator(z, {(1, 0, 0, 1, 0): 1})
-    basis_ops = (one, t_op, xdx_op)
+    # 1, t and x dx
+    basis_ops = [SchrodingerOperator(z, {key: 1})
+                 for key in ((0, 0, 0, 0, 0), (0, 1, 0, 0, 0), (1, 0, 0, 1, 0))]
     columns = [(b * ez).terms for b in basis_ops]
     sol, consistent = solve_linear(columns, com.terms)
 
@@ -272,31 +285,22 @@ def _symmetry_entry(gen, ez, ops, labelled):
     return entry, tuple(sol)
 
 
-def symmetry_checks(mass, rep_param, z, classical=False):
+def symmetry_checks(mass, rep_param, z):
     """Symmetry status of all six generators, with the expected Lambda values.
 
     K, H, P, M commute with the equation operator; D scales it by 2; C is a
     symmetry exactly at rep_param = -1/2, where Lambda = 2t + 2z(1 - m) -
-    4z x dx (2t classically).
+    4z x dx, 2t at z = 0.
     """
-    m = Fraction(mass)
-    a = Fraction(rep_param)
-    z = Fraction(z)
-    expected = {
-        "K": (Fraction(0), Fraction(0), Fraction(0)),
-        "H": (Fraction(0), Fraction(0), Fraction(0)),
-        "P": (Fraction(0), Fraction(0), Fraction(0)),
-        "M": (Fraction(0), Fraction(0), Fraction(0)),
-        "D": (Fraction(2), Fraction(0), Fraction(0)),
-    }
+    m, a, z = (_rational(v, SchrodingerOperator) for v in (mass, rep_param, z))
+    zero = (Fraction(0),) * 3
+    expected = {"K": zero, "H": zero, "P": zero, "M": zero,
+                "D": (Fraction(2), Fraction(0), Fraction(0))}
     if a == Fraction(-1, 2):
-        if classical:
-            expected["C"] = (Fraction(0), Fraction(2), Fraction(0))
-        else:
-            expected["C"] = (2 * z * (1 - m), Fraction(2), -4 * z)
-    ez = casimir(m, z, classical)
-    ops = realize(m, a, z, classical)
-    labelled = _label_params(m, a, z, classical)
+        expected["C"] = (2 * z * (1 - m), Fraction(2), -4 * z)
+    ez = casimir(m, z)
+    ops = realize(m, a, z)
+    labelled = _label_params(m, a, z)
     entries = []
     for gen in SCH_GENERATORS:
         entry, lams = _symmetry_entry(gen, ez, ops, labelled)
@@ -324,25 +328,27 @@ class ExpPolyFunction(SparseTerms):
     The temporal factor Theta carries two independent exact attributes: dt
     multiplies by w, the shift T multiplies by r (and shifts polynomial t
     dependence). Discrete-equation solutions constrain only r and carry
-    w = 0; classical solutions carry r = 1.
+    w = 0; classical solutions, at z = 0, carry r = 1.
     """
 
     __slots__ = ("z",)
 
     def __init__(self, z, terms):
-        self.z = Fraction(z)
-        super().__init__((self.z,), {key: Fraction(c) for key, c in terms.items()})
+        self.z = _rational(z, ExpPolyFunction)
+        super().__init__((self.z,), {key: _rational(c, ExpPolyFunction)
+                                     for key, c in terms.items()})
 
     @classmethod
     def from_monomials(cls, z, monomials):
         """Build a plain polynomial in x, t: {(x_pow, t_pow): c}."""
         one = Fraction(1)
-        return cls(z, {(a, b, Fraction(0), Fraction(0), one): Fraction(c)
+        return cls(z, {(a, b, Fraction(0), Fraction(0), one): c
                        for (a, b), c in monomials.items()})
 
     @classmethod
     def exponential(cls, z, kappa, omega, rho, coeff=1):
-        return cls(z, {(0, 0, Fraction(kappa), Fraction(omega), Fraction(rho)): coeff})
+        kappa, omega, rho = (_rational(v, cls) for v in (kappa, omega, rho))
+        return cls(z, {(0, 0, kappa, omega, rho): coeff})
 
     def _derivative(self, var):
         """d/dx for var = 0, d/dt for var = 1.
@@ -412,7 +418,6 @@ class ExpPolyFunction(SparseTerms):
 
 def _antiderivative(poly, z):
     """q with backward-difference (or d/dt at z = 0) derivative equal to poly."""
-    z = Fraction(z)
     if not poly:
         return {}
     d = max(poly)
@@ -431,15 +436,15 @@ def _antiderivative(poly, z):
     return {i: c for i, c in q.items() if c != 0}
 
 
-def heat_polynomials(mass, z, count, classical=False):
+def heat_polynomials(mass, z, count):
     """The first ``count`` polynomial solutions (1, x, x^2 + t/m, ...).
 
     Built from the two-term recurrence between the coefficient polynomials of
-    x^(n-2j) and certified against the equation operator before returning.
+    x^(n-2j) and certified against the equation operator before returning;
+    at z = 0 they are the heat polynomials of dx^2 - 2m dt.
     """
-    m = Fraction(mass)
-    z = Fraction(0) if classical else Fraction(z)
-    ez = casimir(m, z, classical)
+    ez = casimir(mass, z)
+    m = _rational(mass, SchrodingerOperator)
     out = []
     for n in range(count):
         q = {0: Fraction(1)}  # coefficient polynomial of x^n
@@ -451,7 +456,7 @@ def heat_polynomials(mass, z, count, classical=False):
             if power < 2:
                 break
             scale = Fraction(power * (power - 1), 2) / m
-            q = _antiderivative({deg: c * scale for deg, c in q.items()}, z)
+            q = _antiderivative({deg: c * scale for deg, c in q.items()}, ez.z)
             j += 1
         phi = ExpPolyFunction.from_monomials(ez.z, terms)
         if not ez.apply(phi).is_zero():
@@ -460,50 +465,43 @@ def heat_polynomials(mass, z, count, classical=False):
     return out
 
 
-def exponential_solutions(mass, z, kappas, classical=False):
+def exponential_solutions(mass, z, kappas):
     """Spatial exponentials e^{kx}; the temporal factor gains rho per step.
 
-    For the discrete equation rho = 1/(1 - 2 z k^2 / m) and the dt attribute
-    is zero; classically the factor is e^{w t} with w = k^2/(2m).
+    At z > 0, rho = 1/(1 - 2 z k^2 / m) and the dt attribute is zero; at
+    z = 0 the factor is e^{w t} with w = k^2/(2m).
     """
-    m = Fraction(mass)
+    ez = casimir(mass, z)
+    m, z = _rational(mass, SchrodingerOperator), ez.z
     out = []
-    if classical:
-        ez = casimir(m, Fraction(0), True)
-        for kap in kappas:
-            kap = Fraction(kap)
-            phi = ExpPolyFunction.exponential(ez.z, kap, kap * kap / (2 * m), 1)
-            if not ez.apply(phi).is_zero():
-                raise AssertionError(f"classical exponential kappa={kap} failed")
-            out.append(phi)
-        return out
-    z = Fraction(z)
-    ez = casimir(m, z, False)
     for kap in kappas:
-        kap = Fraction(kap)
-        denom = 1 - 2 * z * kap * kap / m
-        if denom == 0:
-            raise ValueError(f"kappa={kap} sits on the step-factor pole")
-        phi = ExpPolyFunction.exponential(z, kap, 0, 1 / denom)
+        kap = _rational(kap, ExpPolyFunction)
+        if z:
+            denom = 1 - 2 * z * kap * kap / m
+            if denom == 0:
+                raise ValueError(f"kappa={kap} sits on the step-factor pole")
+            phi = ExpPolyFunction.exponential(z, kap, 0, 1 / denom)
+        else:
+            phi = ExpPolyFunction.exponential(z, kap, kap * kap / (2 * m), 1)
         if not ez.apply(phi).is_zero():
             raise AssertionError(f"exponential solution kappa={kap} failed")
         out.append(phi)
     return out
 
 
-def apply_and_recheck(gen, phi, mass, rep_param, z, classical=False, tag=None):
-    """Certify that the realized generator maps the solution to a solution.
+def apply_and_recheck(gen, phi, mass, rep_param, tag=None):
+    """Certify that the realized generator maps the solution to a solution,
+    at the z that phi carries.
 
     ``tag`` names the solution in the check name. Its default is read off
     phi, which cannot tell the kappa = 0 exponential from the degree-0
     polynomial: both are the constant 1.
     """
-    z_eff = phi.z
-    ez = casimir(mass, z_eff, classical)
+    ez = casimir(mass, phi.z)
     if not ez.apply(phi).is_zero():
         raise ValueError("input function is not a solution of the equation")
-    return _solution_map_entry(gen, phi, ez, realize(mass, rep_param, z_eff, classical),
-                               _label_params(mass, rep_param, z_eff, classical), tag)
+    return _solution_map_entry(gen, phi, ez, realize(mass, rep_param, phi.z),
+                               _label_params(mass, rep_param, phi.z), tag)
 
 
 def _solution_map_entry(gen, phi, ez, ops, labelled, tag):
@@ -528,26 +526,26 @@ def _phi_tag(phi):
 
 def regular_kappas(mass, z, kappas):
     """The kappas, as Fractions, off the step-factor pole 1 - 2 z kappa^2 / m = 0."""
-    m, z = Fraction(mass), Fraction(z)
-    return [Fraction(kap) for kap in kappas if 1 - 2 * z * Fraction(kap) ** 2 / m != 0]
+    m, z = _rational(mass, SchrodingerOperator), _rational(z, SchrodingerOperator)
+    kappas = [_rational(kap, ExpPolyFunction) for kap in kappas]
+    return [kap for kap in kappas if 1 - 2 * z * kap ** 2 / m != 0]
 
 
-def solution_checks(mass, rep_param, z, n_poly=5, kappas=(0, 1, 2), classical=False):
+def solution_checks(mass, rep_param, z, n_poly=5, kappas=(0, 1, 2)):
     """Certified solution families plus their images under all six generators.
 
     Each solution is named by its family: the kappa = 0 exponential is the
     constant 1, as is the degree-0 heat polynomial, and its name must differ.
     """
     entries = []
-    labelled = _label_params(mass, rep_param, z, classical)
+    labelled = _label_params(mass, rep_param, z)
     label, params = labelled
-    usable = [Fraction(kap) for kap in kappas] if classical else regular_kappas(mass, z, kappas)
-    # both families are certified as they are built, on the z that they carry
-    polys = heat_polynomials(mass, z, n_poly, classical)
-    exps = exponential_solutions(mass, z, usable, classical)
-    z_eff = Fraction(0) if classical else Fraction(z)
-    ez = casimir(mass, z_eff, classical)
-    ops = realize(mass, rep_param, z_eff, classical)
+    usable = regular_kappas(mass, z, kappas)
+    # both families are certified as they are built
+    polys = heat_polynomials(mass, z, n_poly)
+    exps = exponential_solutions(mass, z, usable)
+    ez = casimir(mass, z)
+    ops = realize(mass, rep_param, z)
     tagged = ([(_phi_tag(phi), phi) for phi in polys]
               + [(f"exp(k={kap})", phi) for kap, phi in zip(usable, exps)])
     for tag, phi in tagged:
@@ -570,7 +568,8 @@ def sample_grid(phi, xs, t0, steps):
     import math
 
     z = phi.z
-    start = Fraction(t0) / (4 * z) if z else Fraction(0)
+    t0 = _rational(t0, ExpPolyFunction)
+    start = t0 / (4 * z) if z else Fraction(0)
     if start.denominator != 1:
         raise ValueError(f"t0={t0} is not on the time lattice 4z*n with z={z}")
     rows = []

@@ -16,8 +16,8 @@ from itertools import chain
 
 from .algebra import (NCElement, QuantumAlgebra, TensorElement, ordered_difference,
                       product_difference, term_products, two_photon_algebra,
-                      schrodinger_algebra, word_name, _exp_words, H6_GENERATORS,
-                      SCH_GENERATORS)
+                      schrodinger_algebra, word_name, _exp_words, _row_terms,
+                      H6_GENERATORS, SCH_CASIMIR, SCH_GENERATORS)
 from .bialgebra import H6_TO_SCH_MAP
 from .report import CheckResult, residual_entry
 from .series import TruncatedSeries
@@ -230,14 +230,9 @@ def coproduct_closure(alg, names):
 
 
 def galilei_casimir(alg):
-    """P^2 - 2M (1 - e^{-4zH})/(4z) in the Schrodinger algebra."""
-    H = alg.gen_index("H")
-    M = alg.gen_index("M")
-    P = alg.gen_index("P")
-    # -2M (1 - e^{-4zH})/(4z) = sum_{n>=1} (-4)^n/(2 n!) z^{n-1} H^n M
-    return NCElement(alg, {(P, P): alg.one_series(),
-                           **_exp_words(H, -4, alg.order, lo=1, zshift=-1,
-                                        scale=Fraction(1, 2), suffix=(M,))})
+    """The row ``SCH_CASIMIR``, P^2 - 2M (1 - e^{-4zH})/(4z), in the Schrodinger algebra."""
+    index = {g: i for i, g in enumerate(alg.generators)}
+    return NCElement(alg, _row_terms(*SCH_CASIMIR, index, alg.order))
 
 
 def casimir_checks(alg):

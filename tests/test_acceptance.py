@@ -158,8 +158,8 @@ def test_criterion_8_solutions():
     assert len(polys) == 5 and len(exps) == 3
     for phi in polys + exps:
         for gen in ("H", "D", "M", "P", "K", "C"):
-            assert apply_and_recheck(gen, phi, m, a, z).passed, gen
-    classical = solution_checks(m, a, 0, classical=True)
+            assert apply_and_recheck(gen, phi, m, a).passed, gen
+    classical = solution_checks(m, a, 0)
     assert classical and all(e.passed for e in classical)
     report(8, True, "5 heat polynomials and 3 exponential solutions certified, "
                     "generator images recertified, classical limit included")

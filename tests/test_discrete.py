@@ -3,14 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from twophoton import cli, discrete
-from twophoton.algebra import SCH_GENERATORS, SCH_RELATIONS
+from twophoton import algebra, cli, discrete, hopf
+from twophoton.algebra import SCH_CASIMIR, SCH_GENERATORS, SCH_RELATIONS, schrodinger_algebra
 from twophoton.discrete import (ExpPolyFunction, SchrodingerOperator,
                                 apply_and_recheck, casimir,
                                 discrete_derivative, exponential_solutions,
-                                heat_polynomials, realize, sample_grid,
+                                heat_polynomials, realize, regular_kappas, sample_grid,
                                 solution_checks, symmetry_check,
                                 symmetry_checks, verify_realization)
+from twophoton.scalars import ComplexRational
+from twophoton.series import TruncatedSeries
 
 Z = Fraction(1, 10)
 M = Fraction(1)
@@ -75,7 +77,7 @@ def test_realize_examples():
 
 
 def test_realize_tables_hold_the_six_generators():
-    for ops in (realize(M, A, Z), realize(M, A, 0, classical=True)):
+    for ops in (realize(M, A, Z), realize(M, A, 0)):
         assert sorted(ops) == sorted(("H", "D", "M", "P", "K", "C"))
         with pytest.raises(KeyError):
             ops["N"]
@@ -85,20 +87,20 @@ def test_realization_brackets_over_matrix():
     for z, m, a in PARAM_MATRIX:
         for entry in verify_realization(m, a, z):
             assert entry.passed, (entry.name, z, m, a, entry.residual)
-    for entry in verify_realization(M, A, 0, classical=True):
+    for entry in verify_realization(M, A, 0):
         assert entry.passed, entry.name
 
 
-def _transcribed_brackets(ops, mass, z, classical):
+def _transcribed_brackets(ops, mass):
     """The realized commutator table transcribed by hand, apart from the
     Schrodinger relation rows that the discrete layer derives it from;
-    series in H enter exactly through T."""
+    series in H enter exactly through T, and z = 0 is classical."""
     m = Fraction(mass)
-    z = Fraction(z)
+    z = ops["H"].z
     zero = SchrodingerOperator(z, {})
     one = SchrodingerOperator.identity(z)
     H, D, M, P, K, C = (ops[g] for g in SCH_GENERATORS)
-    if classical:
+    if not z:
         table = {
             ("D", "H"): H.scale(-2), ("D", "P"): -P, ("D", "K"): K,
             ("D", "C"): C.scale(2), ("H", "C"): D, ("K", "H"): P,
@@ -132,11 +134,11 @@ def test_derived_brackets_match_the_transcribed_table():
               (Fraction(-5, 3), Fraction(7, 2), Fraction(9))]
     points += [(m, a, z) for z, m, a in PARAM_MATRIX]
     for m, a, z in points:
-        for classical in (False, True):
-            ops = realize(m, a, z, classical)
-            derived = discrete._expected_brackets(ops, z, classical)
+        for step in (z, 0):
+            ops = realize(m, a, step)
+            derived = discrete._expected_brackets(ops)
             assert len(derived) == 15
-            assert derived == _transcribed_brackets(ops, m, z, classical), (m, a, z, classical)
+            assert derived == _transcribed_brackets(ops, m), (m, a, step)
 
 
 def test_only_the_shift_realizes_an_exponential_row(monkeypatch):
@@ -163,12 +165,12 @@ def test_realization_checks_see_every_relation_coefficient(monkeypatch):
             mutations.append((key, (terms, bumped), lo + zshift <= 0))
     assert (len(mutations), sum(z0 for *_, z0 in mutations)) == (18, 8)
     assert _failed(verify_realization(M, A, Z)) == 0
-    assert _failed(verify_realization(M, A, 0, classical=True)) == 0
+    assert _failed(verify_realization(M, A, 0)) == 0
     for key, row, z0 in mutations:
         with monkeypatch.context() as patch:
             patch.setitem(SCH_RELATIONS, key, row)
             assert _failed(verify_realization(M, A, Z)) >= 1, (key, row)
-            classical = _failed(verify_realization(M, A, 0, classical=True))
+            classical = _failed(verify_realization(M, A, 0))
             assert (classical >= 1) == z0, (key, row, classical)
 
 
@@ -181,12 +183,13 @@ def test_discrete_group_catches_every_realize_coefficient(monkeypatch):
     assert _failed(cli.run_discrete(cfg)) == 0
     original = discrete.realize
     caught = {}
+    # mode True mutates the classical table, the one realized at z = 0
     for mode in (False, True):
-        for gen, op in original(M, A, Z, mode).items():
+        for gen, op in original(M, A, 0 if mode else Z).items():
             for key in op.terms:
-                def mutated(mass, rep_param, z, classical=False, gen=gen, key=key, mode=mode):
-                    ops = original(mass, rep_param, z, classical)
-                    if classical == mode:
+                def mutated(mass, rep_param, z, gen=gen, key=key, mode=mode):
+                    ops = original(mass, rep_param, z)
+                    if (z == 0) == mode:
                         ops[gen] = ops[gen] + SchrodingerOperator(ops[gen].z, {key: 1})
                     return ops
 
@@ -219,18 +222,96 @@ def test_discrete_derivative_examples():
 
 
 def test_deformed_casimir_needs_positive_z():
-    # z = 0 used to raise a bare ZeroDivisionError, and z < 0 to build an
-    # operator and lattice "solutions" of it
-    for z in (0, -1):
-        with pytest.raises(ValueError, match="z > 0"):
-            casimir(1, z)
-        with pytest.raises(ValueError, match="z > 0"):
-            heat_polynomials(1, z, 3)
-    with pytest.raises(ValueError, match="z > 0"):
-        symmetry_check("D", 1, Fraction(-1, 2), 0)
-    # the classical Casimir dx^2 - 2m dt has no z to divide by
-    assert casimir(1, 0, classical=True) == SchrodingerOperator(
+    # z < 0 used to build an operator and lattice "solutions" of it; z = 0 is
+    # the classical limit, where the Casimir is dx^2 - 2m dt
+    assert casimir(1, 0) == SchrodingerOperator(
         0, {(0, 0, 0, 2, 0): 1, (0, 0, 0, 0, 1): -2})
+    calls = (lambda z: realize(1, A, z), lambda z: casimir(1, z),
+             lambda z: heat_polynomials(1, z, 3), lambda z: symmetry_check("D", 1, A, z),
+             lambda z: solution_checks(1, A, z))
+    for call in calls:
+        with pytest.raises(ValueError, match="z >= 0"):
+            call(-1)
+        with pytest.raises(ValueError, match="z >= 0"):
+            call(Fraction(-1, 10))
+
+
+def _transcribed_casimir(mass, z):
+    """The equation operator transcribed by hand, apart from the row
+    SCH_CASIMIR that casimir realizes: dx^2 - 2m (1 - T^{-1})/(4z), and
+    dx^2 - 2m dt at z = 0."""
+    m, z = Fraction(mass), Fraction(z)
+    if not z:
+        return SchrodingerOperator(z, {(0, 0, 0, 2, 0): 1, (0, 0, 0, 0, 1): -2 * m})
+    c = m / (2 * z)
+    return SchrodingerOperator(z, {(0, 0, 0, 2, 0): 1,
+                                   (0, 0, 0, 0, 0): -c,
+                                   (0, 0, -1, 0, 0): c})
+
+
+def test_casimir_is_the_transcribed_operator():
+    points = [(z, m) for z, m, _ in PARAM_MATRIX]
+    points += [(z, Fraction(-5, 3)) for z in (Fraction(1, 10), Fraction(1, 4), Fraction(9))]
+    for z, m in points:
+        for step in (z, 0):
+            assert casimir(m, step) == _transcribed_casimir(m, step), (m, step)
+
+
+def test_every_casimir_row_coefficient_is_load_bearing(monkeypatch):
+    # +1 on each of the two sites of SCH_CASIMIR, the one row that both the
+    # PBW Casimir and the equation operator expand
+    terms, exps = SCH_CASIMIR
+    ((scale, *rest),) = exps
+    mutations = [({("P", "P"): (0, 2)}, exps), (terms, ((scale + 1, *rest),))]
+    sch = schrodinger_algebra(2)
+    assert _failed(hopf.casimir_checks(sch)) == 0
+    for row in mutations:
+        with monkeypatch.context() as patch:
+            for module in (algebra, discrete, hopf):
+                patch.setattr(module, "SCH_CASIMIR", row)
+            failed = [e.name for e in hopf.casimir_checks(sch) if not e.passed]
+            assert failed == ["discrete-se/schrodinger11/casimir-central/K"], row
+            for z in (Z, 0):
+                failed = [e.name.rsplit("/", 1)[1]
+                          for e in symmetry_checks(M, A, z) if not e.passed]
+                assert failed == ["K", "C"], (row, z)
+                # the solutions no longer solve it: they fail their self-certification
+                with pytest.raises(AssertionError, match="failed certification"):
+                    solution_checks(M, A, z)
+
+
+def test_only_ints_and_fractions_enter_the_layer():
+    # a float entered as its binary expansion (z = 0.1 ran as
+    # 3602879701896397/36028797018963968), and another ring's scalar raised
+    # from inside Fraction
+    float_error = "takes int or Fraction scalars, not float"
+    with pytest.raises(TypeError, match=f"SchrodingerOperator {float_error}"):
+        verify_realization(1, -0.5, 0.1)
+    for z, coeff in ((0.1, 3), (Z, 0.3), (0.1, 0.3)):
+        with pytest.raises(TypeError, match=f"ExpPolyFunction {float_error}"):
+            ExpPolyFunction.from_monomials(z, {(1, 0): coeff})
+    h = realize(1, A, Z)["H"]
+    for scalar in (0.5, ComplexRational(1, 1), TruncatedSeries.z_power(1, 2, 1)):
+        with pytest.raises(TypeError, match=f"SchrodingerOperator takes int or Fraction "
+                                            f"scalars, not {type(scalar).__name__}"):
+            h * scalar
+    phi = heat_polynomials(M, Z, 3)[2]
+    calls = (lambda: realize(1, 0.5, Z), lambda: casimir(1.0, Z),
+             lambda: discrete_derivative(0.1), lambda: symmetry_checks(1, A, 0.1),
+             lambda: heat_polynomials(1.5, Z, 3), lambda: exponential_solutions(1, Z, [0.5]),
+             lambda: regular_kappas(1, Z, [0.5]), lambda: solution_checks(1, -0.5, Z),
+             lambda: apply_and_recheck("H", phi, 1, -0.5),
+             lambda: sample_grid(phi, [0], 0.0, 1))
+    for call in calls:
+        with pytest.raises(TypeError, match=float_error):
+            call()
+    # ints and Fractions still enter, as equal exact values
+    assert realize(1, Fraction(-1, 2), Fraction(1, 10)) == realize(Fraction(1), A, Z)
+    assert realize(2, 0, 0) == realize(Fraction(2), Fraction(0), Fraction(0))
+    assert h * 2 == 2 * h == h.scale(Fraction(2))
+    assert ExpPolyFunction.from_monomials(Z, {(1, 0): 3}) == ExpPolyFunction.from_monomials(
+        Fraction(1, 10), {(1, 0): Fraction(3)})
+    assert regular_kappas(1, 0, [1, Fraction(1, 2)]) == [Fraction(1), Fraction(1, 2)]
 
 
 def test_casimir_annihilates_basic_solutions():
@@ -274,10 +355,9 @@ def test_conformal_negative_control():
 
 
 def test_classical_symmetries():
-    entries = {e.name.rsplit("/", 1)[1]: e
-               for e in symmetry_checks(M, A, 0, classical=True)}
+    entries = {e.name.rsplit("/", 1)[1]: e for e in symmetry_checks(M, A, 0)}
     assert all(e.passed for e in entries.values())
-    _, lams = symmetry_check("C", M, A, 0, classical=True)
+    _, lams = symmetry_check("C", M, A, 0)
     assert lams == (Fraction(0), Fraction(2), Fraction(0))
 
 
@@ -306,11 +386,11 @@ def test_exponential_solution_step_factor():
 def test_apply_and_recheck():
     phi = heat_polynomials(M, Z, 3)[2]
     for gen in ("H", "D", "M", "P", "K", "C"):
-        entry = apply_and_recheck(gen, phi, M, A, Z)
+        entry = apply_and_recheck(gen, phi, M, A)
         assert entry.passed, (gen, entry.residual)
     not_solution = ExpPolyFunction.from_monomials(Z, {(0, 1): 1})
     with pytest.raises(ValueError):
-        apply_and_recheck("H", not_solution, M, A, Z)
+        apply_and_recheck("H", not_solution, M, A)
 
 
 def test_solution_checks_count_and_classical():
@@ -318,7 +398,7 @@ def test_solution_checks_count_and_classical():
     # 5 polynomial + 3 exponential solutions, each certified and mapped by 6 generators
     assert len(entries) == 8 * 7
     assert all(e.passed for e in entries)
-    entries = solution_checks(M, A, 0, classical=True)
+    entries = solution_checks(M, A, 0)
     assert all(e.passed for e in entries)
 
 
@@ -370,8 +450,8 @@ def test_solution_serialization():
 
 def test_solution_check_names_are_unique():
     # the kappa = 0 exponential is the constant 1, like the degree-0 polynomial
-    for classical in (False, True):
-        names = [e.name for e in solution_checks(M, A, Z, classical=classical)]
+    for z in (Z, 0):
+        names = [e.name for e in solution_checks(M, A, z)]
         assert len(names) == len(set(names))
         assert sum(n.endswith("/exp(k=0)") for n in names) == 7
 
@@ -379,6 +459,6 @@ def test_solution_check_names_are_unique():
 def test_apply_and_recheck_takes_the_tag_of_its_caller():
     # the kappa = 0 exponential is the constant 1, which phi alone would tag poly(deg=0)
     phi = exponential_solutions(M, Z, [0])[0]
-    entry = apply_and_recheck("H", phi, M, A, Z, tag="exp(k=0)")
+    entry = apply_and_recheck("H", phi, M, A, tag="exp(k=0)")
     assert entry.passed
     assert entry.name == "discrete-se/solution-map-deformed/H/exp(k=0)"

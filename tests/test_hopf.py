@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 
 from twophoton import hopf
-from twophoton.algebra import (H6_ANTIPODES, H6_COPRODUCTS, H6_RELATIONS, SCH_ANTIPODES,
-                               SCH_COPRODUCTS, SCH_RELATIONS, two_photon_algebra,
-                               schrodinger_algebra)
+from twophoton.algebra import (H6_ANTIPODES, H6_COPRODUCTS, H6_RELATIONS, NCElement,
+                               SCH_ANTIPODES, SCH_COPRODUCTS, SCH_RELATIONS, _exp_words,
+                               two_photon_algebra, schrodinger_algebra)
 from twophoton.bialgebra import H6_R_MATRIX, SCH_R_MATRIX
 from twophoton.hopf import (bracket_closure, casimir_checks, coproduct_closure,
                             first_order_delta, galilei_casimir, hopf_checks,
@@ -302,6 +302,20 @@ def test_galilei_subalgebra_closed_with_central_casimir():
     assert ez.coefficient(word(sch, "H", "M")).coeffs[0] == Fraction(-2)
     for entry in casimir_checks(sch):
         assert entry.passed, (entry.name, entry.residual)
+
+
+def test_galilei_casimir_is_the_transcribed_element():
+    # the Casimir as built by hand before it became the row SCH_CASIMIR:
+    # P^2 + sum_{n>=1} (-4)^n/(2 n!) z^{n-1} H^n M
+    for order in range(9):
+        sch = schrodinger_algebra(order)
+        H, M, P = (sch.gen_index(g) for g in ("H", "M", "P"))
+        transcribed = NCElement(sch, {(P, P): sch.one_series(),
+                                      **_exp_words(H, -4, order, lo=1, zshift=-1,
+                                                   scale=Fraction(1, 2), suffix=(M,))})
+        ez = galilei_casimir(sch)
+        assert ez == transcribed, order
+        assert list(ez.terms) == list(transcribed.terms), order
 
 
 def test_casimir_not_central_for_dilation():
