@@ -29,24 +29,32 @@ Fraction's gcd. The built-in tables are homogeneous for a grading in which
 z has a weight, so a normal form carries one z power per word. Every
 product of elements, tensors or raw tensors goes through one kernel,
 ``QuantumAlgebra._ordered``. It reads each coefficient's stored
-(z power, Fraction) pairs as int numerators and denominators, and hands
-back one series of Fractions per word, built from that word's pairs: in
-the graded tables, one monomial. Equal coefficients of its result are one
-object, found by their int numerators, and ``term_products`` groups each
-factor's terms by coefficient object, so a pair of groups costs one series
-product, shared by every word pair of the two groups. The R-matrix is a
-product of exponentials, so its products take few distinct coefficients:
-the Schrodinger Yang-Baxter residual at k = 5 pairs 20,518 terms but only
-2,268 coefficient objects. The residual a*b - c*d of a product
-identity is one pass of the same kernel, ``product_difference``: the raw
-terms of c*d enter with negated numerators and both sides sum into the one
-accumulator, so neither side is built, and only terms that do not cancel
-become Fractions. Products and these residuals enter the kernel through
-its one entry, ``ordered_difference``, which also takes hand-made streams
-of raw terms: the antipode and coproduct-bracket residuals of
-``hopf.hopf_checks`` are each one such pass. The coproduct and antipode of
-a word are memoised on its prefix, so words that share one (B+^n, H^n,
-...) share its product.
+(z power, Fraction) pairs as int numerators and denominators, once per run
+of raw terms that share the coefficient, and hands back one series of
+Fractions per word, built from that word's pairs: in the graded tables,
+one monomial. Equal coefficients of its result are one object, found by
+their int numerators, and ``term_products`` groups each factor's terms by
+coefficient object, so a pair of groups costs one series product, shared
+by every word pair of the two groups. The R-matrix is a product of
+exponentials, so its products take few distinct coefficients: the
+Schrodinger Yang-Baxter residual at k = 5 pairs 20,518 terms but only
+2,268 coefficient objects. Inside the kernel a word is a small int id: the
+memo numbers the PBW words the kernel meets and reads each raw leg once
+into ids, a leg whose normal form is one word with coefficient 1 (every
+PBW leg, and commuting letters out of order) into that word's id. A raw
+term whose legs are all such words costs one accumulator update keyed by
+its tuple of ids, with no expansion: 15,291 of the 20,518 raw terms of
+that residual. Ids become words again only for the terms that do not
+cancel. This view is part of the memo, and clearing the memo clears it
+too. The residual a*b - c*d of a product identity is one pass of the same
+kernel, ``product_difference``: the raw terms of c*d enter with negated
+numerators and both sides sum into the one accumulator, so neither side is
+built, and only terms that do not cancel become Fractions. Products and
+these residuals enter the kernel through its one entry,
+``ordered_difference``, which also takes hand-made streams of raw terms:
+the antipode and coproduct-bracket residuals of ``hopf.hopf_checks`` are
+each one such pass. The coproduct and antipode of a word are memoised on
+its prefix, so words that share one (B+^n, H^n, ...) share its product.
 
 Two algebras are built in:
 
@@ -67,7 +75,7 @@ primitive, as a generator pair without a relation row commutes.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, groupby, repeat
+from itertools import chain, groupby
 from math import factorial, gcd, lcm
 from operator import add
 
@@ -131,6 +139,15 @@ def _combine(parts, order):
     return den // g, {key: x // g for key, x in acc.items()}
 
 
+def _grow(acc, den, b):
+    """The least multiple of the denominator ``den`` that ``b`` divides, with
+    the numerators of ``acc`` rescaled onto it in place."""
+    grow = b // gcd(den, b)
+    for key in acc:
+        acc[key] *= grow
+    return den * grow
+
+
 def term_products(a, b):
     """(raw legs, s_a * s_b) for the pairs of terms that survive truncation.
 
@@ -141,7 +158,8 @@ def term_products(a, b):
     (the R-matrix and its embeddings, above all) form far fewer groups than
     terms. b's groups are bucketed by low z order once, so a group of a
     with low order la visits only the buckets 0 .. k - la and no rejected
-    pair.
+    pair. The terms of a pair of groups come out one after another with
+    one series object, a run whose coefficient the kernel reads once.
     """
     order = a.algebra.order
     join = a._join
@@ -310,6 +328,42 @@ def render_terms(algebra, terms):
     return render_sum(terms, lambda word: word_name(algebra, word), _word_sort_key)
 
 
+class _NormalForms(dict):
+    """The one normal-form memo, {raw word: (d, {(word, z power): numerator})},
+    with the product kernel's view of it.
+
+    The view gives each PBW word the kernel meets a small int id: ``words``
+    lists them by id, and ``ids`` maps each to its id, and also each raw
+    leg whose normal form is one word with coefficient 1 (commuting letters
+    out of order) to that word's id. ``sums`` maps every other raw leg to
+    (d, ((word id, z power, numerator), ...)), read off its entry. Entries
+    are only ever added, and clearing the memo clears the view, so no view
+    outlives the normal forms it was read from.
+    """
+
+    __slots__ = ("ids", "words", "sums")
+
+    def __init__(self):
+        super().__init__()
+        self.ids = {}
+        self.words = []
+        self.sums = {}
+
+    def clear(self):
+        super().clear()
+        self.ids.clear()
+        self.words.clear()
+        self.sums.clear()
+
+    def word_id(self, word):
+        """The id of a PBW word, given on first sight."""
+        i = self.ids.get(word)
+        if i is None:
+            i = self.ids[word] = len(self.words)
+            self.words.append(word)
+        return i
+
+
 class QuantumAlgebra:
     """A deformed enveloping algebra given by explicit PBW tables.
 
@@ -323,7 +377,11 @@ class QuantumAlgebra:
 
     The relation table maps (word, z power) to one Fraction; the memo of
     normal forms holds int numerators over one reduced denominator per
-    entry, and ``_ordered`` is the one product kernel over it.
+    entry, and ``_ordered`` is the one product kernel over it. The memo
+    carries the kernel's view of itself: an int id for each PBW word, and
+    each raw leg read once into ids. Clearing the memo clears the view, so
+    a table changed behind the algebra's back, with the memo cleared, gives
+    the products of the changed table.
     The coproduct and antipode tables and their memos hold plain
     {key: series} maps, wrapped into elements on access: an element points
     back at its algebra, so tables of elements would keep every algebra in
@@ -338,7 +396,7 @@ class QuantumAlgebra:
         self.central = frozenset(central)
         self._one = TruncatedSeries.one(order)
         self._zero = TruncatedSeries.zero(order)
-        self._nf_cache = {}
+        self._nf_cache = _NormalForms()
         self._cop_cache = {}
         self._anti_cache = {}
 
@@ -431,46 +489,99 @@ class QuantumAlgebra:
         """Normal-ordered {legs: series} of the sum of the raw (legs, series)
         terms of ``raw`` minus those of ``minus``.
 
-        The one product kernel of the engine. Each series contributes its
-        stored (z power, coefficient) pairs as (numerator, denominator)
-        ints, negated for a term of ``minus``; each raw leg is expanded
-        against its memoised normal form in turn, and a partial product
-        past z^k is dropped before the next leg. The surviving (legs, power)
-        terms of both sums accumulate in one dict of numerators over a
-        running denominator, rescaled in the rare case that a new
-        denominator grows it. The terms that do not cancel are regrouped
-        into one series per tuple of legs, with one Fraction per distinct
-        numerator and one series per distinct coefficient: equal
-        coefficients of the result are one object, which ``term_products``
-        multiplies once per pair when the result is a factor again.
+        The one product kernel of the engine. It works on the word ids of
+        the memo's view: each raw leg is read once per algebra, as the id of
+        one word if its normal form is that word with coefficient 1 (a PBW
+        leg is its own), else as (d, ((id, z power, numerator), ...)). A
+        coefficient's stored (z power, Fraction) pairs are read as signed
+        ints once per run of consecutive raw terms that share one series
+        object, the numerators negated for ``minus``. A raw term whose legs
+        are all single words goes straight into the accumulator, keyed by
+        (tuple of leg ids, z power); any other is expanded at its other
+        legs, and a partial product past z^k is dropped before the next one.
+        Both sums accumulate in one dict of numerators over a running
+        denominator, rescaled in the rare case that a new denominator grows
+        it. Ids become words again only for the terms that do not cancel,
+        in ``_series_terms``, which regroups them into one series per tuple
+        of legs, with one Fraction per distinct numerator and one series per
+        distinct coefficient: equal coefficients of the result are one
+        object, which ``term_products`` multiplies once per pair when the
+        result is a factor again.
         """
         k = self.order
-        nf_cache = self._nf_cache
+        memo = self._nf_cache
+        leg_id = memo.ids.get
+        sums = memo.sums
         acc = {}
         den = 1
-        for sign, (legs, series) in chain(zip(repeat(1), raw), zip(repeat(-1), minus)):
-            partial = [((), n, sign * c.numerator, c.denominator) for n, c in series.pairs]
-            for leg in legs:
-                entry = nf_cache.get(leg)
-                if entry is None:
-                    entry = self._normal_form(leg)
-                d, nf = entry
-                nf = nf.items()
-                partial = [(words + (w,), n + m, a * x, b * d)
-                           for words, n, a, b in partial
-                           for (w, m), x in nf if n + m <= k]
-            for words, n, a, b in partial:
-                if den % b:
-                    grow = b // gcd(den, b)
-                    acc = {key: x * grow for key, x in acc.items()}
-                    den *= grow
-                key = (words, n)
-                acc[key] = acc.get(key, 0) + a * (den // b)
-        return self._series_terms(acc, den)
+        for sign, stream in ((1, raw), (-1, minus)):
+            last = None
+            for legs, series in stream:
+                if series is not last:
+                    last = series
+                    # (legs so far, z power, numerator, denominator) of each
+                    # pair, the start of a term's expansion
+                    pairs = [((), n, sign * c.numerator, c.denominator)
+                             for n, c in series.pairs]
+                    scaled = None
+                ids = tuple(map(leg_id, legs))
+                if None not in ids:
+                    if scaled is None:
+                        # the run's numerators over the running denominator
+                        for _, _, _, b in pairs:
+                            if den % b:
+                                den = _grow(acc, den, b)
+                        scaled = [(n, a * (den // b)) for _, n, a, b in pairs]
+                    for n, x in scaled:
+                        key = (ids, n)
+                        acc[key] = acc.get(key, 0) + x
+                    continue
+                partial = pairs
+                run = ()
+                for leg, form in zip(legs, ids):
+                    if form is None:
+                        form = sums.get(leg) or self._leg_form(leg)
+                    if type(form) is int:
+                        run += (form,)
+                    else:
+                        d, expansion = form
+                        partial = [(w + run + (i,), n + m, a * x, b * d)
+                                   for w, n, a, b in partial
+                                   for i, m, x in expansion if n + m <= k]
+                        run = ()
+                for w, n, a, b in partial:
+                    if den % b:
+                        den = _grow(acc, den, b)
+                        scaled = None
+                    key = (w + run, n)
+                    acc[key] = acc.get(key, 0) + a * (den // b)
+        return self._series_terms(acc, den, memo.words)
 
-    def _series_terms(self, numerators, den=1):
+    def _leg_form(self, leg):
+        """The kernel's form of a raw leg, kept in the memo's view: the id of
+        a PBW leg, which needs no memo entry; else, read off the leg's memo
+        entry, a word id if its normal form is one word with coefficient 1,
+        or (d, ((word id, z power, numerator), ...))."""
+        memo = self._nf_cache
+        if _first_inversion(leg) is None:
+            return memo.word_id(leg)
+        d, nf = memo.get(leg) or self._normal_form(leg)
+        ids = memo.ids
+        word_id = memo.word_id
+        expansion = tuple([(ids.get(w) or word_id(w), m, x) for (w, m), x in nf.items()])
+        if d == 1 and len(expansion) == 1:
+            i, m, x = expansion[0]
+            if m == 0 and x == 1:
+                ids[leg] = i
+                return i
+        memo.sums[leg] = form = (d, expansion)
+        return form
+
+    def _series_terms(self, numerators, den=1, words=None):
         """Regroup a {(key, z power): numerator} map over the positive
-        denominator ``den`` into {key: series}, dropping zero numerators.
+        denominator ``den`` into {key: series}, dropping zero numerators;
+        with ``words``, a key is a tuple of word ids, and each surviving key
+        is turned into its tuple of words.
 
         Each key's (power, numerator / den) pairs, sorted by power, are its
         series' stored pairs; no zero power is filled in. Equal coefficients
@@ -487,6 +598,7 @@ class QuantumAlgebra:
         fractions = {}
         shared = {}
         out = {}
+        word_of = None if words is None else words.__getitem__
         for key, p in pairs.items():
             p = tuple(sorted(p))
             s = shared.get(p)
@@ -498,6 +610,8 @@ class QuantumAlgebra:
                         fractions[a] = c = Fraction(a, den)
                     coeffs.append((n, c))
                 shared[p] = s = TruncatedSeries._exact(tuple(coeffs), k)
+            if word_of is not None:
+                key = tuple(map(word_of, key))
             out[key] = s
         return out
 

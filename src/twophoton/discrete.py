@@ -9,7 +9,9 @@ without imposing T = e^{4z dt}, and only the function layer lets both act
 on the same carriers. z = 0 is the classical limit, the undeformed
 realization and the heat operator; z < 0 raises ValueError. Every scalar
 that enters, z, coefficients and parameters alike, passes one coercion that
-takes ints and Fractions only and raises TypeError on any other.
+takes ints and Fractions only and raises TypeError on any other; the keys
+of operators and functions hold int powers and exact rates, or raise
+TypeError too.
 """
 
 from __future__ import annotations
@@ -45,6 +47,34 @@ def _rational(value, cls):
     raise TypeError(f"{cls.__name__} takes int or Fraction scalars, not {type(value).__name__}")
 
 
+def _operator_key(key):
+    """``key`` if it is (x, t, T, dx, dt) powers as ints, each but the T
+    power nonnegative; any other key raises TypeError."""
+    if type(key) is tuple and len(key) == 5:
+        x, t, shift, dx, dt = key
+        if (type(x) is int and type(t) is int and type(shift) is int and type(dx) is int
+                and type(dt) is int and x >= 0 and t >= 0 and dx >= 0 and dt >= 0):
+            return key
+    raise TypeError(f"SchrodingerOperator keys are (x, t, T, dx, dt) powers as ints, "
+                    f"T's alone possibly negative, not {key!r}")
+
+
+_EXACT = frozenset((int, Fraction))
+
+
+def _function_key(key):
+    """``key`` if it is (x power, t power, kappa, omega, rho) with the powers
+    nonnegative ints and the rates ints or Fractions; any other key raises
+    TypeError."""
+    if type(key) is tuple and len(key) == 5:
+        a, b, kappa, omega, rho = key
+        if (type(a) is int and type(b) is int and a >= 0 and b >= 0 and type(kappa) in _EXACT
+                and type(omega) in _EXACT and type(rho) in _EXACT):
+            return key
+    raise TypeError(f"ExpPolyFunction keys are (x power, t power, kappa, omega, rho) with "
+                    f"nonnegative int powers and int or Fraction rates, not {key!r}")
+
+
 def _binomial_shift(b, delta):
     """(t + delta)^b = sum_i C(b,i) delta^(b-i) t^i, as (i, coefficient) pairs, zeros dropped."""
     pairs = ((i, comb(b, i) * delta ** (b - i)) for i in range(b + 1))
@@ -62,7 +92,7 @@ class SchrodingerOperator(SparseTerms):
 
     def __init__(self, z, terms):
         self.z = _rational(z, SchrodingerOperator)
-        super().__init__((self.z,), {key: _rational(c, SchrodingerOperator)
+        super().__init__((self.z,), {_operator_key(key): _rational(c, SchrodingerOperator)
                                      for key, c in terms.items()})
 
     @classmethod
@@ -169,16 +199,20 @@ def realize(mass, rep_param, z):
 
 
 def discrete_derivative(z, direction="forward"):
-    """(T - 1)/(4z) forward, (1 - T^{-1})/(4z) backward."""
+    """(T - 1)/(4z) forward, (1 - T^{-1})/(4z) backward; dt in both
+    directions at z = 0, the classical limit."""
     z = _rational(z, SchrodingerOperator)
-    if z <= 0:
-        raise ValueError("discrete derivative needs z > 0")
+    if z < 0:
+        raise ValueError(
+            f"the discrete derivative needs z >= 0 (z = 0 is classical), not z = {z}")
+    if direction not in ("forward", "backward"):
+        raise ValueError(f"unknown direction {direction!r}")
+    if not z:
+        return SchrodingerOperator(z, {(0, 0, 0, 0, 1): 1})
     c = Fraction(1, 4) / z
     if direction == "forward":
         return SchrodingerOperator(z, {(0, 0, 1, 0, 0): c, (0, 0, 0, 0, 0): -c})
-    if direction == "backward":
-        return SchrodingerOperator(z, {(0, 0, 0, 0, 0): c, (0, 0, -1, 0, 0): -c})
-    raise ValueError(f"unknown direction {direction!r}")
+    return SchrodingerOperator(z, {(0, 0, 0, 0, 0): c, (0, 0, -1, 0, 0): -c})
 
 
 def _realized(row, ops):
@@ -335,7 +369,7 @@ class ExpPolyFunction(SparseTerms):
 
     def __init__(self, z, terms):
         self.z = _rational(z, ExpPolyFunction)
-        super().__init__((self.z,), {key: _rational(c, ExpPolyFunction)
+        super().__init__((self.z,), {_function_key(key): _rational(c, ExpPolyFunction)
                                      for key, c in terms.items()})
 
     @classmethod

@@ -5,7 +5,7 @@ import subprocess
 import sys
 import weakref
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import chain, combinations, combinations_with_replacement, product, repeat
 from math import gcd, prod
 from pathlib import Path
 
@@ -516,6 +516,160 @@ def test_qybe_multiplies_each_pair_of_coefficient_objects_once(make, monkeypatch
     term_pairs = sum(_surviving_pairs(x.terms.values(), y.terms.values(), k)
                      for x, y in ((left, r23), (right, r12)))
     assert calls == object_pairs < term_pairs
+
+
+def _word_keyed_ordered(alg, raw, minus=()):
+    """The product kernel as it was before word ids, kept as the reference
+    for ``QuantumAlgebra._ordered``: every leg of every raw term is expanded
+    against its memo entry, and the accumulator is keyed by (tuple of
+    words, z power)."""
+    k = alg.order
+    acc = {}
+    den = 1
+    for sign, (legs, series) in chain(zip(repeat(1), raw), zip(repeat(-1), minus)):
+        partial = [((), n, sign * c.numerator, c.denominator) for n, c in series.pairs]
+        for leg in legs:
+            d, nf = alg._normal_form(leg)
+            partial = [(words + (w,), n + m, a * x, b * d)
+                       for words, n, a, b in partial
+                       for (w, m), x in nf.items() if n + m <= k]
+        for words, n, a, b in partial:
+            if den % b:
+                grow = b // gcd(den, b)
+                acc = {key: x * grow for key, x in acc.items()}
+                den *= grow
+            key = (words, n)
+            acc[key] = acc.get(key, 0) + a * (den // b)
+    return alg._series_terms(acc, den)
+
+
+def _kernel_coefficients(order):
+    """Coefficient objects for raw streams: monomials whose coprime
+    denominators grow the running denominator, series with several z
+    powers such as 1 + z (one with a new denominator past its first
+    power), a distinct object equal to one of them, and 0."""
+    z = lambda p, c: TruncatedSeries.z_power(p, order, c)
+    one_plus_z = z(0, 1) + z(1, 1)
+    return [z(0, 1), z(0, Fraction(-2, 3)), z(1, Fraction(5, 7)), z(order, Fraction(3, 11)),
+            one_plus_z, TruncatedSeries(one_plus_z.coeffs), z(0, 1) - z(1, Fraction(4, 13)),
+            TruncatedSeries.zero(order)]
+
+
+def _raw_stream(rng, coefficients, rank, n_terms):
+    """Raw (legs, series) terms in runs that share one coefficient object;
+    each leg is empty, PBW or a random unordered word."""
+    stream = []
+    while len(stream) < n_terms:
+        series = rng.choice(coefficients)
+        for _ in range(rng.randint(1, 4)):
+            legs = []
+            for _ in range(rank):
+                kind = rng.choice(("empty", "pbw", "raw"))
+                leg = [rng.randrange(6) for _ in range(0 if kind == "empty" else
+                                                       rng.randint(1, 4 - rank // 2))]
+                legs.append(tuple(sorted(leg) if kind == "pbw" else leg))
+            stream.append((tuple(legs), series))
+    return stream
+
+
+@pytest.mark.parametrize("order", [0, 3, 8])
+@pytest.mark.parametrize("make", [two_photon_algebra, schrodinger_algebra])
+def test_id_kernel_matches_the_word_keyed_kernel(make, order):
+    # the kernel numbers words and reads each leg once per algebra; the
+    # reference expands every leg of every term against the memo, so both
+    # must give the same series for every tuple of legs
+    alg, rng = make(order), random.Random(17 + order)
+    coefficients = _kernel_coefficients(order)
+    for rank in (1, 2, 3):
+        for _ in range(3):
+            raw = _raw_stream(rng, coefficients, rank, 40)
+            minus = _raw_stream(rng, coefficients, rank, 40)
+            want = _word_keyed_ordered(alg, raw, minus)
+            # the second pass reads every leg from the algebra's view
+            for _ in range(2):
+                got = alg._ordered(iter(raw), iter(minus))
+                assert got == want
+                # equal coefficients of a result are still one object
+                assert len({id(s) for s in got.values()}) == len(set(got.values()))
+            # a stream minus itself cancels term by term
+            assert alg._ordered(iter(raw), iter(raw)) == {}
+    assert any(len(legs) == 3 and any(_first_inversion(w) is not None for w in legs)
+               for legs, _ in raw)
+
+
+@pytest.mark.parametrize("bracket", [
+    {((0, 1), 0): Fraction(1)},  # X1 X0 = 2 X0 X1
+    {((0, 1), 0): Fraction(-1, 2)},  # X1 X0 = 1/2 X0 X1
+    {((0, 1), 0): Fraction(-1), ((0, 1), 1): Fraction(1)},  # X1 X0 = z X0 X1
+])
+def test_a_leg_is_one_word_only_at_coefficient_one(bracket):
+    # the kernel reads a leg as the bare id of one word only when its normal
+    # form is that word with coefficient 1 at z^0; these brackets, set
+    # behind the construction check, give one word with another coefficient
+    alg = QuantumAlgebra(
+        "two", ("X0", "X1"), 2, relations={},
+        coproduct={g: {((), (g,)): 1, ((g,), ()): 1} for g in range(2)},
+        antipode={g: {(g,): -1} for g in range(2)}, counit={})
+    alg._relations[(1, 0)] = bracket
+    alg._nf_cache.clear()
+    assert len(alg._normal_form((1, 0))[1]) == 1
+    coefficients = _kernel_coefficients(2)
+    for rank in (1, 2):
+        raw = [(((1, 0),) * rank, s) for s in coefficients] + [(((0, 1),) * rank, coefficients[1])]
+        want = _word_keyed_ordered(alg, raw)
+        assert want and alg._ordered(iter(raw)) == want
+
+
+def _add_one(alg, x, y, coefficient):
+    """+1 on the z^0 coefficient of the word ``coefficient`` in [x, y]."""
+    row = alg._relations[word(alg, x, y)]
+    key = (word(alg, coefficient), 0)
+    row[key] = row.get(key, 0) + 1
+
+
+@pytest.mark.parametrize("x, y, coefficient", [
+    # [B-, N] = 2B- + 4z N^2: the leg B- N has a normal form of three words
+    ("B-", "N", "B-"),
+    # M is central: the leg M N has the one word N M with coefficient 1
+    ("M", "N", "M"),
+])
+def test_kernel_view_is_forgotten_with_the_normal_forms(x, y, coefficient):
+    alg = two_photon_algebra(3)
+    product = lambda a: (a.gen(x) * a.gen(y)).terms
+    before = product(alg)
+    _add_one(alg, x, y, coefficient)
+    # negative control: the memo emptied behind its view's back still gives
+    # the old product, since the kernel reads the leg from the view
+    dict.clear(alg._nf_cache)
+    assert product(alg) == before
+    alg._nf_cache.clear()
+    after = product(alg)
+    assert after != before
+    fresh = two_photon_algebra(3)
+    _add_one(fresh, x, y, coefficient)
+    fresh._nf_cache.clear()
+    assert after == product(fresh)
+
+
+def test_word_ids_stay_with_their_algebra():
+    # products interleaved in algebras of both kinds, at equal and at
+    # different orders, equal the same products in fresh algebras
+    makers = [lambda: two_photon_algebra(3), lambda: schrodinger_algebra(3),
+              lambda: two_photon_algebra(5), lambda: schrodinger_algebra(2)]
+    algebras = [make() for make in makers]
+    rng = random.Random(29)
+    done = []
+    for _ in range(32):
+        i = rng.randrange(len(makers))
+        alg = algebras[i]
+        a, b = (_random_element(alg, rng, max_len=4) for _ in range(2))
+        t, u = (alg.tensor({(x, y): s for x, y, s in zip(a.terms, b.terms, a.terms.values())})
+                for a, b in ((a, b), (b, a)))
+        done.append((i, a.terms, b.terms, (a * b).terms, t.terms, u.terms, (t * u).terms))
+    for i, a, b, ab, t, u, tu in done:
+        fresh = makers[i]()
+        assert (NCElement(fresh, a) * NCElement(fresh, b)).terms == ab
+        assert (TensorElement(fresh, 2, t) * TensorElement(fresh, 2, u)).terms == tu
 
 
 def test_products_of_different_kinds():

@@ -217,8 +217,37 @@ def test_discrete_derivative_examples():
     assert bwd.apply(one).is_zero()
     with pytest.raises(ValueError):
         discrete_derivative(Z, "sideways")
-    with pytest.raises(ValueError):
-        discrete_derivative(0)
+    # z = 0 is the classical limit: both differences become dt, which the
+    # classical Casimir dx^2 - 2m dt carries
+    dt = SchrodingerOperator(0, {(0, 0, 0, 0, 1): 1})
+    assert discrete_derivative(0) == discrete_derivative(0, "backward") == dt
+    assert casimir(M, 0) == basis_op(0, (0, 0, 0, 2, 0)) - 2 * M * dt
+    assert discrete_derivative(0).apply(ExpPolyFunction.from_monomials(0, {(0, 2): 1})) == \
+        ExpPolyFunction.from_monomials(0, {(0, 1): 2})
+    for z in (-1, Fraction(-1, 10)):
+        with pytest.raises(ValueError, match="z >= 0"):
+            discrete_derivative(z)
+    with pytest.raises(ValueError, match="unknown direction"):
+        discrete_derivative(0, "sideways")
+
+
+def test_keys_hold_int_powers_and_exact_rates():
+    # a float rate or exponent used to be stored, printed and serialized
+    # (exp(0.5x), T^0.5); only a later derivative, shift or product raised
+    for key in ((0, 0, 0.5, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0, 0, 0), ("x", 0, 0, 0, 0),
+                (0, Fraction(1), 0, 0, 0), (-1, 0, 0, 0, 0), (0, 0, 0, 0, -1),
+                (True, 0, 0, 0, 0)):
+        with pytest.raises(TypeError, match="SchrodingerOperator keys"):
+            SchrodingerOperator(Z, {key: 1})
+    for key in ((0, 0, 0.5, 0, 1), (0, 0, 0, 0.0, 1), (0, 0, 0, 0, 1.0), (0.0, 0, 0, 0, 1),
+                (0, -1, 0, 0, 1), (0, 0, ComplexRational(1, 1), 0, 1), (0, 0, 0, 1)):
+        with pytest.raises(TypeError, match="ExpPolyFunction keys"):
+            ExpPolyFunction(Z, {key: 1})
+    # the T power alone may be negative, and a rate is an int or a Fraction
+    assert SchrodingerOperator(Z, {(0, 0, -2, 0, 0): 1}).terms == {(0, 0, -2, 0, 0): 1}
+    phi = ExpPolyFunction(Z, {(1, 0, Fraction(1, 2), 0, 1): 1})
+    assert phi == ExpPolyFunction.exponential(Z, Fraction(1, 2), 0, 1).mul_powers(1, 0)
+    assert str(phi) == "(1)*x*exp(1/2x)"
 
 
 def test_deformed_casimir_needs_positive_z():
