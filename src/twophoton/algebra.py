@@ -369,11 +369,12 @@ class QuantumAlgebra:
 
     ``relations`` maps each generator pair (hi, lo) with hi > lo to the
     normal form of [X_hi, X_lo]; the reversed bracket is the negative.
-    Coproduct, antipode and counit tables hold the values on generators and
-    are extended multiplicatively / anti-multiplicatively / as an algebra
-    map; a generator left out of the counit table has counit 0. Tables are
-    fixed after construction and every operation is pure up to idempotent
-    memo caches, so results never depend on evaluation order.
+    Coproduct and antipode tables hold the values on generators and are
+    extended multiplicatively / anti-multiplicatively. Every generator has
+    counit 0, so the counit is the augmentation: 1 on the empty word, 0 on
+    any other. Tables are fixed after construction and every operation is
+    pure up to idempotent memo caches, so results never depend on
+    evaluation order.
 
     The relation table maps (word, z power) to one Fraction; the memo of
     normal forms holds int numerators over one reduced denominator per
@@ -388,12 +389,10 @@ class QuantumAlgebra:
     a reference cycle until the cyclic collector ran.
     """
 
-    def __init__(self, name, generators, order, relations, coproduct,
-                 antipode, counit, central=()):
+    def __init__(self, name, generators, order, relations, coproduct, antipode):
         self.name = name
         self.generators = tuple(generators)
         self.order = order
-        self.central = frozenset(central)
         self._one = TruncatedSeries.one(order)
         self._zero = TruncatedSeries.zero(order)
         self._nf_cache = _NormalForms()
@@ -409,7 +408,6 @@ class QuantumAlgebra:
                 self._check_relation((hi, lo), value)
                 self._relations[(hi, lo)] = value
 
-        self.counit_table = {i: counit.get(i, self._zero) for i in range(n)}
         self.coproduct_table = {
             i: collect((legs, self._as_series(c)) for legs, c in coproduct[i].items())
             for i in range(n)}
@@ -727,21 +725,23 @@ class QuantumAlgebra:
             (self.antipode_word(w), s) for w, s in elem.terms.items()))
 
     def counit_word(self, word):
-        out = self._one
-        for g in word:
-            out = out * self.counit_table[g]
-            if out.is_zero():
-                break
-        return out
+        """eps(word): 1 on the empty word, 0 on any other."""
+        return self._zero if word else self._one
 
     def counit(self, elem):
+        """eps(elem), the coefficient of the empty word."""
         self.zero()._require_same(elem)
-        return sum((self.counit_word(w) * s for w, s in elem.terms.items()), self._zero)
+        return elem.terms.get((), self._zero)
 
     # -- export ---------------------------------------------------------------
 
     def to_json_dict(self):
-        """Spec dump: generator order and all tables, coefficients as fraction pairs."""
+        """Spec dump: generator order and all tables, coefficients as fraction pairs.
+
+        The central generators are those in no nonzero relation of the
+        truncated table, and the counit lists the zero series of each
+        generator.
+        """
 
         def series_json(s):
             return [[c.numerator, c.denominator] for c in s.coeffs]
@@ -759,11 +759,12 @@ class QuantumAlgebra:
                 for words, s in sorted(terms.items(), key=lambda kv: _tensor_sort_key(kv[0]))
             ]
 
+        bracketed = {g for pair, value in self._relations.items() if value for g in pair}
         return {
             "name": self.name,
             "order": self.order,
             "generators": list(self.generators),
-            "central": sorted(self.generators[i] for i in self.central),
+            "central": sorted(g for i, g in enumerate(self.generators) if i not in bracketed),
             "relations": {
                 f"[{self.generators[hi]},{self.generators[lo]}]":
                     words_json(self._series_terms(val))
@@ -777,10 +778,7 @@ class QuantumAlgebra:
                 self.generators[i]: words_json(terms)
                 for i, terms in sorted(self.antipode_table.items())
             },
-            "counit": {
-                self.generators[i]: series_json(s)
-                for i, s in sorted(self.counit_table.items())
-            },
+            "counit": {g: series_json(self._zero) for g in self.generators},
         }
 
 
@@ -900,7 +898,7 @@ def _row_terms(terms, exps, index, order):
 
 def _row_algebra(name, generators, order, relations, coproducts, antipodes):
     """The algebra given by relation, coproduct and antipode row tables,
-    truncated at z^order. A generator in no relation row is central."""
+    truncated at z^order."""
     index = {g: i for i, g in enumerate(generators)}
 
     def expand(rows, x, unit, place):
@@ -918,9 +916,7 @@ def _row_algebra(name, generators, order, relations, coproducts, antipodes):
         coproduct={index[x]: {((), (index[x],)): 1,
                               **expand(coproducts, x, 1, lambda left, w: (left, w))}
                    for x in generators},
-        antipode={index[x]: expand(antipodes, x, -1, add) for x in generators},
-        counit={},
-        central=[index[x] for x in generators if not any(x in pair for pair in relations)])
+        antipode={index[x]: expand(antipodes, x, -1, add) for x in generators})
 
 
 def two_photon_algebra(order):

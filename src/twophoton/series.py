@@ -8,11 +8,13 @@ of two monomials is one scalar multiplication, and no operation visits a
 zero coefficient. A sum or product whose coefficients cancel drops them,
 so equal series store equal pairs.
 
-Coefficients default to Fraction but any exact scalar ring without zero
-divisors, with +, -, *, equality against 0/1 and a truth value that is
-False exactly for zero works (ComplexRational in particular); the variable
-z itself is always central. Mixing truncation orders is an error, never a
-silent coercion.
+Coefficients are Fractions or ComplexRationals: the constructors and the
+scalar products turn an int into a Fraction and refuse any other type
+(float, complex, Decimal) with TypeError, so nothing inexact enters a
+series. The arithmetic needs only +, -, *, equality against 0/1 and a
+truth value that is False exactly for zero, in a ring without zero
+divisors; the variable z itself is always central. Mixing truncation
+orders is an error, never a silent coercion.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
+from .scalars import ComplexRational
 from .sparse import SparseTerms
 
 __all__ = ["TruncatedSeries", "exp_nilpotent", "sqrt_unit"]
@@ -29,11 +32,14 @@ _ZERO = Fraction(0)
 
 
 def _coerce(c):
-    if isinstance(c, float):
-        raise TypeError(f"inexact coefficient {c!r}; use Fraction")
+    """An exact coefficient: an int as a Fraction, a Fraction or a
+    ComplexRational as it is; anything else (float, complex, Decimal, ...)
+    raises TypeError."""
     if isinstance(c, int):
         return Fraction(c)
-    return c
+    if isinstance(c, (Fraction, ComplexRational)):
+        return c
+    raise TypeError(f"inexact coefficient {c!r}; use Fraction or ComplexRational")
 
 
 def _inv_scalar(c):
@@ -195,7 +201,7 @@ class TruncatedSeries:
                     prev = acc.get(i + j)
                     acc[i + j] = x * y if prev is None else prev + x * y
             return TruncatedSeries._exact(_nonzero_sorted(acc), k)
-        if isinstance(other, (float, SparseTerms)):
+        if isinstance(other, SparseTerms):
             # an element takes a series as its scalar: x.scale(self)
             return NotImplemented
         c = _coerce(other)
@@ -204,8 +210,6 @@ class TruncatedSeries:
         return TruncatedSeries._exact(tuple((n, a * c) for n, a in self.pairs), self.order)
 
     def __rmul__(self, other):
-        if isinstance(other, (TruncatedSeries, float)):
-            return NotImplemented
         c = _coerce(other)
         if not c:
             return TruncatedSeries._exact((), self.order)

@@ -86,7 +86,7 @@ def test_criterion_4_transport():
         bad = [e.name for e in transport_checks(order) if not e.passed]
         assert not bad, (order, bad)
     report(4, True, "basis change reproduces the classical table; "
-                    "transported Hopf tables match hand-coded ones at k=0..3")
+                    "the basis change is a Hopf map into h6 at k=0..3")
 
 
 def test_criterion_5_representation():

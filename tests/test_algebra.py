@@ -165,8 +165,7 @@ def test_fuel_guard_reports_offending_word():
         relations={(1, 0): {(): TruncatedSeries.one(2)}},
         coproduct={0: {((), (0,)): 1, ((0,), ()): 1},
                    1: {((), (1,)): 1, ((1,), ()): 1}},
-        antipode={0: {(0,): -1}, 1: {(1,): -1}},
-        counit={})
+        antipode={0: {(0,): -1}, 1: {(1,): -1}})
     bad._relations[(1, 0)] = {((1, 0), 0): Fraction(1)}
     with pytest.raises(NormalOrderError) as exc:
         bad.normal_word((1, 0))
@@ -214,8 +213,7 @@ def coprime_algebra(order):
         "coprime-h6", h6.generators, order,
         relations={(hi, lo): rescaled(hi, lo) for hi in range(6) for lo in range(hi)},
         coproduct={g: {((), (g,)): 1, ((g,), ()): 1} for g in range(6)},
-        antipode={g: {(g,): -1} for g in range(6)},
-        counit={})
+        antipode={g: {(g,): -1} for g in range(6)})
 
 
 ALGEBRAS = [two_photon_algebra, schrodinger_algebra, coprime_algebra]
@@ -609,7 +607,7 @@ def test_a_leg_is_one_word_only_at_coefficient_one(bracket):
     alg = QuantumAlgebra(
         "two", ("X0", "X1"), 2, relations={},
         coproduct={g: {((), (g,)): 1, ((g,), ()): 1} for g in range(2)},
-        antipode={g: {(g,): -1} for g in range(2)}, counit={})
+        antipode={g: {(g,): -1} for g in range(2)})
     alg._relations[(1, 0)] = bracket
     alg._nf_cache.clear()
     assert len(alg._normal_form((1, 0))[1]) == 1
@@ -899,8 +897,7 @@ def test_relation_sanity_rejected_at_construction():
             relations={(1, 0): {(0, 1): TruncatedSeries.one(1)}},
             coproduct={0: {((), (0,)): 1, ((0,), ()): 1},
                        1: {((), (1,)): 1, ((1,), ()): 1}},
-            antipode={0: {(0,): -1}, 1: {(1,): -1}},
-            counit={})
+            antipode={0: {(0,): -1}, 1: {(1,): -1}})
 
 
 def test_spec_json_export_shape():

@@ -3,16 +3,19 @@ from fractions import Fraction
 import pytest
 
 from twophoton import hopf
-from twophoton.algebra import (H6_ANTIPODES, H6_COPRODUCTS, H6_RELATIONS, NCElement,
-                               SCH_ANTIPODES, SCH_COPRODUCTS, SCH_RELATIONS, _exp_words,
-                               two_photon_algebra, schrodinger_algebra)
-from twophoton.bialgebra import H6_R_MATRIX, SCH_R_MATRIX
+from twophoton.algebra import (H6_ANTIPODES, H6_COPRODUCTS, H6_GENERATORS, H6_RELATIONS,
+                               NCElement, SCH_ANTIPODES, SCH_COPRODUCTS, SCH_RELATIONS,
+                               _exp_words, ordered_difference, two_photon_algebra,
+                               schrodinger_algebra)
+from twophoton.bialgebra import (H6_R_MATRIX, H6_TO_SCH_MAP, SCH_R_MATRIX, basis_change,
+                                 two_photon_lie)
 from twophoton.hopf import (bracket_closure, casimir_checks, coproduct_closure,
                             first_order_delta, galilei_casimir, hopf_checks,
                             r_matrix, r_matrix_inverse, rmatrix_checks,
                             structure_checks, transport_checks,
                             transport_structure, verify_spec_equality)
 from twophoton.series import TruncatedSeries
+from twophoton.sparse import collect, solve_linear
 
 
 def word(alg, *names):
@@ -182,35 +185,162 @@ def test_transport_matches_handcoded_tables():
 
 
 def test_transport_relation_example():
-    h6 = two_photon_algebra(1)
-    transported = transport_structure(h6)
-    # [D, P] = -P
-    d, p = transported.gen("D"), transported.gen("P")
-    assert transported.commutator(d, p) == -p
-    # [H, C] = D - 2z H M + O(z^2)
-    got = transported.commutator(transported.gen("H"), transported.gen("C"))
-    want = transported.element({
-        word(transported, "D"): 1,
-        word(transported, "H", "M"): TruncatedSeries([Fraction(0), Fraction(-2)]),
+    sch, h6 = schrodinger_algebra(1), two_photon_algebra(1)
+    # phi([C, H]) = phi(-D + 2z H M) = N + M/2 + z B+ M = [B-/2, B+/2]
+    pushed = ordered_difference(h6.one(), hopf._pushed(sch.relation("C", "H")))
+    want = h6.element({
+        word(h6, "N"): 1,
+        word(h6, "M"): Fraction(1, 2),
+        word(h6, "B+", "M"): TruncatedSeries([Fraction(0), Fraction(1)]),
     })
-    assert got == want
+    forward = {x: hopf._forward_element(h6, x) for x in ("C", "H", "P")}
+    assert pushed == want == forward["C"].commutator(forward["H"])
+    # phi([P, D]) = phi(P) = A+
+    assert ordered_difference(h6.one(), hopf._pushed(sch.relation("P", "D"))) == forward["P"]
+    residuals = transport_structure(sch, h6)
+    assert [label for label, _ in residuals["relations"]][:4] == [
+        "[D,H]", "[M,H]", "[M,D]", "[P,H]"]
+    assert [label for label, _ in residuals["counit"]] == [
+        f"eps({x})" for x in sch.generators]
+    assert {table: len(rows) for table, rows in residuals.items()} == {
+        "relations": 15, "coproduct": 6, "antipode": 6, "counit": 6}
+    assert not any(r for rows in residuals.values() for _, r in rows)
 
 
 def test_transport_detects_corruption():
     h6 = two_photon_algebra(1)
     sch = schrodinger_algebra(1)
-    transported = transport_structure(h6)
-    # corrupt one coproduct entry and expect the comparison to flag it
+    # corrupt one coproduct entry and expect the transport to flag it
     i = sch.gen_index("P")
-    broken = dict(sch.coproduct_table)
-    terms = dict(broken[i])
+    terms = dict(sch.coproduct_table[i])
     key = next(iter(terms))
     terms[key] = terms[key] * 2
-    broken[i] = terms
-    sch.coproduct_table = broken
-    entries = {e.name: e for e in verify_spec_equality(transported, sch)}
+    sch.coproduct_table = {**sch.coproduct_table, i: terms}
+    entries = {e.name: e for e in verify_spec_equality(transport_structure(sch, h6), 1)}
+    assert list(entries) == ["transport/relations", "transport/coproduct",
+                             "transport/antipode", "transport/counit"]
     assert not entries["transport/coproduct"].passed
-    assert "Delta(P)" in entries["transport/coproduct"].residual
+    assert entries["transport/coproduct"].residual == "Delta(P)"
+    assert all(entries[f"transport/{t}"].passed for t in ("relations", "antipode", "counit"))
+    # [P, D] = 2P for P: the residual phi(2P) - [A+, -N - M/2] is the h6 word A+
+    sch._relations[sch.gen_index("P"), sch.gen_index("D")] = {(word(sch, "P"), 0): Fraction(2)}
+    (relations,) = [e for e in verify_spec_equality(transport_structure(sch, h6), 1)
+                    if e.name == "transport/relations"]
+    assert not relations.passed
+    assert relations.residual == f"[P,D] at words [{word(h6, 'A+')}]"
+
+
+def test_transport_catches_every_basis_change_mutation(monkeypatch):
+    # +1 on each of the 7 coefficients of H6_TO_SCH_MAP, one at a time, at k = 2
+    failing = {}
+    singular = []
+    lie = two_photon_lie()
+    for n, (x, vec) in enumerate(H6_TO_SCH_MAP):
+        for g, c in vec.items():
+            mutated = {h: v for h, v in {**vec, g: c + 1}.items() if v}
+            with monkeypatch.context() as patch:
+                patch.setitem(hopf._FORWARD, x, mutated)
+                failing[x, g] = [e.name for e in transport_checks(2) if not e.passed]
+            try:
+                basis_change(lie, H6_TO_SCH_MAP[:n] + ((x, mutated),) + H6_TO_SCH_MAP[n + 1:])
+            except ValueError as exc:
+                if "singular basis map" in str(exc):
+                    singular.append((x, g))
+    assert len(failing) == 7
+    assert all(names == ["transport/relations", "transport/coproduct", "transport/antipode"]
+               for names in failing.values()), failing
+    # D = -N - M/2 with the N coefficient 0 is dependent on M
+    assert singular == [("D", H6_GENERATORS.index("N"))]
+
+
+@pytest.mark.parametrize("order", [4, 8])
+def test_transported_rmatrix_is_the_h6_rmatrix(order):
+    # R of the Schrodinger algebra, pushed legwise through phi, is R of h6
+    sch, h6 = schrodinger_algebra(order), two_photon_algebra(order)
+    assert ordered_difference(h6.tensor_one(), hopf._pushed(r_matrix(sch))) == r_matrix(h6)
+
+
+def test_transported_rmatrix_catches_every_perturbed_factor(monkeypatch):
+    # +1 on the z coefficient of one exp(c z X (x) Y) factor at a time
+    sch, h6 = schrodinger_algebra(2), two_photon_algebra(2)
+
+    def transported_is_h6():
+        return ordered_difference(h6.tensor_one(), hopf._pushed(r_matrix(sch))) == r_matrix(h6)
+
+    assert transported_is_h6()
+    caught = []
+    for name, factors in list(hopf.R_FACTORS.items()):
+        for i, (c, x, y) in enumerate(factors):
+            with monkeypatch.context() as patch:
+                patch.setitem(hopf.R_FACTORS, name,
+                              factors[:i] + ((c + 1, x, y),) + factors[i + 1:])
+                caught.append(not transported_is_h6())
+    assert caught == [True] * 6
+
+
+def _reference_transport_verdicts(order):
+    """{entry name: passed} of the transport as it was before it became a
+    Hopf map into h6, kept as the reference of the row-mutation tests: the
+    h6 tables are pulled back through the inverse basis change, reordered
+    across the central M alone, and compared with the Schrodinger tables
+    entry by entry."""
+    h6, sch = two_photon_algebra(order), schrodinger_algebra(order)
+    columns = [vec for _, vec in H6_TO_SCH_MAP]
+    inverse = []
+    for g in range(len(H6_GENERATORS)):
+        coeffs, consistent = solve_linear(columns, {g: Fraction(1)})
+        assert consistent
+        inverse.append([(i, c) for i, c in enumerate(coeffs) if c])
+    central = sch.gen_index("M")
+
+    def sort_across_central(word):
+        letters = list(word)
+        for i in range(1, len(letters)):
+            j = i
+            while j > 0 and letters[j - 1] > letters[j]:
+                if central not in (letters[j - 1], letters[j]):
+                    raise ValueError(f"cannot reorder word {word} without relations")
+                letters[j - 1], letters[j] = letters[j], letters[j - 1]
+                j -= 1
+        return tuple(letters)
+
+    def pulled_back(raw):
+        def pairs():
+            for legs, s in raw:
+                expansions = [(Fraction(1), ())]
+                for leg in legs:
+                    words = [(Fraction(1), ())]
+                    for g in leg:
+                        words = [(c * ci, w + (i,)) for c, w in words for i, ci in inverse[g]]
+                    expansions = [(c * cw, done + (sort_across_central(w),))
+                                  for c, done in expansions for cw, w in words]
+                for c, new_legs in expansions:
+                    yield new_legs, s * c
+
+        return collect(pairs())
+
+    def as_legs(terms):
+        return (((w,), s) for w, s in terms.items())
+
+    forward = {x: NCElement(h6, {(g,): h6.one_series() * c for g, c in vec.items()})
+               for x, vec in H6_TO_SCH_MAP}
+    gens = sch.generators
+    relations = all(
+        pulled_back(as_legs(forward[x].commutator(forward[y]).terms))
+        == {(w,): s for w, s in sch.relation(x, y).terms.items()}
+        for i, x in enumerate(gens) for y in gens[:i])
+    coproduct = all(pulled_back(h6.coproduct(forward[x]).terms.items()) == sch.coproduct_table[i]
+                    for i, x in enumerate(gens))
+    antipode = all(pulled_back(as_legs(h6.antipode(forward[x]).terms))
+                   == {(w,): s for w, s in sch.antipode_table[i].items()}
+                   for i, x in enumerate(gens))
+    counit = all(h6.counit(forward[x]).is_zero() for x in gens)
+    return {"transport/relations": relations, "transport/coproduct": coproduct,
+            "transport/antipode": antipode, "transport/counit": counit}
+
+
+def _transport_verdicts(entries):
+    return {e.name: e.passed for e in entries if e.name.startswith("transport/")}
 
 
 def _relation_row_mutations(rows):
@@ -238,6 +368,8 @@ def test_hopf_rmatrix_and_transport_catch_every_relation_mutation(monkeypatch):
                 patch.setitem(rows, key, row)
                 alg = make(2)
                 entries = hopf_checks(alg) + rmatrix_checks(alg) + transport_checks(2)
+                reference = _reference_transport_verdicts(2)
+            assert _transport_verdicts(entries) == reference, (key, site)
             failing[key, site] = [e.name for e in entries if not e.passed]
     assert len(failing) == 32
     assert all(failing.values()), [site for site, names in failing.items() if not names]
@@ -264,6 +396,8 @@ def test_hopf_rmatrix_and_transport_catch_every_coproduct_and_antipode_row_mutat
                         patch.setitem(entry, left, row)
                         alg = make(2)
                         entries = hopf_checks(alg) + rmatrix_checks(alg) + transport_checks(2)
+                        reference = _reference_transport_verdicts(2)
+                    assert _transport_verdicts(entries) == reference, (kind, x, left, site)
                     failing[alg.name, kind, x, left, site] = [
                         e.name for e in entries if not e.passed]
     assert len(failing) == 30

@@ -1,8 +1,10 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+from twophoton.algebra import two_photon_algebra
 from twophoton.scalars import ComplexRational, parse_complex_rational, parse_rational
 from twophoton.series import TruncatedSeries
 
@@ -204,6 +206,25 @@ def test_floats_rejected():
         TruncatedSeries([0.5, 1])
     with pytest.raises(TypeError):
         S([1, 2]) * 0.5
+    # complex and Decimal are inexact too: each used to be stored as given,
+    # or to fail deep inside the product kernel
+    alg = two_photon_algebra(2)
+    inexact = [
+        lambda: TruncatedSeries([1j, 0]),
+        lambda: TruncatedSeries.z_power(1, 2, Decimal("0.1")),
+        lambda: 0.5 * S([1, 2]),
+        lambda: S([1, 2]) * 1j,
+        lambda: alg.gen("N").scale(0.5j),
+        lambda: alg.element({(1,): 0.5j}),
+    ]
+    for build in inexact:
+        with pytest.raises(TypeError):
+            build()
+    # ints become Fractions, and Fractions and ComplexRationals pass
+    assert TruncatedSeries([1, True]).pairs == ((0, Fraction(1)), (1, Fraction(1)))
+    assert type(TruncatedSeries([3]).pairs[0][1]) is Fraction
+    i = ComplexRational(0, 1)
+    assert TruncatedSeries.z_power(1, 2, i).pairs == ((1, i),)
 
 
 def test_complex_rational_coefficients():
