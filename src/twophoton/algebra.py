@@ -21,39 +21,38 @@ runs into the interpreter's recursion limit, which surfaces as a
 ``NormalOrderError`` naming the word instead of a hang.
 
 Inside the engine, the relation table maps (word, z power) to one Fraction,
-and the memo holds Python ints: an entry is (d, {(word, z power):
-numerator}) over one positive denominator d, reduced so that d and the
-numerators have no common factor. Entries are combined over the lcm of
-their denominators, so a coefficient operation is an int product, not a
-Fraction's gcd. The built-in tables are homogeneous for a grading in which
-z has a weight, so a normal form carries one z power per word. Every
-product of elements, tensors or raw tensors goes through one kernel,
-``QuantumAlgebra._ordered``. It reads each coefficient's stored
-(z power, Fraction) pairs as int numerators and denominators, once per run
-of raw terms that share the coefficient, and hands back one series of
-Fractions per word, built from that word's pairs: in the graded tables,
-one monomial. Equal coefficients of its result are one object, found by
-their int numerators, and ``term_products`` groups each factor's terms by
-coefficient object, so a pair of groups costs one series product, shared
-by every word pair of the two groups. The R-matrix is a product of
-exponentials, so its products take few distinct coefficients: the
-Schrodinger Yang-Baxter residual at k = 5 pairs 20,518 terms but only
-2,268 coefficient objects. Inside the kernel a word is a small int id: the
-memo numbers the PBW words the kernel meets and reads each raw leg once
-into ids, a leg whose normal form is one word with coefficient 1 (every
-PBW leg, and commuting letters out of order) into that word's id. A raw
-term whose legs are all such words costs one accumulator update keyed by
-its tuple of ids, with no expansion: 15,291 of the 20,518 raw terms of
-that residual. Ids become words again only for the terms that do not
-cancel. This view is part of the memo, and clearing the memo clears it
-too. The residual a*b - c*d of a product identity is one pass of the same
-kernel, ``product_difference``: the raw terms of c*d enter with negated
-numerators and both sides sum into the one accumulator, so neither side is
-built, and only terms that do not cancel become Fractions. Products and
-these residuals enter the kernel through its one entry,
-``ordered_difference``, which also takes hand-made streams of raw terms:
-the antipode and coproduct-bracket residuals of ``hopf.hopf_checks`` are
-each one such pass. The coproduct and antipode of a word are memoised on
+and the memo holds Python ints: it numbers the PBW words it meets with small
+int ids, and an entry is (d, ((word id, z power, numerator), ...)) over one
+positive denominator d, reduced so that d and the numerators have no common
+factor. Entries are combined over the lcm of their denominators, so a
+coefficient operation is an int product, not a Fraction's gcd. The built-in
+tables are homogeneous for a grading in which z has a weight, so a normal
+form carries one z power per word. Every product of elements, tensors or raw
+tensors goes through one kernel, ``QuantumAlgebra._ordered``. It reads each
+coefficient's stored (z power, Fraction) pairs as int numerators and
+denominators, once per run of raw terms that share the coefficient, and
+hands back one series of Fractions per word, built from that word's pairs:
+in the graded tables, one monomial. Equal coefficients of its result are one
+object, found by their int numerators, and ``term_products`` groups each
+factor's terms by coefficient object, so a pair of groups costs one series
+product, shared by every word pair of the two groups. The R-matrix is a
+product of exponentials, so its products take few distinct coefficients: the
+Schrodinger Yang-Baxter residual at k = 5 pairs 20,518 terms but only 2,268
+coefficient objects. Inside the kernel a word is its int id, and a memo
+entry is expanded as it is stored. A raw leg whose normal form is one word
+with coefficient 1 (every PBW leg, and commuting letters out of order) is
+read as that word's id, and a raw term whose legs are all such words costs
+one accumulator update keyed by its tuple of ids, with no expansion: 15,291
+of the 20,518 raw terms of that residual. Ids become words again only for
+the terms that do not cancel. The numbering is part of the memo, and
+clearing the memo clears it too. The residual a*b - c*d of a product
+identity is one pass of the same kernel, ``product_difference``: the raw
+terms of c*d enter with negated numerators and both sides sum into the one
+accumulator, so neither side is built, and only terms that do not cancel
+become Fractions. Products and these residuals enter the kernel through its
+one entry, ``ordered_difference``, which also takes hand-made streams of raw
+terms: the antipode and coproduct-bracket residuals of ``hopf.hopf_checks``
+are each one such pass. The coproduct and antipode of a word are memoised on
 its prefix, so words that share one (B+^n, H^n, ...) share its product.
 
 Two algebras are built in:
@@ -119,24 +118,21 @@ def _first_inversion(word):
 def _combine(parts, order):
     """sum_i c_i / d_i * z^(n_i) * entry_i as a reduced memo entry.
 
-    Each part is (c, d, n, (e, {(word, m): x})) with int c, d, e, x; terms
-    past z^order are dropped, and the result is (D, {(word, n + m):
-    numerator}) over the lcm D of the parts' denominators d * e, divided by
-    the gcd of D and its nonzero numerators.
+    Each part is (c, d, n, (e, ((word id, m, x), ...))) with int c, d, e,
+    x; terms past z^order are dropped, and the result is (D, ((word id,
+    n + m, numerator), ...)) over the lcm D of the parts' denominators
+    d * e, divided by the gcd of D and its nonzero numerators.
     """
     den = lcm(*(d * e for _, d, _, (e, _) in parts))
     acc = {}
     for c, d, n, (e, terms) in parts:
         s = c * (den // (d * e))
-        for (w, m), x in terms.items():
+        for i, m, x in terms:
             if n + m <= order:
-                key = (w, n + m)
+                key = (i, n + m)
                 acc[key] = acc.get(key, 0) + s * x
-    acc = {key: x for key, x in acc.items() if x}
     g = gcd(den, *acc.values())
-    if g == 1:
-        return den, acc
-    return den // g, {key: x // g for key, x in acc.items()}
+    return den // g, tuple([(i, m, x // g) for (i, m), x in acc.items() if x])
 
 
 def _grow(acc, den, b):
@@ -329,31 +325,28 @@ def render_terms(algebra, terms):
 
 
 class _NormalForms(dict):
-    """The one normal-form memo, {raw word: (d, {(word, z power): numerator})},
-    with the product kernel's view of it.
+    """The one normal-form memo, {raw word: (d, ((word id, z power,
+    numerator), ...))}, with the numbering of its words.
 
-    The view gives each PBW word the kernel meets a small int id: ``words``
-    lists them by id, and ``ids`` maps each to its id, and also each raw
-    leg whose normal form is one word with coefficient 1 (commuting letters
-    out of order) to that word's id. ``sums`` maps every other raw leg to
-    (d, ((word id, z power, numerator), ...)), read off its entry. Entries
-    are only ever added, and clearing the memo clears the view, so no view
-    outlives the normal forms it was read from.
+    Every PBW word in an entry is a small int id: ``words`` lists the words
+    by id, and ``ids`` maps each to its id, and also each raw word whose
+    normal form is one word with coefficient 1 (commuting letters out of
+    order) to that word's id, the form in which the product kernel reads
+    such a leg. Entries are only ever added, and clearing the memo clears
+    the numbering, so no id outlives the normal forms it was given for.
     """
 
-    __slots__ = ("ids", "words", "sums")
+    __slots__ = ("ids", "words")
 
     def __init__(self):
         super().__init__()
         self.ids = {}
         self.words = []
-        self.sums = {}
 
     def clear(self):
         super().clear()
         self.ids.clear()
         self.words.clear()
-        self.sums.clear()
 
     def word_id(self, word):
         """The id of a PBW word, given on first sight."""
@@ -377,12 +370,11 @@ class QuantumAlgebra:
     evaluation order.
 
     The relation table maps (word, z power) to one Fraction; the memo of
-    normal forms holds int numerators over one reduced denominator per
-    entry, and ``_ordered`` is the one product kernel over it. The memo
-    carries the kernel's view of itself: an int id for each PBW word, and
-    each raw leg read once into ids. Clearing the memo clears the view, so
-    a table changed behind the algebra's back, with the memo cleared, gives
-    the products of the changed table.
+    normal forms holds int word ids and int numerators over one reduced
+    denominator per entry, and ``_ordered`` is the one product kernel over
+    it. Clearing the memo clears its numbering of words, so a table
+    changed behind the algebra's back, with the memo cleared, gives the
+    products of the changed table.
     The coproduct and antipode tables and their memos hold plain
     {key: series} maps, wrapped into elements on access: an element points
     back at its algebra, so tables of elements would keep every algebra in
@@ -475,7 +467,8 @@ class QuantumAlgebra:
     def normal_word(self, word):
         """PBW normal form of one raw word, as a {word: series} map."""
         d, nf = self._normal_form(tuple(word))
-        return self._series_terms(nf, d)
+        words = self._nf_cache.words
+        return self._series_terms({(words[i], m): x for i, m, x in nf}, d)
 
     def normal_terms(self, raw_terms):
         """Normal form of a raw {word: coefficient} map, as a {word: series} map."""
@@ -487,10 +480,10 @@ class QuantumAlgebra:
         """Normal-ordered {legs: series} of the sum of the raw (legs, series)
         terms of ``raw`` minus those of ``minus``.
 
-        The one product kernel of the engine. It works on the word ids of
-        the memo's view: each raw leg is read once per algebra, as the id of
-        one word if its normal form is that word with coefficient 1 (a PBW
-        leg is its own), else as (d, ((id, z power, numerator), ...)). A
+        The one product kernel of the engine. It works on the memo's word
+        ids: a raw leg whose normal form is one word with coefficient 1 is
+        that word's id in ``ids`` (a PBW leg is its own), and any other is
+        read as its memo entry, (d, ((id, z power, numerator), ...)). A
         coefficient's stored (z power, Fraction) pairs are read as signed
         ints once per run of consecutive raw terms that share one series
         object, the numerators negated for ``minus``. A raw term whose legs
@@ -509,7 +502,7 @@ class QuantumAlgebra:
         k = self.order
         memo = self._nf_cache
         leg_id = memo.ids.get
-        sums = memo.sums
+        entry = memo.get
         acc = {}
         den = 1
         for sign, stream in ((1, raw), (-1, minus)):
@@ -538,7 +531,7 @@ class QuantumAlgebra:
                 run = ()
                 for leg, form in zip(legs, ids):
                     if form is None:
-                        form = sums.get(leg) or self._leg_form(leg)
+                        form = entry(leg) or self._leg_form(leg)
                     if type(form) is int:
                         run += (form,)
                     else:
@@ -556,24 +549,12 @@ class QuantumAlgebra:
         return self._series_terms(acc, den, memo.words)
 
     def _leg_form(self, leg):
-        """The kernel's form of a raw leg, kept in the memo's view: the id of
-        a PBW leg, which needs no memo entry; else, read off the leg's memo
-        entry, a word id if its normal form is one word with coefficient 1,
-        or (d, ((word id, z power, numerator), ...))."""
-        memo = self._nf_cache
+        """The kernel's form of a raw leg that is neither in ``ids`` nor in
+        the memo: the id of a PBW leg, which needs no memo entry, else the
+        leg's new memo entry."""
         if _first_inversion(leg) is None:
-            return memo.word_id(leg)
-        d, nf = memo.get(leg) or self._normal_form(leg)
-        ids = memo.ids
-        word_id = memo.word_id
-        expansion = tuple([(ids.get(w) or word_id(w), m, x) for (w, m), x in nf.items()])
-        if d == 1 and len(expansion) == 1:
-            i, m, x = expansion[0]
-            if m == 0 and x == 1:
-                ids[leg] = i
-                return i
-        memo.sums[leg] = form = (d, expansion)
-        return form
+            return self._nf_cache.word_id(leg)
+        return self._normal_form(leg)
 
     def _series_terms(self, numerators, den=1, words=None):
         """Regroup a {(key, z power): numerator} map over the positive
@@ -621,16 +602,19 @@ class QuantumAlgebra:
         except RecursionError:
             raise NormalOrderError(self.name, word) from None
 
-    # The memo below holds (d, {(word, z power): numerator}): the scalars
-    # are the int numerators over one positive denominator d, with
-    # gcd(d, *numerators) == 1. Its pieces are built by list
-    # comprehensions, not generators: each rewriting level then nests two
-    # frames, not three, on the way to the recursion limit (a stripped run
-    # adds one). A PBW word's normal form is (1, {(word, 0): 1}).
+    # The memo below holds (d, ((word id, z power, numerator), ...)): the
+    # scalars are the int numerators over one positive denominator d, with
+    # gcd(d, *numerators) == 1, and the words are ids of the memo's
+    # numbering, read back as words only where a prefix is extended. Its
+    # pieces are built by list comprehensions, not generators: each
+    # rewriting level then nests two frames, not three, on the way to the
+    # recursion limit (a stripped run adds one). A PBW word's normal form is
+    # (1, ((its id, 0, 1),)).
 
     def _nf(self, word):
-        """Normal form of a raw word as (d, {(word, z power): numerator}),
-        split at its first inversion.
+        """Normal form of a raw word as (d, ((word id, z power, numerator),
+        ...)), split at its first inversion; a word whose normal form is
+        one word with coefficient 1 is also recorded in ``ids``.
 
         A word 0^j + tail with j >= 1 and an inversion in tail has the
         normal form of tail with 0^j prepended to every word: generator 0
@@ -647,33 +631,39 @@ class QuantumAlgebra:
         and denominators. The pieces are combined over the lcm of their
         denominators.
         """
-        cached = self._nf_cache.get(word)
+        memo = self._nf_cache
+        cached = memo.get(word)
         if cached is not None:
             return cached
+        words = memo.words
         i = _first_inversion(word)
         if i is None:
-            out = (1, {(word, 0): 1})
+            out = (1, ((memo.word_id(word), 0, 1),))
         elif word[0] == 0:
             j = 1
             while word[j] == 0:
                 j += 1
             run = word[:j]
             d, terms = self._nf(word[j:])
-            out = (d, {(run + w, n): x for (w, n), x in terms.items()})
+            word_id = memo.word_id
+            out = (d, tuple([(word_id(run + words[v]), n, x) for v, n, x in terms]))
         elif i + 2 < len(word):
             d, terms = self._nf(word[:i + 2])
             rest = word[i + 2:]
-            out = _combine([(c, d, n, self._nf(v + rest))
-                            for (v, n), c in terms.items()], self.order)
+            out = _combine([(c, d, n, self._nf(words[v] + rest))
+                            for v, n, c in terms], self.order)
         else:
             head, h, g = word[:-2], word[-2], word[-1]
             d, first = self._nf(head + (g,))
             out = _combine(
-                [(c, d, n, self._nf(v + (h,))) for (v, n), c in first.items()]
+                [(c, d, n, self._nf(words[v] + (h,))) for v, n, c in first]
                 + [(c.numerator, c.denominator, n, self._nf(head + rw))
                    for (rw, n), c in self._relations[(h, g)].items()],
                 self.order)
-        self._nf_cache[word] = out
+        d, terms = out
+        if d == 1 and len(terms) == 1 and terms[0][1:] == (0, 1):
+            memo.ids[word] = terms[0][0]
+        memo[word] = out
         return out
 
     # -- structure maps -------------------------------------------------------

@@ -20,8 +20,8 @@ from math import gcd, lcm
 
 from .algebra import two_photon_algebra
 from .report import CheckResult, residual_entry
-from .scalars import ComplexRational
-from .series import TruncatedSeries, exp_nilpotent, sqrt_unit
+from .scalars import ComplexRational, _rational
+from .series import TruncatedSeries, _coerce, exp_nilpotent, sqrt_unit
 from .sparse import (SparseTerms, collect, linear_combination, monomial, render_sum,
                      weyl_terms)
 
@@ -110,7 +110,7 @@ class DiffOperator(SparseTerms):
 
     def substitute_z(self, z):
         """Collapse the series coefficients at an exact rational z value."""
-        z = Fraction(z)
+        z = _rational(z, DiffOperator)
         out = {}
         for key, s in self.terms.items():
             val = sum((c * z ** i for i, c in enumerate(s.coeffs)), Fraction(0))
@@ -342,7 +342,7 @@ def series_solve(op, degree, seeds=None):
     smin = min(j - l for (j, l) in terms)
     d = max(0, -smin)
 
-    seeds = dict(seeds or {})
+    seeds = {n: _coerce(v) for n, v in (seeds or {}).items()}
     defaults = {0: Fraction(1), 1: Fraction(0)}
     for n in range(d):
         seeds.setdefault(n, defaults.get(n, Fraction(0)))

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .algebra import schrodinger_algebra, two_photon_algebra
 from .report import CheckResult
+from .scalars import _rational
 from .sparse import SparseTerms, collect, linear_combination, solve_linear
 
 __all__ = [
@@ -48,7 +49,7 @@ class WedgeElement(SparseTerms):
     def __init__(self, terms=()):
         def canonical():
             for (i, j), c in (terms.items() if isinstance(terms, dict) else terms):
-                c = Fraction(c)
+                c = _rational(c, WedgeElement)
                 if c == 0:
                     continue
                 if i == j:
@@ -82,9 +83,9 @@ class LieAlgebra:
         table = {}
         for i in range(n):
             for j in range(i):
-                vec = {k: Fraction(v) for k, v in brackets.get((i, j), {}).items()
-                       if Fraction(v) != 0}
-                table[(i, j)] = vec
+                vec = {k: _rational(v, LieAlgebra)
+                       for k, v in brackets.get((i, j), {}).items()}
+                table[(i, j)] = {k: v for k, v in vec.items() if v}
         self.table = table
         bad = self.jacobi_violations()
         if bad:
@@ -306,7 +307,7 @@ def basis_change(lie, rows):
     bracket; otherwise this raises ValueError.
     """
     names = [name for name, _ in rows]
-    vecs = [{k: Fraction(v) for k, v in vec.items()} for _, vec in rows]
+    vecs = [{k: _rational(v, basis_change) for k, v in vec.items()} for _, vec in rows]
     for idx in range(len(vecs)):
         _, dependent = solve_linear(vecs[:idx] + vecs[idx + 1:], vecs[idx])
         if dependent:

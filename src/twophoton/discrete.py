@@ -25,6 +25,7 @@ from operator import mul
 
 from .algebra import SCH_CASIMIR, SCH_GENERATORS, SCH_RELATIONS
 from .report import CheckResult, residual_entry
+from .scalars import _rational
 from .sparse import (SparseTerms, collect, linear_combination, monomial, render_sum,
                      solve_linear, weyl_terms)
 
@@ -35,16 +36,6 @@ __all__ = [
     "heat_polynomials", "exponential_solutions", "apply_and_recheck",
     "solution_checks", "regular_kappas", "sample_grid",
 ]
-
-
-def _rational(value, cls):
-    """``value``, an int or a Fraction, as a Fraction; a float (its binary
-    expansion) or another ring's scalar raises TypeError naming ``cls``."""
-    if type(value) is Fraction:
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    raise TypeError(f"{cls.__name__} takes int or Fraction scalars, not {type(value).__name__}")
 
 
 def _operator_key(key):
@@ -407,12 +398,13 @@ class ExpPolyFunction(SparseTerms):
         return self._derivative(1)
 
     def shift(self, steps=1):
-        """T^steps: t -> t + 4 z steps on polynomial factors, times r^steps."""
+        """T^steps: t -> t + 4 z steps on polynomial factors, times r^steps;
+        a term with r = 0 vanishes forwards and raises backwards."""
         delta = 4 * self.z * steps
 
         def pairs():
             for (a, b, kap, w, r), c in self.terms.items():
-                if r == 0:
+                if r == 0 and steps < 0:
                     raise ValueError("step factor 0 cannot be shifted backwards")
                 factor = c * r ** steps
                 for i, ci in _binomial_shift(b, delta):

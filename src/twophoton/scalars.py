@@ -13,6 +13,17 @@ __all__ = ["ComplexRational", "parse_rational", "parse_complex_rational"]
 _ZERO = Fraction(0)
 
 
+def _rational(value, owner):
+    """``value``, an int or a Fraction, as a Fraction; a float (its binary
+    expansion) or another ring's scalar raises TypeError naming ``owner``,
+    the class or function that takes it."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    raise TypeError(f"{owner.__name__} takes int or Fraction scalars, not {type(value).__name__}")
+
+
 def parse_rational(text):
     """Parse 'p' or 'p/q' into a Fraction, rejecting anything inexact."""
     if isinstance(text, float):

@@ -6,7 +6,7 @@ import sys
 import weakref
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement, product, repeat
-from math import gcd, prod
+from math import gcd, lcm, prod
 from pathlib import Path
 
 import pytest
@@ -15,7 +15,7 @@ import twophoton
 from twophoton import hopf
 from twophoton.algebra import (NCElement, NormalOrderError, QuantumAlgebra, TensorElement,
                                product_difference, two_photon_algebra, schrodinger_algebra,
-                               _combine, _first_inversion)
+                               _first_inversion)
 from twophoton.series import TruncatedSeries
 from twophoton.sparse import collect, linear_combination
 
@@ -273,6 +273,27 @@ def test_leading_run_words_match_reference_rewriter(make):
         assert alg.normal_word(raw) == _reference_normal_form(alg, raw, memo), raw
 
 
+def _word_keyed_combine(parts, order):
+    """sum_i c_i / d_i * z^(n_i) * entry_i over word-keyed entries (e,
+    {(word, m): x}), reduced as the engine reduces its memo entries."""
+    den = lcm(*(d * e for _, d, _, (e, _) in parts))
+    acc = {}
+    for c, d, n, (e, terms) in parts:
+        for (w, m), x in terms.items():
+            if n + m <= order:
+                acc[(w, n + m)] = acc.get((w, n + m), 0) + c * (den // (d * e)) * x
+    acc = {key: x for key, x in acc.items() if x}
+    g = gcd(den, *acc.values())
+    return den // g, {key: x // g for key, x in acc.items()}
+
+
+def _entry_words(alg, entry):
+    """A memo entry (d, ((word id, m, x), ...)) as (d, {(word, m): x})."""
+    d, terms = entry
+    words = alg._nf_cache.words
+    return d, {(words[i], m): x for i, m, x in terms}
+
+
 def _unstripped_normal_form(alg, word, memo, mul_memo):
     """The rewriting without the leading-run strip, as a memo entry: split
     at the first inversion, prefix * g by one generator at a time, with the
@@ -287,8 +308,9 @@ def _unstripped_normal_form(alg, word, memo, mul_memo):
         rest = word[i + 2:]
         if rest:
             d, terms = out
-            out = _combine([(c, d, n, _unstripped_normal_form(alg, v + rest, memo, mul_memo))
-                            for (v, n), c in terms.items()], alg.order)
+            out = _word_keyed_combine(
+                [(c, d, n, _unstripped_normal_form(alg, v + rest, memo, mul_memo))
+                 for (v, n), c in terms.items()], alg.order)
     memo[word] = out
     return out
 
@@ -300,7 +322,7 @@ def _unstripped_product(alg, word, g, memo, mul_memo):
         return mul_memo[(word, g)]
     head, h = word[:-1], word[-1]
     d, first = _unstripped_product(alg, head, g, memo, mul_memo)
-    out = _combine(
+    out = _word_keyed_combine(
         [(c, d, n, _unstripped_product(alg, v, h, memo, mul_memo))
          for (v, n), c in first.items()]
         + [(c.numerator, c.denominator, n, _unstripped_normal_form(alg, head + rw, memo, mul_memo))
@@ -330,7 +352,8 @@ def test_leading_run_strip_is_exact_on_a_non_confluent_table(order):
     memo, mul_memo = {}, {}
     for raw in sorted(words):
         # the memo entries themselves, so normal_word's series agree too
-        assert alg._normal_form(raw) == _unstripped_normal_form(alg, raw, memo, mul_memo), raw
+        assert (_entry_words(alg, alg._normal_form(raw))
+                == _unstripped_normal_form(alg, raw, memo, mul_memo)), raw
 
 
 @pytest.mark.parametrize("make", ALGEBRAS)
@@ -339,7 +362,7 @@ def test_memo_entries_are_ints_over_one_reduced_denominator(make):
     for length in range(5):
         for raw in product(range(6), repeat=length):
             alg.normal_word(raw)
-    entries = list(alg._nf_cache.values())
+    entries = [_entry_words(alg, entry) for entry in alg._nf_cache.values()]
     for d, terms in entries:
         assert type(d) is int and d > 0
         assert all(type(x) is int and x for x in terms.values())
@@ -527,7 +550,7 @@ def _word_keyed_ordered(alg, raw, minus=()):
     for sign, (legs, series) in chain(zip(repeat(1), raw), zip(repeat(-1), minus)):
         partial = [((), n, sign * c.numerator, c.denominator) for n, c in series.pairs]
         for leg in legs:
-            d, nf = alg._normal_form(leg)
+            d, nf = _entry_words(alg, alg._normal_form(leg))
             partial = [(words + (w,), n + m, a * x, b * d)
                        for words, n, a, b in partial
                        for (w, m), x in nf.items() if n + m <= k]
@@ -626,27 +649,60 @@ def _add_one(alg, x, y, coefficient):
 
 
 @pytest.mark.parametrize("x, y, coefficient", [
-    # [B-, N] = 2B- + 4z N^2: the leg B- N has a normal form of three words
+    # [B-, N] = 2B- + 4z N^2: the leg B- N has a normal form of three words,
+    # which the kernel reads from its memo entry
     ("B-", "N", "B-"),
-    # M is central: the leg M N has the one word N M with coefficient 1
+    # M is central: the leg M N has the one word N M with coefficient 1,
+    # which the kernel reads from ``ids``
     ("M", "N", "M"),
 ])
 def test_kernel_view_is_forgotten_with_the_normal_forms(x, y, coefficient):
     alg = two_photon_algebra(3)
     product = lambda a: (a.gen(x) * a.gen(y)).terms
     before = product(alg)
+    outlives = word(alg, x, y) in alg._nf_cache.ids
+    assert outlives == (x == "M")
     _add_one(alg, x, y, coefficient)
-    # negative control: the memo emptied behind its view's back still gives
-    # the old product, since the kernel reads the leg from the view
-    dict.clear(alg._nf_cache)
-    assert product(alg) == before
-    alg._nf_cache.clear()
-    after = product(alg)
-    assert after != before
     fresh = two_photon_algebra(3)
     _add_one(fresh, x, y, coefficient)
     fresh._nf_cache.clear()
-    assert after == product(fresh)
+    after = product(fresh)
+    assert after != before
+    # negative control: with the entries emptied behind the numbering's
+    # back, a multi-word leg is forgotten at once, and only ``ids``, which
+    # still reads M N as N M, gives the old product
+    dict.clear(alg._nf_cache)
+    assert product(alg) == (before if outlives else after)
+    alg._nf_cache.clear()
+    assert product(alg) == after
+
+
+@pytest.mark.parametrize("make", [two_photon_algebra, schrodinger_algebra])
+def test_each_normal_form_is_held_once(make):
+    # the memo's entries are the kernel's form; beside them it keeps only
+    # the numbering of words, and a raw leg's id only where its entry is
+    # one word with coefficient 1
+    alg = make(3)
+    r = hopf.r_matrix(alg)
+    assert r * r.swap()
+    memo = alg._nf_cache
+    assert set(type(memo).__slots__) == {"ids", "words"}
+    assert not hasattr(memo, "__dict__")
+    assert [memo.ids[w] for w in memo.words] == list(range(len(memo.words)))
+    single = 0
+    for raw, (d, terms) in memo.items():
+        assert all(type(i) is int and type(m) is int and type(x) is int and x
+                   for i, m, x in terms)
+        assert len({(i, m) for i, m, _ in terms}) == len(terms)
+        if d == 1 and len(terms) == 1 and terms[0][1:] == (0, 1):
+            assert memo.ids[raw] == terms[0][0]
+            single += _first_inversion(raw) is not None
+        else:
+            assert raw not in memo.ids
+    assert single
+    # every other key of ``ids`` is a PBW word, numbered as itself
+    assert all(_first_inversion(w) is None and memo.words[i] == w
+               for w, i in memo.ids.items() if w not in memo)
 
 
 def test_word_ids_stay_with_their_algebra():

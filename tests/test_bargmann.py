@@ -285,6 +285,24 @@ def test_series_solve_custom_seeds():
     assert coeffs[:2] == [Fraction(2, 3), Fraction(-5, 7)]
 
 
+def test_substitute_z_takes_an_exact_rational():
+    one, zero = ComplexRational(1), ComplexRational(0)
+    op = eigen_operator(EigenProblem((zero, one, one, zero, zero), one), first_order_rep())
+    with pytest.raises(TypeError, match="DiffOperator takes int or Fraction scalars, not float"):
+        op.substitute_z(0.1)
+    assert op.substitute_z(0) == op.substitute_z(Fraction(0))
+
+
+def test_series_solve_seeds_are_exact():
+    # a float seed used to come back among the coefficients as it was given
+    op = op0({(0, 2): 1})
+    with pytest.raises(TypeError, match="inexact coefficient 0.5"):
+        series_solve(op, 5, seeds={0: 0.5})
+    coeffs, _ = series_solve(op, 3, seeds={0: 2, 1: ComplexRational(0, 1)})
+    assert coeffs == [2, ComplexRational(0, 1), 0, 0]
+    assert type(coeffs[0]) is Fraction
+
+
 def test_series_solve_singular_head_with_obstruction():
     # (1 - a/5) d + 1: the head (m+1)(1 - m/5) vanishes at m = 5 while the
     # constant term keeps feeding the right-hand side

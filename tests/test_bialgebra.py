@@ -5,7 +5,7 @@ import pytest
 from twophoton.algebra import schrodinger_algebra, two_photon_algebra
 from twophoton.bialgebra import (H6_DELTA_TABLE, H6_R_MATRIX, H6_TO_SCH_MAP,
                                  SCH_DELTA_TABLE, SCH_R_MATRIX, SL2_EXT_MAP,
-                                 WedgeElement, basis_change, classical_lie,
+                                 LieAlgebra, WedgeElement, basis_change, classical_lie,
                                  cocommutator_from_r, delta_table_from_r,
                                  schrodinger_lie, two_photon_lie, verify_cocycle,
                                  verify_cybe)
@@ -174,6 +174,35 @@ def test_basis_change_rejects_open_span():
             ("Z", {0: Fraction(1)})]
     with pytest.raises(ValueError):
         basis_change(h6, rows)
+
+
+# a float would enter these as its binary expansion: Fraction(0.1) is
+# 3602879701896397/36028797018963968
+FLOAT_ERROR = "takes int or Fraction scalars, not float"
+
+
+def test_wedge_coefficients_are_exact():
+    with pytest.raises(TypeError, match=f"WedgeElement {FLOAT_ERROR}"):
+        WedgeElement({(0, 1): 0.1})
+    with pytest.raises(TypeError, match=f"WedgeElement {FLOAT_ERROR}"):
+        WedgeElement().add_pair(0, 1, 0.5)
+    assert WedgeElement({(1, 0): 3}) == WedgeElement({(0, 1): Fraction(-3)})
+
+
+def test_lie_brackets_are_exact():
+    with pytest.raises(TypeError, match=f"LieAlgebra {FLOAT_ERROR}"):
+        LieAlgebra("two", ("X", "Y"), {(1, 0): {0: 0.5}})
+    lie = LieAlgebra("two", ("X", "Y"), {(1, 0): {0: 2, 1: Fraction(0)}})
+    assert lie.table == {(1, 0): {0: Fraction(2)}}
+
+
+def test_basis_change_rows_are_exact():
+    rows = tuple((name, {g: float(c) for g, c in row.items()}) for name, row in H6_TO_SCH_MAP)
+    with pytest.raises(TypeError, match=f"basis_change {FLOAT_ERROR}"):
+        basis_change(two_photon_lie(), rows)
+    rows = tuple((name, {g: int(c) if c.denominator == 1 else c for g, c in row.items()})
+                 for name, row in H6_TO_SCH_MAP)
+    assert basis_change(two_photon_lie(), rows).table == schrodinger_lie().table
 
 
 def test_wedge_render():

@@ -127,6 +127,23 @@ def test_internal_error_exits_three(monkeypatch):
     assert rc == 3
 
 
+def test_singular_basis_map_fails_the_classical_table_entry(tmp_path, monkeypatch, capsys):
+    # D = -N - M/2 with its N coefficient set to 0 is M's multiple: the run
+    # still writes its report, with the classical-table entry failing
+    singular = tuple((name, {**row, 1: 0} if name == "D" else row)
+                     for name, row in cli.H6_TO_SCH_MAP)
+    monkeypatch.setattr(cli, "H6_TO_SCH_MAP", singular)
+    out = tmp_path / "report.json"
+    assert cli.main(["--checks", "hopf", "--order", "1", "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    entries = {e["name"]: e for e in json.loads(out.read_text())["entries"]}
+    entry = entries["transport/classical-table"]
+    assert not entry["pass"]
+    assert entry["residual"].startswith("singular basis map")
+    assert [name for name, e in entries.items() if not e["pass"]] == [
+        "transport/classical-table"]
+
+
 def test_json_report_deterministic(tmp_path):
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     assert run_cli("--order", "1", "--out", str(out1)).returncode == 0

@@ -412,6 +412,21 @@ def test_exponential_solution_step_factor():
         exponential_solutions(Fraction(1), Fraction(1, 8), [Fraction(2)])
 
 
+def test_step_factor_zero_vanishes_forwards_and_raises_backwards():
+    # a term with r = 0 is T-annihilated: T phi = 0 * phi(t + 4z), while the
+    # backward shift would divide by r
+    dead = ExpPolyFunction(Z, {(1, 2, Fraction(0), Fraction(0), Fraction(0)): 3})
+    live = ExpPolyFunction.exponential(Z, 1, 0, Fraction(1, 2))
+    for steps in (1, 2):
+        assert (dead + live).shift(steps) == live.shift(steps)
+        assert dead.shift(steps).is_zero()
+    assert dead.shift(0) == dead
+    for steps in (-1, -2):
+        with pytest.raises(ValueError, match="step factor 0 cannot be shifted backwards"):
+            (dead + live).shift(steps)
+        assert live.shift(steps).shift(-steps) == live
+
+
 def test_apply_and_recheck():
     phi = heat_polynomials(M, Z, 3)[2]
     for gen in ("H", "D", "M", "P", "K", "C"):
