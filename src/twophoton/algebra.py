@@ -29,13 +29,15 @@ coefficient operation is an int product, not a Fraction's gcd. The built-in
 tables are homogeneous for a grading in which z has a weight, so a normal
 form carries one z power per word. Every product of elements, tensors or raw
 tensors goes through one kernel, ``QuantumAlgebra._ordered``. It reads each
-coefficient's stored (z power, Fraction) pairs as int numerators and
-denominators, once per run of raw terms that share the coefficient, and
-hands back one series of Fractions per word, built from that word's pairs:
-in the graded tables, one monomial. Equal coefficients of its result are one
-object, found by their int numerators, and ``term_products`` groups each
-factor's terms by coefficient object, so a pair of groups costs one series
-product, shared by every word pair of the two groups. The R-matrix is a
+coefficient in its int form, (z power, numerator, denominator) triples,
+once per run of raw terms that share the coefficient, and hands back one
+series per word, made in that int form from the word's numerators: in the
+graded tables, one monomial. A series makes its Fractions only when they
+are read. Equal coefficients of its result are one object, found by their
+int numerators, and ``term_products`` groups each factor's terms by
+coefficient object, so a pair of groups costs one series product, shared by
+every word pair of the two groups; a product of two such monomials is made
+on ints too. The R-matrix is a
 product of exponentials, so its products take few distinct coefficients: the
 Schrodinger Yang-Baxter residual at k = 5 pairs 20,518 terms but only 2,268
 coefficient objects. Inside the kernel a word is its int id, and a memo
@@ -49,7 +51,7 @@ clearing the memo clears it too. The residual a*b - c*d of a product
 identity is one pass of the same kernel, ``product_difference``: the raw
 terms of c*d enter with negated numerators and both sides sum into the one
 accumulator, so neither side is built, and only terms that do not cancel
-become Fractions. Products and these residuals enter the kernel through its
+become series. Products and these residuals enter the kernel through its
 one entry, ``ordered_difference``, which also takes hand-made streams of raw
 terms: the antipode and coproduct-bracket residuals of ``hopf.hopf_checks``
 are each one such pass. The coproduct and antipode of a word are memoised on
@@ -269,9 +271,9 @@ class TensorElement(_PBWTerms):
         self.rank = rank
         super().__init__((algebra, rank), terms)
 
-    @staticmethod
-    def _join(a, b):
-        return tuple(map(add, a, b))
+    @property
+    def _join(self):
+        return _LEG_JOINS.get(self.rank, _join_legs)
 
     def _from_ordered(self, ordered):
         return TensorElement(self.algebra, self.rank, ordered)
@@ -305,6 +307,17 @@ class TensorElement(_PBWTerms):
 
     def __repr__(self):
         return f"<TensorElement rank {self.rank}: {self}>"
+
+
+def _join_legs(a, b):
+    return tuple(map(add, a, b))
+
+
+# the legs of a product of two rank-2 or rank-3 keys, joined leg by leg
+_LEG_JOINS = {
+    2: lambda a, b: (a[0] + b[0], a[1] + b[1]),
+    3: lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2]),
+}
 
 
 def _word_sort_key(word):
@@ -484,20 +497,19 @@ class QuantumAlgebra:
         ids: a raw leg whose normal form is one word with coefficient 1 is
         that word's id in ``ids`` (a PBW leg is its own), and any other is
         read as its memo entry, (d, ((id, z power, numerator), ...)). A
-        coefficient's stored (z power, Fraction) pairs are read as signed
-        ints once per run of consecutive raw terms that share one series
-        object, the numerators negated for ``minus``. A raw term whose legs
+        coefficient's int triples (z power, numerator, denominator) are read
+        once per run of consecutive raw terms that share one series object,
+        the numerators negated for ``minus``. A raw term whose legs
         are all single words goes straight into the accumulator, keyed by
         (tuple of leg ids, z power); any other is expanded at its other
         legs, and a partial product past z^k is dropped before the next one.
         Both sums accumulate in one dict of numerators over a running
         denominator, rescaled in the rare case that a new denominator grows
         it. Ids become words again only for the terms that do not cancel,
-        in ``_series_terms``, which regroups them into one series per tuple
-        of legs, with one Fraction per distinct numerator and one series per
-        distinct coefficient: equal coefficients of the result are one
-        object, which ``term_products`` multiplies once per pair when the
-        result is a factor again.
+        in ``_series_terms``, which regroups them into one int-backed series
+        per tuple of legs, one series per distinct coefficient: equal
+        coefficients of the result are one object, which ``term_products``
+        multiplies once per pair when the result is a factor again.
         """
         k = self.order
         memo = self._nf_cache
@@ -512,8 +524,7 @@ class QuantumAlgebra:
                     last = series
                     # (legs so far, z power, numerator, denominator) of each
                     # pair, the start of a term's expansion
-                    pairs = [((), n, sign * c.numerator, c.denominator)
-                             for n, c in series.pairs]
+                    pairs = [((), n, sign * x, d) for n, x, d in series._int_terms()]
                     scaled = None
                 ids = tuple(map(leg_id, legs))
                 if None not in ids:
@@ -562,19 +573,19 @@ class QuantumAlgebra:
         with ``words``, a key is a tuple of word ids, and each surviving key
         is turned into its tuple of words.
 
-        Each key's (power, numerator / den) pairs, sorted by power, are its
-        series' stored pairs; no zero power is filled in. Equal coefficients
-        become one object: one Fraction per distinct numerator and one
-        series per distinct tuple of (power, numerator) pairs, both looked
-        up by the numerators themselves. The kernel passes ints, so it
-        hashes no Fraction; the relation table passes its Fractions over 1.
+        Each key's (power, numerator / den) terms, sorted by power, are its
+        series' int triples, each numerator reduced against ``den`` with one
+        gcd per distinct numerator; no zero power is filled in and no
+        Fraction is made. Equal coefficients become one object: one series
+        per distinct tuple of (power, numerator) pairs, looked up by the
+        numerators themselves.
         """
         k = self.order
         pairs = {}
         for (key, n), a in numerators.items():
             if a:
                 pairs.setdefault(key, []).append((n, a))
-        fractions = {}
+        reduced = {}
         shared = {}
         out = {}
         word_of = None if words is None else words.__getitem__
@@ -582,13 +593,14 @@ class QuantumAlgebra:
             p = tuple(sorted(p))
             s = shared.get(p)
             if s is None:
-                coeffs = []
+                triples = []
                 for n, a in p:
-                    c = fractions.get(a)
+                    c = reduced.get(a)
                     if c is None:
-                        fractions[a] = c = Fraction(a, den)
-                    coeffs.append((n, c))
-                shared[p] = s = TruncatedSeries._exact(tuple(coeffs), k)
+                        g = gcd(a, den)
+                        reduced[a] = c = (a // g, den // g)
+                    triples.append((n,) + c)
+                shared[p] = s = TruncatedSeries._from_ints(tuple(triples), k)
             if word_of is not None:
                 key = tuple(map(word_of, key))
             out[key] = s
@@ -674,8 +686,13 @@ class QuantumAlgebra:
         if i == j:
             return self.zero()
         if i > j:
-            return NCElement(self, self._series_terms(self._relations[(i, j)]))
-        return -NCElement(self, self._series_terms(self._relations[(j, i)]))
+            return NCElement(self, self._relation_terms((i, j)))
+        return -NCElement(self, self._relation_terms((j, i)))
+
+    def _relation_terms(self, pair):
+        """[X_hi, X_lo] for a generator pair (hi, lo) as a {word: series} map."""
+        return collect((w, TruncatedSeries.z_power(n, self.order, c))
+                       for (w, n), c in self._relations[pair].items())
 
     def commutator(self, x, y):
         return x.commutator(y)
@@ -757,8 +774,8 @@ class QuantumAlgebra:
             "central": sorted(g for i, g in enumerate(self.generators) if i not in bracketed),
             "relations": {
                 f"[{self.generators[hi]},{self.generators[lo]}]":
-                    words_json(self._series_terms(val))
-                for (hi, lo), val in sorted(self._relations.items())
+                    words_json(self._relation_terms((hi, lo)))
+                for hi, lo in sorted(self._relations)
             },
             "coproduct": {
                 self.generators[i]: tensor_json(terms)

@@ -107,7 +107,10 @@ class LieAlgebra:
         return {k: -v for k, v in self.table[(j, i)].items()}
 
     def bracket(self, va, vb):
-        """Bracket of two coefficient vectors."""
+        """Bracket of two coefficient vectors of int or Fraction entries; a
+        float entry raises TypeError."""
+        va, vb = ({k: _rational(c, LieAlgebra) for k, c in v.items()} for v in (va, vb))
+
         def pairs():
             for i, a in va.items():
                 if a == 0:

@@ -8,6 +8,15 @@ of two monomials is one scalar multiplication, and no operation visits a
 zero coefficient. A sum or product whose coefficients cancel drops them,
 so equal series store equal pairs.
 
+A series of Fractions has a second form, the same terms as int triples
+(power, numerator, denominator) in lowest terms with a positive
+denominator. A series holds one form or both: each is derived from the
+other on its first read and then kept. The PBW product kernel makes its
+results in the int form and reads its operands in it, and a product of two
+monomials of Fractions is made on ints, two gcds and two int products, so
+the many coefficient products of a Yang-Baxter residual make no Fraction;
+Fractions are made only for a series that is read through ``pairs``.
+
 Coefficients are Fractions or ComplexRationals: the constructors and the
 scalar products turn an int into a Fraction and refuse any other type
 (float, complex, Decimal) with TypeError, so nothing inexact enters a
@@ -20,7 +29,7 @@ orders is an error, never a silent coercion.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 from .scalars import ComplexRational
 from .sparse import SparseTerms
@@ -58,13 +67,19 @@ def _nonzero_sorted(acc):
 class TruncatedSeries:
     """c_0 + c_1 z + ... + c_k z^k, kept as the pairs (n, c_n) with c_n != 0.
 
-    ``pairs`` is the one stored form: ascending in n, every coefficient
-    nonzero, so ``low_order`` and the truth value read its first pair.
-    ``coeffs`` is the dense tuple c_0..c_k, derived on each access for the
-    readers that index by power.
+    ``pairs`` is the one public form: ascending in n, every coefficient
+    nonzero. A series of Fractions may hold the same terms as int triples
+    (n, numerator, denominator) instead, read by ``_int_terms()``; each form
+    is made from the other on its first read and then kept, and a series
+    made in one form never makes the other unless it is read. Both list the
+    same powers, so ``low_order`` and the truth value read the first term
+    of either, and equality, hashing, ``str`` and ``coeffs`` see the same
+    values whichever form a series was made in. ``coeffs`` is the dense
+    tuple c_0..c_k, derived on each access for the readers that index by
+    power.
     """
 
-    __slots__ = ("order", "pairs")
+    __slots__ = ("order", "_pairs", "_ints")
 
     def __init__(self, coeffs, order=None):
         """The series with the dense coefficients c_0..c_order."""
@@ -76,7 +91,8 @@ class TruncatedSeries:
         if len(coeffs) != order + 1:
             raise ValueError(f"need exactly {order + 1} coefficients, got {len(coeffs)}")
         self.order = order
-        self.pairs = tuple((n, c) for n, c in enumerate(coeffs) if c)
+        self._pairs = tuple((n, c) for n, c in enumerate(coeffs) if c)
+        self._ints = None
 
     @classmethod
     def _exact(cls, pairs, order):
@@ -88,8 +104,51 @@ class TruncatedSeries:
         """
         series = object.__new__(cls)
         series.order = order
-        series.pairs = pairs
+        series._pairs = pairs
+        series._ints = None
         return series
+
+    @classmethod
+    def _from_ints(cls, ints, order):
+        """Wrap ascending (power, numerator, denominator) triples, each a
+        nonzero Fraction in lowest terms with a positive denominator."""
+        series = object.__new__(cls)
+        series.order = order
+        series._pairs = None
+        series._ints = ints
+        return series
+
+    @property
+    def pairs(self):
+        """The ascending (power, coefficient) pairs of the nonzero terms."""
+        pairs = self._pairs
+        if pairs is None:
+            self._pairs = pairs = tuple([(n, Fraction(x, d)) for n, x, d in self._ints])
+        return pairs
+
+    def _int_terms(self):
+        """The ascending (power, numerator, denominator) triples of a series
+        of Fractions, in lowest terms with positive denominators."""
+        ints = self._ints
+        if ints is None:
+            self._ints = ints = tuple([(n, c.numerator, c.denominator)
+                                       for n, c in self._pairs])
+        return ints
+
+    def _monomial(self):
+        """The one (power, numerator, denominator) triple of a monomial with a
+        Fraction coefficient, else None."""
+        ints = self._ints
+        if ints is None:
+            pairs = self._pairs
+            if len(pairs) != 1 or not isinstance(pairs[0][1], Fraction):
+                return None
+            ints = self._int_terms()
+        return ints[0] if len(ints) == 1 else None
+
+    def _terms(self):
+        """Whichever form is stored; both list the same powers."""
+        return self._ints if self._pairs is None else self._pairs
 
     @property
     def coeffs(self):
@@ -128,14 +187,15 @@ class TruncatedSeries:
             raise ValueError(f"order mismatch: {self.order} vs {other.order}")
 
     def is_zero(self):
-        return not self.pairs
+        return not self._terms()
 
     def __bool__(self):
-        return bool(self.pairs)
+        return bool(self._terms())
 
     def low_order(self):
         """Power of the first nonzero coefficient, or None for the zero series."""
-        return self.pairs[0][0] if self.pairs else None
+        terms = self._terms()
+        return terms[0][0] if terms else None
 
     def truncate(self, order):
         if order > self.order:
@@ -186,6 +246,17 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             self._require_same_order(other)
             k = self.order
+            a, b = self._monomial(), other._monomial()
+            if a is not None and b is not None:
+                # two monomials of Fractions: x/y * u/v on ints, cross-reduced
+                # as Fraction does, nonzero as the ring has no zero divisors
+                i, x, y = a
+                j, u, v = b
+                if i + j > k:
+                    return TruncatedSeries._exact((), k)
+                g, h = gcd(x, v), gcd(u, y)
+                return TruncatedSeries._from_ints(
+                    ((i + j, (x // g) * (u // h), (y // h) * (v // g)),), k)
             a, b = self.pairs, other.pairs
             if len(a) == 1 and len(b) == 1:
                 # two monomials: one scalar product, nonzero as the ring has

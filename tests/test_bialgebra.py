@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -194,6 +195,30 @@ def test_lie_brackets_are_exact():
         LieAlgebra("two", ("X", "Y"), {(1, 0): {0: 0.5}})
     lie = LieAlgebra("two", ("X", "Y"), {(1, 0): {0: 2, 1: Fraction(0)}})
     assert lie.table == {(1, 0): {0: Fraction(2)}}
+
+
+def test_lie_bracket_vectors_are_exact():
+    lie = two_photon_lie()
+    for va, vb in (({N: 0.5}, {B: 1}), ({N: 1}, {B: 1.0})):
+        with pytest.raises(TypeError, match=f"LieAlgebra {FLOAT_ERROR}"):
+            lie.bracket(va, vb)
+
+
+def test_lie_bracket_of_exact_vectors_is_the_bilinear_table():
+    assert two_photon_lie().bracket({N: 1}, {B: 1}) == {B: Fraction(2)}
+    rng = random.Random(47)
+    for lie in (two_photon_lie(), schrodinger_lie()):
+        for _ in range(10):
+            va, vb = ({i: rng.choice((rng.randint(-3, 3), Fraction(rng.randint(-3, 3), 2)))
+                       for i in rng.sample(range(6), 3)} for _ in range(2))
+            expected = {}
+            for i, a in va.items():
+                for j, b in vb.items():
+                    for k, c in lie.bracket_basis(i, j).items():
+                        expected[k] = expected.get(k, 0) + a * b * c
+            got = lie.bracket(va, vb)
+            assert got == {k: c for k, c in expected.items() if c}
+            assert all(type(c) is Fraction for c in got.values())
 
 
 def test_basis_change_rows_are_exact():

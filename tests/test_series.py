@@ -178,6 +178,105 @@ def test_stored_pairs_against_dense_reference():
     check()
 
 
+def _int_backed(series):
+    """The same series held as int triples only, the form in which the PBW
+    kernel makes its results."""
+    return TruncatedSeries._from_ints(
+        tuple((n, c.numerator, c.denominator) for n, c in series.pairs), series.order)
+
+
+def _both_forms(series):
+    """The same series held as Fraction pairs with its int triples read too."""
+    out = TruncatedSeries(series.coeffs, series.order)
+    out._int_terms()
+    return out
+
+
+def _forms(series):
+    """Fresh copies of a series of Fractions in each of its forms."""
+    return (TruncatedSeries(series.coeffs, series.order), _int_backed(series),
+            _both_forms(series))
+
+
+def _sparse_random_series(rng, order, terms):
+    powers = rng.sample(range(order + 1), min(terms, order + 1))
+    return TruncatedSeries([Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+                            if n in powers else 0 for n in range(order + 1)], order)
+
+
+@pytest.mark.parametrize("order", [0, 3, 8])
+def test_int_backed_series_reads_like_fraction_pairs(order):
+    rng = random.Random(24 + order)
+    samples = [TruncatedSeries.zero(order), TruncatedSeries.one(order)] + [
+        _sparse_random_series(rng, order, terms) for terms in (1, 1, 2, 3, order + 1)]
+    for fractions in samples:
+        ints = _int_backed(fractions)
+        assert ints._pairs is None
+        for read in (ints, _both_forms(fractions)):
+            assert read.pairs == fractions.pairs
+            assert all(type(c) is Fraction for _, c in read.pairs)
+            assert read.coeffs == fractions.coeffs
+            assert read == fractions and fractions == read
+            assert hash(read) == hash(fractions)
+            assert bool(read) == bool(fractions)
+            assert read.low_order() == fractions.low_order()
+            assert str(read) == str(fractions)
+        a, b = _int_backed(fractions), _int_backed(fractions)
+        assert a == b and hash(a) == hash(b) == hash(fractions)
+        assert a != _int_backed(fractions + TruncatedSeries.one(order))
+        assert a != _int_backed(-fractions) or not fractions
+
+
+@pytest.mark.parametrize("order", [0, 3, 8])
+def test_every_form_pairing_multiplies_to_the_fraction_reference(order):
+    rng = random.Random(8 * order + 1)
+    k = order
+    z_top = TruncatedSeries.z_power(k, k, Fraction(-5, 7))
+    monomials = [
+        TruncatedSeries.z_power(0, k, Fraction(2, 3)),
+        TruncatedSeries.z_power(0, k, Fraction(3, 2)),      # 2/3 * 3/2 = 1
+        TruncatedSeries.z_power(k // 2, k, Fraction(-4, 9)),
+        TruncatedSeries.z_power(k - k // 3, k, Fraction(-27, 8)),
+        z_top,                                              # past z^k with any z power
+        TruncatedSeries.z_power(min(1, k), k, -6),
+    ]
+    multi = [_sparse_random_series(rng, k, terms) for terms in (2, 3, k + 1)]
+    i = ComplexRational(0, 1)
+    complex_series = [
+        TruncatedSeries.z_power(0, k, ComplexRational(Fraction(1, 2), -1)),
+        TruncatedSeries([ComplexRational(n + 1, -n) * i for n in range(k + 1)], k),
+    ]
+    cases = [(s, _forms) for s in monomials + multi] + [(s, lambda s: (s,))
+                                                         for s in complex_series]
+    for x, x_forms in cases:
+        for y, y_forms in cases:
+            want = tuple(_dense_product(x.coeffs, y.coeffs))
+            for a in x_forms(x):
+                for b in y_forms(y):
+                    got = a * b
+                    if got._pairs is None:
+                        # made on ints: lowest terms over positive denominators
+                        assert got._int_terms() == _int_backed(got)._int_terms()
+                    assert got.coeffs == want
+                    assert got == TruncatedSeries(want, k) and bool(got) == any(want)
+    two_thirds, three_halves = (_int_backed(s) for s in monomials[:2])
+    one = two_thirds * three_halves
+    # a product of two monomials of Fractions is made on ints, in lowest terms
+    assert one._pairs is None and one._int_terms() == ((0, 1, 1),)
+    assert one == TruncatedSeries.one(k)
+    if k:
+        past = _int_backed(z_top) * _int_backed(TruncatedSeries.z_power(1, k, 3))
+        assert past == TruncatedSeries.zero(k) and not past and past.low_order() is None
+
+
+def test_int_backed_series_refuse_float_scalars():
+    s = _int_backed(TruncatedSeries([Fraction(1, 3), 0, Fraction(-2, 5)]))
+    for product in (lambda: s * 0.5, lambda: 0.5 * s):
+        with pytest.raises(TypeError):
+            product()
+    assert s._pairs is None
+
+
 def test_exp_sqrt_functional_identities_random():
     rng = random.Random(11)
     for order in (1, 2, 4, 6):
