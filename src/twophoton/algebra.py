@@ -80,7 +80,7 @@ from itertools import chain, groupby
 from math import factorial, gcd, lcm
 from operator import add
 
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _series_terms
 from .sparse import SparseTerms, collect, linear_combination, monomial, render_sum
 
 __all__ = [
@@ -214,7 +214,9 @@ class _PBWTerms(SparseTerms):
     """A sum of PBW words or of tensors of them, multiplied by the one kernel.
 
     A subclass gives ``_join``, the raw legs of the product of two keys,
-    and ``_from_ordered``, its element of the kernel's {legs: series} map.
+    and ``_from_ordered``, its element of the kernel's {legs: series} map,
+    whose coefficients are nonzero already and so are not filtered again;
+    the coproduct and antipode memos hand their maps over the same way.
     """
 
     __slots__ = ()
@@ -243,7 +245,7 @@ class NCElement(_PBWTerms):
         return (a + b,)
 
     def _from_ordered(self, ordered):
-        return NCElement(self.algebra, {w: s for (w,), s in ordered.items()})
+        return self._holding(self.space, {w: s for (w,), s in ordered.items()})
 
     def coefficient(self, word):
         return self.terms.get(tuple(word), self.algebra.zero_series())
@@ -276,7 +278,7 @@ class TensorElement(_PBWTerms):
         return _LEG_JOINS.get(self.rank, _join_legs)
 
     def _from_ordered(self, ordered):
-        return TensorElement(self.algebra, self.rank, ordered)
+        return self._holding(self.space, ordered)
 
     def swap(self):
         """Flip the two legs of a rank-2 tensor."""
@@ -481,7 +483,7 @@ class QuantumAlgebra:
         """PBW normal form of one raw word, as a {word: series} map."""
         d, nf = self._normal_form(tuple(word))
         words = self._nf_cache.words
-        return self._series_terms({(words[i], m): x for i, m, x in nf}, d)
+        return _series_terms({(words[i], m): x for i, m, x in nf}, self.order, d)
 
     def normal_terms(self, raw_terms):
         """Normal form of a raw {word: coefficient} map, as a {word: series} map."""
@@ -506,8 +508,8 @@ class QuantumAlgebra:
         Both sums accumulate in one dict of numerators over a running
         denominator, rescaled in the rare case that a new denominator grows
         it. Ids become words again only for the terms that do not cancel,
-        in ``_series_terms``, which regroups them into one int-backed series
-        per tuple of legs, one series per distinct coefficient: equal
+        in ``series._series_terms``, which regroups them into one int-backed
+        series per tuple of legs, one series per distinct coefficient: equal
         coefficients of the result are one object, which ``term_products``
         multiplies once per pair when the result is a factor again.
         """
@@ -557,7 +559,7 @@ class QuantumAlgebra:
                         scaled = None
                     key = (w + run, n)
                     acc[key] = acc.get(key, 0) + a * (den // b)
-        return self._series_terms(acc, den, memo.words)
+        return _series_terms(acc, k, den, memo.words)
 
     def _leg_form(self, leg):
         """The kernel's form of a raw leg that is neither in ``ids`` nor in
@@ -566,45 +568,6 @@ class QuantumAlgebra:
         if _first_inversion(leg) is None:
             return self._nf_cache.word_id(leg)
         return self._normal_form(leg)
-
-    def _series_terms(self, numerators, den=1, words=None):
-        """Regroup a {(key, z power): numerator} map over the positive
-        denominator ``den`` into {key: series}, dropping zero numerators;
-        with ``words``, a key is a tuple of word ids, and each surviving key
-        is turned into its tuple of words.
-
-        Each key's (power, numerator / den) terms, sorted by power, are its
-        series' int triples, each numerator reduced against ``den`` with one
-        gcd per distinct numerator; no zero power is filled in and no
-        Fraction is made. Equal coefficients become one object: one series
-        per distinct tuple of (power, numerator) pairs, looked up by the
-        numerators themselves.
-        """
-        k = self.order
-        pairs = {}
-        for (key, n), a in numerators.items():
-            if a:
-                pairs.setdefault(key, []).append((n, a))
-        reduced = {}
-        shared = {}
-        out = {}
-        word_of = None if words is None else words.__getitem__
-        for key, p in pairs.items():
-            p = tuple(sorted(p))
-            s = shared.get(p)
-            if s is None:
-                triples = []
-                for n, a in p:
-                    c = reduced.get(a)
-                    if c is None:
-                        g = gcd(a, den)
-                        reduced[a] = c = (a // g, den // g)
-                    triples.append((n,) + c)
-                shared[p] = s = TruncatedSeries._from_ints(tuple(triples), k)
-            if word_of is not None:
-                key = tuple(map(word_of, key))
-            out[key] = s
-        return out
 
     def _normal_form(self, word):
         """``_nf`` for a caller outside the rewriting: a rewriting that never
@@ -707,7 +670,7 @@ class QuantumAlgebra:
             else:
                 out = self.tensor_one()
             self._cop_cache[word] = cached = out.terms
-        return TensorElement(self, 2, cached)
+        return TensorElement._holding((self, 2), cached)
 
     def coproduct(self, elem):
         self.zero()._require_same(elem)
@@ -724,7 +687,7 @@ class QuantumAlgebra:
             else:
                 out = self.one()
             self._anti_cache[word] = cached = out.terms
-        return NCElement(self, cached)
+        return NCElement._holding((self,), cached)
 
     def antipode(self, elem):
         self.zero()._require_same(elem)

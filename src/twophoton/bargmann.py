@@ -9,6 +9,12 @@ exact divisions by z and by powers of alpha, and composition with d. The
 apparent 1/alpha factors of the closed forms must cancel order by order:
 an exact division by alpha^m raises on any term below alpha^m, so the
 construction asserts that instead of assuming it.
+
+Composition makes no Fraction: it sums int numerators over one
+denominator per product, keyed by (alpha power, d power, z power), and
+regroups them into int-backed series as the PBW kernel does. It is over Q;
+ComplexRational coefficients enter only the linear combinations of the
+eigenproblem.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from math import gcd, lcm
 from .algebra import two_photon_algebra
 from .report import CheckResult, residual_entry
 from .scalars import ComplexRational, _rational
-from .series import TruncatedSeries, _coerce, exp_nilpotent, sqrt_unit
+from .series import TruncatedSeries, _coerce, _series_terms, exp_nilpotent, sqrt_unit
 from .sparse import (SparseTerms, collect, linear_combination, monomial, render_sum,
                      weyl_terms)
 
@@ -73,21 +79,39 @@ class DiffOperator(SparseTerms):
             for key, c in terms.items()})
 
     def __mul__(self, other):
-        """Composition; d^l alpha^m reorders through [d, alpha] = 1."""
+        """Composition; d^l alpha^m reorders through [d, alpha] = 1.
+
+        Fraction-free. Each operand's coefficients are read as int
+        numerators over the lcm of its denominators, and the int Weyl
+        coefficients of ``weyl_terms`` multiply them, so the product is one
+        dict of int numerators keyed by (alpha power, d power, z power) over
+        the product of the two lcms; a pair of terms past z^k is skipped
+        before it is multiplied. ``_series_terms``, the PBW kernel's
+        regroup, turns the numerators that do not cancel into reduced
+        int-backed series, one object per distinct coefficient. Composition
+        is over Q, as every caller's is: a ComplexRational coefficient
+        raises TypeError.
+        """
         if not isinstance(other, DiffOperator):
             return self.scale(other)
         self._require_same(other)
-
-        def pairs():
-            for (j1, l1), s1 in self.terms.items():
-                for (j2, l2), s2 in other.terms.items():
-                    s = s1 * s2
-                    if s:
-                        # the t = 0 term's factor is 1
-                        for t, c in weyl_terms(l1, j2):
-                            yield (j1 + j2 - t, l1 + l2 - t), s * c if t else s
-
-        return DiffOperator(self.order, collect(pairs()))
+        k = self.order
+        left, den_left = _numerators(self)
+        right, den_right = _numerators(other)
+        acc = {}
+        for j1, l1, p1 in left:
+            for j2, l2, p2 in right:
+                weyl = weyl_terms(l1, j2)
+                for n1, x1 in p1:
+                    for n2, x2 in p2:
+                        n = n1 + n2
+                        if n > k:
+                            break
+                        x = x1 * x2
+                        for t, w in weyl:
+                            key = ((j1 + j2 - t, l1 + l2 - t), n)
+                            acc[key] = acc.get(key, 0) + x * w
+        return self._holding(self.space, _series_terms(acc, k, den_left * den_right))
 
     def truncate(self, order):
         return DiffOperator(order, {k: s.truncate(order) for k, s in self.terms.items()})
@@ -135,6 +159,14 @@ class DiffOperator(SparseTerms):
 
     def __repr__(self):
         return f"<DiffOperator {self}>"
+
+
+def _numerators(op):
+    """op's terms as (j, l, ((z power, numerator), ...)) rows over one
+    denominator, the lcm of its coefficients' denominators, and that lcm."""
+    rows = [(j, l, s._int_terms()) for (j, l), s in op.terms.items()]
+    den = lcm(*(d for _, _, ints in rows for _, _, d in ints))
+    return [(j, l, [(n, x * (den // d)) for n, x, d in ints]) for j, l, ints in rows], den
 
 
 # -- representations -------------------------------------------------------------
@@ -204,15 +236,27 @@ def deformed_rep(order):
     return rep
 
 
-def verify_rep(order):
-    """Every deformed commutator matches the image of the tabulated bracket."""
+def verify_rep(order, images=None):
+    """Every deformed commutator matches the image of the tabulated bracket.
+
+    ``images`` is the deformed table at ``order``, built here if not given.
+    The image of a word is memoised per word and made from its longest
+    memoised prefix, a one-letter word's being its generator's image, so
+    each distinct prefix of the relation words costs one composition.
+    """
     alg = two_photon_algebra(order)
-    images = deformed_rep(order)
+    if images is None:
+        images = deformed_rep(order)
+    words = {(): DiffOperator.identity(order)}
+    words.update(((i,), images[g]) for i, g in enumerate(alg.generators))
 
     def image_of_word(word):
-        op = DiffOperator.identity(order)
-        for g in word:
-            op = op * images[alg.generators[g]]
+        n = len(word)
+        while word[:n] not in words:
+            n -= 1
+        op = words[word[:n]]
+        for i in range(n, len(word)):
+            op = words[word[:i + 1]] = op * images[alg.generators[word[i]]]
         return op
 
     def image_of(elem):
@@ -230,8 +274,10 @@ def verify_rep(order):
 
 
 def rep_checks(order):
-    """Bracket residuals plus the classical-limit and first-order table ties."""
-    entries = list(verify_rep(order))
+    """Bracket residuals plus the classical-limit and first-order table ties,
+    on one build of the deformed table."""
+    images = deformed_rep(order)
+    entries = list(verify_rep(order, images))
 
     def tie(name, rep, want, at):
         bad = [g for g in _CLASSICAL if rep[g] != want[g]]
@@ -240,7 +286,7 @@ def rep_checks(order):
 
     entries.append(tie("rep/classical-limit", deformed_rep(0), classical_rep(0), 0))
     if order >= 1:
-        full = {g: op.truncate(1) for g, op in deformed_rep(order).items()}
+        full = {g: op.truncate(1) for g, op in images.items()}
         entries.append(tie("rep/first-order-table", full, first_order_rep(), order))
     return entries
 

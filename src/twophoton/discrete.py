@@ -11,7 +11,9 @@ realization and the heat operator; z < 0 raises ValueError. Every scalar
 that enters, z, coefficients and parameters alike, passes one coercion that
 takes ints and Fractions only and raises TypeError on any other; the keys
 of operators and functions hold int powers and exact rates, or raise
-TypeError too.
+TypeError too. Operator composition sums int numerators over one
+denominator per product, that of the shift's 4z included, and makes one
+Fraction per term of the result.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import json
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, lcm
 from operator import mul
 
 from .algebra import SCH_CASIMIR, SCH_GENERATORS, SCH_RELATIONS
@@ -72,6 +74,13 @@ def _binomial_shift(b, delta):
     return [(i, c) for i, c in pairs if c != 0]
 
 
+def _numerators(terms):
+    """[(key, numerator)] of a {key: Fraction} map over one denominator, the
+    lcm of its denominators, and that lcm."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return [(key, c.numerator * (den // c.denominator)) for key, c in terms.items()], den
+
+
 class SchrodingerOperator(SparseTerms):
     """Operator in x, t, dx, dt and the time shift T at fixed rational z.
 
@@ -91,24 +100,48 @@ class SchrodingerOperator(SparseTerms):
         return cls(z, {(0, 0, 0, 0, 0): Fraction(1)})
 
     def __mul__(self, other):
+        """Composition; dx^p1 past x^a2 and dt^q1 past t^b2 by the Weyl rule,
+        then T^t1 past the surviving t powers, t -> t + 4z t1.
+
+        Fraction-free. With z = u/v in lowest terms and b the largest t
+        power of ``other``, each operand's coefficients are read as int
+        numerators over the lcm of its denominators, and the product is one
+        dict of int numerators keyed by the five powers over the two lcms
+        times v^b. The Weyl coefficients of ``weyl_terms`` are ints, and on
+        that denominator so is each term C(e, i) (4 u t1)^(e-i) v^(b-e+i) of
+        the shift (t + 4z t1)^e; the terms of each (t1, e) are made once.
+        One Fraction is made per key that does not cancel.
+        """
         if not isinstance(other, SchrodingerOperator):
             return self.scale(other)
         self._require_same(other)
-        z4 = 4 * self.z
-
-        def pairs():
-            for (a1, b1, t1, p1, q1), c1 in self.terms.items():
-                for (a2, b2, t2, p2, q2), c2 in other.terms.items():
-                    base = c1 * c2
-                    # dx^p1 past x^a2 and dt^q1 past t^b2 via the Weyl rule,
-                    # then T^t1 past the surviving t powers (t -> t + 4z t1)
-                    for s, cs in weyl_terms(p1, a2):
-                        for r, cr in weyl_terms(q1, b2):
-                            for i, ci in _binomial_shift(b2 - r, z4 * t1):
-                                yield ((a1 + a2 - s, b1 + i, t1 + t2, p1 - s + p2, q1 - r + q2),
-                                       base * cs * cr * ci)
-
-        return SchrodingerOperator(self.z, collect(pairs()))
+        left, den_left = _numerators(self.terms)
+        right, den_right = _numerators(other.terms)
+        top = max((key[1] for key, _ in right), default=0)
+        u, v = self.z.numerator, self.z.denominator
+        shifts = {}
+        acc = {}
+        for (a1, b1, t1, p1, q1), x1 in left:
+            for (a2, b2, t2, p2, q2), x2 in right:
+                x = x1 * x2
+                tau = t1 + t2
+                for s, cs in weyl_terms(p1, a2):
+                    a, p = a1 + a2 - s, p1 - s + p2
+                    xs = x * cs
+                    for r, cr in weyl_terms(q1, b2):
+                        xr = xs * cr
+                        q = q1 - r + q2
+                        e = b2 - r
+                        terms = shifts.get((t1, e))
+                        if terms is None:
+                            shifts[(t1, e)] = terms = [
+                                (i, c * v ** (top - e + i))
+                                for i, c in _binomial_shift(e, 4 * u * t1)]
+                        for i, ci in terms:
+                            key = (a, b1 + i, tau, p, q)
+                            acc[key] = acc.get(key, 0) + xr * ci
+        den = den_left * den_right * v ** top
+        return self._holding(self.space, {key: Fraction(x, den) for key, x in acc.items() if x})
 
     def apply(self, func):
         """Act on an ExpPolyFunction."""

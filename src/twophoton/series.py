@@ -11,11 +11,13 @@ so equal series store equal pairs.
 A series of Fractions has a second form, the same terms as int triples
 (power, numerator, denominator) in lowest terms with a positive
 denominator. A series holds one form or both: each is derived from the
-other on its first read and then kept. The PBW product kernel makes its
-results in the int form and reads its operands in it, and a product of two
-monomials of Fractions is made on ints, two gcds and two int products, so
-the many coefficient products of a Yang-Baxter residual make no Fraction;
-Fractions are made only for a series that is read through ``pairs``.
+other on its first read and then kept. The PBW product kernel and the
+Bargmann operator composition make their results in the int form, through
+the one regroup ``_series_terms``, and read their operands in it, and a
+product of two monomials of Fractions is made on ints, two gcds and two
+int products, so the many coefficient products of a Yang-Baxter residual
+make no Fraction; Fractions are made only for a series that is read
+through ``pairs``.
 
 Coefficients are Fractions or ComplexRationals: the constructors and the
 scalar products turn an int into a Fraction and refuse any other type
@@ -128,11 +130,17 @@ class TruncatedSeries:
 
     def _int_terms(self):
         """The ascending (power, numerator, denominator) triples of a series
-        of Fractions, in lowest terms with positive denominators."""
+        of Fractions, in lowest terms with positive denominators; a
+        ComplexRational coefficient has none and raises TypeError."""
         ints = self._ints
         if ints is None:
-            self._ints = ints = tuple([(n, c.numerator, c.denominator)
-                                       for n, c in self._pairs])
+            try:
+                ints = tuple([(n, c.numerator, c.denominator) for n, c in self._pairs])
+            except AttributeError:
+                # the one other coefficient type a series admits
+                raise TypeError("the int form needs Fraction coefficients, "
+                                "not ComplexRational") from None
+            self._ints = ints
         return ints
 
     def _monomial(self):
@@ -348,6 +356,47 @@ class TruncatedSeries:
 
     def __repr__(self):
         return f"TruncatedSeries({list(self.coeffs)!r})"
+
+
+def _series_terms(numerators, order, den=1, words=None):
+    """Regroup a {(key, z power): numerator} map over the positive
+    denominator ``den`` into {key: series at ``order``}, dropping zero
+    numerators; with ``words``, a key is a tuple of indices into ``words``
+    and each surviving key is turned into its tuple of words.
+
+    The one way from the int accumulators of the PBW kernel and of the
+    Bargmann composition to series. Each key's (power, numerator / den)
+    terms, sorted by power, are its series' int triples, each numerator
+    reduced against ``den`` with one gcd per distinct numerator; no zero
+    power is filled in and no Fraction is made. The powers must not exceed
+    ``order``. Equal coefficients become one object: one series per
+    distinct tuple of (power, numerator) pairs, looked up by the numerators
+    themselves.
+    """
+    pairs = {}
+    for (key, n), a in numerators.items():
+        if a:
+            pairs.setdefault(key, []).append((n, a))
+    reduced = {}
+    shared = {}
+    out = {}
+    word_of = None if words is None else words.__getitem__
+    for key, p in pairs.items():
+        p = tuple(sorted(p))
+        s = shared.get(p)
+        if s is None:
+            triples = []
+            for n, a in p:
+                c = reduced.get(a)
+                if c is None:
+                    g = gcd(a, den)
+                    reduced[a] = c = (a // g, den // g)
+                triples.append((n,) + c)
+            shared[p] = s = TruncatedSeries._from_ints(tuple(triples), order)
+        if word_of is not None:
+            key = tuple(map(word_of, key))
+        out[key] = s
+    return out
 
 
 # -- exp and sqrt over any ring truncated in z ------------------------------------

@@ -4,13 +4,17 @@ Every object the verifier certifies is such a sum: PBW words, tensor legs,
 alpha^j d^l operators, space-time operators, lattice functions, wedges. The
 linear structure is the same for all of them and lives here; a subclass
 adds its space, constructor validation, product and rendering. Like terms
-are combined in one place, ``collect``: a product or a linear extension
-yields its (key, coefficient) pairs and collects them once.
+of a sum or a linear extension are combined in one place, ``collect``,
+which takes the (key, coefficient) pairs and collects them once. The
+products do not use it: the PBW kernel and the operator compositions sum
+int numerators over one denominator per product, with the int Weyl
+coefficients of ``weyl_terms``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from math import comb, factorial
 
@@ -56,9 +60,16 @@ def monomial(*factors):
     return "*".join(name if p == 1 else f"{name}^{p}" for name, p in factors if p)
 
 
+@lru_cache(maxsize=None)
 def weyl_terms(l, j):
-    """d^l x^j = sum_t C(l,t) C(j,t) t! x^(j-t) d^(l-t), as (t, coefficient) pairs."""
-    return [(t, Fraction(comb(l, t) * comb(j, t) * factorial(t))) for t in range(min(l, j) + 1)]
+    """d^l x^j = sum_t C(l,t) C(j,t) t! x^(j-t) d^(l-t), as (t, coefficient) pairs.
+
+    The coefficients are ints, factors of the int numerators of both
+    operator compositions. The pairs of each (l, j) are made once: a
+    composition asks for them once per pair of terms, which at high
+    truncation orders are thousands per product.
+    """
+    return tuple([(t, comb(l, t) * comb(j, t) * factorial(t)) for t in range(min(l, j) + 1)])
 
 
 class SparseTerms:
@@ -79,6 +90,17 @@ class SparseTerms:
 
     def _new(self, terms):
         return type(self)(*self.space, terms)
+
+    @classmethod
+    def _holding(cls, space, terms):
+        """The element of ``space`` that holds ``terms`` as given, for a
+        product or a memo of products whose keys are valid and whose
+        coefficients are nonzero by construction: the constructor's checks
+        and zero filter would only repeat work. Every public construction
+        keeps them."""
+        out = cls(*space, {})
+        out.terms = terms
+        return out
 
     def _require_same(self, other):
         if self.space != other.space:

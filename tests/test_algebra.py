@@ -16,7 +16,7 @@ from twophoton import hopf
 from twophoton.algebra import (NCElement, NormalOrderError, QuantumAlgebra, TensorElement,
                                product_difference, two_photon_algebra, schrodinger_algebra,
                                _first_inversion)
-from twophoton.series import TruncatedSeries
+from twophoton.series import TruncatedSeries, _series_terms
 from twophoton.sparse import collect, linear_combination
 
 
@@ -561,7 +561,7 @@ def _word_keyed_ordered(alg, raw, minus=()):
                 den *= grow
             key = (words, n)
             acc[key] = acc.get(key, 0) + a * (den // b)
-    return alg._series_terms(acc, den)
+    return _series_terms(acc, k, den)
 
 
 def _kernel_coefficients(order):

@@ -11,6 +11,7 @@ from twophoton.bargmann import (DiffOperator, EigenProblem,
                                 rep_checks, series_solve, verify_rep)
 from twophoton.scalars import ComplexRational
 from twophoton.series import TruncatedSeries, exp_nilpotent
+from twophoton.sparse import collect, weyl_terms
 
 
 def op0(terms):
@@ -53,6 +54,81 @@ def test_compose_associative_random():
                 for _ in range(3)}))
         x, y, z = ops
         assert (x * y) * z == x * (y * z)
+
+
+def _collect_composition(x, y):
+    """The composition as it was before the int numerators, kept as the
+    reference for ``DiffOperator.__mul__``: each pair of terms multiplies
+    its series and each Weyl term scales that product, and ``collect``
+    sums the pairs."""
+    def pairs():
+        for (j1, l1), s1 in x.terms.items():
+            for (j2, l2), s2 in y.terms.items():
+                s = s1 * s2
+                if s:
+                    for t, c in weyl_terms(l1, j2):
+                        yield (j1 + j2 - t, l1 + l2 - t), s * Fraction(c)
+
+    return collect(pairs())
+
+
+def _random_operator(rng, order):
+    """Up to five terms alpha^j d^l, j, l <= 4, whose series have several z
+    powers, negative numerators and denominators whose sums cancel."""
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        coeffs = [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 5, 6, 10)))
+                  if rng.random() < 0.6 else Fraction(0) for _ in range(order + 1)]
+        terms[(rng.randint(0, 4), rng.randint(0, 4))] = TruncatedSeries(coeffs, order)
+    return DiffOperator(order, terms)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_composition_matches_the_collect_reference(order):
+    rng = random.Random(100 + order)
+    for _ in range(80):
+        x, y = _random_operator(rng, order), _random_operator(rng, order)
+        got = x * y
+        want = _collect_composition(x, y)
+        assert got.terms == want
+        assert {k: s.coeffs for k, s in got.terms.items()} == \
+            {k: s.coeffs for k, s in want.items()}
+        assert all(got.terms.values())
+    # the same composition on operators that are themselves products
+    x, y = _random_operator(rng, order), _random_operator(rng, order)
+    assert (x * y) * x == DiffOperator(order, _collect_composition(
+        DiffOperator(order, _collect_composition(x, y)), x))
+
+
+def test_composition_cancels_across_denominators():
+    # (a/2 + d/3)(3a/5 - 2d/5): the alpha d terms -1/5 and +1/5 cancel
+    # and [d, a] leaves the constant 1/5
+    x = op0({(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 3)})
+    y = op0({(1, 0): Fraction(3, 5), (0, 1): Fraction(-2, 5)})
+    got = x * y
+    assert got == op0({(2, 0): Fraction(3, 10), (0, 2): Fraction(-2, 15),
+                       (0, 0): Fraction(1, 5)})
+    assert (1, 1) not in got.terms and all(got.terms.values())
+
+
+def test_composition_is_over_the_rationals():
+    rep = classical_rep()
+    complex_op = rep["N"].scale(ComplexRational(1, 1))
+    for x, y in ((complex_op, rep["A+"]), (rep["A+"], complex_op)):
+        with pytest.raises(TypeError, match="ComplexRational"):
+            x * y
+    # linear combinations, the one place such coefficients enter, still work
+    assert (complex_op + rep["N"]).terms[(1, 1)].coeffs == (ComplexRational(2, 1),)
+
+
+def test_weyl_terms_are_ints():
+    assert weyl_terms(2, 2) == ((0, 1), (1, 4), (2, 2))
+    assert weyl_terms(0, 3) == ((0, 1),)
+    for l in range(6):
+        for j in range(6):
+            terms = weyl_terms(l, j)
+            assert [t for t, _ in terms] == list(range(min(l, j) + 1))
+            assert all(type(c) is int and c > 0 for _, c in terms)
 
 
 def test_classical_table():
@@ -135,6 +211,29 @@ def test_verify_rep_all_orders():
             assert entry.passed, (entry.name, order, entry.residual)
     for entry in rep_checks(2):
         assert entry.passed, entry.name
+
+
+def test_rep_checks_build_the_table_once_and_compose_each_prefix_once(monkeypatch):
+    from twophoton import bargmann
+    from twophoton.algebra import two_photon_algebra
+
+    order = 8
+    alg = two_photon_algebra(order)
+    words = {w for i, x in enumerate(alg.generators) for y in alg.generators[:i]
+             for w in alg.relation(x, y).terms}
+    prefixes = {w[:n] for w in words for n in range(2, len(w) + 1)}
+    builds, products = [], []
+    build, compose = bargmann.deformed_rep, DiffOperator.__mul__
+    monkeypatch.setattr(bargmann, "deformed_rep", lambda k: builds.append(k) or build(k))
+    entries = rep_checks(order)
+    assert all(e.passed for e in entries) and len(entries) == 17
+    assert sorted(builds) == [0, order]
+    images = build(order)
+    monkeypatch.setattr(DiffOperator, "__mul__",
+                        lambda x, y: products.append(1) or compose(x, y))
+    assert [e.residual for e in verify_rep(order, images)] == ["0"] * 15
+    # two compositions per commutator and one per prefix of two or more letters
+    assert len(products) == 2 * 15 + len(prefixes)
 
 
 def test_eigen_operator_classical_shape():

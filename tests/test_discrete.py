@@ -13,6 +13,7 @@ from twophoton.discrete import (ExpPolyFunction, SchrodingerOperator,
                                 symmetry_checks, verify_realization)
 from twophoton.scalars import ComplexRational
 from twophoton.series import TruncatedSeries
+from twophoton.sparse import collect, weyl_terms
 
 Z = Fraction(1, 10)
 M = Fraction(1)
@@ -48,6 +49,50 @@ def test_canonicalization_confluent_on_random_words():
         for w in reversed(word[:-1]):
             right = w * right
         assert left == right
+
+
+def _collect_composition(x, y):
+    """The composition as it was before the int numerators, kept as the
+    reference for ``SchrodingerOperator.__mul__``: every Weyl and shift term
+    of every pair of terms is one Fraction product, and ``collect`` sums
+    them."""
+    z4 = 4 * x.z
+
+    def pairs():
+        for (a1, b1, t1, p1, q1), c1 in x.terms.items():
+            for (a2, b2, t2, p2, q2), c2 in y.terms.items():
+                for s, cs in weyl_terms(p1, a2):
+                    for r, cr in weyl_terms(q1, b2):
+                        for i, ci in discrete._binomial_shift(b2 - r, z4 * t1):
+                            yield ((a1 + a2 - s, b1 + i, t1 + t2, p1 - s + p2, q1 - r + q2),
+                                   c1 * c2 * cs * cr * ci)
+
+    return collect(pairs())
+
+
+def _random_spacetime_operator(rng, z):
+    """Up to five terms with T powers in -2..2, t powers up to 4 and
+    coefficients whose denominators differ."""
+    return SchrodingerOperator(z, {
+        (rng.randint(0, 2), rng.randint(0, 4), rng.randint(-2, 2), rng.randint(0, 2),
+         rng.randint(0, 2)): Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 7)))
+        for _ in range(rng.randint(0, 5))})
+
+
+@pytest.mark.parametrize("z", [Fraction(0), Fraction(1, 10), Fraction(7, 3)])
+def test_composition_matches_the_collect_reference(z):
+    rng = random.Random(str(z))
+    mass = Fraction(-5, 3)
+    ops = list(realize(mass, A, z).values()) + [casimir(mass, z), discrete_derivative(z)]
+    randoms = [_random_spacetime_operator(rng, z) for _ in range(40)]
+    pairs = [(x, y) for x in ops for y in ops]
+    pairs += [(rng.choice(ops + randoms), rng.choice(randoms)) for _ in range(60)]
+    pairs += [(x, y) for x, y in zip(randoms, reversed(randoms))]
+    for x, y in pairs:
+        got = x * y
+        want = _collect_composition(x, y)
+        assert got.terms == want
+        assert all(type(c) is Fraction and c for c in got.terms.values())
 
 
 def test_shift_relations():

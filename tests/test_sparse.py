@@ -234,3 +234,27 @@ def test_collect_is_an_order_free_fold_of_add():
         assert collect(pairs) == folded.terms
 
     check()
+
+
+def test_public_constructions_drop_zero_coefficients():
+    # the products hand their nonzero results over unfiltered; every public
+    # constructor still filters what it is given
+    alg = ALGEBRAS[0]
+    zero, one = alg.zero_series(), alg.one_series()
+    assert NCElement(alg, {(0,): zero, (1,): one}).terms == {(1,): one}
+    assert TensorElement(alg, 2, {((0,), ()): zero, ((), (1,)): one}).terms == {((), (1,)): one}
+    assert alg.element({(1, 0): 0, (0,): 0}).is_zero()
+    assert alg.tensor({((1, 0), ()): 0}).is_zero()
+    assert DiffOperator(ORDER, {(1, 0): TruncatedSeries.zero(ORDER)}).is_zero()
+    assert SchrodingerOperator(Fraction(1, 10), {(0, 0, 1, 0, 0): 0}).is_zero()
+    assert ExpPolyFunction(Fraction(1, 10), {(0, 0, 0, 0, 1): Fraction(0)}).is_zero()
+    # and a kernel result whose terms cancel, or a memo of such results,
+    # holds no zero coefficient
+    n, a = alg.gen("N"), alg.gen("A+")
+    word = (5, 4, 0)
+    for x in (n.commutator(a), (a + n) * (a - n), a.commutator(a),
+              alg.coproduct_word(word), alg.antipode_word(word)):
+        assert all(x.terms.values())
+    assert a.commutator(a).terms == {}
+    assert alg.coproduct_word(word) == alg.coproduct(alg.element({word: 1}))
+    assert alg.antipode_word(word) == alg.antipode(alg.element({word: 1}))
