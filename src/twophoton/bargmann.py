@@ -12,16 +12,18 @@ construction asserts that instead of assuming it.
 
 Composition makes no Fraction: it sums int numerators over one
 denominator per product, keyed by (alpha power, d power, z power), and
-regroups them into int-backed series as the PBW kernel does. It is over Q;
-ComplexRational coefficients enter only the linear combinations of the
-eigenproblem.
+regroups them into int-backed series as the PBW kernel does.
+
+Every operator is over one ring, Q. Complex numbers appear only as the
+eigenproblem's parsed inputs and its solved coefficients: its operator
+is the pair of real and imaginary operators over Q, and ``series_solve``
+reads that pair as one operator with Gaussian-integer coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 
 from .algebra import two_photon_algebra
@@ -88,9 +90,7 @@ class DiffOperator(SparseTerms):
         the product of the two lcms; a pair of terms past z^k is skipped
         before it is multiplied. ``_series_terms``, the PBW kernel's
         regroup, turns the numerators that do not cancel into reduced
-        int-backed series, one object per distinct coefficient. Composition
-        is over Q, as every caller's is: a ComplexRational coefficient
-        raises TypeError.
+        int-backed series, one object per distinct coefficient.
         """
         if not isinstance(other, DiffOperator):
             return self.scale(other)
@@ -296,7 +296,8 @@ def rep_checks(order):
 
 @dataclass(frozen=True)
 class EigenProblem:
-    """Exact coefficients of beta1 N + beta2 B- + beta3 B+ + beta4 A- + beta5 A+."""
+    """Exact coefficients of beta1 N + beta2 B- + beta3 B+ + beta4 A- + beta5 A+,
+    each an int, a Fraction or a ComplexRational, as is the eigenvalue."""
 
     betas: tuple
     eigenvalue: ComplexRational
@@ -308,17 +309,27 @@ class EigenProblem:
             raise ValueError("at least one beta must be nonzero")
 
 
+def _parts(x):
+    """An exact scalar's real and imaginary parts, as Fractions."""
+    if isinstance(x, ComplexRational):
+        return x.re, x.im
+    return _rational(x, EigenProblem), Fraction(0)
+
+
 def eigen_operator(problem, rep):
-    """sum_i beta_i rep[generator_i] - eigenvalue rep["M"], in canonical form.
+    """sum_i beta_i rep[generator_i] - eigenvalue rep["M"], in canonical form,
+    as the pair (re, im) of operators over Q: sum_i Re beta_i X_i - Re
+    lambda M and sum_i Im beta_i X_i - Im lambda M.
 
     ``rep`` is a one-boson table (classical_rep, first_order_rep or
-    deformed_rep), in each of which M is the identity; the operator has the
-    table's order.
+    deformed_rep), in each of which M is the identity; both operators have
+    the table's order.
     """
     one = rep["M"]
-    parts = [(rep[gen], beta) for beta, gen in zip(problem.betas, GENERATOR_ORDER) if beta]
-    parts.append((one, -problem.eigenvalue))
-    return DiffOperator(one.order, linear_combination(parts))
+    weights = [(rep[gen], _parts(beta)) for beta, gen in zip(problem.betas, GENERATOR_ORDER)]
+    weights.append((one, tuple(-x for x in _parts(problem.eigenvalue))))
+    return tuple(DiffOperator(one.order, linear_combination(
+        (x, c[part]) for x, c in weights if c[part])) for part in (0, 1))
 
 
 class SingularRecurrenceError(ValueError):
@@ -329,14 +340,10 @@ class SingularRecurrenceError(ValueError):
         super().__init__(f"singular recurrence head at coefficient index {index}")
 
 
-def _gaussian(x):
-    """An exact scalar as (re, im, q): a Gaussian-integer numerator over q > 0."""
-    if isinstance(x, ComplexRational):
-        q = lcm(x.re.denominator, x.im.denominator)
-        return (x.re.numerator * (q // x.re.denominator),
-                x.im.numerator * (q // x.im.denominator), q)
-    x = Fraction(x)
-    return x.numerator, 0, x.denominator
+def _gaussian(re, im):
+    """Exact parts re + im i as (re, im, q): a Gaussian-integer numerator over q > 0."""
+    q = lcm(re.denominator, im.denominator)
+    return re.numerator * (q // re.denominator), im.numerator * (q // im.denominator), q
 
 
 def _gmul(ar, ai, br, bi):
@@ -351,7 +358,9 @@ def _gmul(ar, ai, br, bi):
 def series_solve(op, degree, seeds=None):
     """Power-series kernel element of a z-evaluated operator.
 
-    The operator must have order 0 (exact scalars). Coefficients follow the
+    ``op`` is the pair (re, im) of ``eigen_operator``, the operator re + i
+    im, or a real operator alone; both parts must have order 0 (exact
+    scalars). Coefficients follow the
     triangular recurrence in which c_n is determined by the
     alpha^(n + smin) equation, smin being the least j - l and d = max(0,
     -smin) the largest derivative excess. Indices below d are free seeds
@@ -377,25 +386,30 @@ def series_solve(op, degree, seeds=None):
 
     Returns (coefficients, residual_tail) where the tail holds the nonzero
     image coefficients above degree + smin. Values are ComplexRational if
-    the operator or a seed is, else Fraction; seed and free-direction
-    values are returned as given.
+    the imaginary operator is nonzero or a seed is a ComplexRational, else
+    Fraction: complex numbers appear only here and in the eigenproblem's
+    inputs. Seed and free-direction values are returned as given.
     """
-    if op.order != 0:
+    op = op if isinstance(op, tuple) else (op, DiffOperator.zero(op.order))
+    if any(part.order != 0 for part in op):
         raise ValueError("series_solve needs an order-0 operator; substitute z first")
-    if op.is_zero():
+    terms = {}
+    for i, part in enumerate(op):
+        for key, s in part.terms.items():
+            terms.setdefault(key, [Fraction(0), Fraction(0)])[i] = s.coeffs[0]
+    if not terms:
         raise ValueError("degenerate zero operator")
-    terms = {key: s.coeffs[0] for key, s in op.terms.items()}
     smin = min(j - l for (j, l) in terms)
     d = max(0, -smin)
 
-    seeds = {n: _coerce(v) for n, v in (seeds or {}).items()}
+    seeds = {n: v if isinstance(v, ComplexRational) else _coerce(v)
+             for n, v in (seeds or {}).items()}
     defaults = {0: Fraction(1), 1: Fraction(0)}
     for n in range(d):
         seeds.setdefault(n, defaults.get(n, Fraction(0)))
-    is_complex = any(isinstance(c, ComplexRational)
-                     for c in chain(terms.values(), seeds.values()))
+    is_complex = bool(op[1]) or any(isinstance(v, ComplexRational) for v in seeds.values())
 
-    parts = {key: _gaussian(c) for key, c in terms.items()}
+    parts = {key: _gaussian(*c) for key, c in terms.items()}
     scale = lcm(*(q for _, _, q in parts.values()))
     ops = [(j, l, re * (scale // q), im * (scale // q))
            for (j, l), (re, im, q) in parts.items()]
@@ -434,7 +448,7 @@ def _recurrence(ops, smin, d, degree, seeds):
     enters as P_n = p D_(n-1), q_n = q. Each q_n is stored divided by
     gcd(q_n, P_n), and P_n with it.
     """
-    seeds = {n: (v, _gaussian(v)) for n, v in seeds.items()}
+    seeds = {n: (v, _gaussian(*_parts(v))) for n, v in seeds.items()}
     # the free-direction value, keyed by whether a nonzero c came before
     free = {False: (Fraction(1), (1, 0, 1)), True: (Fraction(0), (0, 0, 1))}
     heads = [(l, re, im) for j, l, re, im in ops if j - l == smin]

@@ -113,7 +113,10 @@ class SchrodingerOperator(SparseTerms):
         One Fraction is made per key that does not cancel.
         """
         if not isinstance(other, SchrodingerOperator):
-            return self.scale(other)
+            # a scalar is checked first, so that another ring's scalar raises
+            # naming this class, not from inside Fraction; scale refuses an element
+            return self.scale(other if isinstance(other, SparseTerms)
+                              else _rational(other, SchrodingerOperator))
         self._require_same(other)
         left, den_left = _numerators(self.terms)
         right, den_right = _numerators(other.terms)

@@ -10,8 +10,6 @@ from fractions import Fraction
 
 __all__ = ["ComplexRational", "parse_rational", "parse_complex_rational"]
 
-_ZERO = Fraction(0)
-
 
 def _rational(value, owner):
     """``value``, an int or a Fraction, as a Fraction; a float (its binary
@@ -37,8 +35,10 @@ def parse_rational(text):
 class ComplexRational:
     """Gaussian rational a + b*i with exact Fraction parts.
 
-    Interoperates with int and Fraction through the reflected operators, so
-    mixed coefficient arithmetic inside series and operators stays exact.
+    A value, not a ring: the eigenproblem's betas and eigenvalue are parsed
+    into it and its solved coefficients are returned in it, to be compared
+    and printed. Series and operators are over Q; the eigenproblem splits
+    each value into its parts ``re`` and ``im``.
     """
 
     __slots__ = ("re", "im")
@@ -49,78 +49,12 @@ class ComplexRational:
         self.re = Fraction(re)
         self.im = Fraction(im)
 
-    @classmethod
-    def _exact(cls, re, im):
-        """Wrap parts that are already Fractions, without the validation."""
-        z = object.__new__(cls)
-        z.re, z.im = re, im
-        return z
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, ComplexRational):
-            return other
-        if isinstance(other, Fraction):
-            return ComplexRational._exact(other, _ZERO)
-        if isinstance(other, int):
-            return ComplexRational._exact(Fraction(other), _ZERO)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ComplexRational._exact(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ComplexRational._exact(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ComplexRational._exact(o.re - self.re, o.im - self.im)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b, c, d = self.re, self.im, o.re, o.im
-        return ComplexRational._exact(a * c - b * d, a * d + b * c)
-
-    __rmul__ = __mul__
-
-    def reciprocal(self):
-        n = self.re * self.re + self.im * self.im
-        if n == 0:
-            raise ZeroDivisionError("reciprocal of zero ComplexRational")
-        return ComplexRational._exact(self.re / n, -self.im / n)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.reciprocal()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.reciprocal()
-
-    def __neg__(self):
-        return ComplexRational._exact(-self.re, -self.im)
-
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        if isinstance(other, ComplexRational):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return self.re == other and not self.im
+        return NotImplemented
 
     def __hash__(self):
         if self.im == 0:

@@ -8,24 +8,24 @@ of two monomials is one scalar multiplication, and no operation visits a
 zero coefficient. A sum or product whose coefficients cancel drops them,
 so equal series store equal pairs.
 
-A series of Fractions has a second form, the same terms as int triples
-(power, numerator, denominator) in lowest terms with a positive
-denominator. A series holds one form or both: each is derived from the
-other on its first read and then kept. The PBW product kernel and the
-Bargmann operator composition make their results in the int form, through
-the one regroup ``_series_terms``, and read their operands in it, and a
-product of two monomials of Fractions is made on ints, two gcds and two
-int products, so the many coefficient products of a Yang-Baxter residual
-make no Fraction; Fractions are made only for a series that is read
-through ``pairs``.
+A series has a second form, the same terms as int triples (power,
+numerator, denominator) in lowest terms with a positive denominator. A
+series holds one form or both: each is derived from the other on its
+first read and then kept. The PBW product kernel and the Bargmann
+operator composition make their results in the int form, through the one
+regroup ``_series_terms``, and read their operands in it, and a product
+of two monomials is made on ints, two gcds and two int products, so the
+many coefficient products of a Yang-Baxter residual make no Fraction;
+Fractions are made only for a series that is read through ``pairs``.
 
-Coefficients are Fractions or ComplexRationals: the constructors and the
-scalar products turn an int into a Fraction and refuse any other type
-(float, complex, Decimal) with TypeError, so nothing inexact enters a
-series. The arithmetic needs only +, -, *, equality against 0/1 and a
-truth value that is False exactly for zero, in a ring without zero
-divisors; the variable z itself is always central. Mixing truncation
-orders is an error, never a silent coercion.
+Coefficients are over one ring, Q: the constructors and the scalar
+products turn an int into a Fraction and refuse any other type (float,
+complex, Decimal, ComplexRational) with TypeError, so nothing inexact
+enters a series. Complex numbers appear only as the eigenproblem's parsed
+inputs and its solved coefficients: ``bargmann.eigen_operator`` splits
+the eigenproblem into a real and an imaginary operator over Q. The
+variable z itself is always central. Mixing truncation orders is an
+error, never a silent coercion.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, gcd
 
-from .scalars import ComplexRational
 from .sparse import SparseTerms
 
 __all__ = ["TruncatedSeries", "exp_nilpotent", "sqrt_unit"]
@@ -43,21 +42,14 @@ _ZERO = Fraction(0)
 
 
 def _coerce(c):
-    """An exact coefficient: an int as a Fraction, a Fraction or a
-    ComplexRational as it is; anything else (float, complex, Decimal, ...)
-    raises TypeError."""
+    """A rational coefficient: an int as a Fraction, a Fraction as it is;
+    anything else (float, complex, Decimal, ComplexRational, ...) raises
+    TypeError."""
     if isinstance(c, int):
         return Fraction(c)
-    if isinstance(c, (Fraction, ComplexRational)):
+    if isinstance(c, Fraction):
         return c
-    raise TypeError(f"inexact coefficient {c!r}; use Fraction or ComplexRational")
-
-
-def _inv_scalar(c):
-    rec = getattr(c, "reciprocal", None)
-    if rec is not None:
-        return rec()
-    return 1 / c
+    raise TypeError(f"inexact or non-rational coefficient {c!r}; use int or Fraction")
 
 
 def _nonzero_sorted(acc):
@@ -70,7 +62,7 @@ class TruncatedSeries:
     """c_0 + c_1 z + ... + c_k z^k, kept as the pairs (n, c_n) with c_n != 0.
 
     ``pairs`` is the one public form: ascending in n, every coefficient
-    nonzero. A series of Fractions may hold the same terms as int triples
+    a nonzero Fraction. A series may hold the same terms as int triples
     (n, numerator, denominator) instead, read by ``_int_terms()``; each form
     is made from the other on its first read and then kept, and a series
     made in one form never makes the other unless it is read. Both list the
@@ -129,27 +121,18 @@ class TruncatedSeries:
         return pairs
 
     def _int_terms(self):
-        """The ascending (power, numerator, denominator) triples of a series
-        of Fractions, in lowest terms with positive denominators; a
-        ComplexRational coefficient has none and raises TypeError."""
+        """The ascending (power, numerator, denominator) triples, in lowest
+        terms with positive denominators."""
         ints = self._ints
         if ints is None:
-            try:
-                ints = tuple([(n, c.numerator, c.denominator) for n, c in self._pairs])
-            except AttributeError:
-                # the one other coefficient type a series admits
-                raise TypeError("the int form needs Fraction coefficients, "
-                                "not ComplexRational") from None
-            self._ints = ints
+            self._ints = ints = tuple([(n, c.numerator, c.denominator) for n, c in self._pairs])
         return ints
 
     def _monomial(self):
-        """The one (power, numerator, denominator) triple of a monomial with a
-        Fraction coefficient, else None."""
+        """The one (power, numerator, denominator) triple of a monomial, else None."""
         ints = self._ints
         if ints is None:
-            pairs = self._pairs
-            if len(pairs) != 1 or not isinstance(pairs[0][1], Fraction):
+            if len(self._pairs) != 1:
                 return None
             ints = self._int_terms()
         return ints[0] if len(ints) == 1 else None
@@ -256,8 +239,8 @@ class TruncatedSeries:
             k = self.order
             a, b = self._monomial(), other._monomial()
             if a is not None and b is not None:
-                # two monomials of Fractions: x/y * u/v on ints, cross-reduced
-                # as Fraction does, nonzero as the ring has no zero divisors
+                # two monomials: x/y * u/v on ints, cross-reduced as Fraction
+                # does, nonzero as Q has no zero divisors
                 i, x, y = a
                 j, u, v = b
                 if i + j > k:
@@ -266,12 +249,6 @@ class TruncatedSeries:
                 return TruncatedSeries._from_ints(
                     ((i + j, (x // g) * (u // h), (y // h) * (v // g)),), k)
             a, b = self.pairs, other.pairs
-            if len(a) == 1 and len(b) == 1:
-                # two monomials: one scalar product, nonzero as the ring has
-                # no zero divisors
-                (i, x), = a
-                (j, y), = b
-                return TruncatedSeries._exact(((i + j, x * y),) if i + j <= k else (), k)
             acc = {}
             for i, x in a:
                 for j, y in b:
@@ -319,7 +296,7 @@ class TruncatedSeries:
         if coeffs[0] == 0:
             raise ValueError("series inverse needs nonzero constant term")
         k = self.order
-        b0 = _inv_scalar(coeffs[0])
+        b0 = 1 / coeffs[0]
         b = [b0] + [Fraction(0)] * k
         for n in range(1, k + 1):
             acc = Fraction(0)

@@ -77,9 +77,10 @@ class SparseTerms:
 
     ``space`` is the tuple of a subclass's leading constructor arguments, so
     that ``cls(*space, terms)`` rebuilds an element; two elements combine
-    only when their spaces are equal. Coefficients are any exact ring
-    elements whose truth value is "nonzero" (Fraction, ComplexRational,
-    TruncatedSeries).
+    only when their spaces are equal. Coefficients are exact, over one
+    ring, Q: Fractions or TruncatedSeries of them, whose truth value is
+    "nonzero". Complex numbers appear only as the eigenproblem's parsed
+    inputs and its solved coefficients, never as a coefficient here.
     """
 
     __slots__ = ("space", "terms")

@@ -5,6 +5,7 @@ from math import perm
 
 import pytest
 
+from twophoton.algebra import two_photon_algebra
 from twophoton.bargmann import (DiffOperator, EigenProblem,
                                 SingularRecurrenceError, classical_rep,
                                 deformed_rep, eigen_operator, first_order_rep,
@@ -16,6 +17,20 @@ from twophoton.sparse import collect, weyl_terms
 
 def op0(terms):
     return DiffOperator.from_scalar_terms(0, {k: Fraction(v) for k, v in terms.items()})
+
+
+def _pair(x):
+    """An exact scalar as its (re, im) Fraction parts."""
+    if isinstance(x, ComplexRational):
+        return x.re, x.im
+    return Fraction(x), Fraction(0)
+
+
+def cop0(terms):
+    """The (re, im) pair of order-0 operators whose sum re + i im has the
+    given exact coefficients, the form eigen_operator returns."""
+    parts = {k: _pair(v) for k, v in terms.items()}
+    return tuple(op0({k: p[i] for k, p in parts.items()}) for i in (0, 1))
 
 
 def test_compose_boson_relation():
@@ -112,13 +127,14 @@ def test_composition_cancels_across_denominators():
 
 
 def test_composition_is_over_the_rationals():
-    rep = classical_rep()
-    complex_op = rep["N"].scale(ComplexRational(1, 1))
-    for x, y in ((complex_op, rep["A+"]), (rep["A+"], complex_op)):
-        with pytest.raises(TypeError, match="ComplexRational"):
-            x * y
-    # linear combinations, the one place such coefficients enter, still work
-    assert (complex_op + rep["N"]).terms[(1, 1)].coeffs == (ComplexRational(2, 1),)
+    # series and operators are over Q: a ComplexRational, even a real one,
+    # is no scalar of a series, a Bargmann operator or an algebra element
+    n_op, n_elem = classical_rep()["N"], two_photon_algebra(1).gen("N")
+    for c in (ComplexRational(1, 1), ComplexRational(2)):
+        for scaled in (lambda: TruncatedSeries([c]), lambda: n_op.scale(c),
+                       lambda: n_elem.scale(c)):
+            with pytest.raises(TypeError, match="ComplexRational"):
+                scaled()
 
 
 def test_weyl_terms_are_ints():
@@ -239,19 +255,18 @@ def test_rep_checks_build_the_table_once_and_compose_each_prefix_once(monkeypatc
 def test_eigen_operator_classical_shape():
     betas = tuple(ComplexRational(b) for b in (2, 3, 5, 7, 11))
     problem = EigenProblem(betas, ComplexRational(13))
-    got = eigen_operator(problem, classical_rep())
+    got, im = eigen_operator(problem, classical_rep())
     # beta2 d^2 + (beta1 a + beta4) d + (beta3 a^2 + beta5 a - lambda)
-    want = DiffOperator.from_scalar_terms(0, {
-        (0, 2): ComplexRational(3), (1, 1): ComplexRational(2),
-        (0, 1): ComplexRational(7), (2, 0): ComplexRational(5),
-        (1, 0): ComplexRational(11), (0, 0): ComplexRational(-13)})
+    want = op0({(0, 2): 3, (1, 1): 2, (0, 1): 7, (2, 0): 5, (1, 0): 11, (0, 0): -13})
     assert got == want
+    assert im == DiffOperator.zero(0)
 
 
 def test_eigen_operator_first_order_displayed_terms():
     betas = tuple(ComplexRational(b) for b in (2, 3, 5, 7, 11))
     problem = EigenProblem(betas, ComplexRational(13))
-    got = eigen_operator(problem, first_order_rep())
+    got, im = eigen_operator(problem, first_order_rep())
+    assert im.is_zero()
     z1 = lambda c: TruncatedSeries([Fraction(0), Fraction(c)])
     # d coefficient gains z(beta1 a^3 + beta2 a + 3 beta4 a^2 / 2)
     assert got.terms[(3, 1)] == z1(2)
@@ -271,17 +286,26 @@ def test_eigen_operator_is_the_explicit_sum_on_every_table():
     for rep in (classical_rep(), first_order_rep(), deformed_rep(3)):
         order = rep["M"].order
         assert rep["M"] == DiffOperator.identity(order)
-        want = DiffOperator.identity(order).scale(-lam)
-        for beta, gen in zip(betas, ("N", "B-", "B+", "A-", "A+")):
-            want = want + rep[gen].scale(beta)
-        assert eigen_operator(problem, rep) == want
+        want = []
+        for part in (0, 1):
+            sum_ = DiffOperator.identity(order).scale(-_pair(lam)[part])
+            for beta, gen in zip(betas, ("N", "B-", "B+", "A-", "A+")):
+                sum_ = sum_ + rep[gen].scale(_pair(beta)[part])
+            want.append(sum_)
+        assert eigen_operator(problem, rep) == tuple(want)
+    # real betas and eigenvalue may be given as ints and Fractions
+    real_betas, real_lam = (2, 0, Fraction(1, 3), -1, 0), Fraction(7, 2)
+    as_complex = EigenProblem(tuple(map(ComplexRational, real_betas)), ComplexRational(real_lam))
+    assert eigen_operator(EigenProblem(real_betas, real_lam), classical_rep()) == \
+        eigen_operator(as_complex, classical_rep())
 
 
 def test_first_order_equals_full_mod_z2():
     betas = tuple(ComplexRational(b) for b in (1, 1, 1, 1, 1))
-    problem = EigenProblem(betas, ComplexRational(2))
-    assert eigen_operator(problem, deformed_rep(3)).truncate(1) == \
-        eigen_operator(problem, first_order_rep())
+    problem = EigenProblem(betas, ComplexRational(2, -1))
+    for full, first in zip(eigen_operator(problem, deformed_rep(3)),
+                           eigen_operator(problem, first_order_rep())):
+        assert full.truncate(1) == first
 
 
 def test_eigenproblem_validation():
@@ -291,50 +315,86 @@ def test_eigenproblem_validation():
         EigenProblem((ComplexRational(1),) * 4, ComplexRational(1))
 
 
-def _reference_solve(op, degree, seeds=None):
-    """The recurrence of series_solve, transcribed on the operator's own scalars."""
-    terms = {key: s.coeffs[0] for key, s in op.terms.items()}
+def _cmul(x, y):
+    (a, b), (c, d) = x, y
+    return a * c - b * d, a * d + b * c
+
+
+def _cdiv(x, y):
+    (a, b), (c, d) = x, y
+    n = c * c + d * d
+    return (a * c + b * d) / n, (b * c - a * d) / n
+
+
+def _pair_terms(op):
+    """{(j, l): (re, im)} of a real order-0 operator or of an (re, im) pair of them."""
+    parts = op if isinstance(op, tuple) else (op, DiffOperator.zero(0))
+    terms = {}
+    for i, part in enumerate(parts):
+        for key, s in part.terms.items():
+            terms.setdefault(key, [Fraction(0), Fraction(0)])[i] = s.coeffs[0]
+    return {key: tuple(c) for key, c in terms.items()}, parts
+
+
+def _reference_solve(terms, degree, seeds=None):
+    """The recurrence of series_solve, transcribed on (re, im) Fraction pairs:
+    ``terms`` maps (j, l) to the pair of alpha^j d^l's coefficient."""
+    zero, one = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
     smin = min(j - l for (j, l) in terms)
     d = max(0, -smin)
-    seeds = dict(seeds or {})
+    seeds = {n: _pair(v) for n, v in (seeds or {}).items()}
     for n in range(d):
-        seeds.setdefault(n, Fraction(1) if n == 0 else Fraction(0))
+        seeds.setdefault(n, one if n == 0 else zero)
     coeffs = []
     for n in range(degree + 1):
         if n < d:
             coeffs.append(seeds[n])
             continue
-        head = rhs = Fraction(0)
+        head = rhs = zero
         for (j, l), c in terms.items():
             np = n + smin - (j - l)
             if np == n:
-                head = head + c * perm(n, l)
+                f = perm(n, l)
+                head = head[0] + c[0] * f, head[1] + c[1] * f
             elif np >= 0:
-                rhs = rhs + c * perm(np, l) * coeffs[np]
-        if head:
-            coeffs.append(-rhs / head)
-        elif rhs:
+                f = perm(np, l)
+                x, y = _cmul(c, coeffs[np])
+                rhs = rhs[0] + x * f, rhs[1] + y * f
+        if any(head):
+            coeffs.append(_cdiv((-rhs[0], -rhs[1]), head))
+        elif any(rhs):
             raise SingularRecurrenceError(n)
         else:
-            coeffs.append(seeds.get(n, Fraction(0) if any(coeffs) else Fraction(1)))
+            coeffs.append(seeds.get(n, zero if any(map(any, coeffs)) else one))
     return coeffs
 
 
 def _check_against_oracles(op, degree, seeds=None):
-    """series_solve against the reference recurrence and against apply_to_polynomial."""
+    """series_solve against the reference recurrence and against apply_to_polynomial;
+    ``op`` is a real order-0 operator or an (re, im) pair of them."""
+    terms, (re, im) = _pair_terms(op)
     try:
-        want = _reference_solve(op, degree, seeds)
+        want = _reference_solve(terms, degree, seeds)
     except SingularRecurrenceError as exc:
         with pytest.raises(SingularRecurrenceError) as got:
             series_solve(op, degree, seeds)
         assert got.value.index == exc.index
         return None
     coeffs, tail = series_solve(op, degree, seeds)
-    assert coeffs == want
-    solved_through = degree + min(j - l for (j, l) in op.terms)
-    image = op.apply_to_polynomial(dict(enumerate(coeffs)))
+    assert [_pair(c) for c in coeffs] == want
+    # (re + i im)(x + i y) applied part by part
+    x, y = ({n: c[i] for n, c in enumerate(want)} for i in (0, 1))
+
+    def applied(part, poly):
+        return {m: s.coeffs[0] for m, s in part.apply_to_polynomial(poly).items()}
+
+    rx, ry, ix, iy = applied(re, x), applied(re, y), applied(im, x), applied(im, y)
+    image = {m: (rx.get(m, 0) - iy.get(m, 0), ry.get(m, 0) + ix.get(m, 0))
+             for m in set().union(rx, ry, ix, iy)}
+    image = {m: v for m, v in image.items() if any(v)}
+    solved_through = degree + min(j - l for (j, l) in terms)
     assert all(m > solved_through for m in image)
-    assert tail == {m: s.coeffs[0] for m, s in image.items()}
+    assert {m: _pair(v) for m, v in tail.items()} == image
     return coeffs, tail
 
 
@@ -361,7 +421,9 @@ def test_series_solve_beta2_recurrence():
 def test_series_solve_deformed_residual_window():
     zero, one = ComplexRational(0), ComplexRational(1)
     problem = EigenProblem((zero, one, zero, zero, zero), one)
-    op = eigen_operator(problem, first_order_rep()).substitute_z(Fraction(1, 10))
+    op, im = (part.substitute_z(Fraction(1, 10))
+              for part in eigen_operator(problem, first_order_rep()))
+    assert im.is_zero()
     coeffs, tail = series_solve(op, 30)
     # the d^2 head lowers degree by two: residual vanishes through degree 28
     assert all(m > 28 for m in tail)
@@ -386,7 +448,7 @@ def test_series_solve_custom_seeds():
 
 def test_substitute_z_takes_an_exact_rational():
     one, zero = ComplexRational(1), ComplexRational(0)
-    op = eigen_operator(EigenProblem((zero, one, one, zero, zero), one), first_order_rep())
+    op, _ = eigen_operator(EigenProblem((zero, one, one, zero, zero), one), first_order_rep())
     with pytest.raises(TypeError, match="DiffOperator takes int or Fraction scalars, not float"):
         op.substitute_z(0.1)
     assert op.substitute_z(0) == op.substitute_z(Fraction(0))
@@ -395,7 +457,7 @@ def test_substitute_z_takes_an_exact_rational():
 def test_series_solve_seeds_are_exact():
     # a float seed used to come back among the coefficients as it was given
     op = op0({(0, 2): 1})
-    with pytest.raises(TypeError, match="inexact coefficient 0.5"):
+    with pytest.raises(TypeError, match="non-rational coefficient 0.5"):
         series_solve(op, 5, seeds={0: 0.5})
     coeffs, _ = series_solve(op, 3, seeds={0: 2, 1: ComplexRational(0, 1)})
     assert coeffs == [2, ComplexRational(0, 1), 0, 0]
@@ -410,9 +472,8 @@ def test_series_solve_singular_head_with_obstruction():
         series_solve(op, 10)
     assert exc.value.index == 6
     # the same obstruction with complex coefficients, against the reference
-    op = DiffOperator.from_scalar_terms(0, {
-        (0, 1): ComplexRational(0, 1), (1, 2): ComplexRational(0, Fraction(-1, 5)),
-        (0, 0): Fraction(1, 2)})
+    op = cop0({(0, 1): ComplexRational(0, 1), (1, 2): ComplexRational(0, Fraction(-1, 5)),
+               (0, 0): Fraction(1, 2)})
     assert _check_against_oracles(op, 10) is None
     with pytest.raises(SingularRecurrenceError) as exc:
         series_solve(op, 10)
@@ -421,30 +482,32 @@ def test_series_solve_singular_head_with_obstruction():
 
 def test_series_solve_matches_oracles_on_random_operators():
     # fraction-free series_solve against a Fraction transcription of its
-    # recurrence, and its residual tail against the operator applied directly
+    # recurrence, and its residual tail against the operator applied directly.
+    # An operator is an (re, im) pair, or its real part alone when the
+    # imaginary part is zero
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     rational = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
     part = st.one_of(st.just(Fraction(0)), rational)
-    scalar = st.one_of(rational, st.builds(ComplexRational, part, part))
-    operator = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), scalar,
+    pair = st.one_of(st.tuples(rational, st.just(Fraction(0))), st.tuples(part, part))
+    operator = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), pair,
                                min_size=1, max_size=4)
+    scalar = st.one_of(rational, st.builds(ComplexRational, part, part))
     seeds = st.one_of(st.none(), st.dictionaries(st.integers(0, 6), scalar, max_size=3))
 
     @hypothesis.settings(max_examples=300, deadline=None)
     @hypothesis.given(operator, seeds, st.integers(0, 30))
     def check(terms, seed_map, degree):
-        op = DiffOperator.from_scalar_terms(0, terms)
-        hypothesis.assume(not op.is_zero())
-        _check_against_oracles(op, degree, seed_map)
+        op = tuple(op0({k: c[i] for k, c in terms.items()}) for i in (0, 1))
+        hypothesis.assume(op[0] or op[1])
+        _check_against_oracles(op if op[1] else op[0], degree, seed_map)
 
     check()
 
 
 def test_series_solve_conjugate_head():
     # (1 + 2i) d^2 + (1/3) a d - 1/2: the head (1 + 2i) n (n - 1) is not real
-    op = DiffOperator.from_scalar_terms(0, {
-        (0, 2): ComplexRational(1, 2), (1, 1): Fraction(1, 3), (0, 0): Fraction(-1, 2)})
+    op = cop0({(0, 2): ComplexRational(1, 2), (1, 1): Fraction(1, 3), (0, 0): Fraction(-1, 2)})
     coeffs, tail = _check_against_oracles(op, 25)
     assert coeffs[2] == ComplexRational(Fraction(1, 20), Fraction(-1, 10))
     assert tail

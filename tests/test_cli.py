@@ -244,3 +244,35 @@ def test_failing_residual_rendered_in_text():
     fail_lines = [l for l in res.stdout.splitlines()
                   if l.startswith("FAIL") and "symmetry-deformed/C" in l]
     assert fail_lines and "residual:" in fail_lines[0]
+
+
+@pytest.mark.parametrize("beta, eigenvalue, residual", [
+    ("1,1,1,1,1", "1/3+1/2i", "(-1*z)*a^3*d"),
+    # a complex coefficient renders as its real part plus i times its imaginary part
+    ("1+i,0,0,0,1", "2", "(-1*z)*a^3*d + i*((-1*z)*a^3*d)"),
+])
+def test_first_order_table_off_by_one_fails_the_eigen_tie(
+        beta, eigenvalue, residual, tmp_path, monkeypatch, capsys):
+    # N's z a^3 d coefficient doubled in the displayed table: the truncated
+    # deformed eigen operator differs from it by -beta1 z a^3 d
+    table = cli.first_order_rep
+
+    def doubled():
+        rep = table()
+        n = dict(rep["N"].terms)
+        n[(3, 1)] = n[(3, 1)] * 2
+        rep["N"] = type(rep["N"])(1, n)
+        return rep
+
+    monkeypatch.setattr(cli, "first_order_rep", doubled)
+    out = tmp_path / "report.json"
+    argv = ["--checks", "eigen", "--order", "2", "--beta", beta,
+            "--eigenvalue", eigenvalue, "--out", str(out)]
+    assert cli.main(argv) == 1
+    capsys.readouterr()
+    entries = {e["name"]: e for e in json.loads(out.read_text())["entries"]}
+    entry = entries["eigen/first-order-vs-full"]
+    assert not entry["pass"]
+    assert entry["residual"] == residual
+    assert [name for name, e in entries.items() if not e["pass"]] == [
+        "eigen/first-order-vs-full"]

@@ -38,6 +38,11 @@ GOLDEN = {
     ("--checks", "eigen", "--degree", "400", "--beta", "1,1,1,1,1",
      "--eigenvalue", "1/3+1/2i", "--order", "2"):
         "fe0d9e292dd1d7d66f03f230430a34c88cd544d1d4027d75ad3f5b4e97888f3f",
+    # complex betas: the eigenproblem's imaginary operator is more than a
+    # multiple of M, so both parts of its solve are pinned
+    ("--checks", "eigen", "--beta", "1/2,-i,1/3,1+i,-2/3i", "--eigenvalue", "i",
+     "--order", "3", "--degree", "40"):
+        "6b5f67201fb93d81112958bd1be8aea736fd31060c1f94e292df86175b70800a",
 }
 
 
