@@ -29,10 +29,10 @@ coefficient operation is an int product, not a Fraction's gcd. The built-in
 tables are homogeneous for a grading in which z has a weight, so a normal
 form carries one z power per word. Every product of elements, tensors or raw
 tensors goes through one kernel, ``QuantumAlgebra._ordered``. It reads each
-coefficient in its int form, (z power, numerator, denominator) triples,
-once per run of raw terms that share the coefficient, and hands back one
-series per word, made in that int form from the word's numerators: in the
-graded tables, one monomial. A series makes its Fractions only when they
+coefficient's stored (z power, numerator, denominator) triples, once per
+run of raw terms that share the coefficient, and hands back one series per
+word, made from the word's numerators: in the graded tables, one monomial.
+A series holds only such triples and makes its Fractions only when they
 are read. Equal coefficients of its result are one object, found by their
 int numerators, and ``term_products`` groups each factor's terms by
 coefficient object, so a pair of groups costs one series product, shared by
@@ -508,8 +508,8 @@ class QuantumAlgebra:
         Both sums accumulate in one dict of numerators over a running
         denominator, rescaled in the rare case that a new denominator grows
         it. Ids become words again only for the terms that do not cancel,
-        in ``series._series_terms``, which regroups them into one int-backed
-        series per tuple of legs, one series per distinct coefficient: equal
+        in ``series._series_terms``, which regroups them into one series
+        per tuple of legs, one series per distinct coefficient: equal
         coefficients of the result are one object, which ``term_products``
         multiplies once per pair when the result is a factor again.
         """
@@ -526,7 +526,7 @@ class QuantumAlgebra:
                     last = series
                     # (legs so far, z power, numerator, denominator) of each
                     # pair, the start of a term's expansion
-                    pairs = [((), n, sign * x, d) for n, x, d in series._int_terms()]
+                    pairs = [((), n, sign * x, d) for n, x, d in series.triples]
                     scaled = None
                 ids = tuple(map(leg_id, legs))
                 if None not in ids:

@@ -12,7 +12,7 @@ construction asserts that instead of assuming it.
 
 Composition makes no Fraction: it sums int numerators over one
 denominator per product, keyed by (alpha power, d power, z power), and
-regroups them into int-backed series as the PBW kernel does.
+regroups them into series as the PBW kernel does.
 
 Every operator is over one ring, Q. Complex numbers appear only as the
 eigenproblem's parsed inputs and its solved coefficients: its operator
@@ -89,8 +89,8 @@ class DiffOperator(SparseTerms):
         dict of int numerators keyed by (alpha power, d power, z power) over
         the product of the two lcms; a pair of terms past z^k is skipped
         before it is multiplied. ``_series_terms``, the PBW kernel's
-        regroup, turns the numerators that do not cancel into reduced
-        int-backed series, one object per distinct coefficient.
+        regroup, turns the numerators that do not cancel into series, one
+        object per distinct coefficient.
         """
         if not isinstance(other, DiffOperator):
             return self.scale(other)
@@ -164,7 +164,7 @@ class DiffOperator(SparseTerms):
 def _numerators(op):
     """op's terms as (j, l, ((z power, numerator), ...)) rows over one
     denominator, the lcm of its coefficients' denominators, and that lcm."""
-    rows = [(j, l, s._int_terms()) for (j, l), s in op.terms.items()]
+    rows = [(j, l, s.triples) for (j, l), s in op.terms.items()]
     den = lcm(*(d for _, _, ints in rows for _, _, d in ints))
     return [(j, l, [(n, x * (den // d)) for n, x, d in ints]) for j, l, ints in rows], den
 
@@ -305,6 +305,8 @@ class EigenProblem:
     def __post_init__(self):
         if len(self.betas) != 5:
             raise ValueError("need exactly five beta coefficients")
+        for x in (*self.betas, self.eigenvalue):
+            _parts(x)
         if all(not b for b in self.betas):
             raise ValueError("at least one beta must be nonzero")
 
@@ -313,7 +315,10 @@ def _parts(x):
     """An exact scalar's real and imaginary parts, as Fractions."""
     if isinstance(x, ComplexRational):
         return x.re, x.im
-    return _rational(x, EigenProblem), Fraction(0)
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x), Fraction(0)
+    raise TypeError("EigenProblem takes int, Fraction or ComplexRational scalars, "
+                    f"not {type(x).__name__}")
 
 
 def eigen_operator(problem, rep):

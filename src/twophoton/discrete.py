@@ -146,6 +146,10 @@ class SchrodingerOperator(SparseTerms):
         den = den_left * den_right * v ** top
         return self._holding(self.space, {key: Fraction(x, den) for key, x in acc.items() if x})
 
+    def __rmul__(self, other):
+        """A scalar times this operator, the scalar checked as ``__mul__`` checks it."""
+        return self.scale(_rational(other, SchrodingerOperator))
+
     def apply(self, func):
         """Act on an ExpPolyFunction."""
         if func.z != self.z:

@@ -1,25 +1,21 @@
 """Truncated formal power series in the deformation parameter z.
 
 A series has a truncation order k and all arithmetic is mod z^(k+1). It
-stores only its nonzero terms, as an ascending tuple of (power, coefficient)
-pairs with 0 <= power <= k. The deformed tables are homogeneous for a
-grading in which z has a weight, so most series are monomials: a product
-of two monomials is one scalar multiplication, and no operation visits a
-zero coefficient. A sum or product whose coefficients cancel drops them,
-so equal series store equal pairs.
-
-A series has a second form, the same terms as int triples (power,
-numerator, denominator) in lowest terms with a positive denominator. A
-series holds one form or both: each is derived from the other on its
-first read and then kept. The PBW product kernel and the Bargmann
-operator composition make their results in the int form, through the one
-regroup ``_series_terms``, and read their operands in it, and a product
-of two monomials is made on ints, two gcds and two int products, so the
-many coefficient products of a Yang-Baxter residual make no Fraction;
-Fractions are made only for a series that is read through ``pairs``.
+stores only its nonzero terms, as an ascending tuple of int triples (power,
+numerator, denominator) with 0 <= power <= k, each coefficient in lowest
+terms with a positive denominator. The deformed tables are homogeneous for
+a grading in which z has a weight, so most series are monomials: a product
+of two monomials is two gcds and two int products, and no operation visits
+a zero coefficient. Every ring operation reads and writes the triples: a
+sum or a product collects int numerators over one denominator and reduces
+them through one helper, ``_lowest_terms``, which drops the numerators that
+cancel, so equal series store equal triples. The PBW product kernel and the
+Bargmann operator composition read their operands' triples and make their
+results through the same helper, in ``_series_terms``. Fractions are made
+only when a series is read through ``pairs`` or ``coeffs``.
 
 Coefficients are over one ring, Q: the constructors and the scalar
-products turn an int into a Fraction and refuse any other type (float,
+products take an int or a Fraction and refuse any other type (float,
 complex, Decimal, ComplexRational) with TypeError, so nothing inexact
 enters a series. Complex numbers appear only as the eigenproblem's parsed
 inputs and its solved coefficients: ``bargmann.eigen_operator`` splits
@@ -31,7 +27,7 @@ error, never a silent coercion.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 from .sparse import SparseTerms
 
@@ -52,28 +48,28 @@ def _coerce(c):
     raise TypeError(f"inexact or non-rational coefficient {c!r}; use int or Fraction")
 
 
-def _nonzero_sorted(acc):
-    """The ascending (power, coefficient) pairs of a {power: coefficient} map
-    whose coefficients may have cancelled to zero."""
-    return tuple(sorted((n, c) for n, c in acc.items() if c))
+def _lowest_terms(terms, den):
+    """The triples of ascending (power, numerator) pairs over the positive
+    denominator ``den``, each reduced by one gcd; zero numerators are dropped."""
+    return tuple([(n, x // g, den // g) for n, x in terms if x for g in (gcd(x, den),)])
+
+
+def _den(triples):
+    """The lcm of the denominators of ``triples``."""
+    return lcm(*[d for _, _, d in triples])
 
 
 class TruncatedSeries:
-    """c_0 + c_1 z + ... + c_k z^k, kept as the pairs (n, c_n) with c_n != 0.
+    """c_0 + c_1 z + ... + c_k z^k, stored as ``triples``: the ascending
+    (n, numerator, denominator) of each c_n != 0, in lowest terms with a
+    positive denominator.
 
-    ``pairs`` is the one public form: ascending in n, every coefficient
-    a nonzero Fraction. A series may hold the same terms as int triples
-    (n, numerator, denominator) instead, read by ``_int_terms()``; each form
-    is made from the other on its first read and then kept, and a series
-    made in one form never makes the other unless it is read. Both list the
-    same powers, so ``low_order`` and the truth value read the first term
-    of either, and equality, hashing, ``str`` and ``coeffs`` see the same
-    values whichever form a series was made in. ``coeffs`` is the dense
-    tuple c_0..c_k, derived on each access for the readers that index by
-    power.
+    ``pairs``, the (n, c_n) with c_n a Fraction, and ``coeffs``, the dense
+    tuple c_0..c_k for the readers that index by power, are derived from
+    the triples on each read.
     """
 
-    __slots__ = ("order", "_pairs", "_ints")
+    __slots__ = ("order", "triples")
 
     def __init__(self, coeffs, order=None):
         """The series with the dense coefficients c_0..c_order."""
@@ -85,68 +81,31 @@ class TruncatedSeries:
         if len(coeffs) != order + 1:
             raise ValueError(f"need exactly {order + 1} coefficients, got {len(coeffs)}")
         self.order = order
-        self._pairs = tuple((n, c) for n, c in enumerate(coeffs) if c)
-        self._ints = None
+        self.triples = tuple([(n, c.numerator, c.denominator)
+                              for n, c in enumerate(coeffs) if c])
 
     @classmethod
-    def _exact(cls, pairs, order):
-        """Wrap ascending (power, coefficient) pairs with nonzero exact coefficients.
-
-        The ring operations build their results here: their coefficients
-        come from exact operands, so the public constructor's coercion and
-        float rejection would only repeat work.
-        """
-        series = object.__new__(cls)
-        series.order = order
-        series._pairs = pairs
-        series._ints = None
-        return series
-
-    @classmethod
-    def _from_ints(cls, ints, order):
+    def _from_ints(cls, triples, order):
         """Wrap ascending (power, numerator, denominator) triples, each a
-        nonzero Fraction in lowest terms with a positive denominator."""
+        nonzero Fraction in lowest terms with a positive denominator: the
+        ring operations make their results so, and the public constructor's
+        coercion would only repeat work."""
         series = object.__new__(cls)
         series.order = order
-        series._pairs = None
-        series._ints = ints
+        series.triples = triples
         return series
 
     @property
     def pairs(self):
         """The ascending (power, coefficient) pairs of the nonzero terms."""
-        pairs = self._pairs
-        if pairs is None:
-            self._pairs = pairs = tuple([(n, Fraction(x, d)) for n, x, d in self._ints])
-        return pairs
-
-    def _int_terms(self):
-        """The ascending (power, numerator, denominator) triples, in lowest
-        terms with positive denominators."""
-        ints = self._ints
-        if ints is None:
-            self._ints = ints = tuple([(n, c.numerator, c.denominator) for n, c in self._pairs])
-        return ints
-
-    def _monomial(self):
-        """The one (power, numerator, denominator) triple of a monomial, else None."""
-        ints = self._ints
-        if ints is None:
-            if len(self._pairs) != 1:
-                return None
-            ints = self._int_terms()
-        return ints[0] if len(ints) == 1 else None
-
-    def _terms(self):
-        """Whichever form is stored; both list the same powers."""
-        return self._ints if self._pairs is None else self._pairs
+        return tuple([(n, Fraction(x, d)) for n, x, d in self.triples])
 
     @property
     def coeffs(self):
         """The dense coefficients c_0..c_k; zero powers read Fraction(0)."""
         out = [_ZERO] * (self.order + 1)
-        for n, c in self.pairs:
-            out[n] = c
+        for n, x, d in self.triples:
+            out[n] = Fraction(x, d)
         return tuple(out)
 
     # -- constructors -------------------------------------------------------
@@ -169,7 +128,8 @@ class TruncatedSeries:
         if order < 0:
             raise ValueError("truncation order must be >= 0")
         coeff = _coerce(coeff)
-        return cls._exact(((power, coeff),) if coeff and 0 <= power <= order else (), order)
+        return cls._from_ints(((power, coeff.numerator, coeff.denominator),)
+                              if coeff and 0 <= power <= order else (), order)
 
     # -- helpers ------------------------------------------------------------
 
@@ -178,22 +138,23 @@ class TruncatedSeries:
             raise ValueError(f"order mismatch: {self.order} vs {other.order}")
 
     def is_zero(self):
-        return not self._terms()
+        return not self.triples
 
     def __bool__(self):
-        return bool(self._terms())
+        return bool(self.triples)
 
     def low_order(self):
         """Power of the first nonzero coefficient, or None for the zero series."""
-        terms = self._terms()
-        return terms[0][0] if terms else None
+        triples = self.triples
+        return triples[0][0] if triples else None
 
     def truncate(self, order):
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} to {order}")
         if order < 0:
             raise ValueError("truncation order must be >= 0")
-        return TruncatedSeries._exact(tuple(p for p in self.pairs if p[0] <= order), order)
+        return TruncatedSeries._from_ints(tuple([t for t in self.triples if t[0] <= order]),
+                                          order)
 
     def divided_by_z(self):
         """Exact division by z; requires zero constant term, drops one order."""
@@ -201,75 +162,75 @@ class TruncatedSeries:
             raise ValueError("division by z needs zero constant term")
         if self.order == 0:
             raise ValueError("cannot divide an order-0 series by z")
-        return TruncatedSeries._exact(tuple((n - 1, c) for n, c in self.pairs),
-                                      self.order - 1)
+        return TruncatedSeries._from_ints(tuple([(n - 1, x, d) for n, x, d in self.triples]),
+                                          self.order - 1)
 
     # -- ring operations ----------------------------------------------------
 
-    def _plus(self, other_pairs):
-        """self + the series with ``other_pairs``, at self's order."""
-        if not other_pairs:
+    def _plus(self, other, sign):
+        """self + sign * other, summed over the lcm of both denominators."""
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        self._require_same_order(other)
+        a, b = self.triples, other.triples
+        if not b:
             return self
-        if not self.pairs:
-            return TruncatedSeries._exact(other_pairs, self.order)
-        acc = dict(self.pairs)
-        for n, c in other_pairs:
-            prev = acc.get(n)
-            acc[n] = c if prev is None else prev + c
-        return TruncatedSeries._exact(_nonzero_sorted(acc), self.order)
+        den = lcm(_den(a), _den(b))
+        acc = {n: x * (den // d) for n, x, d in a}
+        for n, x, d in b:
+            acc[n] = acc.get(n, 0) + sign * x * (den // d)
+        return TruncatedSeries._from_ints(_lowest_terms(sorted(acc.items()), den), self.order)
 
     def __add__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._require_same_order(other)
-        return self._plus(other.pairs)
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._require_same_order(other)
-        return self._plus(tuple((n, -c) for n, c in other.pairs))
+        return self._plus(other, -1)
 
     def __neg__(self):
-        return TruncatedSeries._exact(tuple((n, -c) for n, c in self.pairs), self.order)
+        return TruncatedSeries._from_ints(tuple([(n, -x, d) for n, x, d in self.triples]),
+                                          self.order)
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             self._require_same_order(other)
             k = self.order
-            a, b = self._monomial(), other._monomial()
-            if a is not None and b is not None:
-                # two monomials: x/y * u/v on ints, cross-reduced as Fraction
-                # does, nonzero as Q has no zero divisors
-                i, x, y = a
-                j, u, v = b
+            a, b = self.triples, other.triples
+            if len(a) == len(b) == 1:
+                # two monomials: x/y * u/v, cross-reduced as Fraction does,
+                # nonzero as Q has no zero divisors
+                (i, x, y), (j, u, v) = a[0], b[0]
                 if i + j > k:
-                    return TruncatedSeries._exact((), k)
+                    return TruncatedSeries._from_ints((), k)
                 g, h = gcd(x, v), gcd(u, y)
                 return TruncatedSeries._from_ints(
                     ((i + j, (x // g) * (u // h), (y // h) * (v // g)),), k)
-            a, b = self.pairs, other.pairs
+            da, db = _den(a), _den(b)
+            b = [(j, u * (db // v)) for j, u, v in b]
             acc = {}
-            for i, x in a:
-                for j, y in b:
+            for i, x, y in a:
+                x *= da // y
+                for j, u in b:
                     if i + j > k:
                         break
-                    prev = acc.get(i + j)
-                    acc[i + j] = x * y if prev is None else prev + x * y
-            return TruncatedSeries._exact(_nonzero_sorted(acc), k)
+                    acc[i + j] = acc.get(i + j, 0) + x * u
+            return TruncatedSeries._from_ints(_lowest_terms(sorted(acc.items()), da * db), k)
         if isinstance(other, SparseTerms):
             # an element takes a series as its scalar: x.scale(self)
             return NotImplemented
-        c = _coerce(other)
-        if not c:
-            return TruncatedSeries._exact((), self.order)
-        return TruncatedSeries._exact(tuple((n, a * c) for n, a in self.pairs), self.order)
+        return self._scaled(other)
 
-    def __rmul__(self, other):
-        c = _coerce(other)
-        if not c:
-            return TruncatedSeries._exact((), self.order)
-        return TruncatedSeries._exact(tuple((n, c * a) for n, a in self.pairs), self.order)
+    def _scaled(self, c):
+        """self times the rational c, each triple cross-reduced."""
+        c = _coerce(c)
+        u, v = c.numerator, c.denominator
+        if not u:
+            return TruncatedSeries._from_ints((), self.order)
+        return TruncatedSeries._from_ints(tuple([
+            (n, (x // g) * (u // h), (d // h) * (v // g))
+            for n, x, d in self.triples for g, h in ((gcd(x, v), gcd(u, d)),)]), self.order)
+
+    __rmul__ = _scaled
 
     def __pow__(self, n):
         if n < 0:
@@ -310,10 +271,10 @@ class TruncatedSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.order == other.order and self.pairs == other.pairs
+        return self.order == other.order and self.triples == other.triples
 
     def __hash__(self):
-        return hash((self.order, self.pairs))
+        return hash((self.order, self.triples))
 
     def __str__(self):
         parts = []
@@ -342,11 +303,10 @@ def _series_terms(numerators, order, den=1, words=None):
     and each surviving key is turned into its tuple of words.
 
     The one way from the int accumulators of the PBW kernel and of the
-    Bargmann composition to series. Each key's (power, numerator / den)
-    terms, sorted by power, are its series' int triples, each numerator
-    reduced against ``den`` with one gcd per distinct numerator; no zero
-    power is filled in and no Fraction is made. The powers must not exceed
-    ``order``. Equal coefficients become one object: one series per
+    Bargmann composition to series. Each key's (power, numerator) pairs,
+    sorted by power, become its series' triples through ``_lowest_terms``;
+    no zero power is filled in and no Fraction is made. The powers must not
+    exceed ``order``. Equal coefficients become one object: one series per
     distinct tuple of (power, numerator) pairs, looked up by the numerators
     themselves.
     """
@@ -354,7 +314,6 @@ def _series_terms(numerators, order, den=1, words=None):
     for (key, n), a in numerators.items():
         if a:
             pairs.setdefault(key, []).append((n, a))
-    reduced = {}
     shared = {}
     out = {}
     word_of = None if words is None else words.__getitem__
@@ -362,14 +321,7 @@ def _series_terms(numerators, order, den=1, words=None):
         p = tuple(sorted(p))
         s = shared.get(p)
         if s is None:
-            triples = []
-            for n, a in p:
-                c = reduced.get(a)
-                if c is None:
-                    g = gcd(a, den)
-                    reduced[a] = c = (a // g, den // g)
-                triples.append((n,) + c)
-            shared[p] = s = TruncatedSeries._from_ints(tuple(triples), order)
+            shared[p] = s = TruncatedSeries._from_ints(_lowest_terms(p, den), order)
         if word_of is not None:
             key = tuple(map(word_of, key))
         out[key] = s

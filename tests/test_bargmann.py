@@ -313,6 +313,13 @@ def test_eigenproblem_validation():
         EigenProblem((ComplexRational(0),) * 5, ComplexRational(1))
     with pytest.raises(ValueError):
         EigenProblem((ComplexRational(1),) * 4, ComplexRational(1))
+    # a float is refused where the problem is made, not later by eigen_operator
+    accepted = "EigenProblem takes int, Fraction or ComplexRational scalars, not float"
+    for betas, eigenvalue in (((0.5, 0, 0, 0, 0), 1), ((1, 0, 0, 0, 0), 0.5),
+                              ((ComplexRational(1), 0, 0, 0, 0.0), ComplexRational(1))):
+        with pytest.raises(TypeError, match=accepted):
+            EigenProblem(betas, eigenvalue)
+    assert EigenProblem((1, Fraction(1, 2), ComplexRational(0, 1), 0, 0), 2).eigenvalue == 2
 
 
 def _cmul(x, y):

@@ -366,9 +366,10 @@ def test_only_ints_and_fractions_enter_the_layer():
             ExpPolyFunction.from_monomials(z, {(1, 0): coeff})
     h = realize(1, A, Z)["H"]
     for scalar in (0.5, ComplexRational(1, 1), TruncatedSeries.z_power(1, 2, 1)):
-        with pytest.raises(TypeError, match=f"SchrodingerOperator takes int or Fraction "
-                                            f"scalars, not {type(scalar).__name__}"):
-            h * scalar
+        for product in (lambda: h * scalar, lambda: scalar * h):
+            with pytest.raises(TypeError, match=f"SchrodingerOperator takes int or Fraction "
+                                                f"scalars, not {type(scalar).__name__}"):
+                product()
     phi = heat_polynomials(M, Z, 3)[2]
     calls = (lambda: realize(1, 0.5, Z), lambda: casimir(1.0, Z),
              lambda: discrete_derivative(0.1), lambda: symmetry_checks(1, A, 0.1),

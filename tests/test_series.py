@@ -1,12 +1,13 @@
 import random
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
 from twophoton.algebra import two_photon_algebra
 from twophoton.scalars import ComplexRational, parse_complex_rational, parse_rational
-from twophoton.series import TruncatedSeries
+from twophoton.series import TruncatedSeries, _series_terms
 
 
 def S(coeffs):
@@ -127,21 +128,32 @@ def test_sparse_series_kernels_and_ring_axioms():
         TruncatedSeries([0.5])
 
 
+def _assert_canonical(series):
+    """The stored triples of ``series`` are its one canonical form: ascending
+    powers in 0..order, nonzero numerators, positive denominators, gcd 1."""
+    powers = [n for n, _, _ in series.triples]
+    assert powers == sorted(set(powers)) and all(0 <= n <= series.order for n in powers)
+    assert all(x and d > 0 and gcd(x, d) == 1 for _, x, d in series.triples)
+    assert all(type(v) is int for t in series.triples for v in t)
+
+
 def test_stored_pairs_against_dense_reference():
-    # a series stores only its nonzero (power, coefficient) pairs: every ring
-    # operation must agree with the dense formulas, and equal series must
-    # store equal pairs and hash alike however they were built
+    # a series stores only its nonzero terms, as canonical int triples: every
+    # ring operation must agree with the dense formulas, and equal series
+    # must store equal triples and hash alike however they were built. The
+    # denominators 1..6 give the sums, products and scalar products gcds to
+    # reduce by
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     order = 4
     zero = st.just(Fraction(0))
-    rational = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2))
+    rational = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
     scalar = st.one_of(zero, rational)
     dense = st.lists(scalar, min_size=order + 1, max_size=order + 1)
 
     @hypothesis.settings(max_examples=300, deadline=None)
-    @hypothesis.given(dense, dense, scalar)
-    def check(x, y, c):
+    @hypothesis.given(dense, dense, scalar, st.integers(0, order))
+    def check(x, y, c, cut):
         a, b = TruncatedSeries(x, order), TruncatedSeries(y, order)
         cases = [
             (a, x),
@@ -151,14 +163,18 @@ def test_stored_pairs_against_dense_reference():
             (a * b, _dense_product(x, y)),
             (a * c, [p * c for p in x]),
             (c * a, [c * p for p in x]),
+            (a.truncate(cut), x[:cut + 1]),
+            ((a - TruncatedSeries.constant(x[0], order)).divided_by_z(), x[1:]),
         ]
         for got, want in cases:
-            powers = [n for n, _ in got.pairs]
-            assert powers == sorted(set(powers)) and all(0 <= n <= order for n in powers)
-            assert all(v for _, v in got.pairs)
+            _assert_canonical(got)
+            k = len(want) - 1
+            assert got.order == k
+            assert all(type(v) is Fraction for _, v in got.pairs)
+            assert got.pairs == tuple((n, v) for n, v in enumerate(want) if v)
             assert got.coeffs == tuple(want)
-            assert TruncatedSeries(got.coeffs, order) == got
-            built = TruncatedSeries(want, order)
+            assert TruncatedSeries(got.coeffs, k) == got
+            built = TruncatedSeries(want, k)
             assert built == got and hash(built) == hash(got)
             assert got.low_order() == next((n for n, v in enumerate(want) if v), None)
             assert bool(got) == any(want)
@@ -168,30 +184,18 @@ def test_stored_pairs_against_dense_reference():
     check()
 
 
-def _int_backed(series):
-    """The same series held as int triples only, the form in which the PBW
-    kernel makes its results."""
-    return TruncatedSeries._from_ints(
-        tuple((n, c.numerator, c.denominator) for n, c in series.pairs), series.order)
-
-
-def _both_forms(series):
-    """The same series held as Fraction pairs with its int triples read too."""
-    out = TruncatedSeries(series.coeffs, series.order)
-    out._int_terms()
-    return out
-
-
-def _forms(series):
-    """Fresh copies of a series of Fractions in each of its forms."""
-    return (TruncatedSeries(series.coeffs, series.order), _int_backed(series),
-            _both_forms(series))
-
-
 def _sparse_random_series(rng, order, terms):
     powers = rng.sample(range(order + 1), min(terms, order + 1))
     return TruncatedSeries([Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
                             if n in powers else 0 for n in range(order + 1)], order)
+
+
+def _from_numerators(series, scale):
+    """The same series made as the PBW kernel makes its results: from int
+    numerators over a common denominator, here not in lowest terms."""
+    den = scale * lcm(*(c.denominator for _, c in series.pairs))
+    numerators = {((), n): c.numerator * (den // c.denominator) for n, c in series.pairs}
+    return _series_terms(numerators, series.order, den).get((), TruncatedSeries.zero(series.order))
 
 
 @pytest.mark.parametrize("order", [0, 3, 8])
@@ -200,25 +204,25 @@ def test_int_backed_series_reads_like_fraction_pairs(order):
     samples = [TruncatedSeries.zero(order), TruncatedSeries.one(order)] + [
         _sparse_random_series(rng, order, terms) for terms in (1, 1, 2, 3, order + 1)]
     for fractions in samples:
-        ints = _int_backed(fractions)
-        assert ints._pairs is None
-        for read in (ints, _both_forms(fractions)):
-            assert read.pairs == fractions.pairs
-            assert all(type(c) is Fraction for _, c in read.pairs)
-            assert read.coeffs == fractions.coeffs
-            assert read == fractions and fractions == read
-            assert hash(read) == hash(fractions)
-            assert bool(read) == bool(fractions)
-            assert read.low_order() == fractions.low_order()
-            assert str(read) == str(fractions)
-        a, b = _int_backed(fractions), _int_backed(fractions)
-        assert a == b and hash(a) == hash(b) == hash(fractions)
-        assert a != _int_backed(fractions + TruncatedSeries.one(order))
-        assert a != _int_backed(-fractions) or not fractions
+        read = _from_numerators(fractions, 6)
+        _assert_canonical(read)
+        assert read.triples == fractions.triples
+        assert read.pairs == fractions.pairs
+        assert all(type(c) is Fraction for _, c in read.pairs)
+        assert read.coeffs == fractions.coeffs
+        assert read == fractions and fractions == read
+        assert hash(read) == hash(fractions)
+        assert bool(read) == bool(fractions)
+        assert read.low_order() == fractions.low_order()
+        assert str(read) == str(fractions)
+        assert read != _from_numerators(fractions + TruncatedSeries.one(order), 1)
+        assert read != -fractions or not fractions
 
 
 @pytest.mark.parametrize("order", [0, 3, 8])
 def test_every_form_pairing_multiplies_to_the_fraction_reference(order):
+    # the two forms of a product's operands: monomials, multiplied on two
+    # triples, and multi-term series, summed over the product of two lcms
     rng = random.Random(8 * order + 1)
     k = order
     z_top = TruncatedSeries.z_power(k, k, Fraction(-5, 7))
@@ -235,30 +239,26 @@ def test_every_form_pairing_multiplies_to_the_fraction_reference(order):
     for x in cases:
         for y in cases:
             want = tuple(_dense_product(x.coeffs, y.coeffs))
-            for a in _forms(x):
-                for b in _forms(y):
-                    got = a * b
-                    if got._pairs is None:
-                        # made on ints: lowest terms over positive denominators
-                        assert got._int_terms() == _int_backed(got)._int_terms()
-                    assert got.coeffs == want
-                    assert got == TruncatedSeries(want, k) and bool(got) == any(want)
-    two_thirds, three_halves = (_int_backed(s) for s in monomials[:2])
-    one = two_thirds * three_halves
-    # a product of two monomials of Fractions is made on ints, in lowest terms
-    assert one._pairs is None and one._int_terms() == ((0, 1, 1),)
+            got = x * y
+            _assert_canonical(got)
+            assert got.coeffs == want
+            assert got == TruncatedSeries(want, k) and bool(got) == any(want)
+    # a product of two monomials is reduced to lowest terms
+    one = monomials[0] * monomials[1]
+    assert one.triples == ((0, 1, 1),)
     assert one == TruncatedSeries.one(k)
     if k:
-        past = _int_backed(z_top) * _int_backed(TruncatedSeries.z_power(1, k, 3))
-        assert past == TruncatedSeries.zero(k) and not past and past.low_order() is None
+        past = z_top * TruncatedSeries.z_power(1, k, 3)
+        assert past.triples == () and past == TruncatedSeries.zero(k)
+        assert not past and past.low_order() is None
 
 
 def test_int_backed_series_refuse_float_scalars():
-    s = _int_backed(TruncatedSeries([Fraction(1, 3), 0, Fraction(-2, 5)]))
+    s = TruncatedSeries([Fraction(1, 3), 0, Fraction(-2, 5)])
     for product in (lambda: s * 0.5, lambda: 0.5 * s):
         with pytest.raises(TypeError):
             product()
-    assert s._pairs is None
+    assert s.triples == ((0, 1, 3), (2, -2, 5))
 
 
 def test_exp_sqrt_functional_identities_random():
