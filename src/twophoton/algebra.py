@@ -28,16 +28,18 @@ factor. Entries are combined over the lcm of their denominators, so a
 coefficient operation is an int product, not a Fraction's gcd. The built-in
 tables are homogeneous for a grading in which z has a weight, so a normal
 form carries one z power per word. Every product of elements, tensors or raw
-tensors goes through one kernel, ``QuantumAlgebra._ordered``. It reads each
-coefficient's stored (z power, numerator, denominator) triples, once per
-run of raw terms that share the coefficient, and hands back one series per
-word, made from the word's numerators: in the graded tables, one monomial.
-A series holds only such triples and makes its Fractions only when they
-are read. Equal coefficients of its result are one object, found by their
-int numerators, and ``term_products`` groups each factor's terms by
-coefficient object, so a pair of groups costs one series product, shared by
-every word pair of the two groups; a product of two such monomials is made
-on ints too. The R-matrix is a
+tensors goes through one kernel, ``QuantumAlgebra._ordered``. Its raw
+streams carry each coefficient as int triples (z power, numerator,
+denominator), which it reads once per run of raw terms that share one
+triples object, and it hands back one series per word, made from the word's
+numerators: in the graded tables, one monomial. The triples need not be in
+lowest terms: a stream may carry the unreduced product of two series'
+triples (``product_triples``), as the Hopf-axiom residuals do, since the
+kernel sums over a common denominator and reduces only the results. Equal
+coefficients of its result are one object, found by their int numerators,
+and ``term_products`` groups each factor's terms by coefficient object, so
+a pair of groups costs one series product, shared by every word pair of the
+two groups. The R-matrix is a
 product of exponentials, so its products take few distinct coefficients: the
 Schrodinger Yang-Baxter residual at k = 5 pairs 20,518 terms but only 2,268
 coefficient objects. Inside the kernel a word is its int id, and a memo
@@ -53,9 +55,10 @@ terms of c*d enter with negated numerators and both sides sum into the one
 accumulator, so neither side is built, and only terms that do not cancel
 become series. Products and these residuals enter the kernel through its
 one entry, ``ordered_difference``, which also takes hand-made streams of raw
-terms: the antipode and coproduct-bracket residuals of ``hopf.hopf_checks``
-are each one such pass. The coproduct and antipode of a word are memoised on
-its prefix, so words that share one (B+^n, H^n, ...) share its product.
+terms: the coassociativity, antipode and coproduct-bracket residuals of
+``hopf.hopf_checks`` are each one such pass. The coproduct and antipode of
+a word are memoised on its prefix, so words that share one (B+^n, H^n, ...)
+share its product.
 
 Two algebras are built in:
 
@@ -90,6 +93,7 @@ __all__ = [
     "QuantumAlgebra",
     "ordered_difference",
     "product_difference",
+    "product_triples",
     "term_products",
     "two_photon_algebra",
     "schrodinger_algebra",
@@ -146,8 +150,16 @@ def _grow(acc, den, b):
     return den * grow
 
 
+def product_triples(a, b, order):
+    """The (z power, numerator, denominator) triples of the product of two
+    series' triples, up to z^order: one triple per surviving pair, neither
+    reduced nor collected, for a raw stream of the product kernel."""
+    return [(i + j, x * u, y * v) for i, x, y in a for j, u, v in b if i + j <= order]
+
+
 def term_products(a, b):
-    """(raw legs, s_a * s_b) for the pairs of terms that survive truncation.
+    """(raw legs, triples of s_a * s_b) for the pairs of terms that survive
+    truncation.
 
     Each factor's terms are grouped by coefficient object, so a pair of
     groups costs one series product, which every word pair of the two
@@ -157,7 +169,11 @@ def term_products(a, b):
     terms. b's groups are bucketed by low z order once, so a group of a
     with low order la visits only the buckets 0 .. k - la and no rejected
     pair. The terms of a pair of groups come out one after another with
-    one series object, a run whose coefficient the kernel reads once.
+    the triples of one series, a run whose coefficient the kernel reads
+    once. The pair's product stays one reduced ``TruncatedSeries`` product,
+    not ``product_triples``: the benchmark's tracer (``bench/tracer.py``)
+    times series multiplication through ``TruncatedSeries.__mul__``, and
+    its traced run expects that layer under the rank-3 tensor product.
     """
     order = a.algebra.order
     join = a._join
@@ -167,7 +183,7 @@ def term_products(a, b):
     for sa, was in _coefficient_groups(a):
         for bucket in buckets[:order + 1 - sa.low_order()]:
             for sb, wbs in bucket:
-                s = sa * sb
+                s = (sa * sb).triples
                 for wa in was:
                     for wb in wbs:
                         yield join(wa, wb), s
@@ -199,13 +215,16 @@ def product_difference(a, b, c, d):
 
 
 def ordered_difference(like, raw, minus=()):
-    """The normal-ordered sum of the raw (legs, series) terms of ``raw``
+    """The normal-ordered sum of the raw (legs, triples) terms of ``raw``
     minus those of ``minus``, as an element of ``like``'s space.
 
     The one entry to the product kernel ``QuantumAlgebra._ordered``: a
     product, the residual of a product identity and the residual of a Hopf
     axiom are each one call. Legs are raw words, one per tensor leg and
-    one for an element; the caller keeps every stream in ``like``'s space.
+    one for an element, and a coefficient is a sequence of int (z power,
+    numerator, denominator) triples with positive denominators, a series'
+    ``triples`` or ``product_triples``; the caller keeps every stream in
+    ``like``'s space.
     """
     return like._from_ordered(like.algebra._ordered(raw, minus))
 
@@ -475,7 +494,8 @@ class QuantumAlgebra:
     def tensor(self, raw_terms, rank=2):
         """Build a tensor from a raw {legs: coefficient} map, normal ordering each leg."""
         return TensorElement(self, rank, self._ordered(
-            (tuple(map(tuple, legs)), self._as_series(c)) for legs, c in raw_terms.items()))
+            (tuple(map(tuple, legs)), self._as_series(c).triples)
+            for legs, c in raw_terms.items()))
 
     # -- normal ordering ------------------------------------------------------
 
@@ -488,20 +508,23 @@ class QuantumAlgebra:
     def normal_terms(self, raw_terms):
         """Normal form of a raw {word: coefficient} map, as a {word: series} map."""
         ordered = self._ordered(
-            ((tuple(word),), self._as_series(c)) for word, c in raw_terms.items())
+            ((tuple(word),), self._as_series(c).triples) for word, c in raw_terms.items())
         return {w: s for (w,), s in ordered.items()}
 
     def _ordered(self, raw, minus=()):
-        """Normal-ordered {legs: series} of the sum of the raw (legs, series)
-        terms of ``raw`` minus those of ``minus``.
+        """Normal-ordered {legs: series} of the sum of the raw (legs,
+        triples) terms of ``raw`` minus those of ``minus``.
 
         The one product kernel of the engine. It works on the memo's word
         ids: a raw leg whose normal form is one word with coefficient 1 is
         that word's id in ``ids`` (a PBW leg is its own), and any other is
-        read as its memo entry, (d, ((id, z power, numerator), ...)). A
-        coefficient's int triples (z power, numerator, denominator) are read
-        once per run of consecutive raw terms that share one series object,
-        the numerators negated for ``minus``. A raw term whose legs
+        read as its memo entry, (d, ((id, z power, numerator), ...)). Every
+        coefficient of a raw stream is int triples (z power, numerator,
+        denominator), not a series: a series' ``triples``, or the unreduced
+        ``product_triples`` of two, so a residual whose coefficients are
+        products of table entries makes no series for them. The triples are
+        read once per run of consecutive raw terms that share one triples
+        object, the numerators negated for ``minus``. A raw term whose legs
         are all single words goes straight into the accumulator, keyed by
         (tuple of leg ids, z power); any other is expanded at its other
         legs, and a partial product past z^k is dropped before the next one.
@@ -521,12 +544,12 @@ class QuantumAlgebra:
         den = 1
         for sign, stream in ((1, raw), (-1, minus)):
             last = None
-            for legs, series in stream:
-                if series is not last:
-                    last = series
+            for legs, triples in stream:
+                if triples is not last:
+                    last = triples
                     # (legs so far, z power, numerator, denominator) of each
                     # pair, the start of a term's expansion
-                    pairs = [((), n, sign * x, d) for n, x, d in series.triples]
+                    pairs = [((), n, sign * x, d) for n, x, d in triples]
                     scaled = None
                 ids = tuple(map(leg_id, legs))
                 if None not in ids:

@@ -18,9 +18,8 @@ from fractions import Fraction
 from .algebra import two_photon_algebra, schrodinger_algebra
 from .bargmann import (EigenProblem, classical_rep, deformed_rep, eigen_operator,
                        first_order_rep, rep_checks, series_solve, SingularRecurrenceError)
-from .bialgebra import (two_photon_lie, schrodinger_lie, basis_change,
-                        delta_table_from_r, verify_cybe, verify_cocycle,
-                        H6_R_MATRIX, SCH_R_MATRIX, H6_DELTA_TABLE,
+from .bialgebra import (classical_lie, basis_change, delta_table_from_r, verify_cybe,
+                        verify_cocycle, H6_R_MATRIX, SCH_R_MATRIX, H6_DELTA_TABLE,
                         SCH_DELTA_TABLE, H6_TO_SCH_MAP)
 from .discrete import (verify_realization, symmetry_checks, solution_checks,
                        heat_polynomials, exponential_solutions, regular_kappas,
@@ -34,11 +33,15 @@ from .scalars import parse_rational, parse_complex_rational
 ALL_CHECKS = ("bialgebra", "hopf", "rmatrix", "rep", "eigen", "discrete-se")
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
 
-# per algebra: its classical Lie algebra, classical r-matrix, cocommutator
-# table and quantum algebra
+# per algebra: the name of its classical Lie algebra, its classical r-matrix,
+# cocommutator table and quantum algebra builder. A check group builds each
+# quantum algebra once and reads every layer it certifies off that instance:
+# the Lie algebra is the z^0 part of its relations (classical_lie), the
+# bialgebra the z^1 part of its coproduct, and the hopf group hands its two
+# instances on to the transport entries
 ALGEBRAS = {
-    "h6": (two_photon_lie, H6_R_MATRIX, H6_DELTA_TABLE, two_photon_algebra),
-    "sch": (schrodinger_lie, SCH_R_MATRIX, SCH_DELTA_TABLE, schrodinger_algebra),
+    "h6": ("h6", H6_R_MATRIX, H6_DELTA_TABLE, two_photon_algebra),
+    "sch": ("schrodinger", SCH_R_MATRIX, SCH_DELTA_TABLE, schrodinger_algebra),
 }
 
 
@@ -155,8 +158,10 @@ def _selected_algebras(cfg):
 
 def run_bialgebra(cfg):
     entries = []
-    for make_lie, r, table, quantum in _selected_algebras(cfg):
-        lie = make_lie()
+    for lie_name, r, table, quantum in _selected_algebras(cfg):
+        # neither the z^0 relations nor the z^1 coproduct depend on k >= 1
+        alg = quantum(1)
+        lie = classical_lie(lie_name, alg)
         entries.append(CheckResult(
             name=f"bialgebra/{lie.name}/jacobi",
             passed=not lie.jacobi_violations(), residual="0"))
@@ -168,7 +173,6 @@ def run_bialgebra(cfg):
             residual="0" if not bad else "mismatch at " + ", ".join(bad)))
         entries.extend(verify_cocycle(lie, deltas))
         # first z order of the quantum coproduct must reproduce delta
-        alg = quantum(max(1, cfg["order"]))
         bad = []
         for g in lie.basis:
             if first_order_delta(alg, g) != deltas[g].terms:
@@ -180,17 +184,19 @@ def run_bialgebra(cfg):
 
 
 def run_hopf(cfg):
+    # both algebras, whichever --algebra selects: the transport needs the two
+    built = {key: quantum(cfg["order"]) for key, (*_, quantum) in ALGEBRAS.items()}
     entries = []
-    for *_, quantum in _selected_algebras(cfg):
-        alg = quantum(cfg["order"])
-        entries.extend(hopf_checks(alg))
-        entries.extend(structure_checks(alg))
-    entries.extend(transport_checks(cfg["order"]))
+    for key, alg in built.items():
+        if cfg["algebra"] in (key, "both"):
+            entries.extend(hopf_checks(alg))
+            entries.extend(structure_checks(alg))
+    entries.extend(transport_checks(built["sch"], built["h6"]))
     # classical limit of the transport: basis change carries table to table,
     # and a singular map fails the entry with basis_change's message
-    sch = schrodinger_lie()
+    h6, sch = (classical_lie(ALGEBRAS[key][0], built[key]) for key in ("h6", "sch"))
     try:
-        mapped = basis_change(two_photon_lie(), H6_TO_SCH_MAP)
+        mapped = basis_change(h6, H6_TO_SCH_MAP)
     except ValueError as exc:
         ok, residual = False, str(exc)
     else:

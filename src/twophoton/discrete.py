@@ -151,21 +151,30 @@ class SchrodingerOperator(SparseTerms):
         return self.scale(_rational(other, SchrodingerOperator))
 
     def apply(self, func):
-        """Act on an ExpPolyFunction."""
+        """Act on an ExpPolyFunction.
+
+        The term x^a t^b T^tau dx^p dt^q maps func to x^a t^b times the
+        image T^tau dx^p dt^q func, which is made once for each distinct
+        (tau, p, q) of the operator's terms.
+        """
         if func.z != self.z:
             raise ValueError(f"lattice step mismatch: z={self.z} vs {func.z}")
+        images = {}
 
         def image(a, b, tau, p, q):
-            img = func
-            for _ in range(q):
-                img = img.ddt()
-            for _ in range(p):
-                img = img.ddx()
-            if tau:
-                img = img.shift(tau)
+            img = images.get((tau, p, q))
+            if img is None:
+                img = func
+                for _ in range(q):
+                    img = img.ddt()
+                for _ in range(p):
+                    img = img.ddx()
+                if tau:
+                    img = img.shift(tau)
+                images[(tau, p, q)] = img
             return img.mul_powers(a, b)
 
-        return ExpPolyFunction(self.z, linear_combination(
+        return ExpPolyFunction._holding(func.space, linear_combination(
             (image(*key), c) for key, c in self.terms.items()))
 
     def __str__(self):
@@ -394,6 +403,11 @@ class ExpPolyFunction(SparseTerms):
     multiplies by w, the shift T multiplies by r (and shifts polynomial t
     dependence). Discrete-equation solutions constrain only r and carry
     w = 0; classical solutions, at z = 0, carry r = 1.
+
+    The constructor checks every key and coefficient. The derivatives, the
+    shift, ``mul_powers`` and ``SchrodingerOperator.apply`` make their
+    results from checked terms by exact arithmetic, so they hold them
+    without a second check (``SparseTerms._holding``).
     """
 
     __slots__ = ("z",)
@@ -429,7 +443,7 @@ class ExpPolyFunction(SparseTerms):
                 if rate:
                     yield key, c * rate
 
-        return ExpPolyFunction(self.z, collect(pairs()))
+        return self._holding(self.space, collect(pairs()))
 
     def ddx(self):
         return self._derivative(0)
@@ -438,24 +452,30 @@ class ExpPolyFunction(SparseTerms):
         return self._derivative(1)
 
     def shift(self, steps=1):
-        """T^steps: t -> t + 4 z steps on polynomial factors, times r^steps;
-        a term with r = 0 vanishes forwards and raises backwards."""
+        """T^steps for an int ``steps``: t -> t + 4 z steps on polynomial
+        factors, times r^steps; a term with r = 0 vanishes forwards and
+        raises backwards."""
+        if type(steps) is not int:
+            raise TypeError(f"shift takes an int number of steps, not {steps!r}")
         delta = 4 * self.z * steps
 
         def pairs():
             for (a, b, kap, w, r), c in self.terms.items():
                 if r == 0 and steps < 0:
                     raise ValueError("step factor 0 cannot be shifted backwards")
-                factor = c * r ** steps
+                factor = c * Fraction(r) ** steps
                 for i, ci in _binomial_shift(b, delta):
                     yield (a, i, kap, w, r), factor * ci
 
-        return ExpPolyFunction(self.z, collect(pairs()))
+        return self._holding(self.space, collect(pairs()))
 
     def mul_powers(self, x_pow, t_pow):
+        """x^x_pow t^t_pow times this function, the powers nonnegative ints."""
         if x_pow == 0 and t_pow == 0:
             return self
-        return ExpPolyFunction(self.z, {
+        if not (type(x_pow) is int and type(t_pow) is int and x_pow >= 0 and t_pow >= 0):
+            raise TypeError(f"mul_powers takes nonnegative int powers, not {x_pow!r}, {t_pow!r}")
+        return self._holding(self.space, {
             (a + x_pow, b + t_pow, kap, w, r): c
             for (a, b, kap, w, r), c in self.terms.items()})
 

@@ -3,11 +3,13 @@
 Everything here reduces an identity to a residual element of the PBW engine
 and reports pass exactly when the residual is zero mod z^(k+1). A residual
 is made in one pass, without building its sides: the R-matrix identities
-through ``product_difference``, the antipode and coproduct-bracket axioms
-as streams of raw terms through ``ordered_difference``, and
-coassociativity and the counit axioms, whose legs are PBW already, as one
-collect each. Every generator has counit 0, so the counit is the
-augmentation: the coefficient of the empty word.
+through ``product_difference``, the coassociativity, antipode and
+coproduct-bracket axioms as streams of raw terms through
+``ordered_difference``, and the counit axioms, whose legs are PBW already,
+as one collect each. A raw stream's coefficient that is the product of two
+table entries is their ``product_triples``, int triples that the kernel
+sums without making a series for them. Every generator has counit 0, so
+the counit is the augmentation: the coefficient of the empty word.
 
 The transport of structure certifies that the classical basis change
 ``H6_TO_SCH_MAP``, read as the map phi from the Schrodinger algebra to h6
@@ -26,8 +28,8 @@ from fractions import Fraction
 from itertools import chain
 
 from .algebra import (NCElement, TensorElement, ordered_difference, product_difference,
-                      term_products, two_photon_algebra, schrodinger_algebra, word_name,
-                      _exp_words, _row_terms, SCH_CASIMIR)
+                      product_triples, term_products, word_name, _exp_words, _row_terms,
+                      SCH_CASIMIR)
 from .bialgebra import H6_TO_SCH_MAP
 from .report import CheckResult, residual_entry
 from .sparse import collect
@@ -44,17 +46,18 @@ __all__ = [
 
 
 def _coassoc_residual(alg, dx):
-    """(Delta (x) id) Delta x - (id (x) Delta) Delta x, as a rank-3 tensor."""
+    """(Delta (x) id) Delta x - (id (x) Delta) Delta x, as a rank-3 tensor,
+    in one ``ordered_difference`` pass: its legs are PBW already, so each
+    raw term is one accumulator update, and no series is made for the
+    products of the coefficients of Delta x and of Delta of its legs."""
+    k = alg.order
 
-    def pairs():
+    def raw(leg):
         for (w1, w2), s in dx.terms.items():
-            for (p1, p2), c in alg.coproduct_word(w1).terms.items():
-                yield (p1, p2, w2), c * s
-            minus_s = -s
-            for (q1, q2), c in alg.coproduct_word(w2).terms.items():
-                yield (w1, q1, q2), c * minus_s
+            for (p, q), c in alg.coproduct_word((w1, w2)[leg]).terms.items():
+                yield ((p, q, w2), (w1, p, q))[leg], product_triples(c.triples, s.triples, k)
 
-    return TensorElement(alg, 3, collect(pairs()))
+    return ordered_difference(alg.tensor_one(3), raw(0), raw(1))
 
 
 def _counit_residual(alg, x, dx, leg):
@@ -75,23 +78,25 @@ def _counit_residual(alg, x, dx, leg):
 def _antipode_residual(alg, x, dx, leg):
     """m(gamma (x) id) Delta x - eps(x) 1 for leg 0, m(id (x) gamma) Delta x -
     eps(x) 1 for leg 1."""
+    k = alg.order
 
     def raw():
         for (w1, w2), s in dx.terms.items():
             if leg == 0:
                 for v, t in alg.antipode_word(w1).terms.items():
-                    yield (v + w2,), t * s
+                    yield (v + w2,), product_triples(t.triples, s.triples, k)
             else:
                 for v, t in alg.antipode_word(w2).terms.items():
-                    yield (w1 + v,), s * t
+                    yield (w1 + v,), product_triples(s.triples, t.triples, k)
 
-    return ordered_difference(x, raw(), [(((),), alg.counit(x))])
+    return ordered_difference(x, raw(), [(((),), alg.counit(x).triples)])
 
 
 def _coproduct_bracket_residual(alg, x, y, dx, dy):
     """Delta([x, y]) - [Delta x, Delta y]: Delta([x, y]) + Delta y Delta x
     minus Delta x Delta y."""
-    delta_bracket = ((legs, c * s) for w, s in alg.relation(x, y).terms.items()
+    delta_bracket = ((legs, product_triples(c.triples, s.triples, alg.order))
+                     for w, s in alg.relation(x, y).terms.items()
                      for legs, c in alg.coproduct_word(w).terms.items())
     return ordered_difference(dx, chain(delta_bracket, term_products(dy, dx)),
                               term_products(dx, dy))
@@ -272,17 +277,18 @@ def _forward_element(h6, name):
 
 
 def _raw_legs(x):
-    """The raw (legs, series) terms of an element, whose one leg is its
+    """The raw (legs, triples) terms of an element, whose one leg is its
     word, or of a tensor."""
     if isinstance(x, NCElement):
-        return (((w,), s) for w, s in x.terms.items())
-    return x.terms.items()
+        return (((w,), s.triples) for w, s in x.terms.items())
+    return ((legs, s.triples) for legs, s in x.terms.items())
 
 
 def _pushed(x):
-    """The raw h6 (legs, series) terms of phi applied legwise to the
+    """The raw h6 (legs, triples) terms of phi applied legwise to the
     Schrodinger element or tensor x, letter by letter."""
     images = [tuple(_FORWARD[g].items()) for g in x.algebra.generators]
+    k = x.algebra.order
 
     def phi(word):
         out = [((), 1)]
@@ -295,7 +301,8 @@ def _pushed(x):
         for leg in legs:
             pushed = [(done + (w,), c * cw) for done, c in pushed for w, cw in phi(leg)]
         for h6_legs, c in pushed:
-            yield h6_legs, s if c == 1 else s * c
+            yield h6_legs, s if c == 1 else product_triples(
+                s, ((0, c.numerator, c.denominator),), k)
 
 
 def transport_structure(sch, h6):
@@ -342,9 +349,11 @@ def verify_spec_equality(residuals, order):
     return entries
 
 
-def transport_checks(order):
-    residuals = transport_structure(schrodinger_algebra(order), two_photon_algebra(order))
-    return verify_spec_equality(residuals, order)
+def transport_checks(sch, h6):
+    """The ``transport/*`` entries of phi: sch -> h6 at one order. The hopf
+    group passes the instances its Hopf checks ran on: every memo is pure,
+    so they give the entries of fresh instances."""
+    return verify_spec_equality(transport_structure(sch, h6), h6.order)
 
 
 def structure_checks(alg):

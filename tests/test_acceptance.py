@@ -83,7 +83,8 @@ def test_criterion_4_transport():
         for j in range(i):
             assert mapped.bracket_basis(i, j) == sch.bracket_basis(i, j)
     for order in (0, 1, 2, 3):
-        bad = [e.name for e in transport_checks(order) if not e.passed]
+        entries = transport_checks(schrodinger_algebra(order), two_photon_algebra(order))
+        bad = [e.name for e in entries if not e.passed]
         assert not bad, (order, bad)
     report(4, True, "basis change reproduces the classical table; "
                     "the basis change is a Hopf map into h6 at k=0..3")

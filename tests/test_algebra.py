@@ -13,9 +13,9 @@ import pytest
 
 import twophoton
 from twophoton import hopf
-from twophoton.algebra import (NCElement, NormalOrderError, QuantumAlgebra, TensorElement,
-                               product_difference, two_photon_algebra, schrodinger_algebra,
-                               _first_inversion)
+from twophoton.algebra import (H6_COPRODUCTS, NCElement, NormalOrderError, QuantumAlgebra,
+                               TensorElement, product_difference, two_photon_algebra,
+                               schrodinger_algebra, _first_inversion)
 from twophoton.series import TruncatedSeries, _series_terms
 from twophoton.sparse import collect, linear_combination
 
@@ -593,6 +593,21 @@ def _raw_stream(rng, coefficients, rank, n_terms):
     return stream
 
 
+def _triple_stream(stream, factor=1):
+    """The kernel's form of a raw (legs, series) stream: each series read as
+    its int triples, one object per series so that runs stay runs, with
+    every numerator and denominator times ``factor`` (unreduced triples, as
+    ``product_triples`` makes them)."""
+    triples = {}
+    out = []
+    for legs, s in stream:
+        t = triples.get(id(s))
+        if t is None:
+            t = triples[id(s)] = [(n, x * factor, d * factor) for n, x, d in s.triples]
+        out.append((legs, t))
+    return out
+
+
 @pytest.mark.parametrize("order", [0, 3, 8])
 @pytest.mark.parametrize("make", [two_photon_algebra, schrodinger_algebra])
 def test_id_kernel_matches_the_word_keyed_kernel(make, order):
@@ -606,14 +621,16 @@ def test_id_kernel_matches_the_word_keyed_kernel(make, order):
             raw = _raw_stream(rng, coefficients, rank, 40)
             minus = _raw_stream(rng, coefficients, rank, 40)
             want = _word_keyed_ordered(alg, raw, minus)
-            # the second pass reads every leg from the algebra's view
-            for _ in range(2):
-                got = alg._ordered(iter(raw), iter(minus))
+            # the second pass reads every leg from the algebra's view, and
+            # the third takes triples that are not in lowest terms
+            for factor in (1, 1, 6):
+                got = alg._ordered(iter(_triple_stream(raw, factor)),
+                                   iter(_triple_stream(minus, factor)))
                 assert got == want
                 # equal coefficients of a result are still one object
                 assert len({id(s) for s in got.values()}) == len(set(got.values()))
             # a stream minus itself cancels term by term
-            assert alg._ordered(iter(raw), iter(raw)) == {}
+            assert alg._ordered(iter(_triple_stream(raw)), iter(_triple_stream(raw))) == {}
     assert any(len(legs) == 3 and any(_first_inversion(w) is not None for w in legs)
                for legs, _ in raw)
 
@@ -638,7 +655,7 @@ def test_a_leg_is_one_word_only_at_coefficient_one(bracket):
     for rank in (1, 2):
         raw = [(((1, 0),) * rank, s) for s in coefficients] + [(((0, 1),) * rank, coefficients[1])]
         want = _word_keyed_ordered(alg, raw)
-        assert want and alg._ordered(iter(raw)) == want
+        assert want and alg._ordered(iter(_triple_stream(raw))) == want
 
 
 def _add_one(alg, x, y, coefficient):
@@ -849,6 +866,45 @@ def test_fused_hopf_residuals_match_two_passes(make):
     for leg in (0, 1):
         assert hopf._antipode_residual(alg, x, alg.coproduct(x), leg).is_zero()
         assert hopf._counit_residual(alg, x, alg.coproduct(x), leg).is_zero()
+
+
+def _collected_coassoc_residual(alg, dx):
+    """The coassociativity residual as it was before it became a kernel
+    pass, kept as its reference: one collect of the series products of the
+    coefficients of Delta x and of Delta of its legs."""
+
+    def pairs():
+        for (w1, w2), s in dx.terms.items():
+            for (p1, p2), c in alg.coproduct_word(w1).terms.items():
+                yield (p1, p2, w2), c * s
+            for (q1, q2), c in alg.coproduct_word(w2).terms.items():
+                yield (w1, q1, q2), c * -s
+
+    return TensorElement(alg, 3, collect(pairs()))
+
+
+@pytest.mark.parametrize("order", [0, 3, 8])
+@pytest.mark.parametrize("make", [two_photon_algebra, schrodinger_algebra])
+def test_coassoc_pass_matches_the_collected_residual(make, order):
+    alg = make(order)
+    for name in alg.generators:
+        dx = alg.coproduct(alg.gen(name))
+        got = hopf._coassoc_residual(alg, dx)
+        assert got.rank == 3 and got.is_zero()
+        assert got == _collected_coassoc_residual(alg, dx)
+
+
+def test_coassoc_pass_renders_a_broken_row_like_the_collected_residual(monkeypatch):
+    # Delta(N) = 1 (x) N + 2 N (x) e^{2zB+}, twice the N row: the residual
+    # -2 N (x) e^{2zB+} (x) e^{2zB+} does not vanish
+    monkeypatch.setitem(H6_COPRODUCTS, "N", {("N",): ({}, ((2, 2, 0, 0, ()),))})
+    alg = two_photon_algebra(3)
+    dx = alg.coproduct(alg.gen("N"))
+    got, want = hopf._coassoc_residual(alg, dx), _collected_coassoc_residual(alg, dx)
+    assert got == want and not want.is_zero()
+    (entry,) = [e for e in hopf.hopf_checks(alg) if e.name.endswith("/coassoc/N")]
+    assert not entry.passed
+    assert entry.residual == str(got) == str(want)
 
 
 def _hopf_table_sites(alg):

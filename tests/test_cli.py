@@ -6,6 +6,7 @@ import time
 import pytest
 
 from twophoton import cli
+from twophoton.algebra import QuantumAlgebra
 from twophoton.report import CheckResult, report_json_dict
 
 
@@ -142,6 +143,26 @@ def test_singular_basis_map_fails_the_classical_table_entry(tmp_path, monkeypatc
     assert entry["residual"].startswith("singular basis map")
     assert [name for name, e in entries.items() if not e["pass"]] == [
         "transport/classical-table"]
+
+
+@pytest.mark.parametrize("algebra, checks, builds", [
+    ("both", "bialgebra,hopf", [1, 1, 2, 2]),
+    ("h6", "hopf", [2, 2]),
+    ("sch", "bialgebra", [1]),
+])
+def test_each_group_builds_each_algebra_once(algebra, checks, builds, monkeypatch, capsys):
+    # the bialgebra group reads its classical layers off one order-1 build,
+    # and the hopf group's two order-k builds serve the transport too
+    orders = []
+    init = QuantumAlgebra.__init__
+
+    def counted(self, name, generators, order, **tables):
+        orders.append(order)
+        init(self, name, generators, order, **tables)
+
+    monkeypatch.setattr(QuantumAlgebra, "__init__", counted)
+    assert cli.main(["--algebra", algebra, "--checks", checks, "--order", "2"]) == 0
+    assert orders == builds
 
 
 def test_json_report_deterministic(tmp_path):

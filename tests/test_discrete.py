@@ -13,7 +13,7 @@ from twophoton.discrete import (ExpPolyFunction, SchrodingerOperator,
                                 symmetry_checks, verify_realization)
 from twophoton.scalars import ComplexRational
 from twophoton.series import TruncatedSeries
-from twophoton.sparse import collect, weyl_terms
+from twophoton.sparse import collect, linear_combination, weyl_terms
 
 Z = Fraction(1, 10)
 M = Fraction(1)
@@ -293,6 +293,59 @@ def test_keys_hold_int_powers_and_exact_rates():
     phi = ExpPolyFunction(Z, {(1, 0, Fraction(1, 2), 0, 1): 1})
     assert phi == ExpPolyFunction.exponential(Z, Fraction(1, 2), 0, 1).mul_powers(1, 0)
     assert str(phi) == "(1)*x*exp(1/2x)"
+
+
+def test_derived_functions_keep_the_checks_of_the_public_constructor():
+    # derivatives, shifts and products hold their terms unchecked; the
+    # constructor still refuses a bad key, a float rate or a float coefficient
+    for key in ((0, 0, 0.5, 0, 1), (0, 0, 0, 0.5, 1), (0, 0, 0, 0, 0.5), (-1, 0, 0, 0, 1)):
+        with pytest.raises(TypeError, match="ExpPolyFunction keys"):
+            ExpPolyFunction(Z, {key: 1})
+    with pytest.raises(TypeError, match="ExpPolyFunction takes int or Fraction"):
+        ExpPolyFunction(Z, {(0, 0, 0, 0, 1): 0.5})
+    # a held result has exact coefficients and valid keys, an int rate included
+    phi = ExpPolyFunction(Z, {(2, 3, 1, 0, 2): 3, (0, 1, Fraction(1, 2), 0, Fraction(1, 3)): 1})
+    for derived in (phi.ddx(), phi.ddt(), phi.shift(2), phi.shift(-1), phi.mul_powers(1, 2)):
+        assert derived == ExpPolyFunction(Z, derived.terms)
+        assert all(type(c) is Fraction for c in derived.terms.values())
+    assert phi.shift(-1).shift(1) == phi
+    for bad in (lambda: phi.shift(0.5), lambda: phi.shift(Fraction(1, 2)),
+                lambda: phi.mul_powers(-1, 0), lambda: phi.mul_powers(0, 0.5)):
+        with pytest.raises(TypeError):
+            bad()
+
+
+def _per_term_apply(op, func):
+    """``SchrodingerOperator.apply`` as it was before it shared the images of
+    equal (T, dx, dt) powers, kept as its reference: each term's image made
+    from func, and the sum checked by the public constructor."""
+    def image(a, b, tau, p, q):
+        img = func
+        for _ in range(q):
+            img = img.ddt()
+        for _ in range(p):
+            img = img.ddx()
+        if tau:
+            img = img.shift(tau)
+        return img.mul_powers(a, b)
+
+    return ExpPolyFunction(op.z, linear_combination(
+        (image(*key), c) for key, c in op.terms.items()))
+
+
+@pytest.mark.parametrize("z", [Fraction(1, 10), Fraction(0)])
+def test_apply_matches_the_per_term_reference(z):
+    ops = list(realize(M, A, z).values()) + [casimir(M, z), discrete_derivative(z, "backward")]
+    # terms that share (T, dx, dt) powers, T^-1 among them
+    ops.append(SchrodingerOperator(z, {(1, 0, -1, 1, 1): 2, (0, 2, -1, 1, 1): Fraction(-1, 3),
+                                       (0, 0, -1, 0, 0): 5, (2, 1, 1, 2, 0): 1}))
+    ops.append(ops[-1] * casimir(M, z))
+    functions = heat_polynomials(M, z, 5) + exponential_solutions(M, z, [0, 1, 2])
+    for op in ops:
+        for phi in functions:
+            got = op.apply(phi)
+            assert got == _per_term_apply(op, phi)
+            assert all(type(c) is Fraction and c for c in got.terms.values())
 
 
 def test_deformed_casimir_needs_positive_z():

@@ -8,7 +8,7 @@ from twophoton.algebra import (H6_ANTIPODES, H6_COPRODUCTS, H6_GENERATORS, H6_RE
                                _exp_words, ordered_difference, two_photon_algebra,
                                schrodinger_algebra)
 from twophoton.bialgebra import (H6_R_MATRIX, H6_TO_SCH_MAP, SCH_R_MATRIX, basis_change,
-                                 two_photon_lie)
+                                 classical_lie, schrodinger_lie, two_photon_lie)
 from twophoton.hopf import (bracket_closure, casimir_checks, coproduct_closure,
                             first_order_delta, galilei_casimir, hopf_checks,
                             r_matrix, r_matrix_inverse, rmatrix_checks,
@@ -180,8 +180,52 @@ def test_inverse_residual_subtracts_the_unit(monkeypatch):
 
 def test_transport_matches_handcoded_tables():
     for order in (0, 1, 2, 3):
-        for entry in transport_checks(order):
+        for entry in transport_checks(schrodinger_algebra(order), two_photon_algebra(order)):
             assert entry.passed, (entry.name, order, entry.residual)
+
+
+def _entry_texts(entries):
+    return [(e.name, e.passed, e.residual, e.params) for e in entries]
+
+
+@pytest.mark.parametrize("order", [0, 3, 8])
+def test_transport_on_instances_that_ran_the_hopf_checks(order):
+    # the hopf group hands its instances on to the transport: their warm
+    # memos must give the entries of fresh instances
+    sch, h6 = schrodinger_algebra(order), two_photon_algebra(order)
+    for alg in (h6, sch):
+        assert all(e.passed for e in hopf_checks(alg) + structure_checks(alg))
+    shared = transport_checks(sch, h6)
+    assert all(e.passed for e in shared)
+    fresh = transport_checks(schrodinger_algebra(order), two_photon_algebra(order))
+    assert _entry_texts(shared) == _entry_texts(fresh)
+
+
+def test_shared_instances_fail_a_broken_coproduct_row_like_fresh_ones(monkeypatch):
+    # Delta(P) = 1 (x) P + 2 P (x) e^{-2zH}, twice the P row
+    monkeypatch.setitem(SCH_COPRODUCTS, "P", {("P",): ({}, ((2, -2, 0, 0, ()),))})
+    sch, h6 = schrodinger_algebra(3), two_photon_algebra(3)
+    hopf_checks(h6)
+    assert not all(e.passed for e in hopf_checks(sch))
+    shared = transport_checks(sch, h6)
+    assert [e.name for e in shared if not e.passed] == ["transport/coproduct"]
+    fresh = transport_checks(schrodinger_algebra(3), two_photon_algebra(3))
+    assert _entry_texts(shared) == _entry_texts(fresh)
+
+
+def test_classical_layers_read_at_order_one_hold_at_every_order():
+    # the bialgebra group reads the Lie table (z^0 relations) and delta (z^1
+    # coproduct) off one order-1 build; neither depends on k >= 1
+    for lie_name, make, lie in (("h6", two_photon_algebra, two_photon_lie()),
+                                ("schrodinger", schrodinger_algebra, schrodinger_lie())):
+        first = make(1)
+        table = classical_lie(lie_name, first).table
+        deltas = {g: first_order_delta(first, g) for g in first.generators}
+        assert table == lie.table
+        for order in range(1, 9):
+            alg = make(order)
+            assert classical_lie(lie_name, alg).table == table, (lie_name, order)
+            assert {g: first_order_delta(alg, g) for g in alg.generators} == deltas
 
 
 def test_transport_relation_example():
@@ -240,7 +284,8 @@ def test_transport_catches_every_basis_change_mutation(monkeypatch):
             mutated = {h: v for h, v in {**vec, g: c + 1}.items() if v}
             with monkeypatch.context() as patch:
                 patch.setitem(hopf._FORWARD, x, mutated)
-                failing[x, g] = [e.name for e in transport_checks(2) if not e.passed]
+                entries = transport_checks(schrodinger_algebra(2), two_photon_algebra(2))
+                failing[x, g] = [e.name for e in entries if not e.passed]
             try:
                 basis_change(lie, H6_TO_SCH_MAP[:n] + ((x, mutated),) + H6_TO_SCH_MAP[n + 1:])
             except ValueError as exc:
@@ -367,7 +412,8 @@ def test_hopf_rmatrix_and_transport_catch_every_relation_mutation(monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setitem(rows, key, row)
                 alg = make(2)
-                entries = hopf_checks(alg) + rmatrix_checks(alg) + transport_checks(2)
+                entries = (hopf_checks(alg) + rmatrix_checks(alg)
+                           + transport_checks(schrodinger_algebra(2), two_photon_algebra(2)))
                 reference = _reference_transport_verdicts(2)
             assert _transport_verdicts(entries) == reference, (key, site)
             failing[key, site] = [e.name for e in entries if not e.passed]
@@ -395,7 +441,8 @@ def test_hopf_rmatrix_and_transport_catch_every_coproduct_and_antipode_row_mutat
                     with monkeypatch.context() as patch:
                         patch.setitem(entry, left, row)
                         alg = make(2)
-                        entries = hopf_checks(alg) + rmatrix_checks(alg) + transport_checks(2)
+                        entries = (hopf_checks(alg) + rmatrix_checks(alg) + transport_checks(
+                            schrodinger_algebra(2), two_photon_algebra(2)))
                         reference = _reference_transport_verdicts(2)
                     assert _transport_verdicts(entries) == reference, (kind, x, left, site)
                     failing[alg.name, kind, x, left, site] = [
