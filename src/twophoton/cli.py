@@ -218,6 +218,22 @@ def run_rep(cfg):
     return rep_checks(cfg["order"])
 
 
+def _render_list(values):
+    """'[v0, v1, ...]' of exact values, whatever the digit count of their
+    ints. A large ``--degree`` solve makes coefficients past Python's limit
+    on int-to-decimal conversion (4,300 digits by default), which the
+    interpreter has since 3.11 and some earlier patch releases; it is lifted
+    while they render and restored afterwards, also on error."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return "[" + ", ".join(str(v) for v in values) + "]"
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def run_eigen(cfg):
     entries = []
 
@@ -267,7 +283,7 @@ def run_eigen(cfg):
             name="eigen/deformed-residual", passed=False, residual=str(exc),
             params=params))
         return entries
-    params["coefficients"] = "[" + ", ".join(str(c) for c in coeffs) + "]"
+    params["coefficients"] = _render_list(coeffs)
     entries.append(CheckResult(
         name="eigen/deformed-residual", passed=True, residual="0", params=params))
     return entries

@@ -11,9 +11,11 @@ realization and the heat operator; z < 0 raises ValueError. Every scalar
 that enters, z, coefficients and parameters alike, passes one coercion that
 takes ints and Fractions only and raises TypeError on any other; the keys
 of operators and functions hold int powers and exact rates, or raise
-TypeError too. Operator composition sums int numerators over one
-denominator per product, that of the shift's 4z included, and makes one
-Fraction per term of the result.
+TypeError too, and a function key stores every integral rate as an int.
+The arithmetic is fraction-free: operator composition, the derivatives and
+shifts of functions and an operator's action on a function all sum int
+numerators over one denominator, that of the shift's 4z and of the rates
+included, and make one Fraction per term of the result.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from operator import mul
 from .algebra import SCH_CASIMIR, SCH_GENERATORS, SCH_RELATIONS
 from .report import CheckResult, residual_entry
 from .scalars import _rational
-from .sparse import (SparseTerms, collect, linear_combination, monomial, render_sum,
+from .sparse import (SparseTerms, linear_combination, monomial, render_sum,
                      solve_linear, weyl_terms)
 
 __all__ = [
@@ -56,14 +58,16 @@ _EXACT = frozenset((int, Fraction))
 
 
 def _function_key(key):
-    """``key`` if it is (x power, t power, kappa, omega, rho) with the powers
-    nonnegative ints and the rates ints or Fractions; any other key raises
-    TypeError."""
+    """``key``, each integral rate as an int, if it is (x power, t power,
+    kappa, omega, rho) with the powers nonnegative ints and the rates ints or
+    Fractions; any other key raises TypeError. A rate equal to an int hashes
+    and compares as that int either way; as an int it hashes faster."""
     if type(key) is tuple and len(key) == 5:
         a, b, kappa, omega, rho = key
         if (type(a) is int and type(b) is int and a >= 0 and b >= 0 and type(kappa) in _EXACT
                 and type(omega) in _EXACT and type(rho) in _EXACT):
-            return key
+            return (a, b) + tuple(r.numerator if r.denominator == 1 else r
+                                  for r in (kappa, omega, rho))
     raise TypeError(f"ExpPolyFunction keys are (x power, t power, kappa, omega, rho) with "
                     f"nonnegative int powers and int or Fraction rates, not {key!r}")
 
@@ -75,10 +79,73 @@ def _binomial_shift(b, delta):
 
 
 def _numerators(terms):
-    """[(key, numerator)] of a {key: Fraction} map over one denominator, the
+    """{key: numerator} of a {key: Fraction} map over one denominator, the
     lcm of its denominators, and that lcm."""
     den = lcm(*(c.denominator for c in terms.values()))
-    return [(key, c.numerator * (den // c.denominator)) for key, c in terms.items()], den
+    return {key: c.numerator * (den // c.denominator) for key, c in terms.items()}, den
+
+
+def _derivative_ints(terms, den, var):
+    """d/dx for var = 0, d/dt for var = 1, of a function given as {key: int
+    numerator} over ``den``: its {key: numerator} over its denominator, a
+    numerator zero where terms cancel.
+
+    A key holds the variable's power at slot var and its exponential rate
+    (kappa or w) at slot var + 2. The result's denominator is ``den`` times
+    the lcm of those rates' denominators, 1 when every rate is an int.
+    """
+    slot = var + 2
+    scale = lcm(*(key[slot].denominator for key in terms))
+    acc = {}
+    for key, x in terms.items():
+        power, rate = key[var], key[slot]
+        if power:
+            low = key[:var] + (power - 1,) + key[var + 1:]
+            acc[low] = acc.get(low, 0) + x * power * scale
+        if rate:
+            acc[key] = acc.get(key, 0) + x * rate.numerator * (scale // rate.denominator)
+    return acc, den * scale
+
+
+def _shift_ints(terms, den, z, steps):
+    """T^steps of a function given as {key: int numerator} over ``den``: its
+    {key: numerator} over its denominator, a numerator zero where terms
+    cancel.
+
+    With z = u/v and b the largest t power, t^e -> (t + 4z steps)^e is the
+    int terms C(e, i) (4 u steps)^(e-i) v^(b-e+i) over v^b, and each step
+    factor r enters as r^steps, an int numerator over the lcm of those
+    powers' denominators. A term with r = 0 vanishes forwards and raises
+    backwards.
+    """
+    u, v = z.numerator, z.denominator
+    top = max((key[1] for key in terms), default=0)
+    powers = {}
+    for r in {key[4] for key in terms}:
+        if steps >= 0:
+            powers[r] = (r.numerator ** steps, r.denominator ** steps)
+        elif not r:
+            raise ValueError("step factor 0 cannot be shifted backwards")
+        else:
+            num, rden = r.denominator ** -steps, r.numerator ** -steps
+            powers[r] = (-num, -rden) if rden < 0 else (num, rden)
+    scale = lcm(*(rden for _, rden in powers.values()))
+    factors = {r: num * (scale // rden) for r, (num, rden) in powers.items()}
+    binomials = {}
+    acc = {}
+    for (a, e, kap, w, r), x in terms.items():
+        factor = factors[r]
+        if not factor:
+            continue
+        shifted = binomials.get(e)
+        if shifted is None:
+            binomials[e] = shifted = [(i, c * v ** (top - e + i))
+                                      for i, c in _binomial_shift(e, 4 * u * steps)]
+        xf = x * factor
+        for i, ci in shifted:
+            key = (a, i, kap, w, r)
+            acc[key] = acc.get(key, 0) + xf * ci
+    return acc, den * scale * v ** top
 
 
 class SchrodingerOperator(SparseTerms):
@@ -120,12 +187,12 @@ class SchrodingerOperator(SparseTerms):
         self._require_same(other)
         left, den_left = _numerators(self.terms)
         right, den_right = _numerators(other.terms)
-        top = max((key[1] for key, _ in right), default=0)
+        top = max((key[1] for key in right), default=0)
         u, v = self.z.numerator, self.z.denominator
         shifts = {}
         acc = {}
-        for (a1, b1, t1, p1, q1), x1 in left:
-            for (a2, b2, t2, p2, q2), x2 in right:
+        for (a1, b1, t1, p1, q1), x1 in left.items():
+            for (a2, b2, t2, p2, q2), x2 in right.items():
                 x = x1 * x2
                 tau = t1 + t2
                 for s, cs in weyl_terms(p1, a2):
@@ -154,28 +221,37 @@ class SchrodingerOperator(SparseTerms):
         """Act on an ExpPolyFunction.
 
         The term x^a t^b T^tau dx^p dt^q maps func to x^a t^b times the
-        image T^tau dx^p dt^q func, which is made once for each distinct
-        (tau, p, q) of the operator's terms.
+        image T^tau dx^p dt^q func. Fraction-free: func is read as int
+        numerators over one denominator, and each image is made once for
+        each distinct (tau, p, q) of the operator's terms, in the same int
+        form, by the code of ``ddt``, ``ddx`` and ``shift``; the derivatives
+        dx^p dt^q are made once for each distinct (p, q). The operator's
+        numerators times the images', each over the lcm of the images'
+        denominators, sum into one dict keyed by the image keys raised by
+        (a, b), and one Fraction is made per key that does not cancel.
         """
         if func.z != self.z:
             raise ValueError(f"lattice step mismatch: z={self.z} vs {func.z}")
+        derived = {(0, 0): _numerators(func.terms)}
         images = {}
-
-        def image(a, b, tau, p, q):
-            img = images.get((tau, p, q))
-            if img is None:
-                img = func
-                for _ in range(q):
-                    img = img.ddt()
-                for _ in range(p):
-                    img = img.ddx()
-                if tau:
-                    img = img.shift(tau)
-                images[(tau, p, q)] = img
-            return img.mul_powers(a, b)
-
-        return ExpPolyFunction._holding(func.space, linear_combination(
-            (image(*key), c) for key, c in self.terms.items()))
+        for tau, p, q in {key[2:] for key in self.terms}:
+            # dt^q, then dx^p: each step from the one before, made once
+            for i, j in [(0, j) for j in range(1, q + 1)] + [(i, q) for i in range(1, p + 1)]:
+                if (i, j) not in derived:
+                    derived[(i, j)] = _derivative_ints(*derived[(i - 1, j) if i else (0, j - 1)],
+                                                       0 if i else 1)
+            image = derived[(p, q)]
+            images[(tau, p, q)] = _shift_ints(*image, self.z, tau) if tau else image
+        common = lcm(*(den for _, den in images.values()))
+        ops, den_ops = _numerators(self.terms)
+        acc = {}
+        for (a, b, tau, p, q), x in ops.items():
+            terms, den = images[(tau, p, q)]
+            x *= common // den
+            for (a2, b2, kap, w, r), y in terms.items():
+                key = (a2 + a, b2 + b, kap, w, r)
+                acc[key] = acc.get(key, 0) + x * y
+        return func._from_ints(acc, den_ops * common)
 
     def __str__(self):
         return render_sum(self.terms, lambda key: monomial(*zip(("x", "t", "T", "dx", "dt"), key)))
@@ -404,10 +480,16 @@ class ExpPolyFunction(SparseTerms):
     dependence). Discrete-equation solutions constrain only r and carry
     w = 0; classical solutions, at z = 0, carry r = 1.
 
-    The constructor checks every key and coefficient. The derivatives, the
-    shift, ``mul_powers`` and ``SchrodingerOperator.apply`` make their
-    results from checked terms by exact arithmetic, so they hold them
-    without a second check (``SparseTerms._holding``).
+    The constructor checks every key and coefficient, and stores each
+    integral rate as an int: a rate such as rho = 5/4 stays a Fraction, and
+    either kind compares, hashes and prints as the number it is. The
+    derivatives and the shift read the coefficients as int numerators over
+    their lcm, take the rates and r^steps as int numerator and denominator
+    pairs, and make one Fraction per term of the result;
+    ``SchrodingerOperator.apply`` runs the same int code without the
+    Fractions in between. They and ``mul_powers`` make their results from
+    checked terms, so they hold them without a second check
+    (``SparseTerms._holding``).
     """
 
     __slots__ = ("z",)
@@ -429,27 +511,17 @@ class ExpPolyFunction(SparseTerms):
         kappa, omega, rho = (_rational(v, cls) for v in (kappa, omega, rho))
         return cls(z, {(0, 0, kappa, omega, rho): coeff})
 
-    def _derivative(self, var):
-        """d/dx for var = 0, d/dt for var = 1.
-
-        A key holds the variable's power at slot var and its exponential rate
-        (kappa or w) at slot var + 2.
-        """
-        def pairs():
-            for key, c in self.terms.items():
-                power, rate = key[var], key[var + 2]
-                if power:
-                    yield key[:var] + (power - 1,) + key[var + 1:], c * power
-                if rate:
-                    yield key, c * rate
-
-        return self._holding(self.space, collect(pairs()))
+    def _from_ints(self, terms, den):
+        """The function of {key: int numerator} over ``den``: one Fraction
+        per nonzero numerator."""
+        return self._holding(self.space,
+                             {key: Fraction(x, den) for key, x in terms.items() if x})
 
     def ddx(self):
-        return self._derivative(0)
+        return self._from_ints(*_derivative_ints(*_numerators(self.terms), 0))
 
     def ddt(self):
-        return self._derivative(1)
+        return self._from_ints(*_derivative_ints(*_numerators(self.terms), 1))
 
     def shift(self, steps=1):
         """T^steps for an int ``steps``: t -> t + 4 z steps on polynomial
@@ -457,17 +529,7 @@ class ExpPolyFunction(SparseTerms):
         raises backwards."""
         if type(steps) is not int:
             raise TypeError(f"shift takes an int number of steps, not {steps!r}")
-        delta = 4 * self.z * steps
-
-        def pairs():
-            for (a, b, kap, w, r), c in self.terms.items():
-                if r == 0 and steps < 0:
-                    raise ValueError("step factor 0 cannot be shifted backwards")
-                factor = c * Fraction(r) ** steps
-                for i, ci in _binomial_shift(b, delta):
-                    yield (a, i, kap, w, r), factor * ci
-
-        return self._holding(self.space, collect(pairs()))
+        return self._from_ints(*_shift_ints(*_numerators(self.terms), self.z, steps))
 
     def mul_powers(self, x_pow, t_pow):
         """x^x_pow t^t_pow times this function, the powers nonnegative ints."""

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -297,3 +298,45 @@ def test_first_order_table_off_by_one_fails_the_eigen_tie(
     assert entry["residual"] == residual
     assert [name for name, e in entries.items() if not e["pass"]] == [
         "eigen/first-order-vs-full"]
+
+
+def _int_digit_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def test_coefficients_past_the_int_digit_limit_render_in_full():
+    # a Fraction whose numerator has more digits than str() of an int allows
+    # (4,300 by default) renders through the path of the solve's coefficients,
+    # and the interpreter's limit is the same afterwards, also after an error
+    limit = _int_digit_limit()
+    big = Fraction(10 ** 5000 + 1, 3)
+    text = cli._render_list([Fraction(1, 2), big])
+    assert text.startswith("[1/2, 1000") and text.endswith("001/3]")
+    assert len(text) == len("[1/2, ") + 5001 + len("/3]")
+    assert _int_digit_limit() == limit
+
+    class Unprintable:
+        def __str__(self):
+            raise RuntimeError("no rendering")
+
+    with pytest.raises(RuntimeError, match="no rendering"):
+        cli._render_list([big, Unprintable()])
+    assert _int_digit_limit() == limit
+
+
+def test_solve_past_the_int_digit_limit_exits_zero(tmp_path, capsys):
+    # at these inputs the largest coefficient has 3,979 digits at degree
+    # 1,200 and 4,733 at degree 1,400; the run used to exit 3 while it
+    # rendered them
+    limit = _int_digit_limit()
+    out = tmp_path / "solve.json"
+    code = cli.main(["--checks", "eigen", "--degree", "1400", "--beta", "1,1,1,1,1",
+                     "--eigenvalue", "1/3+1/2i", "--order", "8", "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    assert _int_digit_limit() == limit
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["summary"] == {"total": 4, "passed": 4, "failed": 0}
+    (solve,) = [e for e in report["entries"] if e["name"] == "eigen/deformed-residual"]
+    coefficients = solve["params"]["coefficients"][1:-1].split(", ")
+    assert len(coefficients) == 1401
+    assert max(len(c) for c in coefficients) > 4300

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -315,37 +316,154 @@ def test_derived_functions_keep_the_checks_of_the_public_constructor():
             bad()
 
 
+def _reference_derivative(func, var):
+    """d/dx (var = 0) or d/dt (var = 1) as it was before the int numerators,
+    kept as the reference of ``ddx`` and ``ddt``: one Fraction product per
+    term, summed by ``collect``."""
+    def pairs():
+        for key, c in func.terms.items():
+            power, rate = key[var], key[var + 2]
+            if power:
+                yield key[:var] + (power - 1,) + key[var + 1:], c * power
+            if rate:
+                yield key, c * rate
+
+    return ExpPolyFunction(func.z, collect(pairs()))
+
+
+def _reference_shift(func, steps):
+    """T^steps as it was before the int numerators, kept as the reference of
+    ``shift``: (t + 4 z steps)^b and r^steps as Fractions, term by term."""
+    delta = 4 * func.z * steps
+
+    def pairs():
+        for (a, b, kap, w, r), c in func.terms.items():
+            if r == 0 and steps < 0:
+                raise ValueError("step factor 0 cannot be shifted backwards")
+            factor = c * Fraction(r) ** steps
+            for i in range(b + 1):
+                yield (a, i, kap, w, r), factor * comb(b, i) * delta ** (b - i)
+
+    return ExpPolyFunction(func.z, collect(pairs()))
+
+
+def _reference_mul_powers(func, x_pow, t_pow):
+    return ExpPolyFunction(func.z, {(a + x_pow, b + t_pow, kap, w, r): c
+                                    for (a, b, kap, w, r), c in func.terms.items()})
+
+
 def _per_term_apply(op, func):
     """``SchrodingerOperator.apply`` as it was before it shared the images of
-    equal (T, dx, dt) powers, kept as its reference: each term's image made
-    from func, and the sum checked by the public constructor."""
+    equal (T, dx, dt) powers and summed int numerators, kept as its
+    reference: each term's image made from func by the Fraction references
+    above, and the sum checked by the public constructor."""
     def image(a, b, tau, p, q):
         img = func
         for _ in range(q):
-            img = img.ddt()
+            img = _reference_derivative(img, 1)
         for _ in range(p):
-            img = img.ddx()
+            img = _reference_derivative(img, 0)
         if tau:
-            img = img.shift(tau)
-        return img.mul_powers(a, b)
+            img = _reference_shift(img, tau)
+        return _reference_mul_powers(img, a, b)
 
     return ExpPolyFunction(op.z, linear_combination(
         (image(*key), c) for key, c in op.terms.items()))
 
 
-@pytest.mark.parametrize("z", [Fraction(1, 10), Fraction(0)])
+def _assert_canonical(func):
+    """Nonzero Fraction coefficients, and every integral rate an int."""
+    assert all(type(c) is Fraction and c for c in func.terms.values())
+    assert all(type(r) is int for key in func.terms for r in key[2:] if r.denominator == 1)
+
+
+def _same_outcome(got, want):
+    """got() equals want(), or both raise the same ValueError."""
+    try:
+        expected = want()
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            got()
+        return
+    result = got()
+    assert result == expected
+    _assert_canonical(result)
+
+
+def _test_functions(z):
+    """The certified solutions at z, and functions with integral and
+    non-integral kappa, omega and rho, a zero rho among them, and terms
+    whose derivative or shift cancels."""
+    functions = (heat_polynomials(M, z, 5)
+                 + exponential_solutions(M, z, regular_kappas(M, z, [0, 1, 2, Fraction(-1, 2)])))
+    functions.append(ExpPolyFunction(z, {
+        (2, 3, 1, 0, 2): 3, (0, 1, Fraction(1, 2), 0, Fraction(1, 3)): 1,
+        (1, 2, Fraction(-3, 2), Fraction(5, 7), Fraction(-4, 3)): Fraction(-2, 5),
+        (0, 2, -2, 2, -1): 7}))
+    functions.append(ExpPolyFunction(z, {
+        (0, 2, 0, 2, 0): 7, (3, 1, 2, Fraction(1, 3), 0): Fraction(1, 6),
+        (1, 0, Fraction(5, 4), 0, 1): -1}))
+    # x e^x - e^x: d/dx leaves x e^x; t - 4z: T leaves t
+    functions.append(ExpPolyFunction(z, {(1, 0, 1, 0, 1): 1, (0, 0, 1, 0, 1): -1}))
+    functions.append(ExpPolyFunction(z, {(0, 1, 0, 0, 1): 1, (0, 0, 0, 0, 1): -4 * z}))
+    return functions
+
+
+@pytest.mark.parametrize("z", [Fraction(1, 10), Fraction(0), Fraction(7, 3)])
 def test_apply_matches_the_per_term_reference(z):
     ops = list(realize(M, A, z).values()) + [casimir(M, z), discrete_derivative(z, "backward")]
     # terms that share (T, dx, dt) powers, T^-1 among them
     ops.append(SchrodingerOperator(z, {(1, 0, -1, 1, 1): 2, (0, 2, -1, 1, 1): Fraction(-1, 3),
                                        (0, 0, -1, 0, 0): 5, (2, 1, 1, 2, 0): 1}))
     ops.append(ops[-1] * casimir(M, z))
-    functions = heat_polynomials(M, z, 5) + exponential_solutions(M, z, [0, 1, 2])
-    for op in ops:
-        for phi in functions:
-            got = op.apply(phi)
-            assert got == _per_term_apply(op, phi)
-            assert all(type(c) is Fraction and c for c in got.terms.values())
+    # T^2 and dx^2 dt^2 with no T^-1, so that a zero step factor survives
+    ops.append(SchrodingerOperator(z, {(0, 1, 2, 2, 2): Fraction(3, 4), (1, 0, 0, 0, 1): -2}))
+    for phi in _test_functions(z):
+        _assert_canonical(phi)
+        _same_outcome(phi.ddx, lambda: _reference_derivative(phi, 0))
+        _same_outcome(phi.ddt, lambda: _reference_derivative(phi, 1))
+        for steps in (1, -1, 2, -2):
+            _same_outcome(lambda: phi.shift(steps), lambda: _reference_shift(phi, steps))
+        _same_outcome(lambda: phi.mul_powers(2, 1), lambda: _reference_mul_powers(phi, 2, 1))
+        for op in ops:
+            _same_outcome(lambda: op.apply(phi), lambda: _per_term_apply(op, phi))
+
+
+def test_integral_rates_are_stored_as_ints():
+    # a key with Fraction(1) rates is the key with int rates: equal, of
+    # equal hash, rendered and serialized alike; the constructor stores the
+    # int, and a non-integral rate stays a Fraction
+    key = (1, 2, Fraction(1), Fraction(0), Fraction(3))
+    assert key == (1, 2, 1, 0, 3) and hash(key) == hash((1, 2, 1, 0, 3))
+    frac = ExpPolyFunction(Z, {key: 2, (0, 0, Fraction(1, 2), 0, Fraction(5, 4)): 1})
+    ints = ExpPolyFunction(Z, {(1, 2, 1, 0, 3): 2, (0, 0, Fraction(1, 2), 0, Fraction(5, 4)): 1})
+    assert frac == ints and hash(frac) == hash(ints)
+    assert str(frac) == str(ints) == "(1)*exp(1/2x)*step[5/4] + (2)*x*t^2*exp(1x)*step[3]"
+    assert frac.to_json_dict() == ints.to_json_dict()
+    assert {key: [type(r) for r in key[2:]] for key in frac.terms} == {
+        (1, 2, 1, 0, 3): [int, int, int],
+        (0, 0, Fraction(1, 2), 0, Fraction(5, 4)): [Fraction, int, Fraction]}
+    rho = Fraction(1) / (1 - 2 * Z / M)
+    assert [type(r) for key in ExpPolyFunction.exponential(Z, Fraction(2), 0, rho).terms
+            for r in key[2:]] == [int, int, Fraction]
+    assert [type(r) for key in ExpPolyFunction.from_monomials(Z, {(1, 1): 1}).terms
+            for r in key[2:]] == [int, int, int]
+    for phi in exponential_solutions(M, Z, [0, 1, 2]) + exponential_solutions(M, 0, [0, 1, 2]):
+        _assert_canonical(phi)
+    # a zero step factor vanishes forwards and still raises backwards
+    zero = ExpPolyFunction(Z, {(0, 1, 1, 0, Fraction(0)): 1})
+    assert zero.shift(1).is_zero() and zero.shift(0) == zero
+    for steps in (-1, -2):
+        with pytest.raises(ValueError, match="step factor 0 cannot be shifted backwards"):
+            zero.shift(steps)
+    # a float rate or coefficient still raises, naming the class
+    with pytest.raises(TypeError, match="ExpPolyFunction keys"):
+        ExpPolyFunction(Z, {(0, 0, 1, 0, 0.5): 1})
+    for bad in (lambda: ExpPolyFunction.exponential(Z, 0.5, 0, 1),
+                lambda: ExpPolyFunction.exponential(Z, 1, 0, 1.0),
+                lambda: ExpPolyFunction(Z, {(0, 0, 1, 0, 1): 0.5})):
+        with pytest.raises(TypeError, match="ExpPolyFunction takes int or Fraction"):
+            bad()
 
 
 def test_deformed_casimir_needs_positive_z():
