@@ -71,14 +71,17 @@ Two algebras are built in:
 Each is transcribed once, as order-free data: its relation, coproduct and
 antipode tables (``H6_RELATIONS``, ``H6_COPRODUCTS``, ``H6_ANTIPODES`` and
 the ``SCH_`` three) are rows in one format, polynomial terms and
-exponentials in the first generator, which one builder expands at the
-requested order. A generator without a coproduct or antipode row is
-primitive, as a generator pair without a relation row commutes.
+exponentials in the first generator, expanded at the requested order: the
+relation rows when the algebra is built, the coproduct and antipode rows
+when the algebra first reads those tables. A generator without a coproduct
+or antipode row is primitive, as a generator pair without a relation row
+commutes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, groupby
 from math import factorial, gcd, lcm
 from operator import add
@@ -403,6 +406,15 @@ class QuantumAlgebra:
     pure up to idempotent memo caches, so results never depend on
     evaluation order.
 
+    Construction expands and checks the relation table only. The
+    coproduct and antipode tables are made on first read, the antipode
+    values normal-ordered then, from the ``coproduct`` and ``antipode``
+    arguments: maps from each generator index to its raw terms, which the
+    algebra keeps and reads once per index at that first read, so the
+    caller leaves them as they are. A build whose Hopf tables go unread
+    normal-orders nothing. A bad coefficient in either table, a float say,
+    raises its ``TypeError`` at that first read, not at construction.
+
     The relation table maps (word, z power) to one Fraction; the memo of
     normal forms holds int word ids and int numerators over one reduced
     denominator per entry, and ``_ordered`` is the one product kernel over
@@ -434,11 +446,23 @@ class QuantumAlgebra:
                 self._check_relation((hi, lo), value)
                 self._relations[(hi, lo)] = value
 
-        self.coproduct_table = {
-            i: collect((legs, self._as_series(c)) for legs, c in coproduct[i].items())
-            for i in range(n)}
-        # antipode values may arrive as raw (unordered) words
-        self.antipode_table = {i: self.normal_terms(antipode[i]) for i in range(n)}
+        # read per generator index on first read of the tables
+        self._coproduct_rows = coproduct
+        self._antipode_rows = antipode
+
+    @cached_property
+    def coproduct_table(self):
+        """{generator index: {(left word, right word): series}}, made on first read."""
+        rows = self._coproduct_rows
+        return {i: collect((legs, self._as_series(c)) for legs, c in rows[i].items())
+                for i in range(len(self.generators))}
+
+    @cached_property
+    def antipode_table(self):
+        """{generator index: {PBW word: series}}, made on first read: the
+        values may arrive as raw words, which this normal-orders."""
+        rows = self._antipode_rows
+        return {i: self.normal_terms(rows[i]) for i in range(len(self.generators))}
 
     def _as_series(self, c):
         return c if isinstance(c, TruncatedSeries) else self._one * c
@@ -889,27 +913,51 @@ def _row_terms(terms, exps, index, order):
           for scale, base, lo, zshift, suffix in exps)))
 
 
+class _Expanded:
+    """A table read by index whose entries are made on each read, by
+    ``expand``; ``QuantumAlgebra`` reads each once."""
+
+    __slots__ = ("expand",)
+
+    def __init__(self, expand):
+        self.expand = expand
+
+    def __getitem__(self, i):
+        return self.expand(i)
+
+
 def _row_algebra(name, generators, order, relations, coproducts, antipodes):
     """The algebra given by relation, coproduct and antipode row tables,
-    truncated at z^order."""
+    truncated at z^order.
+
+    The relation rows are expanded here. A generator's coproduct or
+    antipode row is expanded only when the algebra first reads that table,
+    from a copy of the row tables taken here: an entry or a row replaced
+    after the build leaves the algebra as it was.
+    """
     index = {g: i for i, g in enumerate(generators)}
 
-    def expand(rows, x, unit, place):
-        # {place(L, word): series} over the entry of x, by default x times
-        # the unit: the primitive X (x) 1 and -X
-        return collect(
-            (place(tuple(index[g] for g in left), w), s)
-            for left, row in rows.get(x, {(x,): ({(): (0, unit)}, ())}).items()
-            for w, s in _row_terms(*row, index, order).items())
+    def expanded(rows, unit, place):
+        # the {place(L, word): series} of a generator index over its rows,
+        # by default X times the unit: the primitive X (x) 1 and -X
+        rows = {x: dict(entry) for x, entry in rows.items()}
 
+        def expand(i):
+            x = generators[i]
+            return collect(
+                (place(tuple(index[g] for g in left), w), s)
+                for left, row in rows.get(x, {(x,): ({(): (0, unit)}, ())}).items()
+                for w, s in _row_terms(*row, index, order).items())
+
+        return expand
+
+    coproduct = expanded(coproducts, 1, lambda left, w: (left, w))
     return QuantumAlgebra(
         name, generators, order,
         relations={(index[x], index[y]): _row_terms(*row, index, order)
                    for (x, y), row in relations.items()},
-        coproduct={index[x]: {((), (index[x],)): 1,
-                              **expand(coproducts, x, 1, lambda left, w: (left, w))}
-                   for x in generators},
-        antipode={index[x]: expand(antipodes, x, -1, add) for x in generators})
+        coproduct=_Expanded(lambda i: {((), (i,)): 1, **coproduct(i)}),
+        antipode=_Expanded(expanded(antipodes, -1, add)))
 
 
 def two_photon_algebra(order):

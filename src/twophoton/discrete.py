@@ -218,21 +218,25 @@ class SchrodingerOperator(SparseTerms):
         return self.scale(_rational(other, SchrodingerOperator))
 
     def apply(self, func):
-        """Act on an ExpPolyFunction.
+        """Act on an ExpPolyFunction, fraction-free: ``_apply_ints`` on
+        func's int numerators, and one Fraction per term of the image
+        (``_applied`` with this one operator)."""
+        return _applied(func, self)
 
-        The term x^a t^b T^tau dx^p dt^q maps func to x^a t^b times the
-        image T^tau dx^p dt^q func. Fraction-free: func is read as int
-        numerators over one denominator, and each image is made once for
-        each distinct (tau, p, q) of the operator's terms, in the same int
-        form, by the code of ``ddt``, ``ddx`` and ``shift``; the derivatives
-        dx^p dt^q are made once for each distinct (p, q). The operator's
+    def _apply_ints(self, terms, den):
+        """The image of a function given as {key: int numerator} over ``den``:
+        its {key: nonzero numerator} over its denominator.
+
+        The term x^a t^b T^tau dx^p dt^q maps the function to x^a t^b times
+        the image T^tau dx^p dt^q of it. Each image is made once for each
+        distinct (tau, p, q) of the operator's terms, in the same int form,
+        by the code of ``ddt``, ``ddx`` and ``shift``; the derivatives dx^p
+        dt^q are made once for each distinct (p, q). The operator's
         numerators times the images', each over the lcm of the images'
         denominators, sum into one dict keyed by the image keys raised by
-        (a, b), and one Fraction is made per key that does not cancel.
+        (a, b), and the keys that cancel are dropped.
         """
-        if func.z != self.z:
-            raise ValueError(f"lattice step mismatch: z={self.z} vs {func.z}")
-        derived = {(0, 0): _numerators(func.terms)}
+        derived = {(0, 0): (terms, den)}
         images = {}
         for tau, p, q in {key[2:] for key in self.terms}:
             # dt^q, then dx^p: each step from the one before, made once
@@ -246,18 +250,35 @@ class SchrodingerOperator(SparseTerms):
         ops, den_ops = _numerators(self.terms)
         acc = {}
         for (a, b, tau, p, q), x in ops.items():
-            terms, den = images[(tau, p, q)]
-            x *= common // den
-            for (a2, b2, kap, w, r), y in terms.items():
+            image, image_den = images[(tau, p, q)]
+            x *= common // image_den
+            for (a2, b2, kap, w, r), y in image.items():
                 key = (a2 + a, b2 + b, kap, w, r)
                 acc[key] = acc.get(key, 0) + x * y
-        return func._from_ints(acc, den_ops * common)
+        return {key: x for key, x in acc.items() if x}, den_ops * common
 
     def __str__(self):
         return render_sum(self.terms, lambda key: monomial(*zip(("x", "t", "T", "dx", "dt"), key)))
 
     def __repr__(self):
         return f"<SchrodingerOperator z={self.z}: {self}>"
+
+
+def _applied(func, *operators):
+    """The image of an ExpPolyFunction under ``operators``, the first applied
+    first.
+
+    Fraction-free: func is read as int numerators over one denominator,
+    each operator's ``_apply_ints`` hands its image's nonzero numerators to
+    the next in that form, and one Fraction is made per term of the last
+    image. Every operator must be at func's z.
+    """
+    terms, den = _numerators(func.terms)
+    for op in operators:
+        if func.z != op.z:
+            raise ValueError(f"lattice step mismatch: z={op.z} vs {func.z}")
+        terms, den = op._apply_ints(terms, den)
+    return func._from_ints(terms, den)
 
 
 # -- realization -----------------------------------------------------------------
@@ -592,7 +613,11 @@ def heat_polynomials(mass, z, count):
     at z = 0 they are the heat polynomials of dx^2 - 2m dt.
     """
     ez = casimir(mass, z)
-    m = _rational(mass, SchrodingerOperator)
+    return _heat_polynomials(ez, _rational(mass, SchrodingerOperator), count)
+
+
+def _heat_polynomials(ez, m, count):
+    """``heat_polynomials`` for the equation operator ez of the mass m."""
     out = []
     for n in range(count):
         q = {0: Fraction(1)}  # coefficient polynomial of x^n
@@ -620,7 +645,12 @@ def exponential_solutions(mass, z, kappas):
     z = 0 the factor is e^{w t} with w = k^2/(2m).
     """
     ez = casimir(mass, z)
-    m, z = _rational(mass, SchrodingerOperator), ez.z
+    return _exponential_solutions(ez, _rational(mass, SchrodingerOperator), kappas)
+
+
+def _exponential_solutions(ez, m, kappas):
+    """``exponential_solutions`` for the equation operator ez of the mass m."""
+    z = ez.z
     out = []
     for kap in kappas:
         kap = _rational(kap, ExpPolyFunction)
@@ -653,11 +683,12 @@ def apply_and_recheck(gen, phi, mass, rep_param, tag=None):
 
 
 def _solution_map_entry(gen, phi, ez, ops, labelled, tag):
-    """The residual ez(ops[gen](phi)) of a certified solution phi of ez."""
+    """The residual ez(ops[gen](phi)) of a certified solution phi of ez,
+    the image under ops[gen] handed to ez as ints."""
     label, params = labelled
     return residual_entry(
         f"discrete-se/solution-map-{label}/{gen}/{tag or _phi_tag(phi)}",
-        ez.apply(ops[gen].apply(phi)), params)
+        _applied(phi, ops[gen], ez), params)
 
 
 def _phi_tag(phi):
@@ -689,10 +720,11 @@ def solution_checks(mass, rep_param, z, n_poly=5, kappas=(0, 1, 2)):
     labelled = _label_params(mass, rep_param, z)
     label, params = labelled
     usable = regular_kappas(mass, z, kappas)
-    # both families are certified as they are built
-    polys = heat_polynomials(mass, z, n_poly)
-    exps = exponential_solutions(mass, z, usable)
     ez = casimir(mass, z)
+    m = _rational(mass, SchrodingerOperator)
+    # both families are certified as they are built
+    polys = _heat_polynomials(ez, m, n_poly)
+    exps = _exponential_solutions(ez, m, usable)
     ops = realize(mass, rep_param, z)
     tagged = ([(_phi_tag(phi), phi) for phi in polys]
               + [(f"exp(k={kap})", phi) for kap, phi in zip(usable, exps)])

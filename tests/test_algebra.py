@@ -14,8 +14,8 @@ import pytest
 import twophoton
 from twophoton import hopf
 from twophoton.algebra import (H6_COPRODUCTS, NCElement, NormalOrderError, QuantumAlgebra,
-                               TensorElement, product_difference, two_photon_algebra,
-                               schrodinger_algebra, _first_inversion)
+                               SCH_ANTIPODES, TensorElement, product_difference,
+                               two_photon_algebra, schrodinger_algebra, _first_inversion)
 from twophoton.series import TruncatedSeries, _series_terms
 from twophoton.sparse import collect, linear_combination
 
@@ -698,8 +698,11 @@ def test_kernel_view_is_forgotten_with_the_normal_forms(x, y, coefficient):
 def test_each_normal_form_is_held_once(make):
     # the memo's entries are the kernel's form; beside them it keeps only
     # the numbering of words, and a raw leg's id only where its entry is
-    # one word with coefficient 1
+    # one word with coefficient 1. The antipode rows are normal-ordered on
+    # first read of the table, and they hold raw words out of order whose
+    # normal form is one word: A+ B+^n in h6, M H^n in the Schrodinger algebra
     alg = make(3)
+    assert alg.antipode_table
     r = hopf.r_matrix(alg)
     assert r * r.swap()
     memo = alg._nf_cache
@@ -1010,6 +1013,53 @@ def test_relation_sanity_rejected_at_construction():
             coproduct={0: {((), (0,)): 1, ((0,), ()): 1},
                        1: {((), (1,)): 1, ((1,), ()): 1}},
             antipode={0: {(0,): -1}, 1: {(1,): -1}})
+
+
+@pytest.mark.parametrize("make", [two_photon_algebra, schrodinger_algebra])
+def test_hopf_tables_are_made_on_first_read(make):
+    # a build expands and checks the relation table only: nothing is
+    # normal-ordered until a coproduct or antipode is read
+    alg = make(8)
+    assert not alg._nf_cache and not alg._nf_cache.ids
+    assert alg.relation(alg.generators[1], alg.generators[0])
+    assert not alg._nf_cache.ids
+    # the coproduct rows are PBW words already, the antipode rows are not
+    coproducts = alg.coproduct_table
+    assert not alg._nf_cache.ids
+    antipodes = alg.antipode_table
+    assert alg._nf_cache
+    # each table is made once
+    assert alg.coproduct_table is coproducts and alg.antipode_table is antipodes
+
+
+@pytest.mark.parametrize("table, path, row", [
+    # Delta(N) = 1 (x) N + 2 N (x) e^{2zB+}: the entry of N replaced, and its row
+    (H6_COPRODUCTS, ("N",), {("N",): ({}, ((2, 2, 0, 0, ()),))}),
+    (H6_COPRODUCTS, ("N", ("N",)), ({}, ((2, 2, 0, 0, ()),))),
+    # gamma(D) = -D e^{-4zH} - M (e^{-4zH} - 1): the entry of D replaced, and its M row
+    (SCH_ANTIPODES, ("D",), {("D",): ({}, ((-1, -4, 0, 0, ()),)),
+                             ("M",): ({}, ((-1, -4, 1, 0, ()),))}),
+    (SCH_ANTIPODES, ("D", ("M",)), ({}, ((-1, -4, 1, 0, ()),))),
+])
+def test_hopf_rows_are_taken_at_construction(monkeypatch, table, path, row):
+    make = two_photon_algebra if table is H6_COPRODUCTS else schrodinger_algebra
+    want = make(3).to_json_dict()
+    alg = make(3)
+    *outer, key = path
+    monkeypatch.setitem(table[outer[0]] if outer else table, key, row)
+    # the changed row reaches the next build, not the one made before it
+    assert make(3).to_json_dict() != want
+    assert alg.to_json_dict() == want
+
+
+def test_a_bad_hopf_coefficient_raises_on_first_read():
+    alg = QuantumAlgebra(
+        "floats", ("X", "Y"), 2, relations={},
+        coproduct={0: {((), (0,)): 1, ((0,), ()): 0.5}, 1: {((), (1,)): 1, ((1,), ()): 1}},
+        antipode={0: {(0,): -1.0}, 1: {(1,): -1}})
+    for table in ("coproduct_table", "antipode_table"):
+        with pytest.raises(TypeError, match="inexact or non-rational coefficient"):
+            getattr(alg, table)
 
 
 def test_spec_json_export_shape():

@@ -674,6 +674,44 @@ def test_operator_and_function_level_agree():
             assert direct == stepwise, gen
 
 
+@pytest.mark.parametrize("z", [Z, Fraction(0)])
+@pytest.mark.parametrize("a", [Fraction(0), A])
+def test_solution_map_hands_the_image_to_the_equation_operator_on_ints(z, a):
+    # the residual of each solution-map entry is the generator's image, as
+    # int numerators, under the equation operator: the two public
+    # applications one after the other
+    ez, ops = casimir(M, z), realize(M, a, z)
+    sols = heat_polynomials(M, z, 5) + exponential_solutions(M, z, regular_kappas(M, z, (0, 1, 2)))
+    residuals = []
+    for phi in sols:
+        for gen in SCH_GENERATORS:
+            got = discrete._applied(phi, ops[gen], ez)
+            assert got == ez.apply(ops[gen].apply(phi)), (gen, phi)
+            _assert_canonical(got)
+            residuals.append(str(got))
+    # C maps solutions to solutions only at a = -1/2
+    assert any(r != "0" for r in residuals) == (a == 0)
+    # solution_checks reports these residuals, solution by solution
+    entries = solution_checks(M, a, z)
+    assert [e.residual for e in entries if "/solution-map-" in e.name] == residuals
+
+
+@pytest.mark.parametrize("z", [Z, Fraction(0), Fraction(7, 3)])
+def test_chained_application_skips_the_terms_that_cancel_between_operators(z):
+    # (dt - 2) cancels e^{2t} with step factor 0, which the backward
+    # difference could not shift: the cancelled term must not reach it
+    dead = ExpPolyFunction(z, {(0, 0, 0, 2, 0): 1})
+    cancel = SchrodingerOperator(z, {(0, 0, 0, 0, 1): 1, (0, 0, 0, 0, 0): -2})
+    backward = discrete_derivative(z, "backward")
+    assert discrete._applied(dead, cancel, backward).is_zero()
+    ops = [cancel, backward, casimir(M, z)] + list(realize(M, A, z).values())
+    for phi in _test_functions(z) + [dead]:
+        for first in ops:
+            for second in (backward, casimir(M, z), ops[-1]):
+                _same_outcome(lambda: discrete._applied(phi, first, second),
+                              lambda: second.apply(first.apply(phi)))
+
+
 def test_backward_difference_matches_quotient():
     bwd = discrete_derivative(Z, "backward")
     samples = heat_polynomials(M, Z, 4) + exponential_solutions(M, Z, [1])

@@ -65,12 +65,22 @@ SPEC_GOLDEN = {
         0: "e84719653dada5e72387c76534fb0d4e411cda8b4481d6f1e43620d27bc34f7f",
         1: "1468242b56e84799e7f2b0f53fcc61538d784036edb093b400b4fb2b680d65ef",
         2: "47a6e7ba25ce9c2b9fd481f88b69e1b942c91279bb60fe38a362ac52d85d19ec",
+        3: "752a876dbd645814d42cf81703673e0d460e6afa7ec585f5ffd9510cbf15f8ec",
+        4: "5e3d67c4605e0b68d2ce57ea27dbe704ea652b222bc99909769150baeac5a804",
+        5: "504dbaa9a242853760a3223a6e0df4a47e23fb9cda5990e62726e1b7d2b457d9",
+        6: "4502d7446a0d126d9901343c8190e6f2819b91d4ba78239306092b69fb0447e5",
+        7: "b392dd7b7652ce3a8eb6204a629d84ec5410d5511e0ef9b18a5d427bcf799bd6",
         8: "a630caf757e320f005ba6b28c53b35a3acb5e6b7ddb34bad1976602372993982",
     },
     "sch": {
         0: "e916d449823b9895bd2eacc212dfc0fd84f0ce3104cbb27f58fd10c787ba151f",
         1: "766b8cb186ac265f529d5cd0c5aeaaade31ddb455adccfba9dd78a25a8c53f8b",
         2: "5cef2137410bd224230682443b592afb281b83084b3ff81f5b1a9bd3d8c62a93",
+        3: "b0e8afc1d2f2e38adbe68551604a15f0ebf8a4939d2ed5b6c1c2d457178c8da0",
+        4: "ec7af7a3bbd40f9635a7a1d84d5c0c343901a0f0e6cb0568db424c22f9f4ae23",
+        5: "160e2aa534c17653c318774929c930df4d142250de4849940bb543367d5de398",
+        6: "5ab3e9eff6f8944439f8c8f916f762d047c6b7e0836a7100f6c00a839c54915d",
+        7: "d178f39992f57d6fc8342d341e5cda4fcead28e4003d706116b765ec337aebb3",
         8: "9f1b912fc0342a6b9965b01b811874fbb12ebc6de22b4c8921a8b0330bc13418",
     },
 }
@@ -81,4 +91,18 @@ def test_spec_dump_digest(which, capsys):
     for order, golden in SPEC_GOLDEN[which].items():
         assert cli.main(["--dump-spec", which, "--order", str(order)]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == golden, order
+
+
+@pytest.mark.parametrize("which", sorted(SPEC_GOLDEN))
+def test_tables_read_after_other_products_match_the_dump(which):
+    # the coproduct and antipode tables are made on first read, when the
+    # memo may already number other words; the tables must not depend on it
+    *_, quantum = cli.ALGEBRAS[which]
+    for order, golden in SPEC_GOLDEN[which].items():
+        alg = quantum(order)
+        assert not alg._nf_cache
+        gens = [alg.gen(x) for x in alg.generators]
+        assert gens[-1] * gens[0] * gens[1]
+        digest = hashlib.sha256(cli.canonical_json(alg.to_json_dict()).encode()).hexdigest()
         assert digest == golden, order
