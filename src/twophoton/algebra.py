@@ -913,6 +913,19 @@ def _row_terms(terms, exps, index, order):
           for scale, base, lo, zshift, suffix in exps)))
 
 
+def _realized_words(pairs, memo):
+    """sum c image(w) over (word, coefficient) pairs through ``memo``, which
+    maps the empty word to the identity, each letter and each word met to its
+    image: a word's from its longest memoised prefix, one product per prefix."""
+    def image(word):
+        n = next(n for n in range(len(word), -1, -1) if word[:n] in memo)
+        for i in range(n, len(word)):
+            memo[word[:i + 1]] = memo[word[:i]] * memo[word[i:i + 1]]
+        return memo[word]
+
+    return memo[()]._new(linear_combination((image(w), c) for w, c in pairs if c))
+
+
 class _Expanded:
     """A table read by index whose entries are made on each read, by
     ``expand``; ``QuantumAlgebra`` reads each once."""

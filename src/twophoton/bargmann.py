@@ -1,14 +1,16 @@
 """Differential-operator calculus on the Fock-Bargmann space.
 
 Operators are sums alpha^j d^l with truncated-series-in-z coefficients, kept
-in canonical form (all derivatives to the right). Each one-boson
-realization (classical, first-order, deformed) is one table {generator:
-operator}. The deformed one is assembled in this one ring, from
-exponentials and square roots of the multiplication operator 2 z alpha^2,
-exact divisions by z and by powers of alpha, and composition with d. The
-apparent 1/alpha factors of the closed forms must cancel order by order:
-an exact division by alpha^m raises on any term below alpha^m, so the
-construction asserts that instead of assuming it.
+in canonical form (all derivatives to the right). Each one-boson realization
+(classical, first-order, deformed) is one table {generator: operator}. One
+realization map, ``algebra._realized_words``, takes the ``H6_RELATIONS``
+rows, exponentials expanded at order k, and the eigen operator's words into
+it through one prefix memo of word images. The deformed table is assembled
+in this one ring, from exponentials and square roots of the multiplication
+operator 2 z alpha^2, exact divisions by z and by powers of alpha, and
+composition with d. The apparent 1/alpha factors of the closed forms must
+cancel order by order: an exact division by alpha^m raises on any term below
+alpha^m, so the construction asserts that instead of assuming it.
 
 Composition makes no Fraction: it sums int numerators over one
 denominator per product, keyed by (alpha power, d power, z power), and
@@ -26,12 +28,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .algebra import two_photon_algebra
+from .algebra import H6_GENERATORS, H6_RELATIONS, _realized_words, _row_terms
 from .report import CheckResult, residual_entry
 from .scalars import ComplexRational, _rational
 from .series import TruncatedSeries, _coerce, _series_terms, exp_nilpotent, sqrt_unit
-from .sparse import (SparseTerms, collect, linear_combination, monomial, render_sum,
-                     weyl_terms)
+from .sparse import SparseTerms, collect, monomial, render_sum, weyl_terms
 
 __all__ = [
     "DiffOperator", "EigenProblem", "SingularRecurrenceError",
@@ -240,34 +241,20 @@ def verify_rep(order, images=None):
     """Every deformed commutator matches the image of the tabulated bracket.
 
     ``images`` is the deformed table at ``order``, built here if not given.
-    The image of a word is memoised per word and made from its longest
-    memoised prefix, a one-letter word's being its generator's image, so
-    each distinct prefix of the relation words costs one composition.
+    Each ``H6_RELATIONS`` row, read when the check runs, is expanded at
+    ``order`` and realized through one prefix memo of word images shared by
+    all fifteen brackets, so each distinct prefix costs one composition.
     """
-    alg = two_photon_algebra(order)
     if images is None:
         images = deformed_rep(order)
-    words = {(): DiffOperator.identity(order)}
-    words.update(((i,), images[g]) for i, g in enumerate(alg.generators))
-
-    def image_of_word(word):
-        n = len(word)
-        while word[:n] not in words:
-            n -= 1
-        op = words[word[:n]]
-        for i in range(n, len(word)):
-            op = words[word[:i + 1]] = op * images[alg.generators[word[i]]]
-        return op
-
-    def image_of(elem):
-        return DiffOperator(order, linear_combination(
-            (image_of_word(word), s) for word, s in elem.terms.items()))
-
+    index = {g: i for i, g in enumerate(H6_GENERATORS)}
+    memo = {(): DiffOperator.identity(order), **{(i,): images[g] for g, i in index.items()}}
     entries = []
-    for i, x in enumerate(alg.generators):
-        for y in alg.generators[:i]:
+    for i, x in enumerate(H6_GENERATORS):
+        for y in H6_GENERATORS[:i]:
             lhs = images[x].commutator(images[y])
-            rhs = image_of(alg.relation(x, y))
+            row = H6_RELATIONS.get((x, y), ({}, ()))
+            rhs = _realized_words(_row_terms(*row, index, order).items(), memo)
             entries.append(residual_entry(f"rep/bracket/{x},{y}", lhs - rhs,
                                           {"order": str(order)}))
     return entries
@@ -330,11 +317,10 @@ def eigen_operator(problem, rep):
     deformed_rep), in each of which M is the identity; both operators have
     the table's order.
     """
-    one = rep["M"]
-    weights = [(rep[gen], _parts(beta)) for beta, gen in zip(problem.betas, GENERATOR_ORDER)]
-    weights.append((one, tuple(-x for x in _parts(problem.eigenvalue))))
-    return tuple(DiffOperator(one.order, linear_combination(
-        (x, c[part]) for x, c in weights if c[part])) for part in (0, 1))
+    weights = [((gen,), _parts(beta)) for beta, gen in zip(problem.betas, GENERATOR_ORDER)]
+    weights.append((("M",), tuple(-x for x in _parts(problem.eigenvalue))))
+    memo = {(): rep["M"], **{(g,): op for g, op in rep.items()}}
+    return tuple(_realized_words(((w, c[part]) for w, c in weights), memo) for part in (0, 1))
 
 
 class SingularRecurrenceError(ValueError):

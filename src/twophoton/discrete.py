@@ -15,19 +15,19 @@ TypeError too, and a function key stores every integral rate as an int.
 The arithmetic is fraction-free: operator composition, the derivatives and
 shifts of functions and an operator's action on a function all sum int
 numerators over one denominator, that of the shift's 4z and of the rates
-included, and make one Fraction per term of the result.
+included, and make one Fraction per term of the result. The bracket table
+and the equation operator are rows realized through one prefix memo by
+``algebra._realized_words``, with e^{4jzH} the shift T^j as one more letter.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations
 from math import comb, factorial, lcm
-from operator import mul
 
-from .algebra import SCH_CASIMIR, SCH_GENERATORS, SCH_RELATIONS
+from .algebra import SCH_CASIMIR, SCH_GENERATORS, SCH_RELATIONS, _realized_words
 from .report import CheckResult, residual_entry
 from .scalars import _rational
 from .sparse import (SparseTerms, linear_combination, monomial, render_sum,
@@ -352,32 +352,32 @@ def discrete_derivative(z, direction="forward"):
     return SchrodingerOperator(z, {(0, 0, 0, 0, 0): c, (0, 0, -1, 0, 0): -c})
 
 
-def _realized(row, ops):
-    """One Schrodinger row (terms, exps) realized by the generators ops, at their z.
-
-    A word is the product of its realized generators and z^p the rational
+def _realized(row, memo):
+    """One Schrodinger row (terms, exps) realized by ``_realized_words``
+    through ``memo``, which holds the generators' one-letter words and gains
+    the empty word and the shift letters ("T", j) here. z^p is the rational
     z^p. At z > 0, e^{4jzH} is the shift T^j exactly, so an exponential row
     is T^j minus its terms below lo; any other rate raises. At z = 0 a row
     keeps its z^0 part.
     """
     terms, exps = row
-    z = ops["H"].z
-    parts = [([ops[g] for g in w], c * z ** p) for w, (p, c) in terms.items()]
+    z = memo[("H",)].z
+    memo.setdefault((), SchrodingerOperator.identity(z))
+    pairs = [(w, c * z ** p) for w, (p, c) in terms.items()]
     for scale, base, lo, zshift, suffix in exps:
         if base % 4:
             raise ValueError(f"e^({base}zH) is not a power of the shift T = e^(4zH)")
         # the term scale z^zshift (base zH)^n / n! suffix of the row's sum
-        term = lambda n: ([ops[g] for g in ("H",) * n + suffix],
+        term = lambda n: (("H",) * n + suffix,
                           scale * base ** n * z ** (n + zshift) / factorial(n))
         if z:
-            shift = SchrodingerOperator(z, {(0, 0, base // 4, 0, 0): 1})
-            parts.append(([shift] + [ops[g] for g in suffix], scale * z ** zshift))
-            parts.extend((w, -c) for w, c in map(term, range(lo)))
+            shift = ("T", base // 4)
+            memo.setdefault((shift,), SchrodingerOperator(z, {(0, 0, base // 4, 0, 0): 1}))
+            pairs.append(((shift, *suffix), scale * z ** zshift))
+            pairs.extend((w, -c) for w, c in map(term, range(lo)))
         elif -zshift >= lo:
-            parts.append(term(-zshift))
-    return SchrodingerOperator(z, linear_combination(
-        (reduce(mul, factors) if factors else SchrodingerOperator.identity(z), c)
-        for factors, c in parts if c))
+            pairs.append(term(-zshift))
+    return _realized_words(pairs, memo)
 
 
 def casimir(mass, z):
@@ -386,7 +386,7 @@ def casimir(mass, z):
     At z > 0 it is dx^2 - 2m (1 - T^{-1})/(4z), dx^2 minus 2m times the
     backward discrete derivative; at z = 0 it is dx^2 - 2m dt.
     """
-    return _realized(SCH_CASIMIR, _galilean(mass, z))
+    return _realized(SCH_CASIMIR, {(g,): op for g, op in _galilean(mass, z).items()})
 
 
 # -- bracket table verification ----------------------------------------------------
@@ -396,10 +396,11 @@ def _expected_brackets(ops):
     """The fifteen brackets [x, y], x before y in M, D, K, P, H, C (the order
     of the check names), as the Schrodinger relation rows realized."""
     rank = SCH_GENERATORS.index
+    memo = {(g,): op for g, op in ops.items()}
     table = {}
     for x, y in combinations(("M", "D", "K", "P", "H", "C"), 2):
         key, sign = ((x, y), 1) if rank(x) > rank(y) else ((y, x), -1)
-        table[(x, y)] = _realized(SCH_RELATIONS.get(key, ({}, ())), ops).scale(sign)
+        table[(x, y)] = _realized(SCH_RELATIONS.get(key, ({}, ())), memo).scale(sign)
     return table
 
 
@@ -743,14 +744,13 @@ def sample_grid(phi, xs, t0, steps):
     """Float samples on the lattice t0 + 4zn for external plotting only.
 
     The step factor r applies once per lattice step from t = 0, so t0 must
-    lie on the lattice; a classical solution (z = 0) has r = 1 everywhere.
+    lie on the lattice; a classical solution (z = 0) has none and raises.
     """
     import math
 
     z = phi.z
     t0 = _rational(t0, ExpPolyFunction)
-    start = t0 / (4 * z) if z else Fraction(0)
-    if start.denominator != 1:
+    if not z or (start := t0 / (4 * z)).denominator != 1:
         raise ValueError(f"t0={t0} is not on the time lattice 4z*n with z={z}")
     rows = []
     for n in range(steps):

@@ -1,15 +1,19 @@
 import hashlib
 import random
 from fractions import Fraction
+from functools import reduce
 from math import perm
+from operator import mul
 
 import pytest
 
-from twophoton.algebra import two_photon_algebra
+from twophoton import cli
+from twophoton.algebra import H6_RELATIONS, QuantumAlgebra, _realized_words, two_photon_algebra
 from twophoton.bargmann import (DiffOperator, EigenProblem,
                                 SingularRecurrenceError, classical_rep,
                                 deformed_rep, eigen_operator, first_order_rep,
                                 rep_checks, series_solve, verify_rep)
+from twophoton.discrete import SchrodingerOperator, realize
 from twophoton.scalars import ComplexRational
 from twophoton.series import TruncatedSeries, exp_nilpotent
 from twophoton.sparse import collect, weyl_terms
@@ -250,6 +254,75 @@ def test_rep_checks_build_the_table_once_and_compose_each_prefix_once(monkeypatc
     assert [e.residual for e in verify_rep(order, images)] == ["0"] * 15
     # two compositions per commutator and one per prefix of two or more letters
     assert len(products) == 2 * 15 + len(prefixes)
+
+
+def test_rep_brackets_see_every_h6_relation_coefficient(monkeypatch):
+    # +1 on each polynomial coefficient, each exponential scale and each
+    # exponential base of the h6 relation rows, one at a time: each fails its
+    # own rep/bracket entry at k = 3 and no other
+    mutations = []
+    for key, (terms, exps) in H6_RELATIONS.items():
+        for w, (p, c) in terms.items():
+            mutations.append((key, ({**terms, w: (p, c + 1)}, exps)))
+        for i, (scale, base, lo, zshift, suffix) in enumerate(exps):
+            for bumped in ((scale + 1, base), (scale, base + 1)):
+                row = exps[:i] + ((*bumped, lo, zshift, suffix),) + exps[i + 1:]
+                mutations.append((key, (terms, row)))
+    assert len(mutations) == 17
+    images = deformed_rep(3)
+    assert all(e.passed for e in verify_rep(3, images))
+    for key, row in mutations:
+        with monkeypatch.context() as patch:
+            patch.setitem(H6_RELATIONS, key, row)
+            failed = [e.name for e in verify_rep(3, images) if not e.passed]
+        assert failed == ["rep/bracket/{},{}".format(*key)], (key, row)
+
+
+def test_rep_and_eigen_build_no_algebra(monkeypatch, capsys):
+    # the relation rows are realized straight from the table: no PBW engine
+    builds = []
+    init = QuantumAlgebra.__init__
+
+    def counted(self, name, generators, order, **tables):
+        builds.append((name, order))
+        init(self, name, generators, order, **tables)
+
+    monkeypatch.setattr(QuantumAlgebra, "__init__", counted)
+    assert all(e.passed for e in rep_checks(3))
+    assert cli.main(["--checks", "rep,eigen", "--order", "2"]) == 0
+    assert builds == []
+
+
+def test_realized_words_match_the_product_of_letters(monkeypatch):
+    # a {word: c} map, realized through one memo shared by two maps, equals
+    # the sum of c times each word's product of letters, and each distinct
+    # prefix of two or more letters costs one composition
+    first = {(): Fraction(3), ("A-",): Fraction(1, 2), ("B-", "A+"): Fraction(-2),
+             ("B-", "A+", "N"): Fraction(5), ("N", "N", "B+"): Fraction(7, 3)}
+    second = {("B-", "A+", "A+"): Fraction(1), ("N", "N"): Fraction(-1),
+              ("N", "B+", "M"): Fraction(2)}
+    prefixes = {w[:n] for w in (*first, *second) for n in range(2, len(w) + 1)}
+    sch = {"B-": "C", "A-": "K", "A+": "P", "N": "D", "B+": "H", "M": "M"}
+    tables = [(deformed_rep(3), DiffOperator.identity(3), {g: g for g in sch}),
+              (realize(1, Fraction(-1, 2), Fraction(1, 10)),
+               SchrodingerOperator.identity(Fraction(1, 10)), sch)]
+    for table, one, name in tables:
+        maps = [{tuple(name[g] for g in w): c for w, c in m.items()} for m in (first, second)]
+        want = []
+        for m in maps:
+            acc = one.scale(0)
+            for w, c in m.items():
+                acc = acc + reduce(mul, [table[g] for g in w], one).scale(c)
+            want.append(acc)
+        products = []
+        compose = type(one).__mul__
+        with monkeypatch.context() as patch:
+            patch.setattr(type(one), "__mul__",
+                          lambda x, y: products.append(1) or compose(x, y))
+            memo = {(): one, **{(g,): op for g, op in table.items()}}
+            got = [_realized_words(m.items(), memo) for m in maps]
+        assert got == want
+        assert len(products) == len(prefixes) == 7
 
 
 def test_eigen_operator_classical_shape():

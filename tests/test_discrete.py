@@ -737,6 +737,9 @@ def test_sample_grid_window_off_origin():
     assert [v for _, _, v in rows] == [1.25, 1.5625]
     with pytest.raises(ValueError):
         sample_grid(phi, [Fraction(0)], phi.z, 2)
+    # at z = 0 there is no lattice: no run of copies of t = t0
+    with pytest.raises(ValueError, match="time lattice 4z"):
+        sample_grid(heat_polynomials(1, 0, 2)[1], [1], 0, 2)
 
 
 def test_solution_serialization():
