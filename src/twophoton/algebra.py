@@ -53,7 +53,9 @@ clearing the memo clears it too. The residual a*b - c*d of a product
 identity is one pass of the same kernel, ``product_difference``: the raw
 terms of c*d enter with negated numerators and both sides sum into the one
 accumulator, so neither side is built, and only terms that do not cancel
-become series. Products and these residuals enter the kernel through its
+become series. A raw term whose coefficient truncation has emptied is
+skipped before its legs are read, so none of its words is normal-ordered or
+memoised. Products and these residuals enter the kernel through its
 one entry, ``ordered_difference``, which also takes hand-made streams of raw
 terms: the coassociativity, antipode and coproduct-bracket residuals of
 ``hopf.hopf_checks`` are each one such pass. The coproduct and antipode of
@@ -109,7 +111,8 @@ SCH_GENERATORS = ("H", "D", "M", "P", "K", "C")
 
 
 class NormalOrderError(RuntimeError):
-    """Rewriting did not terminate; signals an inconsistent relation table."""
+    """Rewriting did not terminate on a word with a nonzero coefficient (a
+    zero term is never rewritten); signals an inconsistent relation table."""
 
     def __init__(self, algebra_name, word):
         self.word = word
@@ -156,7 +159,8 @@ def _grow(acc, den, b):
 def product_triples(a, b, order):
     """The (z power, numerator, denominator) triples of the product of two
     series' triples, up to z^order: one triple per surviving pair, neither
-    reduced nor collected, for a raw stream of the product kernel."""
+    reduced nor collected, for a raw stream of the product kernel. The list
+    is empty when no pair survives, and the kernel then skips the term."""
     return [(i + j, x * u, y * v) for i, x, y in a for j, u, v in b if i + j <= order]
 
 
@@ -227,7 +231,8 @@ def ordered_difference(like, raw, minus=()):
     one for an element, and a coefficient is a sequence of int (z power,
     numerator, denominator) triples with positive denominators, a series'
     ``triples`` or ``product_triples``; the caller keeps every stream in
-    ``like``'s space.
+    ``like``'s space. A term with empty triples is skipped unread, its legs
+    never normal-ordered.
     """
     return like._from_ordered(like.algebra._ordered(raw, minus))
 
@@ -548,17 +553,20 @@ class QuantumAlgebra:
         ``product_triples`` of two, so a residual whose coefficients are
         products of table entries makes no series for them. The triples are
         read once per run of consecutive raw terms that share one triples
-        object, the numerators negated for ``minus``. A raw term whose legs
-        are all single words goes straight into the accumulator, keyed by
-        (tuple of leg ids, z power); any other is expanded at its other
-        legs, and a partial product past z^k is dropped before the next one.
-        Both sums accumulate in one dict of numerators over a running
-        denominator, rescaled in the rare case that a new denominator grows
-        it. Ids become words again only for the terms that do not cancel,
-        in ``series._series_terms``, which regroups them into one series
-        per tuple of legs, one series per distinct coefficient: equal
-        coefficients of the result are one object, which ``term_products``
-        multiplies once per pair when the result is a factor again.
+        object, the numerators negated for ``minus``. A raw term with no
+        triples, one that truncation has emptied, is skipped before any of
+        its legs is looked up, so no word of it is normal-ordered, numbered
+        or memoised. A raw term whose legs are all single words goes
+        straight into the accumulator, keyed by (tuple of leg ids, z power);
+        any other is expanded at its other legs, and a partial product past
+        z^k is dropped before the next one. Both sums accumulate in one dict
+        of numerators over a running denominator, rescaled in the rare case
+        that a new denominator grows it. Ids become words again only for the
+        terms that do not cancel, in ``series._series_terms``, which
+        regroups them into one series per tuple of legs, one series per
+        distinct coefficient: equal coefficients of the result are one
+        object, which ``term_products`` multiplies once per pair when the
+        result is a factor again.
         """
         k = self.order
         memo = self._nf_cache
@@ -569,6 +577,8 @@ class QuantumAlgebra:
         for sign, stream in ((1, raw), (-1, minus)):
             last = None
             for legs, triples in stream:
+                if not triples:
+                    continue
                 if triples is not last:
                     last = triples
                     # (legs so far, z power, numerator, denominator) of each

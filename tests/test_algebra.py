@@ -14,7 +14,8 @@ import pytest
 import twophoton
 from twophoton import hopf
 from twophoton.algebra import (H6_COPRODUCTS, NCElement, NormalOrderError, QuantumAlgebra,
-                               SCH_ANTIPODES, TensorElement, product_difference,
+                               SCH_ANTIPODES, TensorElement, ordered_difference,
+                               product_difference,
                                two_photon_algebra, schrodinger_algebra, _first_inversion)
 from twophoton.series import TruncatedSeries, _series_terms
 from twophoton.sparse import collect, linear_combination
@@ -174,6 +175,30 @@ def test_fuel_guard_reports_offending_word():
     with pytest.raises(NormalOrderError) as exc:
         bad.normal_word((0, 1, 0))
     assert exc.value.word == (0, 1, 0)
+    # a word with a zero coefficient is never rewritten, so the loop stays
+    # unseen until the word carries a nonzero one
+    assert bad.element({(1, 0): 0}) == bad.zero()
+    with pytest.raises(NormalOrderError) as exc:
+        bad.element({(1, 0): 1})
+    assert exc.value.word == (1, 0)
+
+
+def test_dead_raw_term_is_never_normal_ordered():
+    alg = schrodinger_algebra(3)
+    chh = word(alg, "C", "H", "H")
+    assert _first_inversion(chh) is not None
+    # a term that truncation has emptied, in either stream, adds nothing and
+    # leaves the memo and its numbering as they were: no leg is looked up
+    dead = [((chh,), ())]
+    assert ordered_difference(alg.one(), dead) == alg.zero()
+    assert ordered_difference(alg.one(), (), dead) == alg.zero()
+    memo = alg._nf_cache
+    assert not memo and not memo.ids and not memo.words
+    # the same word at z^3, the top power, is still normal-ordered
+    top = TruncatedSeries.z_power(3, 3)
+    live = ordered_difference(alg.one(), [((chh,), top.triples)])
+    assert live == alg.element({chh: top}) != alg.zero()
+    assert chh in memo
 
 
 def test_embed3_places_both_legs():

@@ -201,6 +201,23 @@ def test_transport_on_instances_that_ran_the_hopf_checks(order):
     assert _entry_texts(shared) == _entry_texts(fresh)
 
 
+def test_hopf_memos_hold_no_word_of_a_dead_term():
+    # the k = 16 CI step's calls at k = 8: the residual streams carry raw
+    # terms whose z powers add up past k, and none of their words may reach
+    # a memo, which then holds only what the live terms need
+    sch, h6 = schrodinger_algebra(8), two_photon_algebra(8)
+    entries = []
+    for alg in (h6, sch):
+        entries += hopf_checks(alg) + structure_checks(alg)
+    entries += transport_checks(sch, h6)
+    assert len(entries) == 95 and all(e.passed for e in entries)
+    memos = (h6._nf_cache, sch._nf_cache)
+    assert sum(map(len, memos)) <= 1338
+    assert max(len(w) for memo in memos for w in memo) <= 16
+    # M^2 H^8, the antipode-left/C term at z^9
+    assert word(sch, "M", "M", *["H"] * 8) not in sch._nf_cache
+
+
 def test_shared_instances_fail_a_broken_coproduct_row_like_fresh_ones(monkeypatch):
     # Delta(P) = 1 (x) P + 2 P (x) e^{-2zH}, twice the P row
     monkeypatch.setitem(SCH_COPRODUCTS, "P", {("P",): ({}, ((2, -2, 0, 0, ()),))})
