@@ -167,15 +167,56 @@ def test_failing_residuals_render_like_the_two_products(monkeypatch):
 
 
 def test_inverse_residual_subtracts_the_unit(monkeypatch):
-    # with R^-1 + 1 for R^-1 the residual R R^-1 - 1 becomes R itself
+    # with R^-1 + 1 for R^-1, given as the one factor pair (R, R^-1 + 1),
+    # the residual R R^-1 - 1 becomes R itself
     alg = two_photon_algebra(3)
     one = alg.tensor_one()
-    wrong = r_matrix_inverse(alg) + one
-    monkeypatch.setattr(hopf, "r_matrix_inverse", lambda _: wrong)
-    (entry,) = [e for e in rmatrix_checks(alg) if e.name.endswith("/inverse")]
     R = r_matrix(alg)
+    wrong = r_matrix_inverse(alg) + one
+    monkeypatch.setattr(hopf, "_factor_pairs", lambda _: [(R, wrong)])
+    (entry,) = [e for e in rmatrix_checks(alg) if e.name.endswith("/inverse")]
     assert not entry.passed
     assert entry.residual == str(R * wrong - one) == str(R)
+
+
+def test_factorwise_residuals_read_like_the_whole_products_under_every_perturbed_factor(
+        monkeypatch):
+    # +1 on the z coefficient of one factor at a time, at k = 3: the inverse
+    # and intertwining residuals, made one factor at a time, must print as
+    # the products of the whole R, R R^-1 - 1 and R Delta(x) - Delta^op(x) R
+    for make in (two_photon_algebra, schrodinger_algebra):
+        name = make(0).name
+        prefix = f"rmatrix/{name}"
+        factors = hopf.R_FACTORS[name]
+        for i, (c, x, y) in enumerate(factors):
+            with monkeypatch.context() as patch:
+                patch.setitem(hopf.R_FACTORS, name,
+                              factors[:i] + ((c + 1, x, y),) + factors[i + 1:])
+                alg = make(3)
+                entries = {e.name: e for e in rmatrix_checks(alg)}
+                R = r_matrix(alg)
+                assert entries[f"{prefix}/inverse"].residual == str(
+                    R * r_matrix_inverse(alg) - alg.tensor_one())
+                failing = 0
+                for g in alg.generators:
+                    dx = alg.coproduct(alg.gen(g))
+                    entry = entries[f"{prefix}/intertwine/{g}"]
+                    assert entry.residual == str(R * dx - dx.swap() * R), (name, i, g)
+                    failing += not entry.passed
+                assert failing, (name, i)
+
+
+def test_rmatrix_checks_memoise_few_words():
+    # no product of the inverse and intertwining residuals has the whole of R
+    # on both sides, so at k = 5 the two memos hold at most 660 and 360
+    # entries (1,378 and 578 when those residuals multiplied whole R's)
+    sizes = {}
+    for make in (schrodinger_algebra, two_photon_algebra):
+        alg = make(5)
+        rmatrix_checks(alg)
+        sizes[alg.name] = len(alg._nf_cache)
+    assert sizes["schrodinger11"] <= 660
+    assert sizes["h6-twophoton"] <= 360
 
 
 def test_transport_matches_handcoded_tables():

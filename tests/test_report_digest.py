@@ -20,10 +20,10 @@ GOLDEN = {
     ("--order", "2"): "3a0234e95147959bbd9aaf480b84a592fbda8660e4d9bbc10e0180170fb20dbb",
     ("--rep-param", "0", "--order", "2"):
         "fe18eae5043aa73dafabcca5b32914c7db16240c4dcde294ced3b7357af10f22",
-    # PBW rewriting of long words: up to 17 letters in the rmatrix checks
+    # PBW rewriting of long words: up to 11 letters in the rmatrix checks
     ("--checks", "rmatrix", "--order", "4"):
         "fc0170a5024e94d7d891a12e92cc44bffc8c4cb2f15223db0370c0eb15490104",
-    # the R-matrix identities on words of up to 26 letters: the rmatrix-k5 workload
+    # the R-matrix identities on words of up to 14 letters: the rmatrix-k5 workload
     ("--checks", "rmatrix", "--order", "5"):
         "88f22ffc6c4cbd771b5ef549e8343b3f842412244f99b386967414e9787ec03f",
     # the Hopf axioms on long coproduct and antipode words: the hopf-k8 workload
