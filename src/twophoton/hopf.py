@@ -3,8 +3,9 @@
 Everything here reduces an identity to a residual element of the PBW engine
 and reports pass exactly when the residual is zero mod z^(k+1). A residual
 is made without building its sides: the Yang-Baxter residual through
-``product_difference``, the R-matrix inverse and intertwining residuals
-one exponential factor of R at a time, the coassociativity, antipode and
+``product_difference``, the R-matrix inverse residual one exponential
+factor of R at a time, the intertwining residuals' conjugates as one
+adjoint series per factor of R, the coassociativity, antipode and
 coproduct-bracket axioms as streams of raw terms through
 ``ordered_difference``, and the counit axioms, whose legs are PBW already,
 as one collect each. A raw stream's coefficient that is the product of two
@@ -33,6 +34,7 @@ from .algebra import (NCElement, TensorElement, ordered_difference, product_diff
                       SCH_CASIMIR)
 from .bialgebra import H6_TO_SCH_MAP
 from .report import CheckResult, residual_entry
+from .series import TruncatedSeries
 from .sparse import collect
 
 __all__ = [
@@ -156,6 +158,28 @@ def _factor_pairs(alg):
             for c, x, y in reversed(factors)]
 
 
+def _exponent_steps(alg, c, xname, yname):
+    """a_n = (c z / n) X (x) Y for n = 1 .. k: the steps of the adjoint
+    series of the factor exp(c z X (x) Y)."""
+    legs = ((alg.gen_index(xname),), (alg.gen_index(yname),))
+    return [TensorElement(alg, 2, {legs: TruncatedSeries.z_power(1, alg.order, Fraction(c, n))})
+            for n in range(1, alg.order + 1)]
+
+
+def _adjoint_series(steps, y):
+    """exp(A) y exp(-A) for A = a_1 of ``steps``, by Hadamard's lemma: the
+    sum of t_0 = y and t_n = [a_n, t_(n-1)] = ad_A^n(y) / n!. Each t_n
+    carries one more power of z, so the sum stops by t_(k+1) = 0, at the
+    first t_n with no terms."""
+    out = term = y
+    for a in steps:
+        term = product_difference(a, term, term, a)
+        if not term.terms:
+            break
+        out = out + term
+    return out
+
+
 def _product(out, tensors):
     for t in tensors:
         out = out * t
@@ -178,14 +202,16 @@ def rmatrix_checks(alg):
     time, innermost first, so no product has the whole of R on both sides:
     R R^-1 - 1 as R F_n^-1 ... F_1^-1 - 1, each step cancelling one factor,
     and R Delta(x) - Delta^op(x) R as (R Delta(x) R^-1 - Delta^op(x)) R,
-    its conjugate made as F Delta(x) F^-1 one factor at a time. Both are
-    the same elements as the products of the whole R, so a failing
-    residual reads the same, and a passing intertwining residual's last
-    product has no terms. The QYBE residual is one ``product_difference``
-    pass over the embeddings of R, the largest pass of the call. It runs
-    first, before the factor pairs and the inverse's products are made:
-    run after them, it left the peak RSS of repeated k = 5 calls in one
-    process 0.4-0.5 MB higher.
+    its conjugate made factor by factor as the adjoint series of
+    F = exp(A), A = c z X (x) Y: sum_n ad_A^n(Delta(x)) / n!, through
+    commutators with one-term tensors, so no step makes the terms of
+    F Delta(x) that F^-1 cancels. Both are the same elements as the
+    products of the whole R, so a failing residual reads the same, and a
+    passing intertwining residual's last product has no terms. The QYBE
+    residual is one ``product_difference`` pass over the embeddings of R,
+    the largest pass of the call. It runs first, before the factor pairs
+    and the inverse's products are made: run after them, it left the peak
+    RSS of repeated k = 5 calls in one process 0.4-0.5 MB higher.
     """
     entries = []
     prefix = f"rmatrix/{alg.name}"
@@ -196,14 +222,14 @@ def rmatrix_checks(alg):
     r23 = R.embed3((1, 2))
     entries.append(residual_entry(
         f"{prefix}/qybe", product_difference(r12 * r13, r23, r23 * r13, r12), params))
-    pairs = _factor_pairs(alg)
-    unit = _product(R, [f_inv for _, f_inv in pairs])
+    unit = _product(R, [f_inv for _, f_inv in _factor_pairs(alg)])
     entries.append(residual_entry(f"{prefix}/inverse", unit - alg.tensor_one(), params))
+    exponents = [_exponent_steps(alg, c, x, y) for c, x, y in reversed(R_FACTORS[alg.name])]
     for name in alg.generators:
         dx = alg.coproduct(alg.gen(name))
         conjugate = dx
-        for f, f_inv in pairs:
-            conjugate = f * conjugate * f_inv
+        for steps in exponents:
+            conjugate = _adjoint_series(steps, conjugate)
         entries.append(residual_entry(
             f"{prefix}/intertwine/{name}", (conjugate - dx.swap()) * R, params))
     return entries

@@ -208,15 +208,51 @@ def test_factorwise_residuals_read_like_the_whole_products_under_every_perturbed
 
 def test_rmatrix_checks_memoise_few_words():
     # no product of the inverse and intertwining residuals has the whole of R
-    # on both sides, so at k = 5 the two memos hold at most 660 and 360
-    # entries (1,378 and 578 when those residuals multiplied whole R's)
+    # on both sides, and the intertwining conjugates through commutators with
+    # one-term tensors, so at k = 5 the two memos hold at most 431 and 172
+    # entries (660 and 360 when each factor conjugated as F Delta(x) F^-1,
+    # 1,378 and 578 when those residuals multiplied whole R's)
     sizes = {}
     for make in (schrodinger_algebra, two_photon_algebra):
         alg = make(5)
         rmatrix_checks(alg)
         sizes[alg.name] = len(alg._nf_cache)
-    assert sizes["schrodinger11"] <= 660
-    assert sizes["h6-twophoton"] <= 360
+    assert sizes["schrodinger11"] <= 431
+    assert sizes["h6-twophoton"] <= 172
+
+
+def test_adjoint_series_conjugates_like_the_factor_products(monkeypatch):
+    # at k = 3, for every factor F of R and every generator's coproduct y,
+    # the adjoint series equals F y F^-1, also with a +1 rate on the factor
+    for make in (two_photon_algebra, schrodinger_algebra):
+        name = make(0).name
+        factors = hopf.R_FACTORS[name]
+        for i, (c, x, y) in enumerate(factors):
+            for rate in (c, c + 1):
+                with monkeypatch.context() as patch:
+                    patch.setitem(hopf.R_FACTORS, name,
+                                  factors[:i] + ((rate, x, y),) + factors[i + 1:])
+                    alg = make(3)
+                    f, f_inv = hopf._factor_pairs(alg)[len(factors) - 1 - i]
+                steps = hopf._exponent_steps(alg, rate, x, y)
+                for g in alg.generators:
+                    dy = alg.coproduct(alg.gen(g))
+                    assert hopf._adjoint_series(steps, dy) == f * dy * f_inv, (name, i, rate, g)
+
+
+def test_adjoint_series_needs_the_one_over_n_steps():
+    # negative control: c z X (x) Y at every step, the 1/n dropped, makes
+    # sum_n ad_A^n(y) for exp(A) y exp(-A), wrong for some factor and coproduct
+    for make in (two_photon_algebra, schrodinger_algebra):
+        alg = make(3)
+        pairs = hopf._factor_pairs(alg)
+        wrong = 0
+        for (c, x, y), (f, f_inv) in zip(reversed(hopf.R_FACTORS[alg.name]), pairs):
+            steps = hopf._exponent_steps(alg, c, x, y)
+            for g in alg.generators:
+                dy = alg.coproduct(alg.gen(g))
+                wrong += hopf._adjoint_series(steps[:1] * alg.order, dy) != f * dy * f_inv
+        assert wrong, alg.name
 
 
 def test_transport_matches_handcoded_tables():

@@ -17,7 +17,7 @@ import pytest
 from twophoton.algebra import H6_GENERATORS, schrodinger_algebra, two_photon_algebra
 from twophoton.bargmann import DiffOperator, deformed_rep
 from twophoton.bialgebra import H6_TO_SCH_MAP
-from twophoton.hopf import rmatrix_checks
+from twophoton.hopf import hopf_checks, rmatrix_checks
 from twophoton.sparse import linear_combination
 
 K = 3
@@ -54,7 +54,10 @@ def _disagreements(alg, words):
 
 @pytest.mark.parametrize("factory", [two_photon_algebra, schrodinger_algebra])
 def test_realization_agrees_with_every_memoised_normal_form(factory):
+    # the Hopf axioms and the R-matrix checks together normal-order a
+    # varied set of words: more than 100 of length >= 2 in each algebra
     alg = factory(K)
+    hopf_checks(alg)
     rmatrix_checks(alg)
     words = [w for w in alg._nf_cache if len(w) >= 2]
     assert len(words) > 100
