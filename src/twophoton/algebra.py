@@ -53,7 +53,14 @@ clearing the memo clears it too. The residual a*b - c*d of a product
 identity is one pass of the same kernel, ``product_difference``: the raw
 terms of c*d enter with negated numerators and both sides sum into the one
 accumulator, so neither side is built, and only terms that do not cancel
-become series. A raw term whose coefficient truncation has emptied is
+become series. A commutator [a, b] is one such pass over fewer terms,
+``commutator_products``: a pair of terms whose letters commute leg by leg,
+by an empty row of the truncated relation table, gives raw terms uv and vu
+of one normal form, which cancel, so only the other pairs feed the kernel,
+each pair's coefficient product made once for both signs. Which letters
+commute is read off the table when the algebra is built. At k = 8 the
+coproduct-bracket residuals of both algebras feed it 6,354 raw terms
+instead of 8,982. A raw term whose coefficient truncation has emptied is
 skipped before its legs are read, so none of its words is normal-ordered or
 memoised. Products and these residuals enter the kernel through its
 one entry, ``ordered_difference``, which also takes hand-made streams of raw
@@ -96,6 +103,7 @@ __all__ = [
     "NCElement",
     "TensorElement",
     "QuantumAlgebra",
+    "commutator_products",
     "ordered_difference",
     "product_difference",
     "product_triples",
@@ -208,6 +216,70 @@ def _coefficient_groups(x):
     return groups.values()
 
 
+def commutator_products(a, b):
+    """(raw a*b, raw b*a) over only the pairs of terms of a and b that do
+    not commute letter by letter, for ``ordered_difference(a, ab, ba)``,
+    which is then [a, b].
+
+    A pair of keys (u, v) is skipped when, leg by leg, each letter of u
+    commutes with each letter of v: their row of the truncated relation
+    table, read into ``QuantumAlgebra._blocking`` at the build, is empty.
+    The skip is exact for any table: u and v are PBW, so each inversion of
+    the raw word u + v pairs two such letters, and every rewriting step
+    swaps two of them by an empty row, with coefficient 1, leaving fewer
+    inversions of the same kind. So u + v and v + u both normal-order to
+    their sorted letters with coefficient 1 and cancel; for a confluent
+    table, as the built-in ones are, this is also the algebra's uv = vu.
+
+    A key's letters, and the letters that one of them does not commute
+    with, are one bitmask each, leg i at bits i*n to i*n + n - 1 for n
+    generators, so a pair is kept when one AND is nonzero. As in
+    ``term_products``, the terms are grouped by coefficient object and b's
+    groups bucketed by low z order; a pair of groups costs one series
+    product, shared by both streams, only when it keeps a pair of keys.
+    The b*a stream replays the pairs that the a*b stream records as it is
+    read, so it is read after it, as the kernel reads ``minus`` after
+    ``raw``; for the b*a stream first, ask for ``commutator_products(b, a)``.
+    """
+    a._require_same(b)
+    alg = a.algebra
+    order = alg.order
+    join = a._join
+    legs = a._legs
+    n = len(alg.generators)
+    blocking = alg._blocking
+
+    def masks(key):
+        # (letters, letters some letter does not commute with), leg by leg
+        letters = blocked = 0
+        for i, leg in enumerate(legs(key)):
+            shift = i * n
+            for g in leg:
+                letters |= 1 << (g + shift)
+                blocked |= blocking[g] << shift
+        return letters, blocked
+
+    buckets = [[] for _ in range(order + 1)]
+    for sb, wbs in _coefficient_groups(b):
+        buckets[sb.low_order()].append((sb, [(wb, masks(wb)[0]) for wb in wbs]))
+    kept = []
+
+    def ab():
+        for sa, was in _coefficient_groups(a):
+            was = [(wa, masks(wa)[1]) for wa in was]
+            for bucket in buckets[:order + 1 - sa.low_order()]:
+                for sb, wbs in bucket:
+                    pairs = [(wa, wb) for wa, blocked in was for wb, letters in wbs
+                             if blocked & letters]
+                    if pairs:
+                        s = (sa * sb).triples
+                        kept.append((pairs, s))
+                        for wa, wb in pairs:
+                            yield join(wa, wb), s
+
+    return ab(), ((join(wb, wa), s) for pairs, s in kept for wa, wb in pairs)
+
+
 def product_difference(a, b, c, d):
     """a*b - c*d in one pass of the product kernel.
 
@@ -241,7 +313,8 @@ class _PBWTerms(SparseTerms):
     """A sum of PBW words or of tensors of them, multiplied by the one kernel.
 
     A subclass gives ``_join``, the raw legs of the product of two keys,
-    and ``_from_ordered``, its element of the kernel's {legs: series} map,
+    ``_legs``, the words of one key, and ``_from_ordered``, its element of
+    the kernel's {legs: series} map,
     whose coefficients are nonzero already and so are not filtered again;
     the coproduct and antipode memos hand their maps over the same way.
     """
@@ -255,7 +328,11 @@ class _PBWTerms(SparseTerms):
         return ordered_difference(self, term_products(self, other))
 
     def commutator(self, other):
-        return product_difference(self, other, other, self)
+        """[self, other] in one pass of the kernel over the pairs of terms
+        that do not commute; a scalar commutes with everything."""
+        if not isinstance(other, SparseTerms):
+            return self._new({})
+        return ordered_difference(self, *commutator_products(self, other))
 
 
 class NCElement(_PBWTerms):
@@ -270,6 +347,10 @@ class NCElement(_PBWTerms):
     @staticmethod
     def _join(a, b):
         return (a + b,)
+
+    @staticmethod
+    def _legs(word):
+        return (word,)
 
     def _from_ordered(self, ordered):
         return self._holding(self.space, {w: s for (w,), s in ordered.items()})
@@ -303,6 +384,10 @@ class TensorElement(_PBWTerms):
     @property
     def _join(self):
         return _LEG_JOINS.get(self.rank, _join_legs)
+
+    @staticmethod
+    def _legs(legs):
+        return legs
 
     def _from_ordered(self, ordered):
         return self._holding(self.space, ordered)
@@ -425,7 +510,10 @@ class QuantumAlgebra:
     denominator per entry, and ``_ordered`` is the one product kernel over
     it. Clearing the memo clears its numbering of words, so a table
     changed behind the algebra's back, with the memo cleared, gives the
-    products of the changed table.
+    products of the changed table. Which generators commute, an empty row,
+    is read once at construction into ``_blocking`` for the commutator
+    kernel, so a change that empties a row or fills an empty one is not
+    seen by commutators.
     The coproduct and antipode tables and their memos hold plain
     {key: series} maps, wrapped into elements on access: an element points
     back at its algebra, so tables of elements would keep every algebra in
@@ -450,6 +538,11 @@ class QuantumAlgebra:
                          for p, c in self._as_series(s).pairs}
                 self._check_relation((hi, lo), value)
                 self._relations[(hi, lo)] = value
+        # bit h of _blocking[g] is set when X_g and X_h do not commute in the
+        # truncated table: their row is not empty
+        self._blocking = [sum(1 << h for h in range(n)
+                              if self._relations.get((max(g, h), min(g, h))))
+                          for g in range(n)]
 
         # read per generator index on first read of the tables
         self._coproduct_rows = coproduct

@@ -8,7 +8,11 @@ factor of R at a time, the intertwining residuals' conjugates as one
 adjoint series per factor of R, the coassociativity, antipode and
 coproduct-bracket axioms as streams of raw terms through
 ``ordered_difference``, and the counit axioms, whose legs are PBW already,
-as one collect each. A raw stream's coefficient that is the product of two
+as one collect each. Every commutator, the [Delta x, Delta y] of the
+coproduct-bracket axiom, each step of an adjoint series, the [phi x,
+phi y] of the transport and the Casimir's, feeds the kernel through
+``commutator_products`` only the pairs of terms whose letters do not
+commute. A raw stream's coefficient that is the product of two
 table entries is their ``product_triples``, int triples that the kernel
 sums without making a series for them. Every generator has counit 0, so
 the counit is the augmentation: the coefficient of the empty word.
@@ -29,9 +33,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 
-from .algebra import (NCElement, TensorElement, ordered_difference, product_difference,
-                      product_triples, term_products, word_name, _exp_words, _row_terms,
-                      SCH_CASIMIR)
+from .algebra import (NCElement, TensorElement, commutator_products, ordered_difference,
+                      product_difference, product_triples, word_name, _exp_words,
+                      _row_terms, SCH_CASIMIR)
 from .bialgebra import H6_TO_SCH_MAP
 from .report import CheckResult, residual_entry
 from .series import TruncatedSeries
@@ -97,12 +101,13 @@ def _antipode_residual(alg, x, dx, leg):
 
 def _coproduct_bracket_residual(alg, x, y, dx, dy):
     """Delta([x, y]) - [Delta x, Delta y]: Delta([x, y]) + Delta y Delta x
-    minus Delta x Delta y."""
+    minus Delta x Delta y, the two products over the pairs of terms that do
+    not commute only, from ``commutator_products``."""
     delta_bracket = ((legs, product_triples(c.triples, s.triples, alg.order))
                      for w, s in alg.relation(x, y).terms.items()
                      for legs, c in alg.coproduct_word(w).terms.items())
-    return ordered_difference(dx, chain(delta_bracket, term_products(dy, dx)),
-                              term_products(dx, dy))
+    dy_dx, dx_dy = commutator_products(dy, dx)
+    return ordered_difference(dx, chain(delta_bracket, dy_dx), dx_dy)
 
 
 def hopf_checks(alg):
@@ -170,10 +175,12 @@ def _adjoint_series(steps, y):
     """exp(A) y exp(-A) for A = a_1 of ``steps``, by Hadamard's lemma: the
     sum of t_0 = y and t_n = [a_n, t_(n-1)] = ad_A^n(y) / n!. Each t_n
     carries one more power of z, so the sum stops by t_(k+1) = 0, at the
-    first t_n with no terms."""
+    first t_n with no terms. Each step is one commutator pass with the
+    one-term a_n = (c z / n) X (x) Y, which skips the terms of t_(n-1)
+    whose legs commute with X and Y letter by letter."""
     out = term = y
     for a in steps:
-        term = product_difference(a, term, term, a)
+        term = a.commutator(term)
         if not term.terms:
             break
         out = out + term
@@ -205,7 +212,8 @@ def rmatrix_checks(alg):
     its conjugate made factor by factor as the adjoint series of
     F = exp(A), A = c z X (x) Y: sum_n ad_A^n(Delta(x)) / n!, through
     commutators with one-term tensors, so no step makes the terms of
-    F Delta(x) that F^-1 cancels. Both are the same elements as the
+    F Delta(x) that F^-1 cancels, nor those of a term of Delta(x) that
+    commutes with A letter by letter. Both are the same elements as the
     products of the whole R, so a failing residual reads the same, and a
     passing intertwining residual's last product has no terms. The QYBE
     residual is one ``product_difference`` pass over the embeddings of R,
@@ -368,9 +376,9 @@ def transport_structure(sch, h6):
     residuals = {"relations": [], "coproduct": [], "antipode": [], "counit": []}
     for i, x in enumerate(gens):
         for y in gens[:i]:
+            yx, xy = commutator_products(fwd[y], fwd[x])
             residuals["relations"].append((f"[{x},{y}]", ordered_difference(
-                fwd[x], chain(_pushed(sch.relation(x, y)), term_products(fwd[y], fwd[x])),
-                term_products(fwd[x], fwd[y]))))
+                fwd[x], chain(_pushed(sch.relation(x, y)), yx), xy)))
     for x in gens:
         gx, fx = sch.gen(x), fwd[x]
         for table, label, value, image in (

@@ -14,8 +14,8 @@ import pytest
 import twophoton
 from twophoton import hopf
 from twophoton.algebra import (H6_COPRODUCTS, NCElement, NormalOrderError, QuantumAlgebra,
-                               SCH_ANTIPODES, TensorElement, ordered_difference,
-                               product_difference,
+                               SCH_ANTIPODES, TensorElement, commutator_products,
+                               ordered_difference, product_difference,
                                two_photon_algebra, schrodinger_algebra, _first_inversion)
 from twophoton.series import TruncatedSeries, _series_terms
 from twophoton.sparse import collect, linear_combination
@@ -366,6 +366,13 @@ def _non_confluent_h6(order):
     return alg
 
 
+def test_commuting_pairs_cancel_on_a_non_confluent_table():
+    # the skip rests on the rewriting alone: every step on u v swaps two
+    # letters by an empty row, so it is exact where overlaps do not resolve
+    kept, pairs = _commutator_pairs_kept(_non_confluent_h6(3), 41)
+    assert 0 < kept < pairs
+
+
 @pytest.mark.parametrize("order", [3, 8])
 def test_leading_run_strip_is_exact_on_a_non_confluent_table(order):
     # the strip must reproduce the recursion it shortcuts entry by entry,
@@ -490,6 +497,95 @@ def test_product_difference_matches_two_products(make):
     x, y, w = (_random_element(alg, rng) for _ in range(3))
     assert (x * y) * w
     assert product_difference(x * y, w, x, y * w).is_zero()
+
+
+def _commutator_pairs_kept(alg, seed):
+    """Check commutator_products on random elements and rank-2 and rank-3
+    tensors of ``alg`` against a*b - b*a built as two products; (pairs
+    kept, pairs of terms). The letters lean on M, central in both
+    algebras, and the terms share coefficient objects, so some pairs of
+    groups keep only part of their pairs of terms and some keep none."""
+    rng, order = random.Random(seed), alg.order
+    m = alg.gen_index("M")
+    coefficients = [alg.one_series() * Fraction(rng.choice((-2, 1, 3)), rng.randint(1, 2))
+                    for _ in range(2)]
+    coefficients += [TruncatedSeries.z_power(n, order, Fraction(-1, n + 1))
+                     for n in range(order + 1)]
+
+    def legs(rank):
+        return tuple(tuple(sorted(rng.choice((m, m, rng.randrange(6)))
+                                  for _ in range(rng.randint(0, 2))))
+                     for _ in range(rank))
+
+    def operand(rank):
+        terms = {legs(rank): rng.choice(coefficients) for _ in range(5)}
+        if rank == 1:
+            return NCElement(alg, {w: s for (w,), s in terms.items()})
+        return TensorElement(alg, rank, terms)
+
+    pairs = kept = 0
+    for _ in range(6):
+        for rank in (1, 2, 3):
+            a, b = operand(rank), operand(rank)
+            ab, ba = commutator_products(a, b)
+            ab, ba = list(ab), list(ba)
+            # one coefficient product per kept pair, shared by both streams
+            assert [id(s) for _, s in ab] == [id(s) for _, s in ba]
+            pairs += len(a.terms) * len(b.terms)
+            kept += len(ab)
+            want = a * b - b * a
+            assert ordered_difference(a, iter(ab), iter(ba)) == want
+            assert a.commutator(b) == want
+    return kept, pairs
+
+
+@pytest.mark.parametrize("order", [0, 3])
+@pytest.mark.parametrize("make", ALGEBRAS)
+def test_commutator_products_match_the_two_products(make, order):
+    # the commutator kernel drops the pairs of terms that commute letter by
+    # letter; its one pass must still equal a*b - b*a
+    kept, pairs = _commutator_pairs_kept(make(order), 37)
+    assert 0 < kept < pairs
+
+
+def test_commuting_letters_are_read_off_the_truncated_table():
+    # negative control: [B-, A-] = 2z A- + 4z N A- has only z^1 terms, so
+    # at k = 0 its row is empty and the pair B- (x) A- is skipped, while at
+    # k = 1 it is kept, one raw term in each stream
+    for order, kept in ((0, 0), (1, 1)):
+        alg = two_photon_algebra(order)
+        b, a = alg.gen("B-"), alg.gen("A-")
+        ab, ba = commutator_products(b, a)
+        assert (len(list(ab)), len(list(ba))) == (kept, kept)
+        assert bool(b.commutator(a)) == bool(kept) == bool(b * a - a * b)
+
+
+@pytest.mark.parametrize("make", [two_photon_algebra, schrodinger_algebra])
+def test_central_coproduct_pairs_are_all_skipped(make):
+    # M is central and primitive: every term of Delta M = 1 (x) M + M (x) 1
+    # commutes letter by letter with every term of Delta y
+    alg = make(3)
+    dm = alg.coproduct(alg.gen("M"))
+    for name in alg.generators:
+        dy = alg.coproduct(alg.gen(name))
+        for streams in (commutator_products(dm, dy), commutator_products(dy, dm)):
+            assert [list(stream) for stream in streams] == [[], []], name
+        assert dm.commutator(dy).is_zero()
+
+
+def test_pbw_commutator_with_a_scalar_is_zero():
+    # a scalar commutes with everything, as in SparseTerms.commutator
+    alg = two_photon_algebra(2)
+    n, t = alg.gen("N"), alg.coproduct(alg.gen("N"))
+    for x in (n, t):
+        for scalar in (2, Fraction(-1, 3), alg.one_series() * 5):
+            assert x.commutator(scalar) == x._new({})
+    # an element of another space is no scalar
+    for x, y in ((n, t), (t, n), (t, t.embed3((0, 1))), (n, schrodinger_algebra(2).gen("D"))):
+        with pytest.raises(ValueError):
+            x.commutator(y)
+        with pytest.raises(ValueError):
+            commutator_products(x, y)
 
 
 def _shared_coefficient_operand(alg, rng, rank, n_terms=6):

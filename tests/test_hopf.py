@@ -4,8 +4,8 @@ import pytest
 
 from twophoton import hopf
 from twophoton.algebra import (H6_ANTIPODES, H6_COPRODUCTS, H6_GENERATORS, H6_RELATIONS,
-                               NCElement, SCH_ANTIPODES, SCH_COPRODUCTS, SCH_RELATIONS,
-                               _exp_words, ordered_difference, two_photon_algebra,
+                               NCElement, QuantumAlgebra, SCH_ANTIPODES, SCH_COPRODUCTS,
+                               SCH_RELATIONS, _exp_words, ordered_difference, two_photon_algebra,
                                schrodinger_algebra)
 from twophoton.bialgebra import (H6_R_MATRIX, H6_TO_SCH_MAP, SCH_R_MATRIX, basis_change,
                                  classical_lie, schrodinger_lie, two_photon_lie)
@@ -209,16 +209,43 @@ def test_factorwise_residuals_read_like_the_whole_products_under_every_perturbed
 def test_rmatrix_checks_memoise_few_words():
     # no product of the inverse and intertwining residuals has the whole of R
     # on both sides, and the intertwining conjugates through commutators with
-    # one-term tensors, so at k = 5 the two memos hold at most 431 and 172
-    # entries (660 and 360 when each factor conjugated as F Delta(x) F^-1,
-    # 1,378 and 578 when those residuals multiplied whole R's)
+    # one-term tensors that skip the pairs of terms whose letters commute,
+    # so at k = 5 the two memos hold at most 420 and 162 entries (431 and
+    # 172 when every commutator made both full products, 660 and 360 when
+    # each factor conjugated as F Delta(x) F^-1, 1,378 and 578 when those
+    # residuals multiplied whole R's)
     sizes = {}
     for make in (schrodinger_algebra, two_photon_algebra):
         alg = make(5)
         rmatrix_checks(alg)
         sizes[alg.name] = len(alg._nf_cache)
-    assert sizes["schrodinger11"] <= 431
-    assert sizes["h6-twophoton"] <= 172
+    assert sizes["schrodinger11"] <= 420
+    assert sizes["h6-twophoton"] <= 162
+
+
+def test_coproduct_brackets_feed_only_the_pairs_that_do_not_commute(monkeypatch):
+    # a deterministic count: at k = 8 the 30 coproduct-bracket residuals
+    # feed the product kernel at most 6,354 raw terms, where both full
+    # products of every commutator fed it 8,982
+    fed = []
+    ordered = QuantumAlgebra._ordered
+
+    def counting(alg, raw, minus=()):
+        def count(stream):
+            for term in stream:
+                fed.append(term)
+                yield term
+        return ordered(alg, count(raw), count(minus))
+
+    algebras = [make(8) for make in (two_photon_algebra, schrodinger_algebra)]
+    deltas = [{name: alg.coproduct(alg.gen(name)) for name in alg.generators}
+              for alg in algebras]
+    monkeypatch.setattr(QuantumAlgebra, "_ordered", counting)
+    residuals = [hopf._coproduct_bracket_residual(alg, x, y, dxs[x], dxs[y])
+                 for alg, dxs in zip(algebras, deltas)
+                 for i, x in enumerate(alg.generators) for y in alg.generators[:i]]
+    assert len(residuals) == 30 and not any(residuals)
+    assert len(fed) <= 6354
 
 
 def test_adjoint_series_conjugates_like_the_factor_products(monkeypatch):
@@ -281,7 +308,9 @@ def test_transport_on_instances_that_ran_the_hopf_checks(order):
 def test_hopf_memos_hold_no_word_of_a_dead_term():
     # the k = 16 CI step's calls at k = 8: the residual streams carry raw
     # terms whose z powers add up past k, and none of their words may reach
-    # a memo, which then holds only what the live terms need
+    # a memo, which then holds only what the live terms need; nor may the
+    # words of a pair of terms that commute letter by letter (1,338 entries
+    # when every commutator made both full products)
     sch, h6 = schrodinger_algebra(8), two_photon_algebra(8)
     entries = []
     for alg in (h6, sch):
@@ -289,7 +318,7 @@ def test_hopf_memos_hold_no_word_of_a_dead_term():
     entries += transport_checks(sch, h6)
     assert len(entries) == 95 and all(e.passed for e in entries)
     memos = (h6._nf_cache, sch._nf_cache)
-    assert sum(map(len, memos)) <= 1338
+    assert sum(map(len, memos)) <= 1288
     assert max(len(w) for memo in memos for w in memo) <= 16
     # M^2 H^8, the antipode-left/C term at z^9
     assert word(sch, "M", "M", *["H"] * 8) not in sch._nf_cache
