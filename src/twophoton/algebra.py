@@ -1,73 +1,21 @@
 """PBW normal-ordering engine for the deformed generator algebras.
 
 Elements are finite sums of PBW-ordered words (tuples of generator indices,
-non-decreasing) with coefficients that are series in z truncated at z^k. A
-raw word is brought to normal form by multiplying its sorted prefix by one
-generator at a time, the multiplication-table approach of G-algebra systems:
-for a PBW word ``head + (h,)`` and a generator g < h, ``(head + (h,)) * g =
-(head * g) * h + head * [h, g]``, with [h, g] read from the relation table.
-A raw word that starts with a run of generator 0, the lowest letter, takes
-the normal form of the rest with the run in front, since no rewriting
-touches that run: the exponentials e^{2zB+} and e^{4zH} put long runs of B+
-and H in front of the coproduct, antipode and R-matrix words, and each
-tail behind them is rewritten once, not once per power. A product of a PBW
-word by one generator is the normal form of the raw word they make, so one
-recursion over raw words does all the rewriting, and one memo holds its
-normal forms. The generator orders of the built-in algebras are chosen
-so that every relation term either strictly shortens the word or carries a
-strictly positive z power; truncation then prunes the exponential tails and
-rewriting terminates. A broken relation table that rewrites without end
-runs into the interpreter's recursion limit, which surfaces as a
-``NormalOrderError`` naming the word instead of a hang.
+non-decreasing) with coefficients that are series in z truncated at z^k. One
+recursion over raw words, ``QuantumAlgebra._nf``, does all the rewriting,
+and one memo holds its normal forms. The generator orders of the built-in
+algebras are chosen so that every relation term either strictly shortens the
+word or carries a strictly positive z power; truncation then prunes the
+exponential tails and rewriting terminates. A broken relation table that
+rewrites without end surfaces as a ``NormalOrderError`` naming the word
+instead of a hang.
 
-Inside the engine, the relation table maps (word, z power) to one Fraction,
-and the memo holds Python ints: it numbers the PBW words it meets with small
-int ids, and an entry is (d, ((word id, z power, numerator), ...)) over one
-positive denominator d, reduced so that d and the numerators have no common
-factor. Entries are combined over the lcm of their denominators, so a
-coefficient operation is an int product, not a Fraction's gcd. The built-in
-tables are homogeneous for a grading in which z has a weight, so a normal
-form carries one z power per word. Every product of elements, tensors or raw
-tensors goes through one kernel, ``QuantumAlgebra._ordered``. Its raw
-streams carry each coefficient as int triples (z power, numerator,
-denominator), which it reads once per run of raw terms that share one
-triples object, and it hands back one series per word, made from the word's
-numerators: in the graded tables, one monomial. The triples need not be in
-lowest terms: a stream may carry the unreduced product of two series'
-triples (``product_triples``), as the Hopf-axiom residuals do, since the
-kernel sums over a common denominator and reduces only the results. Equal
-coefficients of its result are one object, found by their int numerators,
-and ``term_products`` groups each factor's terms by coefficient object, so
-a pair of groups costs one series product, shared by every word pair of the
-two groups. The R-matrix is a
-product of exponentials, so its products take few distinct coefficients: the
-Schrodinger Yang-Baxter residual at k = 5 pairs 20,518 terms but only 2,268
-coefficient objects. Inside the kernel a word is its int id, and a memo
-entry is expanded as it is stored. A raw leg whose normal form is one word
-with coefficient 1 (every PBW leg, and commuting letters out of order) is
-read as that word's id, and a raw term whose legs are all such words costs
-one accumulator update keyed by its tuple of ids, with no expansion: 15,291
-of the 20,518 raw terms of that residual. Ids become words again only for
-the terms that do not cancel. The numbering is part of the memo, and
-clearing the memo clears it too. The residual a*b - c*d of a product
-identity is one pass of the same kernel, ``product_difference``: the raw
-terms of c*d enter with negated numerators and both sides sum into the one
-accumulator, so neither side is built, and only terms that do not cancel
-become series. A commutator [a, b] is one such pass over fewer terms,
-``commutator_products``: a pair of terms whose letters commute leg by leg,
-by an empty row of the truncated relation table, gives raw terms uv and vu
-of one normal form, which cancel, so only the other pairs feed the kernel,
-each pair's coefficient product made once for both signs. Which letters
-commute is read off the table when the algebra is built. At k = 8 the
-coproduct-bracket residuals of both algebras feed it 6,354 raw terms
-instead of 8,982. A raw term whose coefficient truncation has emptied is
-skipped before its legs are read, so none of its words is normal-ordered or
-memoised. Products and these residuals enter the kernel through its
-one entry, ``ordered_difference``, which also takes hand-made streams of raw
-terms: the coassociativity, antipode and coproduct-bracket residuals of
-``hopf.hopf_checks`` are each one such pass. The coproduct and antipode of
-a word are memoised on its prefix, so words that share one (B+^n, H^n, ...)
-share its product.
+Every product of elements, tensors or raw tensors, every residual of a
+product identity and every commutator is one pass of one kernel,
+``QuantumAlgebra._ordered``, entered through ``ordered_difference``:
+``term_products`` and ``commutator_products`` make its raw streams from the
+pairs of coefficient groups of ``_group_pairs``, and ``product_difference``
+sets two products against each other.
 
 Two algebras are built in:
 
@@ -91,7 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, groupby
+from itertools import accumulate, chain, groupby
 from math import factorial, gcd, lcm
 from operator import add
 
@@ -172,48 +120,60 @@ def product_triples(a, b, order):
     return [(i + j, x * u, y * v) for i, x, y in a for j, u, v in b if i + j <= order]
 
 
-def term_products(a, b):
-    """(raw legs, triples of s_a * s_b) for the pairs of terms that survive
-    truncation.
+def _group_pairs(a_terms, b_terms, order):
+    """(sa, keys of a, [(sb, keys of b), ...]) for each coefficient group of
+    a, with the groups of b whose product with it survives z^order, from two
+    factors' (key, series) terms.
 
-    Each factor's terms are grouped by coefficient object, so a pair of
-    groups costs one series product, which every word pair of the two
-    groups shares. Grouping on ``id`` is exact for any input, and the
-    kernel's results share equal coefficients, so products of its results
-    (the R-matrix and its embeddings, above all) form far fewer groups than
-    terms. b's groups are bucketed by low z order once, so a group of a
-    with low order la visits only the buckets 0 .. k - la and no rejected
-    pair. The terms of a pair of groups come out one after another with
-    the triples of one series, a run whose coefficient the kernel reads
-    once. The pair's product stays one reduced ``TruncatedSeries`` product,
-    not ``product_triples``: the benchmark's tracer (``bench/tracer.py``)
-    times series multiplication through ``TruncatedSeries.__mul__``, and
-    its traced run expects that layer under the rank-3 tensor product.
+    The one pairing of two factors. Each factor's terms are grouped by
+    coefficient object, so a pair of groups costs one series product, which
+    every key pair of the two groups shares. Grouping on ``id`` is exact for
+    any input, and the kernel's results share equal coefficients, so
+    products of its results (the R-matrix and its embeddings, above all)
+    form far fewer groups than terms. b's groups are listed by low z order
+    once, so a group of a with low order la visits only the groups of low
+    order 0 .. k - la and no rejected pair.
     """
-    order = a.algebra.order
-    join = a._join
     buckets = [[] for _ in range(order + 1)]
-    for sb, wbs in _coefficient_groups(b):
+    for sb, wbs in _coefficient_groups(b_terms):
         buckets[sb.low_order()].append((sb, wbs))
-    for sa, was in _coefficient_groups(a):
-        for bucket in buckets[:order + 1 - sa.low_order()]:
-            for sb, wbs in bucket:
-                s = (sa * sb).triples
-                for wa in was:
-                    for wb in wbs:
-                        yield join(wa, wb), s
+    # up_to[j]: the groups of b of low order 0 .. j
+    up_to = list(accumulate(buckets))
+    for sa, was in _coefficient_groups(a_terms):
+        yield sa, was, up_to[order - sa.low_order()]
 
 
-def _coefficient_groups(x):
-    """(series, [keys]) for each coefficient object of x's terms."""
+def _coefficient_groups(terms):
+    """(series, [keys]) for each coefficient object of (key, series) terms."""
     groups = {}
-    for key, s in x.terms.items():
+    for key, s in terms:
         group = groups.get(id(s))
         if group is None:
             groups[id(s)] = (s, [key])
         else:
             group[1].append(key)
     return groups.values()
+
+
+def term_products(a, b):
+    """(raw legs, triples of s_a * s_b) for the pairs of terms that survive
+    truncation.
+
+    The terms of a pair of groups from ``_group_pairs`` come out one after
+    another with the triples of one series, a run whose coefficient the
+    kernel reads once. The pair's product stays one reduced
+    ``TruncatedSeries`` product, not ``product_triples``: the benchmark's
+    tracer (``bench/tracer.py``) times series multiplication through
+    ``TruncatedSeries.__mul__``, and its traced run expects that layer under
+    the rank-3 tensor product.
+    """
+    join = a._join
+    for sa, was, partners in _group_pairs(a.terms.items(), b.terms.items(), a.algebra.order):
+        for sb, wbs in partners:
+            s = (sa * sb).triples
+            for wa in was:
+                for wb in wbs:
+                    yield join(wa, wb), s
 
 
 def commutator_products(a, b):
@@ -223,61 +183,44 @@ def commutator_products(a, b):
 
     A pair of keys (u, v) is skipped when, leg by leg, each letter of u
     commutes with each letter of v: their row of the truncated relation
-    table, read into ``QuantumAlgebra._blocking`` at the build, is empty.
-    The skip is exact for any table: u and v are PBW, so each inversion of
-    the raw word u + v pairs two such letters, and every rewriting step
-    swaps two of them by an empty row, with coefficient 1, leaving fewer
-    inversions of the same kind. So u + v and v + u both normal-order to
-    their sorted letters with coefficient 1 and cancel; for a confluent
-    table, as the built-in ones are, this is also the algebra's uv = vu.
+    table, read into ``QuantumAlgebra._blocking``, is empty. The skip is
+    exact for any table: u and v are PBW, so each inversion of the raw word
+    u + v pairs two such letters, and every rewriting step swaps two of them
+    by an empty row, with coefficient 1, leaving fewer inversions of the
+    same kind. So u + v and v + u both normal-order to their sorted letters
+    with coefficient 1 and cancel; for a confluent table, as the built-in
+    ones are, this is also the algebra's uv = vu.
 
     A key's letters, and the letters that one of them does not commute
     with, are one bitmask each, leg i at bits i*n to i*n + n - 1 for n
-    generators, so a pair is kept when one AND is nonzero. As in
-    ``term_products``, the terms are grouped by coefficient object and b's
-    groups bucketed by low z order; a pair of groups costs one series
-    product, shared by both streams, only when it keeps a pair of keys.
-    The b*a stream replays the pairs that the a*b stream records as it is
-    read, so it is read after it, as the kernel reads ``minus`` after
-    ``raw``; for the b*a stream first, ask for ``commutator_products(b, a)``.
+    generators, so a pair is kept when one AND is nonzero. A pair of
+    coefficient groups from ``_group_pairs`` costs one series product,
+    shared by both streams, only when it keeps a pair of keys.
     """
     a._require_same(b)
     alg = a.algebra
-    order = alg.order
     join = a._join
     legs = a._legs
     n = len(alg.generators)
-    blocking = alg._blocking
 
-    def masks(key):
-        # (letters, letters some letter does not commute with), leg by leg
-        letters = blocked = 0
-        for i, leg in enumerate(legs(key)):
-            shift = i * n
-            for g in leg:
-                letters |= 1 << (g + shift)
-                blocked |= blocking[g] << shift
-        return letters, blocked
+    def masked(x, table):
+        # each key with the OR of table[g] << i*n over the letters g of its leg i
+        for key, s in x.terms.items():
+            mask = 0
+            for i, leg in enumerate(legs(key)):
+                for g in leg:
+                    mask |= table[g] << i * n
+            yield (key, mask), s
 
-    buckets = [[] for _ in range(order + 1)]
-    for sb, wbs in _coefficient_groups(b):
-        buckets[sb.low_order()].append((sb, [(wb, masks(wb)[0]) for wb in wbs]))
     kept = []
-
-    def ab():
-        for sa, was in _coefficient_groups(a):
-            was = [(wa, masks(wa)[1]) for wa in was]
-            for bucket in buckets[:order + 1 - sa.low_order()]:
-                for sb, wbs in bucket:
-                    pairs = [(wa, wb) for wa, blocked in was for wb, letters in wbs
-                             if blocked & letters]
-                    if pairs:
-                        s = (sa * sb).triples
-                        kept.append((pairs, s))
-                        for wa, wb in pairs:
-                            yield join(wa, wb), s
-
-    return ab(), ((join(wb, wa), s) for pairs, s in kept for wa, wb in pairs)
+    for sa, was, partners in _group_pairs(masked(a, alg._blocking),
+                                          masked(b, [1 << g for g in range(n)]), alg.order):
+        for sb, wbs in partners:
+            pairs = [(wa, wb) for wa, blocked in was for wb, letters in wbs if blocked & letters]
+            if pairs:
+                kept.append((pairs, (sa * sb).triples))
+    return (((join(wa, wb), s) for pairs, s in kept for wa, wb in pairs),
+            ((join(wb, wa), s) for pairs, s in kept for wa, wb in pairs))
 
 
 def product_difference(a, b, c, d):
@@ -453,27 +396,32 @@ def render_terms(algebra, terms):
 
 class _NormalForms(dict):
     """The one normal-form memo, {raw word: (d, ((word id, z power,
-    numerator), ...))}, with the numbering of its words.
+    numerator), ...))} over a positive d with gcd(d, *numerators) == 1, with
+    the numbering of its words.
 
     Every PBW word in an entry is a small int id: ``words`` lists the words
     by id, and ``ids`` maps each to its id, and also each raw word whose
     normal form is one word with coefficient 1 (commuting letters out of
     order) to that word's id, the form in which the product kernel reads
     such a leg. Entries are only ever added, and clearing the memo clears
-    the numbering, so no id outlives the normal forms it was given for.
+    the numbering, so no id outlives the normal forms it was given for. It
+    clears ``blocking`` too, the commuting generators of the table, which
+    ``QuantumAlgebra._blocking`` reads again on the next commutator.
     """
 
-    __slots__ = ("ids", "words")
+    __slots__ = ("ids", "words", "blocking")
 
     def __init__(self):
         super().__init__()
         self.ids = {}
         self.words = []
+        self.blocking = None
 
     def clear(self):
         super().clear()
         self.ids.clear()
         self.words.clear()
+        self.blocking = None
 
     def word_id(self, word):
         """The id of a PBW word, given on first sight."""
@@ -508,12 +456,10 @@ class QuantumAlgebra:
     The relation table maps (word, z power) to one Fraction; the memo of
     normal forms holds int word ids and int numerators over one reduced
     denominator per entry, and ``_ordered`` is the one product kernel over
-    it. Clearing the memo clears its numbering of words, so a table
-    changed behind the algebra's back, with the memo cleared, gives the
-    products of the changed table. Which generators commute, an empty row,
-    is read once at construction into ``_blocking`` for the commutator
-    kernel, so a change that empties a row or fills an empty one is not
-    seen by commutators.
+    it. Clearing the memo clears its numbering of words and which
+    generators commute, so a table changed behind the algebra's back, with
+    the memo cleared, gives the products and commutators of the changed
+    table.
     The coproduct and antipode tables and their memos hold plain
     {key: series} maps, wrapped into elements on access: an element points
     back at its algebra, so tables of elements would keep every algebra in
@@ -538,15 +484,23 @@ class QuantumAlgebra:
                          for p, c in self._as_series(s).pairs}
                 self._check_relation((hi, lo), value)
                 self._relations[(hi, lo)] = value
-        # bit h of _blocking[g] is set when X_g and X_h do not commute in the
-        # truncated table: their row is not empty
-        self._blocking = [sum(1 << h for h in range(n)
-                              if self._relations.get((max(g, h), min(g, h))))
-                          for g in range(n)]
 
         # read per generator index on first read of the tables
         self._coproduct_rows = coproduct
         self._antipode_rows = antipode
+
+    @property
+    def _blocking(self):
+        """Bit h of entry g is set when X_g and X_h do not commute in the
+        truncated table: their row is not empty. Read off the table on first
+        use and kept with the memo, so clearing the memo reads it again."""
+        memo = self._nf_cache
+        if memo.blocking is None:
+            n = len(self.generators)
+            memo.blocking = [sum(1 << h for h in range(n)
+                                 if self._relations.get((max(g, h), min(g, h))))
+                             for g in range(n)]
+        return memo.blocking
 
     @cached_property
     def coproduct_table(self):
@@ -623,9 +577,7 @@ class QuantumAlgebra:
 
     def normal_word(self, word):
         """PBW normal form of one raw word, as a {word: series} map."""
-        d, nf = self._normal_form(tuple(word))
-        words = self._nf_cache.words
-        return _series_terms({(words[i], m): x for i, m, x in nf}, self.order, d)
+        return self.normal_terms({tuple(word): 1})
 
     def normal_terms(self, raw_terms):
         """Normal form of a raw {word: coefficient} map, as a {word: series} map."""
@@ -658,8 +610,8 @@ class QuantumAlgebra:
         terms that do not cancel, in ``series._series_terms``, which
         regroups them into one series per tuple of legs, one series per
         distinct coefficient: equal coefficients of the result are one
-        object, which ``term_products`` multiplies once per pair when the
-        result is a factor again.
+        object, one coefficient group of ``_group_pairs`` when the result is
+        a factor again.
         """
         k = self.order
         memo = self._nf_cache
@@ -727,14 +679,9 @@ class QuantumAlgebra:
         except RecursionError:
             raise NormalOrderError(self.name, word) from None
 
-    # The memo below holds (d, ((word id, z power, numerator), ...)): the
-    # scalars are the int numerators over one positive denominator d, with
-    # gcd(d, *numerators) == 1, and the words are ids of the memo's
-    # numbering, read back as words only where a prefix is extended. Its
-    # pieces are built by list comprehensions, not generators: each
-    # rewriting level then nests two frames, not three, on the way to the
-    # recursion limit (a stripped run adds one). A PBW word's normal form is
-    # (1, ((its id, 0, 1),)).
+    # The pieces of a memo entry are built by list comprehensions, not
+    # generators: each rewriting level then nests two frames, not three, on
+    # the way to the recursion limit (a stripped run adds one).
 
     def _nf(self, word):
         """Normal form of a raw word as (d, ((word id, z power, numerator),

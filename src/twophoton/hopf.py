@@ -2,20 +2,9 @@
 
 Everything here reduces an identity to a residual element of the PBW engine
 and reports pass exactly when the residual is zero mod z^(k+1). A residual
-is made without building its sides: the Yang-Baxter residual through
-``product_difference``, the R-matrix inverse residual one exponential
-factor of R at a time, the intertwining residuals' conjugates as one
-adjoint series per factor of R, the coassociativity, antipode and
-coproduct-bracket axioms as streams of raw terms through
-``ordered_difference``, and the counit axioms, whose legs are PBW already,
-as one collect each. Every commutator, the [Delta x, Delta y] of the
-coproduct-bracket axiom, each step of an adjoint series, the [phi x,
-phi y] of the transport and the Casimir's, feeds the kernel through
-``commutator_products`` only the pairs of terms whose letters do not
-commute. A raw stream's coefficient that is the product of two
-table entries is their ``product_triples``, int triples that the kernel
-sums without making a series for them. Every generator has counit 0, so
-the counit is the augmentation: the coefficient of the empty word.
+is made without building its sides; the docstring of each residual says
+how. Every generator has counit 0, so the counit is the augmentation: the
+coefficient of the empty word.
 
 The transport of structure certifies that the classical basis change
 ``H6_TO_SCH_MAP``, read as the map phi from the Schrodinger algebra to h6
@@ -106,7 +95,7 @@ def _coproduct_bracket_residual(alg, x, y, dx, dy):
     delta_bracket = ((legs, product_triples(c.triples, s.triples, alg.order))
                      for w, s in alg.relation(x, y).terms.items()
                      for legs, c in alg.coproduct_word(w).terms.items())
-    dy_dx, dx_dy = commutator_products(dy, dx)
+    dx_dy, dy_dx = commutator_products(dx, dy)
     return ordered_difference(dx, chain(delta_bracket, dy_dx), dx_dy)
 
 
@@ -333,11 +322,8 @@ def _forward_element(h6, name):
 
 
 def _raw_legs(x):
-    """The raw (legs, triples) terms of an element, whose one leg is its
-    word, or of a tensor."""
-    if isinstance(x, NCElement):
-        return (((w,), s.triples) for w, s in x.terms.items())
-    return ((legs, s.triples) for legs, s in x.terms.items())
+    """The raw (legs, triples) terms of an element or a tensor."""
+    return ((x._legs(key), s.triples) for key, s in x.terms.items())
 
 
 def _pushed(x):
@@ -376,7 +362,7 @@ def transport_structure(sch, h6):
     residuals = {"relations": [], "coproduct": [], "antipode": [], "counit": []}
     for i, x in enumerate(gens):
         for y in gens[:i]:
-            yx, xy = commutator_products(fwd[y], fwd[x])
+            xy, yx = commutator_products(fwd[x], fwd[y])
             residuals["relations"].append((f"[{x},{y}]", ordered_difference(
                 fwd[x], chain(_pushed(sch.relation(x, y)), yx), xy)))
     for x in gens:

@@ -388,6 +388,19 @@ def test_leading_run_strip_is_exact_on_a_non_confluent_table(order):
                 == _unstripped_normal_form(alg, raw, memo, mul_memo)), raw
 
 
+@pytest.mark.parametrize("make", [two_photon_algebra, schrodinger_algebra])
+def test_normal_word_is_the_kernel_pass_of_one_raw_term(make):
+    # normal_word reaches series through the product kernel, as every raw
+    # map does: over the words out of order that the Hopf checks memoise,
+    # it gives normal_terms of the one term, in a fresh algebra as well
+    alg, fresh = make(4), make(4)
+    hopf.hopf_checks(alg)
+    words = [w for w in alg._nf_cache if _first_inversion(w) is not None]
+    assert len(words) > 50
+    for w in words:
+        assert alg.normal_word(w) == alg.normal_terms({w: 1}) == fresh.normal_word(w), w
+
+
 @pytest.mark.parametrize("make", ALGEBRAS)
 def test_memo_entries_are_ints_over_one_reduced_denominator(make):
     alg = make(3)
@@ -536,6 +549,9 @@ def _commutator_pairs_kept(alg, seed):
             want = a * b - b * a
             assert ordered_difference(a, iter(ab), iter(ba)) == want
             assert a.commutator(b) == want
+            # the streams hold no order between them: b*a read first is [b, a]
+            ab, ba = commutator_products(a, b)
+            assert ordered_difference(a, ba, ab) == -want
     return kept, pairs
 
 
@@ -571,6 +587,27 @@ def test_central_coproduct_pairs_are_all_skipped(make):
         for streams in (commutator_products(dm, dy), commutator_products(dy, dm)):
             assert [list(stream) for stream in streams] == [[], []], name
         assert dm.commutator(dy).is_zero()
+
+
+@pytest.mark.parametrize("before, after", [
+    ({}, {((1,), 1): Fraction(1)}),  # [X1, X0] = z X1 set on a commuting pair
+    ({(1, 0): {(1,): TruncatedSeries.z_power(1, 2)}}, {}),  # and taken away
+])
+def test_commutators_read_a_changed_table_after_the_memo_is_cleared(before, after):
+    # which generators commute is forgotten with the normal forms, so a row
+    # filled or emptied behind the algebra's back reaches commutators as it
+    # reaches products, once the memo is cleared
+    alg = QuantumAlgebra(
+        "two", ("X0", "X1"), 2, relations=before,
+        coproduct={g: {((), (g,)): 1, ((g,), ()): 1} for g in range(2)},
+        antipode={g: {(g,): -1} for g in range(2)})
+    x0, x1 = alg.gen("X0"), alg.gen("X1")
+    assert x1.commutator(x0) == x1 * x0 - x0 * x1
+    alg._relations[(1, 0)] = after
+    alg._nf_cache.clear()
+    want = x1 * x0 - x0 * x1
+    assert bool(want) == bool(after)
+    assert x1.commutator(x0) == want
 
 
 def test_pbw_commutator_with_a_scalar_is_zero():
@@ -818,8 +855,9 @@ def test_kernel_view_is_forgotten_with_the_normal_forms(x, y, coefficient):
 @pytest.mark.parametrize("make", [two_photon_algebra, schrodinger_algebra])
 def test_each_normal_form_is_held_once(make):
     # the memo's entries are the kernel's form; beside them it keeps only
-    # the numbering of words, and a raw leg's id only where its entry is
-    # one word with coefficient 1. The antipode rows are normal-ordered on
+    # the numbering of words, a raw leg's id only where its entry is one
+    # word with coefficient 1, and the commuting generators of the table
+    # (the masks of ``_blocking``). The antipode rows are normal-ordered on
     # first read of the table, and they hold raw words out of order whose
     # normal form is one word: A+ B+^n in h6, M H^n in the Schrodinger algebra
     alg = make(3)
@@ -827,7 +865,7 @@ def test_each_normal_form_is_held_once(make):
     r = hopf.r_matrix(alg)
     assert r * r.swap()
     memo = alg._nf_cache
-    assert set(type(memo).__slots__) == {"ids", "words"}
+    assert set(type(memo).__slots__) == {"ids", "words", "blocking"}
     assert not hasattr(memo, "__dict__")
     assert [memo.ids[w] for w in memo.words] == list(range(len(memo.words)))
     single = 0
