@@ -6,12 +6,14 @@ T t = (t + 4z) T and T T^{-1} = 1; no series truncation happens here, so
 every identity is certified with zero tolerance at a fixed rational z >= 0.
 T and dt are algebraically independent: every commutation identity closes
 without imposing T = e^{4z dt}, and only the function layer lets both act
-on the same carriers. z = 0 is the classical limit, the undeformed
-realization and the heat operator; z < 0 raises ValueError. Every scalar
-that enters, z, coefficients and parameters alike, passes one coercion that
-takes ints and Fractions only and raises TypeError on any other; the keys
-of operators and functions hold int powers and exact rates, or raise
-TypeError too, and a function key stores every integral rate as an int.
+on the same carriers. The realization, the difference quotients and the
+solutions' antiderivative are each one formula for every z >= 0, whose
+z = 0 values are the classical realization, dt and the integral; z < 0
+raises ValueError. Every scalar that enters, z, coefficients and
+parameters alike, passes one coercion that takes ints and Fractions only
+and raises TypeError on any other; the keys of operators and functions
+hold int powers and exact rates, or raise TypeError too, and a function
+key stores every integral rate as an int.
 The arithmetic is fraction-free: operator composition, the derivatives and
 shifts of functions and an operator's action on a function all sum int
 numerators over one denominator, that of the shift's 4z and of the rates
@@ -30,7 +32,7 @@ from math import comb, factorial, lcm
 from .algebra import SCH_CASIMIR, SCH_GENERATORS, SCH_RELATIONS, _realized_words
 from .report import CheckResult, residual_entry
 from .scalars import _rational
-from .sparse import (SparseTerms, linear_combination, monomial, render_sum,
+from .sparse import (SparseTerms, collect, linear_combination, monomial, render_sum,
                      solve_linear, weyl_terms)
 
 __all__ = [
@@ -294,62 +296,62 @@ def _galilean(mass, z):
             "M": SchrodingerOperator(z, {(0, 0, 0, 0, 0): m})}
 
 
+def _lattice(z, terms):
+    """The operator at z >= 0 of ``terms``, a {key: coefficient} table whose
+    keys are (x, t, T, dx, Dt) powers, with Dt the forward difference
+    quotient (T - 1)/(4z) to the power 0 or 1.
+
+    At z > 0 the term c x^a t^b T^j Dt dx^p is c/(4z) x^a t^b T^(j+1) dx^p
+    minus c/(4z) x^a t^b T^j dx^p. At z = 0, T is 1 and Dt is dt.
+    """
+    pairs = []
+    for (a, b, j, p, d), c in terms.items():
+        if not z:
+            pairs.append(((a, b, 0, p, d), c))
+        elif d:
+            c /= 4 * z
+            pairs += [((a, b, j + 1, p, 0), c), ((a, b, j, p, 0), -c)]
+        else:
+            pairs.append(((a, b, j, p, 0), c))
+    return SchrodingerOperator(z, collect(pairs))
+
+
 def realize(mass, rep_param, z):
     """The realized generator table {name: operator} at exact rational
-    parameters; b = mass/2 - 2.
+    parameters and z >= 0; b = mass/2 - 2.
 
-    H, P and M are the same at every z; at z > 0 the deformed K, D and C
-    carry the shift T, and z = 0 gives the classical table.
+    H, P and M are the same at every z. K, D and C are one lattice table
+    (``_lattice``), in the time shift T and the forward difference quotient
+    Dt; its z = 0 value is the classical realization.
     """
     ops = _galilean(mass, z)
     z = ops["H"].z
     m, a = _rational(mass, SchrodingerOperator), _rational(rep_param, SchrodingerOperator)
     b = m / 2 - 2
-    if z:
-        table = {
-            "K": {(0, 1, 1, 1, 0): -1, (0, 0, 1, 1, 0): -4 * z, (1, 0, 0, 0, 0): -m},
-            "D": {(0, 1, 1, 0, 0): Fraction(1, 2) / z,
-                  (0, 1, 0, 0, 0): Fraction(-1, 2) / z,
-                  (0, 0, 1, 0, 0): 2,
-                  (0, 0, 0, 0, 0): -2 - a,
-                  (1, 0, 0, 1, 0): 1},
-            "C": {(0, 2, 1, 0, 0): Fraction(1, 4) / z,
-                  (0, 2, 0, 0, 0): Fraction(-1, 4) / z,
-                  (0, 1, 1, 0, 0): -b,
-                  (1, 1, 0, 1, 0): 1,
-                  (0, 1, 0, 0, 0): b - a,
-                  (2, 0, 0, 0, 0): m / 2,
-                  (0, 0, 1, 0, 0): -4 * z * (b + 1),
-                  (2, 0, 0, 2, 0): -z,
-                  (1, 0, 0, 1, 0): -2 * z * (b - a + Fraction(1, 2)),
-                  (0, 0, 0, 0, 0): -z * (b - a) ** 2},
-        }
-    else:
-        table = {
-            "K": {(0, 1, 0, 1, 0): -1, (1, 0, 0, 0, 0): -m},
-            "D": {(0, 1, 0, 0, 1): 2, (1, 0, 0, 1, 0): 1, (0, 0, 0, 0, 0): -a},
-            "C": {(0, 2, 0, 0, 1): 1, (1, 1, 0, 1, 0): 1,
-                  (0, 1, 0, 0, 0): -a, (2, 0, 0, 0, 0): m / 2},
-        }
-    ops.update((gen, SchrodingerOperator(z, terms)) for gen, terms in table.items())
+    table = {
+        "K": {(0, 1, 1, 1, 0): -1, (0, 0, 1, 1, 0): -4 * z, (1, 0, 0, 0, 0): -m},
+        "D": {(0, 1, 0, 0, 1): 2, (0, 0, 1, 0, 0): 2, (1, 0, 0, 1, 0): 1,
+              (0, 0, 0, 0, 0): -2 - a},
+        "C": {(0, 2, 0, 0, 1): 1, (1, 1, 0, 1, 0): 1, (0, 1, 1, 0, 0): -b,
+              (0, 1, 0, 0, 0): b - a, (2, 0, 0, 0, 0): m / 2,
+              (0, 0, 1, 0, 0): -4 * z * (b + 1), (2, 0, 0, 2, 0): -z,
+              (1, 0, 0, 1, 0): -2 * z * (b - a + Fraction(1, 2)),
+              (0, 0, 0, 0, 0): -z * (b - a) ** 2},
+    }
+    ops.update((gen, _lattice(z, terms)) for gen, terms in table.items())
     return {gen: ops[gen] for gen in SCH_GENERATORS}
 
 
 def discrete_derivative(z, direction="forward"):
-    """(T - 1)/(4z) forward, (1 - T^{-1})/(4z) backward; dt in both
-    directions at z = 0, the classical limit."""
+    """(T - 1)/(4z) forward, (1 - T^{-1})/(4z) backward: the lattice tables
+    Dt and T^{-1} Dt, whose z = 0 value is dt."""
     z = _rational(z, SchrodingerOperator)
     if z < 0:
         raise ValueError(
             f"the discrete derivative needs z >= 0 (z = 0 is classical), not z = {z}")
     if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction {direction!r}")
-    if not z:
-        return SchrodingerOperator(z, {(0, 0, 0, 0, 1): 1})
-    c = Fraction(1, 4) / z
-    if direction == "forward":
-        return SchrodingerOperator(z, {(0, 0, 1, 0, 0): c, (0, 0, 0, 0, 0): -c})
-    return SchrodingerOperator(z, {(0, 0, 0, 0, 0): c, (0, 0, -1, 0, 0): -c})
+    return _lattice(z, {(0, 0, 0 if direction == "forward" else -1, 0, 1): 1})
 
 
 def _realized(row, memo):
@@ -587,23 +589,26 @@ class ExpPolyFunction(SparseTerms):
 
 
 def _antiderivative(poly, z):
-    """q with backward-difference (or d/dt at z = 0) derivative equal to poly."""
-    if not poly:
-        return {}
-    d = max(poly)
-    if z == 0:
-        return {i + 1: c / (i + 1) for i, c in poly.items()}
-    # q(t) - q(t - 4z) = 4z p(t) with q constant-free, solved top down
+    """The constant-free q, {t power: coefficient} as poly, whose backward
+    difference quotient (q(t) - q(t - 4z))/(4z) is poly, solved top down:
+    q_(j+1) = (p_j - sum_(i >= j+2) q_i C(i, j) (-4z)^(i-j-1)) / (j + 1),
+    the integral at z = 0, where every term of the sum vanishes."""
     q = {}
-    z4 = 4 * z
-    for j in range(d, -1, -1):
-        acc = z4 * poly.get(j, Fraction(0))
-        for i in range(j + 2, d + 2):
-            qi = q.get(i, Fraction(0))
-            if qi:
-                acc += qi * comb(i, j) * (-z4) ** (i - j)
-        q[j + 1] = acc / (z4 * (j + 1))
-    return {i: c for i, c in q.items() if c != 0}
+    for j in range(max(poly, default=-1), -1, -1):
+        # q holds q_i for i >= j + 2 only
+        acc = poly.get(j, Fraction(0)) - sum(c * comb(i, j) * (-4 * z) ** (i - j - 1)
+                                             for i, c in q.items())
+        q[j + 1] = acc / (j + 1)
+    return {i: c for i, c in q.items() if c}
+
+
+def _solution_mass(mass):
+    """The mass of a solution family, as a Fraction: the solutions divide by
+    it, so m = 0 raises ValueError."""
+    m = _rational(mass, SchrodingerOperator)
+    if not m:
+        raise ValueError(f"the solution families need a nonzero mass, not m = {m}")
+    return m
 
 
 def heat_polynomials(mass, z, count):
@@ -613,8 +618,7 @@ def heat_polynomials(mass, z, count):
     x^(n-2j) and certified against the equation operator before returning;
     at z = 0 they are the heat polynomials of dx^2 - 2m dt.
     """
-    ez = casimir(mass, z)
-    return _heat_polynomials(ez, _rational(mass, SchrodingerOperator), count)
+    return _heat_polynomials(casimir(mass, z), _solution_mass(mass), count)
 
 
 def _heat_polynomials(ez, m, count):
@@ -645,8 +649,7 @@ def exponential_solutions(mass, z, kappas):
     At z > 0, rho = 1/(1 - 2 z k^2 / m) and the dt attribute is zero; at
     z = 0 the factor is e^{w t} with w = k^2/(2m).
     """
-    ez = casimir(mass, z)
-    return _exponential_solutions(ez, _rational(mass, SchrodingerOperator), kappas)
+    return _exponential_solutions(casimir(mass, z), _solution_mass(mass), kappas)
 
 
 def _exponential_solutions(ez, m, kappas):
@@ -706,7 +709,7 @@ def _phi_tag(phi):
 
 def regular_kappas(mass, z, kappas):
     """The kappas, as Fractions, off the step-factor pole 1 - 2 z kappa^2 / m = 0."""
-    m, z = _rational(mass, SchrodingerOperator), _rational(z, SchrodingerOperator)
+    m, z = _solution_mass(mass), _rational(z, SchrodingerOperator)
     kappas = [_rational(kap, ExpPolyFunction) for kap in kappas]
     return [kap for kap in kappas if 1 - 2 * z * kap ** 2 / m != 0]
 
@@ -720,9 +723,9 @@ def solution_checks(mass, rep_param, z, n_poly=5, kappas=(0, 1, 2)):
     entries = []
     labelled = _label_params(mass, rep_param, z)
     label, params = labelled
-    usable = regular_kappas(mass, z, kappas)
-    ez = casimir(mass, z)
-    m = _rational(mass, SchrodingerOperator)
+    m = _solution_mass(mass)
+    usable = regular_kappas(m, z, kappas)
+    ez = casimir(m, z)
     # both families are certified as they are built
     polys = _heat_polynomials(ez, m, n_poly)
     exps = _exponential_solutions(ez, m, usable)

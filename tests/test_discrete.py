@@ -122,6 +122,108 @@ def test_realize_examples():
         (0, 0, 1, 0, 0): 2, (0, 0, 0, 0, 0): -2 - A, (1, 0, 0, 1, 0): 1})
 
 
+def _transcribed_realization(mass, rep_param, z):
+    """K, D and C transcribed by hand as two tables, the deformed one in T
+    and the classical one in dt, apart from the one lattice table that
+    realize reads; b = m/2 - 2."""
+    m, a, z = Fraction(mass), Fraction(rep_param), Fraction(z)
+    b = m / 2 - 2
+    if z:
+        table = {
+            "K": {(0, 1, 1, 1, 0): -1, (0, 0, 1, 1, 0): -4 * z, (1, 0, 0, 0, 0): -m},
+            "D": {(0, 1, 1, 0, 0): Fraction(1, 2) / z, (0, 1, 0, 0, 0): Fraction(-1, 2) / z,
+                  (0, 0, 1, 0, 0): 2, (0, 0, 0, 0, 0): -2 - a, (1, 0, 0, 1, 0): 1},
+            "C": {(0, 2, 1, 0, 0): Fraction(1, 4) / z, (0, 2, 0, 0, 0): Fraction(-1, 4) / z,
+                  (0, 1, 1, 0, 0): -b, (1, 1, 0, 1, 0): 1, (0, 1, 0, 0, 0): b - a,
+                  (2, 0, 0, 0, 0): m / 2, (0, 0, 1, 0, 0): -4 * z * (b + 1),
+                  (2, 0, 0, 2, 0): -z, (1, 0, 0, 1, 0): -2 * z * (b - a + Fraction(1, 2)),
+                  (0, 0, 0, 0, 0): -z * (b - a) ** 2},
+        }
+    else:
+        table = {
+            "K": {(0, 1, 0, 1, 0): -1, (1, 0, 0, 0, 0): -m},
+            "D": {(0, 1, 0, 0, 1): 2, (1, 0, 0, 1, 0): 1, (0, 0, 0, 0, 0): -a},
+            "C": {(0, 2, 0, 0, 1): 1, (1, 1, 0, 1, 0): 1,
+                  (0, 1, 0, 0, 0): -a, (2, 0, 0, 0, 0): m / 2},
+        }
+    return {gen: SchrodingerOperator(z, terms) for gen, terms in table.items()}
+
+
+def test_realize_is_the_transcribed_deformed_and_classical_tables():
+    points = [(m, a, z) for z, m, a in PARAM_MATRIX]
+    points += [(Fraction(3), Fraction(2, 7), Fraction(7, 3)), (Fraction(5, 2), Fraction(0), 100),
+               (Fraction(-5, 3), Fraction(7, 2), 9), (0, 0, Fraction(1, 10))]
+    for m, a, z in points:
+        for step in (z, 0):
+            ops = realize(m, a, step)
+            want = _transcribed_realization(m, a, step)
+            assert {gen: ops[gen] for gen in want} == want, (m, a, step)
+
+
+def _transcribed_difference(z, direction):
+    """The discrete derivative's two quotients transcribed by hand, and dt at z = 0."""
+    z = Fraction(z)
+    if not z:
+        return SchrodingerOperator(z, {(0, 0, 0, 0, 1): 1})
+    c = Fraction(1, 4) / z
+    if direction == "forward":
+        return SchrodingerOperator(z, {(0, 0, 1, 0, 0): c, (0, 0, 0, 0, 0): -c})
+    return SchrodingerOperator(z, {(0, 0, 0, 0, 0): c, (0, 0, -1, 0, 0): -c})
+
+
+def test_discrete_derivative_is_the_transcribed_quotient():
+    for z in (0, Fraction(1, 10), Fraction(1, 4), Fraction(7, 3), 9, 100):
+        for direction in ("forward", "backward"):
+            assert discrete_derivative(z, direction) == _transcribed_difference(z, direction)
+
+
+def _two_branch_antiderivative(poly, z):
+    """The antiderivative as two branches: the integral at z = 0, and at
+    z > 0 q(t) - q(t - 4z) = 4z p(t) solved top down with the division by
+    4z left to the end of each step."""
+    if not poly:
+        return {}
+    d = max(poly)
+    if z == 0:
+        return {i + 1: c / (i + 1) for i, c in poly.items()}
+    q = {}
+    z4 = 4 * z
+    for j in range(d, -1, -1):
+        acc = z4 * poly.get(j, Fraction(0))
+        for i in range(j + 2, d + 2):
+            qi = q.get(i, Fraction(0))
+            if qi:
+                acc += qi * comb(i, j) * (-z4) ** (i - j)
+        q[j + 1] = acc / (z4 * (j + 1))
+    return {i: c for i, c in q.items() if c != 0}
+
+
+def test_antiderivative_is_the_two_branch_reference():
+    rng = random.Random(39)
+    for z in (Fraction(0), Fraction(1, 10), Fraction(7, 3), Fraction(100)):
+        for _ in range(200):
+            poly = {j: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                    for j in rng.sample(range(7), rng.randint(0, 5))}
+            want = {i: c for i, c in _two_branch_antiderivative(poly, z).items() if c}
+            assert discrete._antiderivative(poly, z) == want, (poly, z)
+
+
+def test_solution_families_need_a_nonzero_mass():
+    # the families divide by m; a mass of 0 raised ZeroDivisionError from Fraction
+    for z in (Z, 0):
+        for call in (lambda: heat_polynomials(0, z, 3), lambda: heat_polynomials(0, z, 1),
+                     lambda: exponential_solutions(0, z, [1]),
+                     lambda: regular_kappas(Fraction(0), z, [1]),
+                     lambda: solution_checks(0, A, z)):
+            with pytest.raises(ValueError, match="nonzero mass, not m = 0"):
+                call()
+        # the realization, the equation operator and the symmetries take m = 0
+        assert realize(0, A, z)["M"].is_zero()
+        assert casimir(0, z) == basis_op(z, (0, 0, 0, 2, 0))
+        assert all(e.passed for e in verify_realization(0, A, z))
+        assert len(symmetry_checks(0, A, z)) == 6
+
+
 def test_realize_tables_hold_the_six_generators():
     for ops in (realize(M, A, Z), realize(M, A, 0)):
         assert sorted(ops) == sorted(("H", "D", "M", "P", "K", "C"))

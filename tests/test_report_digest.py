@@ -34,6 +34,10 @@ GOLDEN = {
     ("--checks", "rep,eigen,discrete-se", "--order", "8", "--degree", "400",
      "--beta", "1,1,1,1,1", "--eigenvalue", "1/3+1/2i", "--rep-param", "0"):
         "317e198a4b84fd3293ec07072f25c5ed56034e3dac059f556091e1bdc49e7256",
+    # the lattice layer away from the defaults z = 1/10, m = 1: its 18
+    # failing conformal C residuals at a = 2/7 fill the report
+    ("--checks", "discrete-se", "--z", "7/3", "--mass", "3", "--rep-param", "2/7"):
+        "10a13db2e4f817dee7ad03ffe82e4a98d973d20ce505b9d5c7b659cd57a2b761",
     # a degree-400 complex series solve: its coefficients fill the report
     ("--checks", "eigen", "--degree", "400", "--beta", "1,1,1,1,1",
      "--eigenvalue", "1/3+1/2i", "--order", "2"):
