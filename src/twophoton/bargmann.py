@@ -5,12 +5,11 @@ in canonical form (all derivatives to the right). Each one-boson realization
 (classical, first-order, deformed) is one table {generator: operator}. One
 realization map, ``algebra._realized_words``, takes the ``H6_RELATIONS``
 rows, exponentials expanded at order k, and the eigen operator's words into
-it through one prefix memo of word images. The deformed table is assembled
-in this one ring, from exponentials and square roots of the multiplication
-operator 2 z alpha^2, exact divisions by z and by powers of alpha, and
-composition with d. The apparent 1/alpha factors of the closed forms must
-cancel order by order: an exact division by alpha^m raises on any term below
-alpha^m, so the construction asserts that instead of assuming it.
+it through one prefix memo of word images. The deformed table is the
+classical one, a d, a, d, 1, a^2, d^2, written in the paper's radical w and
+in d/dw: w and d/dw are power series in u = 2 z alpha^2 placed in front of
+alpha and of d, and N and B- are their compositions. The closed forms'
+apparent 1/alpha and 1/z factors never arise, so nothing is divided.
 
 Composition makes no Fraction: it sums int numerators over one
 denominator per product, keyed by (alpha power, d power, z power), and
@@ -26,12 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 from .algebra import H6_GENERATORS, H6_RELATIONS, _realized_words, _row_terms
 from .report import CheckResult, residual_entry
 from .scalars import ComplexRational, _rational
-from .series import TruncatedSeries, _coerce, _series_terms, exp_nilpotent, sqrt_unit
+from .series import TruncatedSeries, _coerce, _series_terms
 from .sparse import SparseTerms, collect, monomial, render_sum, weyl_terms
 
 __all__ = [
@@ -121,18 +120,6 @@ class DiffOperator(SparseTerms):
         """Least z power among the coefficients, or None for the zero operator."""
         return min((s.low_order() for s in self.terms.values()), default=None)
 
-    def divided_by_z(self):
-        """Exact division by z; every coefficient needs zero constant term."""
-        return DiffOperator(self.order - 1,
-                            {k: s.divided_by_z() for k, s in self.terms.items()})
-
-    def divided_by_alpha(self, m):
-        """alpha^-m times self, exact: a term below alpha^m raises ValueError."""
-        low = min((j for j, _ in self.terms), default=m)
-        if low < m:
-            raise ValueError(f"alpha^{low} is not divisible by alpha^{m}")
-        return DiffOperator(self.order, {(j - m, l): s for (j, l), s in self.terms.items()})
-
     def substitute_z(self, z):
         """Collapse the series coefficients at an exact rational z value."""
         z = _rational(z, DiffOperator)
@@ -200,41 +187,32 @@ def first_order_rep():
     return {gen: DiffOperator(1, terms) for gen, terms in tables.items()}
 
 
+def _placed(series, j, l):
+    """The operator s(u) alpha^j d^l with u = 2 z alpha^2, for a series s
+    in u: sum_n c_n 2^n z^n alpha^(2n+j) d^l."""
+    k = series.order
+    return DiffOperator(k, {(2 * n + j, l): TruncatedSeries.z_power(n, k, c * 2 ** n)
+                            for n, c in series.pairs})
+
+
 def deformed_rep(order):
     """Deformed one-boson table, exact mod z^(order+1).
 
-    Built from the closed forms, whose z- and alpha-dependent factors are
-    multiplication operators: DiffOperators without d, with the d factors
-    composed on the right. e^{2 z a^2}, the growth factor and the radical
-    shared by A+ and A- are computed once for the whole table. Each
-    apparent 1/alpha is an exact divided_by_alpha, which raises unless the
-    closed form's lower powers cancel, so the construction asserts that
-    cancellation instead of assuming it. One internal division by z costs
-    one order, so e^{2 z a^2} is computed at order+1. B+ and M keep their
-    classical images.
+    The classical table written in the paper's radical w = alpha R(u) and
+    in d/dw = e^u R(u) d, where u = 2 z alpha^2 and R(u) = ((1 -
+    e^{-u})/u)^{1/2}: A+ = w, A- = d/dw, N = w d/dw, B- = (d/dw)^2 - 2 z
+    N^2, while B+ = alpha^2 and M = 1 keep their classical images. R and
+    e^u R are power series in u alone, made at order k; (1 - e^{-u})/u is
+    the series with coefficients (-1)^n/(n+1)!, so nothing is divided and
+    no operator is made above order k.
     """
     k = order
-    rep = classical_rep(k)
-    a, a2, d, d2 = (rep[g] for g in ("A+", "B+", "A-", "B-"))
-    one, one_kk = DiffOperator.identity(k), DiffOperator.identity(k + 1)
-    u = DiffOperator(k + 1, {(2, 0): TruncatedSeries.z_power(1, k + 1, 2)})  # 2 z a^2
-
-    exp_kk = exp_nilpotent(u, one_kk)
-    exp_u = exp_kk.truncate(k)       # e^{2 z a^2}, back at order k
-    # (e^{2 z a^2} - 1)/(2z), exactly order k after the division
-    growth = (exp_kk - one_kk).divided_by_z().scale(Fraction(1, 2))
-    # shared radical ((1 - e^{-2 z a^2})/(2z))^{1/2} = a * sqrt(unit)
-    radicand = (one_kk - exp_nilpotent(-u, one_kk)).divided_by_z().scale(Fraction(1, 2))
-    root = sqrt_unit(radicand.divided_by_alpha(2) - one, one)
-
-    # N: (e^{2 z a^2} - 1)/(2z) * a^{-1} d
-    rep["N"] = growth.divided_by_alpha(1) * d
-    rep["A+"] = a * root
-    # A-: e^{2 z a^2} a^{-1} * (a * root) d = e^{2 z a^2} root d
-    rep["A-"] = exp_u * root * d
-    # B-: ((e^{2 z a^2}-1)/(2 z a^2)) d^2 + ((e^{2 z a^2} a^2 - (e^{2 z a^2}-1)/(2z))/a^3) d
-    rep["B-"] = growth.divided_by_alpha(2) * d2 + (exp_u * a2 - growth).divided_by_alpha(3) * d
-    return rep
+    root = TruncatedSeries([Fraction((-1) ** n, factorial(n + 1)) for n in range(k + 1)]).sqrt()
+    w = _placed(root, 1, 0)
+    d_w = _placed(TruncatedSeries.z_power(1, k).exp() * root, 0, 1)
+    n_op = w * d_w
+    b_minus = d_w * d_w - (n_op * n_op).scale(TruncatedSeries.z_power(1, k, 2))
+    return {**classical_rep(k), "N": n_op, "A+": w, "A-": d_w, "B-": b_minus}
 
 
 def verify_rep(order, images=None):

@@ -156,15 +156,6 @@ class TruncatedSeries:
         return TruncatedSeries._from_ints(tuple([t for t in self.triples if t[0] <= order]),
                                           order)
 
-    def divided_by_z(self):
-        """Exact division by z; requires zero constant term, drops one order."""
-        if self.low_order() == 0:
-            raise ValueError("division by z needs zero constant term")
-        if self.order == 0:
-            raise ValueError("cannot divide an order-0 series by z")
-        return TruncatedSeries._from_ints(tuple([(n - 1, x, d) for n, x, d in self.triples]),
-                                          self.order - 1)
-
     # -- ring operations ----------------------------------------------------
 
     def _plus(self, other, sign):
@@ -330,11 +321,12 @@ def _series_terms(numerators, order, den=1, words=None):
 
 # -- exp and sqrt over any ring truncated in z ------------------------------------
 #
-# x is a TruncatedSeries or a bargmann.DiffOperator, the multiplication
-# operators of the deformed realization: anything with .order, .low_order(),
-# +, * (by itself and by a Fraction) and a truth value that is False exactly
-# for zero. A strictly positive z order makes x^n vanish for n > order, so
-# both sums are finite; they stop at the first vanishing power.
+# x is an element of any ring truncated in z, a TruncatedSeries or a
+# bargmann.DiffOperator alike: anything with .order, .low_order(), +, * (by
+# itself and by a Fraction) and a truth value that is False exactly for
+# zero. ``TruncatedSeries.exp`` and ``.sqrt`` are these sums over series. A
+# strictly positive z order makes x^n vanish for n > order, so both sums are
+# finite; they stop at the first vanishing power.
 
 
 def exp_nilpotent(x, one):

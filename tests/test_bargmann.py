@@ -15,7 +15,7 @@ from twophoton.bargmann import (DiffOperator, EigenProblem,
                                 rep_checks, series_solve, verify_rep)
 from twophoton.discrete import SchrodingerOperator, realize
 from twophoton.scalars import ComplexRational
-from twophoton.series import TruncatedSeries, exp_nilpotent
+from twophoton.series import TruncatedSeries, exp_nilpotent, sqrt_unit
 from twophoton.sparse import collect, weyl_terms
 
 
@@ -194,31 +194,54 @@ def test_deformed_rep_rendering_pinned_at_order_8():
     assert hashlib.sha256(text.encode()).hexdigest() == DEFORMED_K8_SHA256
 
 
-def test_multiplication_operator_divisions():
-    k = 3
-    one = DiffOperator.identity(k)
-    u = DiffOperator(k, {(2, 0): TruncatedSeries.z_power(1, k, 2)})  # 2 z a^2
-    exp_u = exp_nilpotent(u, one)
-    assert u.low_order() == 1 and exp_u.low_order() == 0
-    assert DiffOperator.zero(k).low_order() is None
-    # (e^{2 z a^2} - 1)/z starts at 2 a^2, so alpha^2 divides it exactly
-    growth = (exp_u - one).divided_by_z()
-    assert growth.order == k - 1
-    assert growth.divided_by_alpha(2).terms[(0, 0)] == TruncatedSeries.constant(2, k - 1)
-    with pytest.raises(ValueError):
-        exp_u.divided_by_z()
+def _divided_by_z(op):
+    """Exact division by z: every coefficient must lack a constant term."""
+    assert all(s.coeffs[0] == 0 for s in op.terms.values())
+    k = op.order - 1
+    return DiffOperator(k, {key: TruncatedSeries(s.coeffs[1:], k) for key, s in op.terms.items()})
 
 
-def test_divided_by_alpha_rejects_inexact_division():
-    # negative control: e^{2 z a^2} has a constant term, so 1/alpha leaves alpha^-1
+def _divided_by_alpha(op, m):
+    """alpha^-m times op, exact: no term may lie below alpha^m."""
+    assert all(j >= m for j, _ in op.terms)
+    return DiffOperator(op.order, {(j - m, l): s for (j, l), s in op.terms.items()})
+
+
+def _closed_form_rep(k):
+    """The deformed table transcribed from the paper's closed forms, in the
+    ring of operators: exponentials and square roots of the multiplication
+    operator 2 z a^2, made at order k + 1 so that one division by z lands
+    at order k, and exact divisions by powers of alpha, which assert that
+    the closed forms' 1/alpha factors cancel."""
+    rep = classical_rep(k)
+    a, a2, d, d2 = (rep[g] for g in ("A+", "B+", "A-", "B-"))
+    one, one_kk = DiffOperator.identity(k), DiffOperator.identity(k + 1)
+    u = DiffOperator(k + 1, {(2, 0): TruncatedSeries.z_power(1, k + 1, 2)})  # 2 z a^2
+    exp_kk = exp_nilpotent(u, one_kk)
+    exp_u = exp_kk.truncate(k)
+    # the growth factor (e^{2 z a^2} - 1)/(2z)
+    growth = _divided_by_z(exp_kk - one_kk).scale(Fraction(1, 2))
+    # the radical ((1 - e^{-2 z a^2})/(2z))^{1/2} = a * sqrt(unit)
+    radicand = _divided_by_z(one_kk - exp_nilpotent(-u, one_kk)).scale(Fraction(1, 2))
+    root = sqrt_unit(_divided_by_alpha(radicand, 2) - one, one)
+    rep["N"] = _divided_by_alpha(growth, 1) * d
+    rep["A+"] = a * root
+    rep["A-"] = exp_u * root * d
+    rep["B-"] = (_divided_by_alpha(growth, 2) * d2
+                 + _divided_by_alpha(exp_u * a2 - growth, 3) * d)
+    return rep
+
+
+def test_deformed_rep_equals_the_closed_form_construction():
+    # the table in w and d/dw against the paper's closed forms, whose
+    # apparent 1/alpha and 1/z factors the reference divides out exactly
+    for k in range(17):
+        assert deformed_rep(k) == _closed_form_rep(k), k
     k = 3
     u = DiffOperator(k, {(2, 0): TruncatedSeries.z_power(1, k, 2)})
-    exp_u = exp_nilpotent(u, DiffOperator.identity(k))
-    with pytest.raises(ValueError, match="not divisible"):
-        exp_u.divided_by_alpha(1)
-    with pytest.raises(ValueError, match="not divisible"):
-        (exp_u * classical_rep(k)["B+"]).divided_by_alpha(3)
-    assert (exp_u * classical_rep(k)["A+"]).divided_by_alpha(1) == exp_u
+    assert u.low_order() == 1
+    assert exp_nilpotent(u, DiffOperator.identity(k)).low_order() == 0
+    assert DiffOperator.zero(k).low_order() is None
 
 
 def test_first_order_table_equals_truncated_full():

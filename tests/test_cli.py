@@ -146,6 +146,28 @@ def test_singular_basis_map_fails_the_classical_table_entry(tmp_path, monkeypatc
         "transport/classical-table"]
 
 
+@pytest.mark.parametrize("table, key, row, lie, triple", [
+    ("H6_RELATIONS", ("A-", "N"), ({("A-",): (0, 2)}, ()), "h6", "('B+', 'N', 'A-')"),
+    ("SCH_RELATIONS", ("K", "D"), ({("K",): (0, -2)}, ()), "schrodinger", "('H', 'D', 'K')"),
+])
+def test_jacobi_violation_fails_its_entries(table, key, row, lie, triple, tmp_path,
+                                            monkeypatch, capsys):
+    # a classical table that breaks the Jacobi identity fails the jacobi and
+    # classical-table entries with LieAlgebra's message; the run writes its
+    # report and exits 1
+    from twophoton import algebra
+    monkeypatch.setitem(getattr(algebra, table), key, row)
+    message = f"{lie}: Jacobi identity fails at {triple}"
+    for checks, name in (("bialgebra", f"bialgebra/{lie}/jacobi"),
+                         ("hopf", "transport/classical-table")):
+        out = tmp_path / f"{checks}.json"
+        assert cli.main(["--checks", checks, "--order", "2", "--out", str(out)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        entries = {e["name"]: e for e in json.loads(out.read_text())["entries"]}
+        assert not entries[name]["pass"]
+        assert entries[name]["residual"] == message
+
+
 @pytest.mark.parametrize("algebra, checks, builds", [
     ("both", "bialgebra,hopf", [1, 1, 2, 2]),
     ("h6", "hopf", [2, 2]),

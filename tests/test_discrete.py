@@ -149,15 +149,40 @@ def _transcribed_realization(mass, rep_param, z):
     return {gen: SchrodingerOperator(z, terms) for gen, terms in table.items()}
 
 
+# (m, a, z) points at which realize is compared with its references, each
+# also at z = 0
+REALIZE_POINTS = [(m, a, z) for z, m, a in PARAM_MATRIX] + [
+    (Fraction(3), Fraction(2, 7), Fraction(7, 3)), (Fraction(5, 2), Fraction(0), 100),
+    (Fraction(-5, 3), Fraction(7, 2), 9), (0, 0, Fraction(1, 10))]
+
+
 def test_realize_is_the_transcribed_deformed_and_classical_tables():
-    points = [(m, a, z) for z, m, a in PARAM_MATRIX]
-    points += [(Fraction(3), Fraction(2, 7), Fraction(7, 3)), (Fraction(5, 2), Fraction(0), 100),
-               (Fraction(-5, 3), Fraction(7, 2), 9), (0, 0, Fraction(1, 10))]
-    for m, a, z in points:
+    for m, a, z in REALIZE_POINTS:
         for step in (z, 0):
             ops = realize(m, a, step)
             want = _transcribed_realization(m, a, step)
             assert {gen: ops[gen] for gen in want} == want, (m, a, step)
+
+
+def test_lattice_table_is_the_classical_one_in_tau_and_dt():
+    # K, D and C are the classical realization, with t read as tau = T t and
+    # dt as the backward quotient Dt = (1 - T^-1)/(4z), for which
+    # [Dt, tau] = 1; C carries the one correction -z (D + m/2)^2
+    for m, a, z in REALIZE_POINTS:
+        for step in (z, 0):
+            one = SchrodingerOperator.identity(step)
+            x, dx = basis_op(step, (1, 0, 0, 0, 0)), basis_op(step, (0, 0, 0, 1, 0))
+            tau = discrete._lattice(step, {(0, 1, 1, 0, 0): 1, (0, 0, 1, 0, 0): 4 * step})
+            dt = discrete_derivative(step, "backward")
+            assert dt.commutator(tau) == one, (m, a, step)
+            ops = realize(m, a, step)
+            assert ops["K"] == -(tau * dx) - x.scale(m), (m, a, step)
+            d_op = (tau * dt).scale(2) + x * dx - one.scale(a)
+            assert ops["D"] == d_op, (m, a, step)
+            shifted = d_op + one.scale(Fraction(m) / 2)
+            c_op = (tau * tau * dt + x * tau * dx - tau.scale(a) + (x * x).scale(Fraction(m) / 2)
+                    - (shifted * shifted).scale(step))
+            assert ops["C"] == c_op, (m, a, step)
 
 
 def _transcribed_difference(z, direction):

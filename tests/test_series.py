@@ -72,12 +72,6 @@ def test_inverse_examples():
         S([0, 1]).inverse()
 
 
-def test_divided_by_z():
-    assert S([0, 2, 3]).divided_by_z() == S([2, 3])
-    with pytest.raises(ValueError):
-        S([1, 2]).divided_by_z()
-
-
 def _random_series(rng, order):
     return TruncatedSeries(
         [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(order + 1)])
@@ -164,7 +158,6 @@ def test_stored_pairs_against_dense_reference():
             (a * c, [p * c for p in x]),
             (c * a, [c * p for p in x]),
             (a.truncate(cut), x[:cut + 1]),
-            ((a - TruncatedSeries.constant(x[0], order)).divided_by_z(), x[1:]),
         ]
         for got, want in cases:
             _assert_canonical(got)
